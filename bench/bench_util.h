@@ -102,12 +102,12 @@ struct SinkArgs
     bool profile = false;
 
     // --- distributed execution (docs/ROBUSTNESS.md §10) ----------------
-    /** --coordinator ENDPOINT: serve this bench's batch as a distributed
-     *  sweep ("tcp:HOST:PORT", port 0 = ephemeral, or a queue directory)
-     *  instead of running it in-process. Artifacts are written by this
-     *  process exactly as in local mode. */
+    /** --coordinator DIR: serve this bench's batch as a distributed
+     *  sweep through the shared queue directory DIR instead of running
+     *  it in-process. Artifacts are written by this process exactly as
+     *  in local mode. */
     std::string coordinator;
-    /** --worker-of ENDPOINT: run as a worker for a coordinator started
+    /** --worker-of DIR: run as a worker for a coordinator started
      *  from the SAME bench binary with the SAME arguments/environment
      *  (both sides must expand an identical job list). The process
      *  exits when the sweep drains. */
@@ -310,15 +310,15 @@ shardDirOf(const SinkArgs& args)
  * --worker-of: the worker half of a distributed bench run. Claims jobs
  * from the coordinator, executes them through the same per-job path as
  * the in-process engine, and exits the process when the sweep drains
- * (0), the queue is lost after flushing locally (3), or the endpoint
- * cannot be opened (2). Never returns.
+ * (0), the queue is lost after flushing locally (3), or the queue
+ * directory cannot be read (2). Never returns.
  */
 [[noreturn]] inline void
 runBenchWorker(const std::vector<SweepJob>& jobs, const SinkArgs& args)
 {
+    FsWorkQueue q(args.workerOf);
     std::string err;
-    std::unique_ptr<WorkQueue> q = openWorkQueue(args.workerOf, 5.0, &err);
-    if (q == nullptr) {
+    if (!q.connect(&err)) {
         std::fprintf(stderr, "[bench] --worker-of %s: %s\n",
                      args.workerOf.c_str(), err.c_str());
         std::exit(2);
@@ -345,7 +345,7 @@ runBenchWorker(const std::vector<SweepJob>& jobs, const SinkArgs& args)
         wo.jobDelayMs =
             static_cast<unsigned>(std::strtoul(d, nullptr, 10));
     }
-    WorkerSummary s = runSweepWorker(*q, jobs, wo);
+    WorkerSummary s = runSweepWorker(q, jobs, wo);
     if (s.executed != 0 || s.flushedLocal != 0) {
         obs::Event(obs::LogLevel::Info, wo.name, "worker_summary")
             .u64("executed", s.executed)
@@ -387,9 +387,9 @@ runBenchCoordinated(std::vector<SweepJob> jobs, const SinkArgs& args)
     }
     obs::Event(obs::LogLevel::Info, "bench", "coordinating")
         .u64("jobs", coord.totalJobs())
-        .str("endpoint", coord.endpoint())
+        .str("endpoint", args.coordinator)
         .str("hint", "re-run this binary with --worker-of " +
-                         coord.endpoint())
+                         args.coordinator)
         .emit();
     return coord.run();
 }

@@ -53,10 +53,7 @@ Ftq::flush()
 void
 Ftq::clearStats()
 {
-    stats_.pushes = 0;
-    stats_.fullStalls = 0;
-    stats_.flushes = 0;
-    stats_.occupancy.clear();
+    stats_ = FtqStats();
 }
 
 std::string

@@ -4,9 +4,8 @@
  *
  * One JSON document describes a running (or just-finished) distributed
  * sweep: totals, ETA, a per-job state string and per-worker health rows.
- * The coordinator serves it over the TCP wire protocol (OpStatus) and
- * mirrors it to "<queue-dir>/status.json" for the shared-filesystem
- * transport; tools/udp_top.cc consumes either to render the dashboard.
+ * The coordinator republishes it atomically as "<queue-dir>/status.json";
+ * tools/udp_top.cc reads that file to render the dashboard.
  *
  * The schema is append-only: new keys may be added, existing keys keep
  * their names and meaning so scripted `udp_top --once --json` consumers
@@ -47,7 +46,7 @@ inline constexpr char kJobFailed = 'F';
 struct SweepStatus
 {
     std::string name;      ///< sweep/coordinator name ("" when unset)
-    std::string transport; ///< "tcp" or "fs"
+    std::string transport; ///< always "fs" (kept: the schema is append-only)
     std::uint64_t tsMs = 0;
     std::uint64_t total = 0;
     std::uint64_t done = 0; ///< successes only (mirrors runner accounting)

@@ -50,6 +50,8 @@ hashDouble(std::uint64_t* h, double v)
     hashU64(h, bits);
 }
 
+} // namespace
+
 std::string
 hexOf(std::uint64_t v)
 {
@@ -80,7 +82,6 @@ hexTo(const std::string& s, std::uint64_t* out)
     return true;
 }
 
-/** Extracts the next "key":"string value" field; minimal, order-aware. */
 bool
 extractString(const std::string& line, const std::string& key,
               std::string* out)
@@ -126,8 +127,6 @@ extractU64(const std::string& line, const std::string& key,
     *out = v;
     return true;
 }
-
-} // namespace
 
 std::uint64_t
 sweepJobHash(const SweepJob& job, std::size_t index)

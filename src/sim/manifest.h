@@ -96,6 +96,19 @@ class SweepManifest
     std::ofstream out;
 };
 
+/**
+ * Flat-JSON helpers shared by the manifest and the work-queue files
+ * (sim/workqueue.cc). Hashes and tokens are 16 lowercase hex digits;
+ * the extractors find the first "key": field of a single-line object
+ * (no nesting, no whitespace around the colon).
+ */
+std::string hexOf(std::uint64_t v);
+bool hexTo(const std::string& s, std::uint64_t* out);
+bool extractString(const std::string& line, const std::string& key,
+                   std::string* out);
+bool extractU64(const std::string& line, const std::string& key,
+                std::uint64_t* out);
+
 /** Serializes @p e as one manifest JSON line (no trailing newline). */
 std::string manifestEntryToJsonLine(const ManifestEntry& e);
 

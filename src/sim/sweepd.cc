@@ -374,7 +374,7 @@ expandSweepSpec(const SweepSpec& spec, std::vector<SweepJob>* out,
 // --- worker ----------------------------------------------------------------
 
 WorkerSummary
-runSweepWorker(WorkQueue& queue, const std::vector<SweepJob>& jobs,
+runSweepWorker(FsWorkQueue& queue, const std::vector<SweepJob>& jobs,
                const WorkerOptions& opts)
 {
     WorkerSummary sum;
@@ -496,7 +496,7 @@ runSweepWorker(WorkQueue& queue, const std::vector<SweepJob>& jobs,
             ++sum.duplicates;
             break;
         case PushOutcome::Lost:
-            // Coordinator gone mid-push: the result is not wasted — the
+            // Queue unwritable mid-push: the result is not wasted — the
             // local shard manifest is absorbed on coordinator restart.
             sum.queueLost = true;
             if (entry.ok) {
@@ -524,7 +524,6 @@ struct SweepCoordinator::Impl
 {
     std::vector<SweepJob> jobs;
     CoordinatorOptions opts;
-    QueueEndpoint ep;
 
     std::vector<std::uint64_t> hashes;
     std::unordered_map<std::uint64_t, std::size_t> hashToIndex;
@@ -540,33 +539,27 @@ struct SweepCoordinator::Impl
     bool started = false;
     double startTime = 0.0;
 
-    // TCP mode.
-    std::unique_ptr<LeaseTable> table;
-    TcpQueueServer server;
-    // Filesystem mode.
-    std::unique_ptr<FsWorkQueue> fsq;
+    std::unique_ptr<FsWorkQueue> queue;
 
     // --- live status surface (obs/status.h) --------------------------
-    // The TCP LeaseTable tracks per-worker counters natively; in FS mode
-    // the coordinator reconstructs them by diffing lease-directory
-    // snapshots each tick. Rows store ABSOLUTE last-contact times
-    // (monotonic seconds); buildStatus() converts to ages on export.
-    std::unordered_map<std::string, obs::WorkerStatusRow> fsWorkers;
-    struct FsSeenLease
+    // The coordinator reconstructs per-worker counters by diffing
+    // lease-directory snapshots each tick. Rows store ABSOLUTE
+    // last-contact times (monotonic seconds); buildStatus() converts to
+    // ages on export.
+    std::unordered_map<std::string, obs::WorkerStatusRow> workers;
+    struct SeenLease
     {
         std::string worker;
         std::uint64_t hash = 0;
         std::uint64_t expiryMs = 0;
     };
-    std::unordered_map<std::uint64_t, FsSeenLease> fsSeen; ///< by token
-    std::vector<FsLeaseInfo> fsLeaseSnapshot;
+    std::unordered_map<std::uint64_t, SeenLease> seenLeases; ///< by token
+    std::vector<FsLeaseInfo> leaseSnapshot;
     double lastStatusSec = 0.0;
 
-    bool isTcp() const { return ep.tcp; }
-
-    obs::WorkerStatusRow& fsWorkerRow(const std::string& name)
+    obs::WorkerStatusRow& workerRow(const std::string& name)
     {
-        obs::WorkerStatusRow& row = fsWorkers[name];
+        obs::WorkerStatusRow& row = workers[name];
         if (row.name.empty()) {
             row.name = name;
             row.lastSeenSec = nowSec();
@@ -583,7 +576,7 @@ struct SweepCoordinator::Impl
      * removes its lease file too, so in-date disappearances are normal
      * completions and are not charged).
      */
-    void updateFsWorkers(std::vector<FsLeaseInfo> leases)
+    void updateWorkers(std::vector<FsLeaseInfo> leases)
     {
         double now = nowSec();
         std::uint64_t nowMs = wallMs();
@@ -591,11 +584,11 @@ struct SweepCoordinator::Impl
         for (const FsLeaseInfo& l : leases) {
             ++liveByHash[l.hash];
         }
-        std::unordered_map<std::uint64_t, FsSeenLease> seen;
+        std::unordered_map<std::uint64_t, SeenLease> seen;
         for (const FsLeaseInfo& l : leases) {
-            obs::WorkerStatusRow& row = fsWorkerRow(l.worker);
-            auto it = fsSeen.find(l.token);
-            if (it == fsSeen.end()) {
+            obs::WorkerStatusRow& row = workerRow(l.worker);
+            auto it = seenLeases.find(l.token);
+            if (it == seenLeases.end()) {
                 ++row.claims;
                 if (l.attempt >= 2) {
                     ++row.retries;
@@ -608,19 +601,19 @@ struct SweepCoordinator::Impl
                 ++row.renewals;
                 row.lastSeenSec = now;
             }
-            seen[l.token] = FsSeenLease{l.worker, l.hash, l.expiryMs};
+            seen[l.token] = SeenLease{l.worker, l.hash, l.expiryMs};
         }
-        for (const auto& [token, old] : fsSeen) {
+        for (const auto& [token, old] : seenLeases) {
             if (seen.find(token) != seen.end()) {
                 continue;
             }
             if (old.expiryMs <= nowMs) {
                 // lastSeenSec left alone: the silence should show.
-                ++fsWorkerRow(old.worker).expirations;
+                ++workerRow(old.worker).expirations;
             }
         }
-        fsSeen = std::move(seen);
-        fsLeaseSnapshot = std::move(leases);
+        seenLeases = std::move(seen);
+        leaseSnapshot = std::move(leases);
     }
 
     /** One status document (obs/status.h JSON) from live state. */
@@ -629,7 +622,7 @@ struct SweepCoordinator::Impl
         double now = nowSec();
         obs::SweepStatus st;
         st.name = opts.name;
-        st.transport = isTcp() ? "tcp" : "fs";
+        st.transport = "fs";
         st.tsMs = wallMs();
         st.total = jobs.size();
         st.done = finalCount - failedCount;
@@ -637,58 +630,37 @@ struct SweepCoordinator::Impl
         st.resumed = resumedCount;
         st.elapsedSec = started ? now - startTime : 0.0;
         st.jobStates.assign(jobs.size(), obs::kJobPending);
-        if (isTcp() && table) {
-            for (std::size_t i = 0; i < jobs.size(); ++i) {
-                st.jobStates[i] = table->jobState(i);
-            }
-            for (const LeaseWorkerStats& ws : table->workerStats()) {
-                obs::WorkerStatusRow row;
-                row.name = ws.worker;
-                row.activeLeases = ws.activeLeases;
-                row.claims = ws.claims;
-                row.completed = ws.completions;
-                row.failed = ws.failures;
-                row.retries = ws.retries;
-                row.stragglers = ws.stragglers;
-                row.renewals = ws.renewals;
-                row.expirations = ws.expirations;
-                row.lastSeenSec =
-                    ws.lastSeenSec >= 0.0 ? now - ws.lastSeenSec : -1.0;
-                st.workers.push_back(std::move(row));
-            }
-        } else {
-            std::unordered_map<std::uint64_t, char> leasedHash;
-            for (const FsLeaseInfo& l : fsLeaseSnapshot) {
-                leasedHash[l.hash] = 1;
-            }
-            for (std::size_t i = 0; i < jobs.size(); ++i) {
-                if (haveFinal[i]) {
-                    st.jobStates[i] =
-                        finals[i].ok ? obs::kJobDone : obs::kJobFailed;
-                } else if (leasedHash.find(hashes[i]) != leasedHash.end()) {
-                    st.jobStates[i] = obs::kJobLeased;
-                }
-            }
-            for (auto& [name, row] : fsWorkers) {
-                (void)name;
-                row.activeLeases = 0;
-            }
-            for (const FsLeaseInfo& l : fsLeaseSnapshot) {
-                ++fsWorkerRow(l.worker).activeLeases;
-            }
-            for (const auto& [name, src] : fsWorkers) {
-                (void)name;
-                obs::WorkerStatusRow row = src;
-                row.lastSeenSec =
-                    src.lastSeenSec >= 0.0 ? now - src.lastSeenSec : -1.0;
-                st.workers.push_back(std::move(row));
-            }
-            std::sort(st.workers.begin(), st.workers.end(),
-                      [](const obs::WorkerStatusRow& a,
-                         const obs::WorkerStatusRow& b) {
-                          return a.name < b.name;
-                      });
+        std::unordered_map<std::uint64_t, char> leasedHash;
+        for (const FsLeaseInfo& l : leaseSnapshot) {
+            leasedHash[l.hash] = 1;
         }
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            if (haveFinal[i]) {
+                st.jobStates[i] =
+                    finals[i].ok ? obs::kJobDone : obs::kJobFailed;
+            } else if (leasedHash.find(hashes[i]) != leasedHash.end()) {
+                st.jobStates[i] = obs::kJobLeased;
+            }
+        }
+        for (auto& [name, row] : workers) {
+            (void)name;
+            row.activeLeases = 0;
+        }
+        for (const FsLeaseInfo& l : leaseSnapshot) {
+            ++workerRow(l.worker).activeLeases;
+        }
+        for (const auto& [name, src] : workers) {
+            (void)name;
+            obs::WorkerStatusRow row = src;
+            row.lastSeenSec =
+                src.lastSeenSec >= 0.0 ? now - src.lastSeenSec : -1.0;
+            st.workers.push_back(std::move(row));
+        }
+        std::sort(st.workers.begin(), st.workers.end(),
+                  [](const obs::WorkerStatusRow& a,
+                     const obs::WorkerStatusRow& b) {
+                      return a.name < b.name;
+                  });
         for (char c : st.jobStates) {
             if (c == obs::kJobPending) {
                 ++st.pending;
@@ -706,19 +678,16 @@ struct SweepCoordinator::Impl
         return sweepStatusToJson(st);
     }
 
-    /** FS transport: refresh "<dir>/status.json" (rate-limited unless
-     *  @p force — the post-drain publication must always land). */
-    void publishFsStatus(bool force)
+    /** Refreshes "<dir>/status.json" (rate-limited unless @p force —
+     *  the post-drain publication must always land). */
+    void publishStatus(bool force)
     {
-        if (!fsq) {
-            return;
-        }
         double now = nowSec();
         if (!force && now - lastStatusSec < std::max(opts.pollSec, 0.25)) {
             return;
         }
         lastStatusSec = now;
-        fsq->writeStatusFile(buildStatus());
+        queue->writeStatusFile(buildStatus());
     }
 
     /** Records a job's final outcome exactly once. */
@@ -770,7 +739,7 @@ struct SweepCoordinator::Impl
     }
 
     /** Absorbs worker shard files: completed entries a worker flushed
-     *  locally when it could not reach the coordinator. */
+     *  locally when it could not write to the queue. */
     void absorbShards()
     {
         if (opts.shardDir.empty()) {
@@ -796,44 +765,17 @@ struct SweepCoordinator::Impl
                 if (haveFinal[idx]) {
                     continue;
                 }
-                if (table) {
-                    table->markDone(idx);
-                }
-                if (fsq) {
-                    fsq->injectDone(e);
-                }
+                queue->injectDone(e);
                 recordFinal(idx, std::move(e), true);
             }
         }
     }
 
-    void tickTcp()
+    void tick()
     {
-        server.poll(opts.pollSec);
-        table->tick(nowSec());
-        // Jobs finally failed by expiry (tick) have no push to hook:
-        // harvest them here.
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-            const std::string* kind = table->finalErrorKind(i);
-            if (kind == nullptr || haveFinal[i]) {
-                continue;
-            }
-            ManifestEntry e;
-            e.hash = hashes[i];
-            e.index = i;
-            e.workload = jobs[i].profile.name;
-            e.label = jobs[i].label;
-            e.ok = false;
-            e.errorKind = *kind;
-            recordFinal(i, std::move(e), true);
-        }
-    }
-
-    void tickFs()
-    {
-        fsq->reclaimExpired();
-        updateFsWorkers(fsq->scanLeases());
-        for (ManifestEntry& e : fsq->collectDone()) {
+        queue->reclaimExpired();
+        updateWorkers(queue->scanLeases());
+        for (ManifestEntry& e : queue->collectDone()) {
             auto hit = hashToIndex.find(e.hash);
             if (hit == hashToIndex.end() || haveFinal[hit->second]) {
                 continue;
@@ -844,13 +786,13 @@ struct SweepCoordinator::Impl
             // Attribute the final to its producer before the entry is
             // consumed (reclaim-published failures carry no worker).
             if (!e.worker.empty()) {
-                obs::WorkerStatusRow& row = fsWorkerRow(e.worker);
+                obs::WorkerStatusRow& row = workerRow(e.worker);
                 e.ok ? ++row.completed : ++row.failed;
                 row.lastSeenSec = nowSec();
             }
             recordFinal(hit->second, std::move(e), true);
         }
-        publishFsStatus(false);
+        publishStatus(false);
         sleepSec(opts.pollSec);
     }
 };
@@ -861,7 +803,6 @@ SweepCoordinator::SweepCoordinator(std::vector<SweepJob> jobs,
 {
     impl->jobs = std::move(jobs);
     impl->opts = std::move(opts);
-    impl->ep = parseQueueEndpoint(impl->opts.endpoint);
 }
 
 SweepCoordinator::~SweepCoordinator() = default;
@@ -909,89 +850,38 @@ SweepCoordinator::start(std::string* err)
         }
     }
 
-    if (im.isTcp()) {
-        im.table = std::make_unique<LeaseTable>(im.hashes, im.opts.policy);
-        for (std::size_t i = 0; i < im.jobs.size(); ++i) {
-            if (im.haveFinal[i]) {
-                im.table->markDone(i);
-            }
+    im.queue = std::make_unique<FsWorkQueue>(im.opts.endpoint);
+    std::vector<ManifestEntry> skeleton;
+    skeleton.reserve(im.jobs.size());
+    for (std::size_t i = 0; i < im.jobs.size(); ++i) {
+        ManifestEntry e;
+        e.hash = im.hashes[i];
+        e.index = i;
+        e.workload = im.jobs[i].profile.name;
+        e.label = im.jobs[i].label;
+        skeleton.push_back(std::move(e));
+    }
+    // Inject resumed completions into done/ BEFORE seeding tickets, so
+    // seed() skips them and no worker re-runs a resumed job.
+    for (std::size_t i = 0; i < im.jobs.size(); ++i) {
+        if (im.haveFinal[i] && im.finals[i].ok) {
+            im.queue->injectDone(im.finals[i]);
         }
-        im.absorbShards();
-        TcpQueueServer::Handlers h;
-        h.spec = [&im] { return im.opts.specJson; };
-        h.total = [&im] { return im.jobs.size(); };
-        h.retrySec = [&im] { return im.opts.policy.noWorkRetrySec; };
-        h.status = [&im] { return im.buildStatus(); };
-        h.claim = [&im](const std::string& worker, JobLease* out) {
-            return im.table->claim(nowSec(), worker, out);
-        };
-        h.renew = [&im](std::uint64_t token) {
-            return im.table->renew(nowSec(), token);
-        };
-        h.push = [&im](std::uint64_t token, const ManifestEntry& entry) {
-            std::size_t idx = im.table->leaseIndex(token);
-            if (idx == LeaseTable::npos || im.hashes[idx] != entry.hash ||
-                (entry.ok && !manifestEntryIsConsistent(entry))) {
-                return LeaseTable::Push::Unknown;
-            }
-            LeaseTable::Push pr = im.table->push(nowSec(), token, entry.ok,
-                                                 entry.errorKind);
-            if (pr == LeaseTable::Push::RecordedFinal) {
-                im.recordFinal(idx, entry, true);
-            }
-            return pr;
-        };
-        if (!im.server.listen(im.ep.host, im.ep.port, std::move(h), err)) {
-            return false;
-        }
-    } else {
-        im.fsq = std::make_unique<FsWorkQueue>(im.ep.dir, 5.0);
-        std::vector<ManifestEntry> skeleton;
-        skeleton.reserve(im.jobs.size());
-        for (std::size_t i = 0; i < im.jobs.size(); ++i) {
-            ManifestEntry e;
-            e.hash = im.hashes[i];
-            e.index = i;
-            e.workload = im.jobs[i].profile.name;
-            e.label = im.jobs[i].label;
-            skeleton.push_back(std::move(e));
-        }
-        // Inject resumed completions into done/ BEFORE seeding tickets,
-        // so seed() skips them and no worker re-runs a resumed job.
-        for (std::size_t i = 0; i < im.jobs.size(); ++i) {
-            if (im.haveFinal[i] && im.finals[i].ok) {
-                im.fsq->injectDone(im.finals[i]);
-            }
-        }
-        im.absorbShards();
-        if (!im.fsq->seed(skeleton, im.opts.specJson, im.opts.policy,
-                          err)) {
-            return false;
-        }
+    }
+    im.absorbShards();
+    if (!im.queue->seed(skeleton, im.opts.specJson, im.opts.policy, err)) {
+        return false;
     }
     im.startTime = nowSec();
     im.started = true;
-    im.publishFsStatus(true); // FS only: status visible before first tick
+    im.publishStatus(true); // status visible before the first tick
     return true;
 }
 
 std::string
 SweepCoordinator::endpoint() const
 {
-    if (!impl->isTcp()) {
-        return impl->opts.endpoint;
-    }
-    std::string host = impl->ep.host.empty() ? "127.0.0.1" : impl->ep.host;
-    if (host == "0.0.0.0") {
-        host = "127.0.0.1";
-    }
-    return "tcp:" + host + ":" + std::to_string(impl->server.port());
-}
-
-int
-SweepCoordinator::port() const
-{
-    return impl->isTcp() ? impl->server.port() : 0;
+    return impl->opts.endpoint;
 }
 
 std::size_t
@@ -1017,33 +907,17 @@ SweepCoordinator::run()
 
     std::size_t lastProgress = im.finalCount;
     while (!im.stop.load() && im.finalCount < im.jobs.size()) {
-        if (im.isTcp()) {
-            im.tickTcp();
-        } else {
-            im.tickFs();
-        }
+        im.tick();
         if (im.finalCount != lastProgress) {
             lastProgress = im.finalCount;
             im.postProgress();
         }
     }
-    if (im.isTcp()) {
-        // Drain announcement: answer idle workers' next claim with
-        // Drained (instead of a closed socket) so they exit cleanly.
-        if (!im.stop.load()) {
-            double grace =
-                nowSec() + std::max(0.5, 2.0 * im.opts.policy.noWorkRetrySec);
-            while (nowSec() < grace) {
-                im.server.poll(0.05);
-            }
-        }
-        im.server.close();
-    }
     im.absorbShards();
     im.manifest.close();
-    // Final FS status so post-completion queries reconcile with the
-    // merged manifest (TCP answers live until server.close() above).
-    im.publishFsStatus(true);
+    // Final status so post-completion queries reconcile with the merged
+    // manifest.
+    im.publishStatus(true);
 
     for (std::size_t i = 0; i < im.jobs.size(); ++i) {
         JobResult& jr = results[i];

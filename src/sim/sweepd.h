@@ -2,31 +2,31 @@
  * @file
  * The distributed sweep service (docs/ROBUSTNESS.md §10).
  *
- * Three pieces sit on top of the work-queue transports (sim/workqueue.h)
- * and the lease state machine (sim/lease.h):
+ * Three pieces sit on top of the shared-directory work queue
+ * (sim/workqueue.h):
  *
  *   - SweepSpec: a small JSON sweep description (workloads × config
  *     presets) that both the coordinator and every worker expand —
  *     deterministically — into the identical SweepJob vector. The queue
  *     itself only ever carries (hash, index) pairs; job *content* never
- *     crosses the wire, and a worker whose expansion disagrees with a
+ *     enters the queue, and a worker whose expansion disagrees with a
  *     lease's hash fails it as "spec_mismatch" instead of running the
  *     wrong simulation.
  *
  *   - runSweepWorker(): the worker loop — claim, heartbeat, execute via
  *     runJobChecked() (the exact per-job path of the in-process sweep
- *     engine), push. A coordinator that dies mid-push costs nothing: the
- *     result is flushed to a local shard manifest the coordinator
- *     absorbs on restart.
+ *     engine), push. A queue that becomes unwritable mid-push costs
+ *     nothing: the result is flushed to a local shard manifest the
+ *     coordinator absorbs on restart.
  *
- *   - SweepCoordinator: shards the batch across workers over either
- *     transport, applies the lease policy (expiry reclaim, bounded
- *     retries with backoff, straggler duplication), checkpoints every
- *     final result to the sweep manifest, and assembles JobResults in
- *     job order. Because completed entries carry reportToJsonLine()
- *     output and that round trip is byte-exact, the merged artifacts of
- *     a distributed run are byte-identical to a serial in-process run
- *     of the same jobs.
+ *   - SweepCoordinator: seeds the queue directory, applies the lease
+ *     policy (expiry reclaim, bounded retries with backoff, straggler
+ *     duplication), checkpoints every final result to the sweep
+ *     manifest, publishes the live status file, and assembles
+ *     JobResults in job order. Because completed entries carry
+ *     reportToJsonLine() output and that round trip is byte-exact, the
+ *     merged artifacts of a distributed run are byte-identical to a
+ *     serial in-process run of the same jobs.
  */
 
 #ifndef UDP_SIM_SWEEPD_H
@@ -39,7 +39,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/lease.h"
 #include "sim/sweep.h"
 #include "sim/workqueue.h"
 
@@ -64,7 +63,7 @@ struct SpecConfig
 /**
  * A declarative sweep: the cross product of workloads × configs, each
  * run for the same instruction window. Serialized as one JSON object so
- * the coordinator can hand it to workers verbatim (spec.json / HELLO),
+ * the coordinator can hand it to workers verbatim (spec.json),
  * and expansion is deterministic on both sides.
  */
 struct SweepSpec
@@ -102,13 +101,11 @@ struct WorkerOptions
 {
     /** Worker identity (lease bookkeeping + shard file name). */
     std::string name = "worker";
-    /** Per-RPC / queue-operation deadline budget, seconds. */
-    double rpcTimeoutSec = 5.0;
     /** Sleep between claim attempts when the queue reports NoWork;
      *  0 = use the queue's own retry hint. */
     double pollSec = 0.0;
     /** Directory for the local shard manifest (<name>.shard.jsonl)
-     *  that absorbs results the coordinator could not receive.
+     *  that absorbs results the queue could not record.
      *  "" disables local flushing (such results are simply lost and the
      *  lease policy re-runs the job). */
     std::string shardDir;
@@ -143,7 +140,7 @@ struct WorkerSummary
  * is verified against it by hash before running. A heartbeat thread
  * renews each held lease at ttl/3 while the job executes.
  */
-WorkerSummary runSweepWorker(WorkQueue& queue,
+WorkerSummary runSweepWorker(FsWorkQueue& queue,
                              const std::vector<SweepJob>& jobs,
                              const WorkerOptions& opts);
 
@@ -154,14 +151,10 @@ struct CoordinatorOptions
 {
     /** Sweep name reported on the status surface (obs/status.h). */
     std::string name = "sweep";
-    /** Lease/retry/straggler policy shared with the queue. */
+    /** Lease/retry/straggler policy, written to the queue at seed time. */
     LeasePolicy policy;
-    /**
-     * Where workers find the queue: "tcp:HOST:PORT" serves the TCP
-     * protocol from this process (PORT 0 binds an ephemeral port — see
-     * SweepCoordinator::endpoint()); anything else is a shared queue
-     * directory seeded and polled by this process.
-     */
+    /** The shared queue directory this process seeds and polls;
+     *  workers join it with FsWorkQueue(endpoint). */
     std::string endpoint;
     /** Spec JSON served to udp_worker ("" for bench pairing, where both
      *  sides build the job list from identical argv). */
@@ -181,9 +174,9 @@ struct CoordinatorOptions
 };
 
 /**
- * The coordinator: owns the authoritative queue state for one batch and
- * drives it to drained. Use from one thread; requestStop() may be
- * called from a signal context.
+ * The coordinator: seeds the queue directory for one batch, collects
+ * its results and drives it to drained. Use from one thread;
+ * requestStop() may be called from a signal context.
  */
 class SweepCoordinator
 {
@@ -193,15 +186,11 @@ class SweepCoordinator
     SweepCoordinator(const SweepCoordinator&) = delete;
     SweepCoordinator& operator=(const SweepCoordinator&) = delete;
 
-    /** Binds the TCP server / seeds the queue directory. */
+    /** Absorbs the resume manifest and shards, then seeds the queue. */
     bool start(std::string* err);
 
-    /** The endpoint string workers should connect to (with the actual
-     *  bound port substituted in TCP mode). Valid after start(). */
+    /** The queue directory workers join. */
     std::string endpoint() const;
-
-    /** Bound TCP port (0 in filesystem mode). Valid after start(). */
-    int port() const;
 
     /**
      * Runs until every job is done or finally failed (or requestStop()),

@@ -1,15 +1,13 @@
 /**
  * @file
- * Shared little-endian wire encoding for the process/host boundary
- * protocols: the procexec result pipe (sim/procexec.cc) and the
- * distributed work-queue TCP protocol (sim/workqueue.cc) frame their
- * payloads with the same length-prefixed primitives so both sides of
- * either channel agree byte for byte.
+ * Little-endian wire encoding for the procexec result pipe
+ * (sim/procexec.cc): parent and isolated child frame their payloads with
+ * the same length-prefixed primitives so both ends agree byte for byte.
  *
- * Also home of the process-wide SIGPIPE guard: every peer of a pipe or
- * socket can die mid-conversation, and the default SIGPIPE disposition
- * would kill us instead of letting the write fail with EPIPE and be
- * classified as a structured JobError (docs/ROBUSTNESS.md §10).
+ * Also home of the process-wide SIGPIPE guard: the peer of a pipe can
+ * die mid-conversation, and the default SIGPIPE disposition would kill
+ * us instead of letting the write fail with EPIPE and be classified as a
+ * structured JobError (docs/ROBUSTNESS.md §8).
  */
 
 #ifndef UDP_SIM_WIRE_H
@@ -95,9 +93,7 @@ readStr(const std::string& buf, std::size_t* pos, std::string* out)
  * Ignores SIGPIPE process-wide (idempotent). A peer that dies between
  * our write()s would otherwise raise SIGPIPE and kill the process; with
  * the signal ignored the write fails with EPIPE and the caller converts
- * it into a classified error ("exit" for a dying isolated child,
- * transport-lost for a dead coordinator). Socket paths additionally use
- * MSG_NOSIGNAL where available as a belt-and-braces measure.
+ * it into a classified error ("exit" for a dying isolated child).
  */
 inline void
 installSigpipeIgnore()

@@ -1,14 +1,8 @@
 #include "sim/workqueue.h"
 
 #ifndef _WIN32
-#include <arpa/inet.h>
 #include <dirent.h>
 #include <fcntl.h>
-#include <netdb.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
 #include <sys/stat.h>
 #include <unistd.h>
 #endif
@@ -17,160 +11,87 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
+#include <cmath>
 #include <cstring>
+#include <fstream>
 #include <mutex>
+#include <sstream>
 #include <unordered_map>
 
-#include "sim/wire.h"
 #include "stats/sink.h"
-
-#ifndef MSG_NOSIGNAL
-#define MSG_NOSIGNAL 0
-#endif
 
 namespace udp {
 
 namespace {
 
-using wire::appendStr;
-using wire::appendU32;
-using wire::appendU64;
-using wire::readStr;
-using wire::readU32;
-using wire::readU64;
-
-double
-nowMonotonicSec()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-/** Wall-clock ms since epoch: comparable across queue participants. */
+/** FNV-1a over (hash, attempt): the deterministic jitter seed. */
 std::uint64_t
-nowWallMs()
+jitterSeed(std::uint64_t hash, unsigned attempt)
 {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::system_clock::now().time_since_epoch())
-            .count());
-}
-
-std::string
-hex16(std::uint64_t v)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
-
-bool
-hex16To(const std::string& s, std::uint64_t* out)
-{
-    if (s.size() != 16) {
-        return false;
-    }
-    std::uint64_t v = 0;
-    for (char c : s) {
-        v <<= 4;
-        if (c >= '0' && c <= '9') {
-            v |= static_cast<std::uint64_t>(c - '0');
-        } else if (c >= 'a' && c <= 'f') {
-            v |= static_cast<std::uint64_t>(c - 'a' + 10);
-        } else {
-            return false;
+    std::uint64_t h = 0xCBF29CE484222325ull;
+    auto mix = [&h](std::uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xFF;
+            h *= 0x00000100000001B3ull;
         }
-    }
-    *out = v;
-    return true;
-}
-
-/** Minimal order-free field extraction (same shape as sim/manifest.cc). */
-bool
-extractString(const std::string& line, const std::string& key,
-              std::string* out)
-{
-    std::string needle = "\"" + key + "\":\"";
-    std::size_t pos = line.find(needle);
-    if (pos == std::string::npos) {
-        return false;
-    }
-    pos += needle.size();
-    std::string raw;
-    while (pos < line.size() && line[pos] != '"') {
-        if (line[pos] == '\\' && pos + 1 < line.size()) {
-            raw += line[pos++];
-        }
-        raw += line[pos++];
-    }
-    if (pos >= line.size()) {
-        return false;
-    }
-    return jsonUnescape(raw, out);
-}
-
-bool
-extractU64(const std::string& line, const std::string& key,
-           std::uint64_t* out)
-{
-    std::string needle = "\"" + key + "\":";
-    std::size_t pos = line.find(needle);
-    if (pos == std::string::npos) {
-        return false;
-    }
-    pos += needle.size();
-    std::uint64_t v = 0;
-    bool any = false;
-    while (pos < line.size() && line[pos] >= '0' && line[pos] <= '9') {
-        v = v * 10 + static_cast<std::uint64_t>(line[pos++] - '0');
-        any = true;
-    }
-    if (!any) {
-        return false;
-    }
-    *out = v;
-    return true;
+    };
+    mix(hash);
+    mix(attempt);
+    return h;
 }
 
 } // namespace
 
-QueueEndpoint
-parseQueueEndpoint(const std::string& endpoint)
+double
+backoffDelaySec(const LeasePolicy& policy, unsigned attempt,
+                std::uint64_t hash)
 {
-    QueueEndpoint ep;
-    if (endpoint.rfind("tcp:", 0) != 0) {
-        ep.dir = endpoint;
-        return ep;
+    if (attempt <= 1) {
+        return 0.0;
     }
-    ep.tcp = true;
-    std::string rest = endpoint.substr(4);
-    std::size_t colon = rest.rfind(':');
-    if (colon == std::string::npos) {
-        ep.host = "127.0.0.1";
-        ep.port = std::atoi(rest.c_str());
-    } else {
-        ep.host = rest.substr(0, colon);
-        if (ep.host.empty()) {
-            ep.host = "127.0.0.1";
+    double delay = policy.backoffBaseSec *
+                   std::ldexp(1.0, static_cast<int>(
+                                       std::min(attempt - 2, 62u)));
+    delay = std::min(delay, policy.backoffCapSec);
+    if (policy.backoffJitterFrac > 0.0) {
+        // Deterministic uniform [0, 1) from the top 53 bits of the seed.
+        double u = static_cast<double>(jitterSeed(hash, attempt) >> 11) *
+                   0x1.0p-53;
+        delay += policy.backoffJitterFrac * delay * u;
+    }
+    return delay;
+}
+
+bool
+queryQueueStatus(const std::string& dir, std::string* statusJson,
+                 std::string* err)
+{
+    std::ifstream in(dir + "/status.json");
+    if (!in.is_open()) {
+        if (err != nullptr) {
+            *err = "no status published yet at " + dir + "/status.json";
         }
-        ep.port = std::atoi(rest.c_str() + colon + 1);
+        return false;
     }
-    return ep;
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    std::string raw = ss.str();
+    while (!raw.empty() && (raw.back() == '\n' || raw.back() == '\r')) {
+        raw.pop_back();
+    }
+    *statusJson = std::move(raw);
+    return true;
 }
 
 #ifdef _WIN32
 
-// Distributed sweeps need POSIX directory/socket primitives; on other
-// platforms every operation reports the queue as unreachable.
+// Distributed sweeps need POSIX directory primitives; on other platforms
+// every operation reports the queue as unreachable.
 
 struct FsWorkQueue::Impl
 {
 };
-FsWorkQueue::FsWorkQueue(std::string, double) {}
+FsWorkQueue::FsWorkQueue(std::string) {}
 bool
 FsWorkQueue::seed(const std::vector<ManifestEntry>&, const std::string&,
                   const LeasePolicy&, std::string* err)
@@ -259,85 +180,19 @@ FsWorkQueue::noWorkRetrySec()
     return 0.2;
 }
 
-struct TcpWorkQueue::Impl
-{
-};
-TcpWorkQueue::TcpWorkQueue(std::string, int, double) {}
-TcpWorkQueue::~TcpWorkQueue() = default;
-bool
-TcpWorkQueue::connect(std::string* err)
-{
-    *err = "distributed sweeps are not supported on this platform";
-    return false;
-}
-std::string
-TcpWorkQueue::specJson()
-{
-    return "";
-}
-std::size_t
-TcpWorkQueue::totalJobs()
-{
-    return 0;
-}
-ClaimOutcome
-TcpWorkQueue::claim(const std::string&, JobLease*)
-{
-    return ClaimOutcome::Lost;
-}
-bool
-TcpWorkQueue::renew(const JobLease&)
-{
-    return false;
-}
-PushOutcome
-TcpWorkQueue::push(const JobLease&, const ManifestEntry&)
-{
-    return PushOutcome::Lost;
-}
-double
-TcpWorkQueue::noWorkRetrySec()
-{
-    return 0.2;
-}
-
-struct TcpQueueServer::Impl
-{
-};
-TcpQueueServer::TcpQueueServer() = default;
-TcpQueueServer::~TcpQueueServer() = default;
-bool
-TcpQueueServer::listen(const std::string&, int, Handlers, std::string* err)
-{
-    *err = "distributed sweeps are not supported on this platform";
-    return false;
-}
-int
-TcpQueueServer::port() const
-{
-    return 0;
-}
-void
-TcpQueueServer::poll(double)
-{
-}
-void
-TcpQueueServer::close()
-{
-}
-
-bool
-queryQueueStatus(const std::string&, double, std::string*, std::string* err)
-{
-    if (err != nullptr) {
-        *err = "distributed sweeps are not supported on this platform";
-    }
-    return false;
-}
-
 #else // POSIX
 
 namespace {
+
+/** Wall-clock ms since epoch: comparable across queue participants. */
+std::uint64_t
+nowWallMs()
+{
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::system_clock::now().time_since_epoch())
+            .count());
+}
 
 // --- filesystem primitives -------------------------------------------------
 
@@ -478,7 +333,7 @@ struct TicketInfo
 std::string
 ticketJson(const TicketInfo& t)
 {
-    std::string out = "{\"hash\":\"" + hex16(t.hash) +
+    std::string out = "{\"hash\":\"" + hexOf(t.hash) +
                       "\",\"index\":" + std::to_string(t.index) +
                       ",\"attempt\":" + std::to_string(t.attempt) +
                       ",\"not_before_ms\":" + std::to_string(t.notBeforeMs) +
@@ -486,7 +341,7 @@ ticketJson(const TicketInfo& t)
                       "\",\"config\":\"" + jsonEscape(t.label) + "\"";
     if (t.token != 0) {
         out += ",\"worker\":\"" + jsonEscape(t.worker) + "\",\"token\":\"" +
-               hex16(t.token) +
+               hexOf(t.token) +
                "\",\"expiry_ms\":" + std::to_string(t.expiryMs);
     }
     out += '}';
@@ -499,7 +354,7 @@ parseTicket(const std::string& json, TicketInfo* out)
     TicketInfo t;
     std::string hashHex;
     if (!extractString(json, "hash", &hashHex) ||
-        !hex16To(hashHex, &t.hash) ||
+        !hexTo(hashHex, &t.hash) ||
         !extractU64(json, "index", &t.index) ||
         !extractString(json, "workload", &t.workload) ||
         !extractString(json, "config", &t.label)) {
@@ -511,7 +366,7 @@ parseTicket(const std::string& json, TicketInfo* out)
     extractU64(json, "not_before_ms", &t.notBeforeMs);
     std::string tokenHex;
     if (extractString(json, "token", &tokenHex)) {
-        hex16To(tokenHex, &t.token);
+        hexTo(tokenHex, &t.token);
         extractString(json, "worker", &t.worker);
         extractU64(json, "expiry_ms", &t.expiryMs);
     }
@@ -599,7 +454,6 @@ struct FsWorkQueue::Impl
     std::string leasedDir;
     std::string doneDir;
     std::string tmpDir;
-    double rpcTimeoutSec = 5.0;
     std::mutex mtx;
 
     LeasePolicy policy;
@@ -615,12 +469,12 @@ struct FsWorkQueue::Impl
 
     std::string donePath(std::uint64_t hash) const
     {
-        return doneDir + "/" + hex16(hash) + ".json";
+        return doneDir + "/" + hexOf(hash) + ".json";
     }
 
     std::string tmpPath(const char* what)
     {
-        return tmpDir + "/" + what + "-" + hex16(processUniqueToken());
+        return tmpDir + "/" + what + "-" + hexOf(processUniqueToken());
     }
 
     bool loadMeta()
@@ -678,17 +532,16 @@ struct FsWorkQueue::Impl
     {
         t.attempt += 1;
         t.notBeforeMs =
-            nowWallMs() +
-            static_cast<std::uint64_t>(
-                LeaseTable::backoffDelaySec(policy, t.attempt, t.hash) *
-                    1000.0 +
-                0.5);
+            nowWallMs() + static_cast<std::uint64_t>(
+                              backoffDelaySec(policy, t.attempt, t.hash) *
+                                  1000.0 +
+                              0.5);
         t.worker.clear();
         t.token = 0;
         t.expiryMs = 0;
         std::string tmp = tmpPath("req");
-        std::string ticketPath = todoDir + "/" + hex16(t.hash) + "." +
-                                 hex16(processUniqueToken()) + ".json";
+        std::string ticketPath = todoDir + "/" + hexOf(t.hash) + "." +
+                                 hexOf(processUniqueToken()) + ".json";
         writeFileAtomic(tmp, ticketPath, ticketJson(t));
         fsyncDir(todoDir);
     }
@@ -804,8 +657,8 @@ struct FsWorkQueue::Impl
             dup.token = 0;
             dup.expiryMs = 0;
             std::string tmp = tmpPath("dup");
-            std::string ticketPath = todoDir + "/" + hex16(dup.hash) +
-                                     "." + hex16(processUniqueToken()) +
+            std::string ticketPath = todoDir + "/" + hexOf(dup.hash) +
+                                     "." + hexOf(processUniqueToken()) +
                                      ".json";
             if (writeFileAtomic(tmp, ticketPath, ticketJson(dup))) {
                 stragglerDups.fetch_add(1, std::memory_order_relaxed);
@@ -815,7 +668,7 @@ struct FsWorkQueue::Impl
     }
 };
 
-FsWorkQueue::FsWorkQueue(std::string dir, double rpcTimeoutSec)
+FsWorkQueue::FsWorkQueue(std::string dir)
     : impl(std::make_shared<Impl>())
 {
     impl->root = std::move(dir);
@@ -823,7 +676,6 @@ FsWorkQueue::FsWorkQueue(std::string dir, double rpcTimeoutSec)
     impl->leasedDir = impl->root + "/leased";
     impl->doneDir = impl->root + "/done";
     impl->tmpDir = impl->root + "/tmp";
-    impl->rpcTimeoutSec = rpcTimeoutSec;
 }
 
 bool
@@ -862,7 +714,7 @@ FsWorkQueue::seed(const std::vector<ManifestEntry>& jobs,
         // Skip if any ticket/lease for this hash already exists (resume
         // onto a live queue): the hash prefix makes this a name scan.
         bool live = false;
-        std::string prefix = hex16(job.hash) + ".";
+        std::string prefix = hexOf(job.hash) + ".";
         for (const std::string& dir : {impl->todoDir, impl->leasedDir}) {
             for (const std::string& name : listDir(dir)) {
                 if (name.rfind(prefix, 0) == 0) {
@@ -874,8 +726,8 @@ FsWorkQueue::seed(const std::vector<ManifestEntry>& jobs,
         if (live) {
             continue;
         }
-        std::string ticketPath = impl->todoDir + "/" + hex16(t.hash) +
-                                 "." + hex16(processUniqueToken()) +
+        std::string ticketPath = impl->todoDir + "/" + hexOf(t.hash) +
+                                 "." + hexOf(processUniqueToken()) +
                                  ".json";
         if (!writeFileAtomic(impl->tmpPath("seed"), ticketPath,
                              ticketJson(t))) {
@@ -1054,7 +906,7 @@ FsWorkQueue::claim(const std::string& worker, JobLease* out)
             }
             std::uint64_t token = processUniqueToken();
             std::string leasePath = impl->leasedDir + "/" +
-                                    hex16(t.hash) + "." + hex16(token) +
+                                    hexOf(t.hash) + "." + hexOf(token) +
                                     ".json";
             if (::rename(path.c_str(), leasePath.c_str()) != 0) {
                 continue; // lost the race — next ticket
@@ -1091,8 +943,8 @@ FsWorkQueue::renew(const JobLease& lease)
     if (!impl->loadMeta()) {
         return false;
     }
-    std::string path = impl->leasedDir + "/" + hex16(lease.hash) + "." +
-                       hex16(lease.token) + ".json";
+    std::string path = impl->leasedDir + "/" + hexOf(lease.hash) + "." +
+                       hexOf(lease.token) + ".json";
     std::string json;
     TicketInfo t;
     if (!readWholeFile(path, &json) || !parseTicket(json, &t)) {
@@ -1110,8 +962,8 @@ FsWorkQueue::push(const JobLease& lease, const ManifestEntry& entry)
     if (!impl->loadMeta()) {
         return PushOutcome::Lost;
     }
-    std::string leasePath = impl->leasedDir + "/" + hex16(lease.hash) +
-                            "." + hex16(lease.token) + ".json";
+    std::string leasePath = impl->leasedDir + "/" + hexOf(lease.hash) +
+                            "." + hexOf(lease.token) + ".json";
     PushOutcome outcome = PushOutcome::Recorded;
     if (entry.ok) {
         std::string tmp = impl->tmpPath("done");
@@ -1160,804 +1012,6 @@ FsWorkQueue::noWorkRetrySec()
     return impl->policy.noWorkRetrySec;
 }
 
-// --- TCP protocol ----------------------------------------------------------
-
-namespace {
-
-constexpr std::uint32_t kQueueMagic = 0x55445132; // "UDQ2"
-
-enum QueueOp : std::uint8_t
-{
-    OpHello = 1,
-    OpClaim = 2,
-    OpRenew = 3,
-    OpPush = 4,
-    OpStatus = 5, ///< live sweep status JSON (obs/status.h schema)
-};
-
-enum QueueStatus : std::uint8_t
-{
-    StGranted = 0, // also generic OK
-    StNoWork = 1,
-    StDrained = 2,
-    StDuplicate = 3,
-    StUnknown = 4,
-    StRequeued = 5,
-};
-
-bool
-sendAllDeadline(int fd, const std::string& data, double deadlineMono)
-{
-    std::size_t off = 0;
-    while (off < data.size()) {
-        double remain = deadlineMono - nowMonotonicSec();
-        if (remain <= 0) {
-            return false;
-        }
-        struct pollfd pfd = {fd, POLLOUT, 0};
-        int rc = ::poll(&pfd, 1, static_cast<int>(remain * 1000.0) + 1);
-        if (rc < 0 && errno == EINTR) {
-            continue;
-        }
-        if (rc <= 0) {
-            return false;
-        }
-        ssize_t w = ::send(fd, data.data() + off, data.size() - off,
-                           MSG_NOSIGNAL);
-        if (w < 0) {
-            if (errno == EINTR || errno == EAGAIN ||
-                errno == EWOULDBLOCK) {
-                continue;
-            }
-            return false;
-        }
-        off += static_cast<std::size_t>(w);
-    }
-    return true;
-}
-
-bool
-recvExactDeadline(int fd, std::string* out, std::size_t n,
-                  double deadlineMono)
-{
-    out->clear();
-    while (out->size() < n) {
-        double remain = deadlineMono - nowMonotonicSec();
-        if (remain <= 0) {
-            return false;
-        }
-        struct pollfd pfd = {fd, POLLIN, 0};
-        int rc = ::poll(&pfd, 1, static_cast<int>(remain * 1000.0) + 1);
-        if (rc < 0 && errno == EINTR) {
-            continue;
-        }
-        if (rc <= 0) {
-            return false;
-        }
-        char buf[4096];
-        std::size_t want = std::min(sizeof(buf), n - out->size());
-        ssize_t r = ::recv(fd, buf, want, 0);
-        if (r == 0) {
-            return false; // peer closed
-        }
-        if (r < 0) {
-            if (errno == EINTR || errno == EAGAIN ||
-                errno == EWOULDBLOCK) {
-                continue;
-            }
-            return false;
-        }
-        out->append(buf, static_cast<std::size_t>(r));
-    }
-    return true;
-}
-
-bool
-sendFrame(int fd, const std::string& payload, double deadlineMono)
-{
-    std::string frame;
-    appendU32(&frame, static_cast<std::uint32_t>(payload.size()));
-    frame += payload;
-    return sendAllDeadline(fd, frame, deadlineMono);
-}
-
-bool
-recvFrame(int fd, std::string* payload, double deadlineMono)
-{
-    std::string hdr;
-    if (!recvExactDeadline(fd, &hdr, 4, deadlineMono)) {
-        return false;
-    }
-    std::size_t pos = 0;
-    std::uint32_t len = 0;
-    readU32(hdr, &pos, &len);
-    if (len > (64u << 20)) {
-        return false; // absurd frame: protocol error
-    }
-    return recvExactDeadline(fd, payload, len, deadlineMono);
-}
-
-int
-connectWithTimeout(const std::string& host, int port, double timeoutSec,
-                   std::string* err)
-{
-    struct addrinfo hints;
-    std::memset(&hints, 0, sizeof(hints));
-    hints.ai_family = AF_INET;
-    hints.ai_socktype = SOCK_STREAM;
-    struct addrinfo* res = nullptr;
-    std::string portStr = std::to_string(port);
-    int rc = ::getaddrinfo(host.c_str(), portStr.c_str(), &hints, &res);
-    if (rc != 0 || res == nullptr) {
-        if (err) {
-            *err = "cannot resolve " + host + ": " + gai_strerror(rc);
-        }
-        return -1;
-    }
-    int fd = ::socket(res->ai_family, res->ai_socktype, res->ai_protocol);
-    if (fd < 0) {
-        ::freeaddrinfo(res);
-        if (err) {
-            *err = std::string("socket(): ") + std::strerror(errno);
-        }
-        return -1;
-    }
-    int flags = ::fcntl(fd, F_GETFL, 0);
-    ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-    rc = ::connect(fd, res->ai_addr, res->ai_addrlen);
-    ::freeaddrinfo(res);
-    if (rc != 0 && errno != EINPROGRESS) {
-        if (err) {
-            *err = std::string("connect(): ") + std::strerror(errno);
-        }
-        ::close(fd);
-        return -1;
-    }
-    if (rc != 0) {
-        struct pollfd pfd = {fd, POLLOUT, 0};
-        rc = ::poll(&pfd, 1, static_cast<int>(timeoutSec * 1000.0) + 1);
-        int soerr = 0;
-        socklen_t len = sizeof(soerr);
-        if (rc <= 0 ||
-            ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &soerr, &len) != 0 ||
-            soerr != 0) {
-            if (err) {
-                *err = "connect to " + host + ":" + portStr +
-                       (rc <= 0 ? " timed out"
-                                : std::string(" failed: ") +
-                                      std::strerror(soerr));
-            }
-            ::close(fd);
-            return -1;
-        }
-    }
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    return fd; // left non-blocking; deadline I/O handles the rest
-}
-
-} // namespace
-
-// --- TcpWorkQueue (client) -------------------------------------------------
-
-struct TcpWorkQueue::Impl
-{
-    std::string host;
-    int port = 0;
-    double rpcTimeoutSec = 5.0;
-    std::mutex mtx;
-    int fd = -1;
-    std::string spec;
-    std::size_t total = 0;
-    double retrySec = 0.2;
-    bool helloDone = false;
-
-    void disconnect()
-    {
-        if (fd >= 0) {
-            ::close(fd);
-            fd = -1;
-        }
-        helloDone = false;
-    }
-
-    bool helloLocked(std::string* err)
-    {
-        std::string req;
-        appendU32(&req, kQueueMagic);
-        req.push_back(static_cast<char>(OpHello));
-        appendStr(&req, "worker");
-        double deadline = nowMonotonicSec() + rpcTimeoutSec;
-        std::string resp;
-        if (!sendFrame(fd, req, deadline) ||
-            !recvFrame(fd, &resp, deadline)) {
-            if (err) {
-                *err = "HELLO RPC failed (coordinator unreachable?)";
-            }
-            return false;
-        }
-        std::size_t pos = 0;
-        std::uint32_t magic = 0;
-        std::uint64_t total64 = 0;
-        std::uint32_t retryMs = 200;
-        if (!readU32(resp, &pos, &magic) || magic != kQueueMagic ||
-            pos >= resp.size() || resp[pos++] != StGranted ||
-            !readStr(resp, &pos, &spec) ||
-            !readU64(resp, &pos, &total64) ||
-            !readU32(resp, &pos, &retryMs)) {
-            if (err) {
-                *err = "malformed HELLO response";
-            }
-            return false;
-        }
-        total = total64;
-        retrySec = static_cast<double>(retryMs) / 1000.0;
-        helloDone = true;
-        return true;
-    }
-
-    /** Connects (if needed) and runs one request/response exchange.
-     *  One reconnect attempt on failure; false = coordinator lost. */
-    bool rpcLocked(const std::string& req, std::string* resp)
-    {
-        for (int tries = 0; tries < 2; ++tries) {
-            if (fd < 0) {
-                std::string err;
-                fd = connectWithTimeout(host, port, rpcTimeoutSec, &err);
-                if (fd < 0) {
-                    continue;
-                }
-                if (!helloLocked(nullptr)) {
-                    disconnect();
-                    continue;
-                }
-            }
-            double deadline = nowMonotonicSec() + rpcTimeoutSec;
-            if (sendFrame(fd, req, deadline) &&
-                recvFrame(fd, resp, deadline)) {
-                return true;
-            }
-            disconnect();
-        }
-        return false;
-    }
-};
-
-TcpWorkQueue::TcpWorkQueue(std::string host, int port, double rpcTimeoutSec)
-    : impl(std::make_shared<Impl>())
-{
-    impl->host = std::move(host);
-    impl->port = port;
-    impl->rpcTimeoutSec = rpcTimeoutSec;
-}
-
-TcpWorkQueue::~TcpWorkQueue()
-{
-    std::lock_guard<std::mutex> lock(impl->mtx);
-    impl->disconnect();
-}
-
-bool
-TcpWorkQueue::connect(std::string* err)
-{
-    wire::installSigpipeIgnore();
-    std::lock_guard<std::mutex> lock(impl->mtx);
-    if (impl->fd >= 0) {
-        return true;
-    }
-    impl->fd =
-        connectWithTimeout(impl->host, impl->port, impl->rpcTimeoutSec, err);
-    if (impl->fd < 0) {
-        return false;
-    }
-    if (!impl->helloLocked(err)) {
-        impl->disconnect();
-        return false;
-    }
-    return true;
-}
-
-std::string
-TcpWorkQueue::specJson()
-{
-    std::lock_guard<std::mutex> lock(impl->mtx);
-    return impl->spec;
-}
-
-std::size_t
-TcpWorkQueue::totalJobs()
-{
-    std::lock_guard<std::mutex> lock(impl->mtx);
-    return impl->total;
-}
-
-ClaimOutcome
-TcpWorkQueue::claim(const std::string& worker, JobLease* out)
-{
-    std::lock_guard<std::mutex> lock(impl->mtx);
-    std::string req;
-    appendU32(&req, kQueueMagic);
-    req.push_back(static_cast<char>(OpClaim));
-    appendStr(&req, worker);
-    std::string resp;
-    if (!impl->rpcLocked(req, &resp)) {
-        return ClaimOutcome::Lost;
-    }
-    std::size_t pos = 0;
-    std::uint32_t magic = 0;
-    if (!readU32(resp, &pos, &magic) || magic != kQueueMagic ||
-        pos >= resp.size()) {
-        return ClaimOutcome::Lost;
-    }
-    std::uint8_t status = static_cast<std::uint8_t>(resp[pos++]);
-    if (status == StDrained) {
-        return ClaimOutcome::Drained;
-    }
-    if (status == StNoWork) {
-        std::uint32_t retryMs = 200;
-        if (readU32(resp, &pos, &retryMs)) {
-            impl->retrySec = static_cast<double>(retryMs) / 1000.0;
-        }
-        return ClaimOutcome::NoWork;
-    }
-    if (status != StGranted) {
-        return ClaimOutcome::Lost;
-    }
-    std::uint64_t hash = 0;
-    std::uint64_t index = 0;
-    std::uint64_t token = 0;
-    std::uint32_t attempt = 1;
-    std::uint32_t ttlMs = 30'000;
-    if (!readU64(resp, &pos, &hash) || !readU64(resp, &pos, &index) ||
-        !readU64(resp, &pos, &token) || !readU32(resp, &pos, &attempt) ||
-        !readU32(resp, &pos, &ttlMs)) {
-        return ClaimOutcome::Lost;
-    }
-    out->hash = hash;
-    out->index = index;
-    out->token = token;
-    out->attempt = attempt;
-    out->ttlSec = static_cast<double>(ttlMs) / 1000.0;
-    return ClaimOutcome::Granted;
-}
-
-bool
-TcpWorkQueue::renew(const JobLease& lease)
-{
-    std::lock_guard<std::mutex> lock(impl->mtx);
-    std::string req;
-    appendU32(&req, kQueueMagic);
-    req.push_back(static_cast<char>(OpRenew));
-    appendU64(&req, lease.token);
-    std::string resp;
-    if (!impl->rpcLocked(req, &resp)) {
-        return false;
-    }
-    std::size_t pos = 0;
-    std::uint32_t magic = 0;
-    return readU32(resp, &pos, &magic) && magic == kQueueMagic &&
-           pos < resp.size() && resp[pos] == StGranted;
-}
-
-PushOutcome
-TcpWorkQueue::push(const JobLease& lease, const ManifestEntry& entry)
-{
-    std::lock_guard<std::mutex> lock(impl->mtx);
-    std::string req;
-    appendU32(&req, kQueueMagic);
-    req.push_back(static_cast<char>(OpPush));
-    appendU64(&req, lease.token);
-    appendStr(&req, manifestEntryToJsonLine(entry));
-    std::string resp;
-    if (!impl->rpcLocked(req, &resp)) {
-        return PushOutcome::Lost;
-    }
-    std::size_t pos = 0;
-    std::uint32_t magic = 0;
-    if (!readU32(resp, &pos, &magic) || magic != kQueueMagic ||
-        pos >= resp.size()) {
-        return PushOutcome::Lost;
-    }
-    std::uint8_t status = static_cast<std::uint8_t>(resp[pos]);
-    if (status == StDuplicate) {
-        return PushOutcome::Duplicate;
-    }
-    if (status == StGranted || status == StRequeued ||
-        status == StUnknown) {
-        return PushOutcome::Recorded;
-    }
-    return PushOutcome::Lost;
-}
-
-double
-TcpWorkQueue::noWorkRetrySec()
-{
-    std::lock_guard<std::mutex> lock(impl->mtx);
-    return impl->retrySec;
-}
-
-// --- TcpQueueServer --------------------------------------------------------
-
-struct TcpQueueServer::Impl
-{
-    int listenFd = -1;
-    int boundPort = 0;
-    Handlers handlers;
-
-    struct Conn
-    {
-        int fd = -1;
-        std::string inBuf;
-        std::string outBuf;
-    };
-    std::vector<Conn> conns;
-
-    void closeAll()
-    {
-        for (Conn& c : conns) {
-            if (c.fd >= 0) {
-                ::close(c.fd);
-            }
-        }
-        conns.clear();
-        if (listenFd >= 0) {
-            ::close(listenFd);
-            listenFd = -1;
-        }
-    }
-
-    std::string handleRequest(const std::string& req)
-    {
-        std::string resp;
-        appendU32(&resp, kQueueMagic);
-        std::size_t pos = 0;
-        std::uint32_t magic = 0;
-        if (!readU32(req, &pos, &magic) || magic != kQueueMagic ||
-            pos >= req.size()) {
-            resp.push_back(static_cast<char>(StUnknown));
-            return resp;
-        }
-        std::uint8_t op = static_cast<std::uint8_t>(req[pos++]);
-        switch (op) {
-        case OpHello: {
-            std::string worker;
-            readStr(req, &pos, &worker);
-            resp.push_back(static_cast<char>(StGranted));
-            appendStr(&resp, handlers.spec ? handlers.spec() : "");
-            appendU64(&resp, handlers.total ? handlers.total() : 0);
-            appendU32(&resp,
-                      static_cast<std::uint32_t>(
-                          (handlers.retrySec ? handlers.retrySec() : 0.2) *
-                              1000.0 +
-                          0.5));
-            return resp;
-        }
-        case OpClaim: {
-            std::string worker;
-            readStr(req, &pos, &worker);
-            JobLease lease;
-            ClaimOutcome co = handlers.claim
-                                  ? handlers.claim(worker, &lease)
-                                  : ClaimOutcome::Drained;
-            if (co == ClaimOutcome::Granted) {
-                resp.push_back(static_cast<char>(StGranted));
-                appendU64(&resp, lease.hash);
-                appendU64(&resp, lease.index);
-                appendU64(&resp, lease.token);
-                appendU32(&resp, lease.attempt);
-                appendU32(&resp, static_cast<std::uint32_t>(
-                                     lease.ttlSec * 1000.0 + 0.5));
-            } else if (co == ClaimOutcome::NoWork) {
-                resp.push_back(static_cast<char>(StNoWork));
-                appendU32(
-                    &resp,
-                    static_cast<std::uint32_t>(
-                        (handlers.retrySec ? handlers.retrySec() : 0.2) *
-                            1000.0 +
-                        0.5));
-            } else {
-                resp.push_back(static_cast<char>(StDrained));
-            }
-            return resp;
-        }
-        case OpRenew: {
-            std::uint64_t token = 0;
-            bool ok = readU64(req, &pos, &token) && handlers.renew &&
-                      handlers.renew(token);
-            resp.push_back(static_cast<char>(ok ? StGranted : StUnknown));
-            return resp;
-        }
-        case OpPush: {
-            std::uint64_t token = 0;
-            std::string entryJson;
-            ManifestEntry entry;
-            if (!readU64(req, &pos, &token) ||
-                !readStr(req, &pos, &entryJson) ||
-                !manifestEntryFromJsonLine(entryJson, &entry) ||
-                !handlers.push) {
-                resp.push_back(static_cast<char>(StUnknown));
-                return resp;
-            }
-            LeaseTable::Push pr = handlers.push(token, entry);
-            switch (pr) {
-            case LeaseTable::Push::RecordedFinal:
-                resp.push_back(static_cast<char>(StGranted));
-                break;
-            case LeaseTable::Push::Requeued:
-                resp.push_back(static_cast<char>(StRequeued));
-                break;
-            case LeaseTable::Push::Duplicate:
-                resp.push_back(static_cast<char>(StDuplicate));
-                break;
-            default:
-                resp.push_back(static_cast<char>(StUnknown));
-                break;
-            }
-            return resp;
-        }
-        case OpStatus: {
-            resp.push_back(static_cast<char>(StGranted));
-            appendStr(&resp,
-                      handlers.status ? handlers.status() : "{}");
-            return resp;
-        }
-        default:
-            resp.push_back(static_cast<char>(StUnknown));
-            return resp;
-        }
-    }
-
-    /** Consumes complete frames from @p c.inBuf, queueing responses. */
-    void drainFrames(Conn& c)
-    {
-        for (;;) {
-            if (c.inBuf.size() < 4) {
-                return;
-            }
-            std::size_t pos = 0;
-            std::uint32_t len = 0;
-            readU32(c.inBuf, &pos, &len);
-            if (len > (64u << 20)) {
-                ::close(c.fd);
-                c.fd = -1;
-                return;
-            }
-            if (c.inBuf.size() < 4 + len) {
-                return;
-            }
-            std::string req = c.inBuf.substr(4, len);
-            c.inBuf.erase(0, 4 + len);
-            std::string resp = handleRequest(req);
-            appendU32(&c.outBuf, static_cast<std::uint32_t>(resp.size()));
-            c.outBuf += resp;
-        }
-    }
-};
-
-TcpQueueServer::TcpQueueServer() : impl(std::make_unique<Impl>()) {}
-
-TcpQueueServer::~TcpQueueServer()
-{
-    impl->closeAll();
-}
-
-bool
-TcpQueueServer::listen(const std::string& host, int port, Handlers handlers,
-                       std::string* err)
-{
-    wire::installSigpipeIgnore();
-    impl->handlers = std::move(handlers);
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) {
-        *err = std::string("socket(): ") + std::strerror(errno);
-        return false;
-    }
-    int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    struct sockaddr_in addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    if (host.empty() || host == "0.0.0.0") {
-        addr.sin_addr.s_addr = htonl(INADDR_ANY);
-    } else if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-        *err = "listen address must be a numeric IPv4 address: " + host;
-        ::close(fd);
-        return false;
-    }
-    if (::bind(fd, reinterpret_cast<struct sockaddr*>(&addr),
-               sizeof(addr)) != 0) {
-        *err = "bind(" + host + ":" + std::to_string(port) +
-               "): " + std::strerror(errno);
-        ::close(fd);
-        return false;
-    }
-    if (::listen(fd, 64) != 0) {
-        *err = std::string("listen(): ") + std::strerror(errno);
-        ::close(fd);
-        return false;
-    }
-    socklen_t len = sizeof(addr);
-    ::getsockname(fd, reinterpret_cast<struct sockaddr*>(&addr), &len);
-    impl->boundPort = ntohs(addr.sin_port);
-    int flags = ::fcntl(fd, F_GETFL, 0);
-    ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-    impl->listenFd = fd;
-    return true;
-}
-
-int
-TcpQueueServer::port() const
-{
-    return impl->boundPort;
-}
-
-void
-TcpQueueServer::poll(double timeoutSec)
-{
-    if (impl->listenFd < 0) {
-        return;
-    }
-    // Compact closed connections.
-    impl->conns.erase(std::remove_if(impl->conns.begin(),
-                                     impl->conns.end(),
-                                     [](const Impl::Conn& c) {
-                                         return c.fd < 0;
-                                     }),
-                      impl->conns.end());
-
-    std::vector<struct pollfd> pfds;
-    pfds.push_back({impl->listenFd, POLLIN, 0});
-    for (const Impl::Conn& c : impl->conns) {
-        short ev = POLLIN;
-        if (!c.outBuf.empty()) {
-            ev |= POLLOUT;
-        }
-        pfds.push_back({c.fd, ev, 0});
-    }
-    int rc = ::poll(pfds.data(), pfds.size(),
-                    static_cast<int>(timeoutSec * 1000.0));
-    if (rc <= 0) {
-        return;
-    }
-    if (pfds[0].revents & POLLIN) {
-        for (;;) {
-            int cfd = ::accept(impl->listenFd, nullptr, nullptr);
-            if (cfd < 0) {
-                break;
-            }
-            int flags = ::fcntl(cfd, F_GETFL, 0);
-            ::fcntl(cfd, F_SETFL, flags | O_NONBLOCK);
-            int one = 1;
-            ::setsockopt(cfd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-            Impl::Conn c;
-            c.fd = cfd;
-            impl->conns.push_back(std::move(c));
-        }
-    }
-    for (std::size_t i = 1; i < pfds.size(); ++i) {
-        Impl::Conn& c = impl->conns[i - 1];
-        if (c.fd < 0 || pfds[i].revents == 0) {
-            continue;
-        }
-        if (pfds[i].revents & (POLLIN | POLLERR | POLLHUP)) {
-            char buf[8192];
-            for (;;) {
-                ssize_t n = ::recv(c.fd, buf, sizeof(buf), 0);
-                if (n > 0) {
-                    c.inBuf.append(buf, static_cast<std::size_t>(n));
-                    continue;
-                }
-                if (n < 0 &&
-                    (errno == EAGAIN || errno == EWOULDBLOCK)) {
-                    break;
-                }
-                if (n < 0 && errno == EINTR) {
-                    continue;
-                }
-                ::close(c.fd); // peer gone (worker death is normal)
-                c.fd = -1;
-                break;
-            }
-            if (c.fd >= 0) {
-                impl->drainFrames(c);
-            }
-        }
-        if (c.fd >= 0 && !c.outBuf.empty()) {
-            ssize_t w = ::send(c.fd, c.outBuf.data(), c.outBuf.size(),
-                               MSG_NOSIGNAL);
-            if (w > 0) {
-                c.outBuf.erase(0, static_cast<std::size_t>(w));
-            } else if (w < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
-                       errno != EINTR) {
-                ::close(c.fd);
-                c.fd = -1;
-            }
-        }
-    }
-}
-
-void
-TcpQueueServer::close()
-{
-    impl->closeAll();
-}
-
-bool
-queryQueueStatus(const std::string& endpoint, double timeoutSec,
-                 std::string* statusJson, std::string* err)
-{
-    QueueEndpoint ep = parseQueueEndpoint(endpoint);
-    if (!ep.tcp) {
-        std::string raw;
-        if (!readWholeFile(ep.dir + "/status.json", &raw)) {
-            if (err != nullptr) {
-                *err = "no status published yet at " + ep.dir +
-                       "/status.json";
-            }
-            return false;
-        }
-        while (!raw.empty() &&
-               (raw.back() == '\n' || raw.back() == '\r')) {
-            raw.pop_back();
-        }
-        *statusJson = std::move(raw);
-        return true;
-    }
-    wire::installSigpipeIgnore();
-    int fd = connectWithTimeout(ep.host, ep.port, timeoutSec, err);
-    if (fd < 0) {
-        return false;
-    }
-    std::string req;
-    appendU32(&req, kQueueMagic);
-    req.push_back(static_cast<char>(OpStatus));
-    double deadline = nowMonotonicSec() + timeoutSec;
-    std::string resp;
-    bool ok = sendFrame(fd, req, deadline) &&
-              recvFrame(fd, &resp, deadline);
-    ::close(fd);
-    if (!ok) {
-        if (err != nullptr) {
-            *err = "STATUS RPC failed (coordinator unreachable?)";
-        }
-        return false;
-    }
-    std::size_t pos = 0;
-    std::uint32_t magic = 0;
-    if (!readU32(resp, &pos, &magic) || magic != kQueueMagic ||
-        pos >= resp.size() ||
-        static_cast<std::uint8_t>(resp[pos++]) != StGranted ||
-        !readStr(resp, &pos, statusJson)) {
-        if (err != nullptr) {
-            *err = "malformed STATUS response";
-        }
-        return false;
-    }
-    return true;
-}
-
 #endif // POSIX
-
-std::unique_ptr<WorkQueue>
-openWorkQueue(const std::string& endpoint, double rpcTimeoutSec,
-              std::string* err)
-{
-    QueueEndpoint ep = parseQueueEndpoint(endpoint);
-    std::unique_ptr<WorkQueue> q;
-    if (ep.tcp) {
-        if (ep.port <= 0 || ep.port > 65535) {
-            *err = "bad TCP endpoint \"" + endpoint + "\" (want tcp:HOST:PORT)";
-            return nullptr;
-        }
-        q = std::make_unique<TcpWorkQueue>(ep.host, ep.port, rpcTimeoutSec);
-    } else {
-        q = std::make_unique<FsWorkQueue>(ep.dir, rpcTimeoutSec);
-    }
-    if (!q->connect(err)) {
-        return nullptr;
-    }
-    return q;
-}
 
 } // namespace udp

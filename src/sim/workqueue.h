@@ -1,26 +1,31 @@
 /**
  * @file
- * Pluggable transports for the distributed sweep work queue
- * (docs/ROBUSTNESS.md §10). Workers see one interface — claim / renew /
- * push — over two backends:
+ * The distributed sweep work queue (docs/ROBUSTNESS.md §10): a
+ * shared-filesystem queue directory that the coordinator seeds and any
+ * number of workers drain. Claims are atomic rename(2) of ticket files,
+ * completions are link(2) (first-completion-wins), lease heartbeats
+ * rewrite the lease file via tmp + rename, and everything durable is
+ * fsync'd. The queue is decentralized: any participant (worker or
+ * coordinator) reclaims expired leases, so workers keep draining the
+ * sweep even if the coordinator dies.
  *
- *   - FsWorkQueue: a shared-filesystem queue directory. Claims are
- *     atomic rename(2) of ticket files, completions are link(2)
- *     (first-completion-wins), lease heartbeats rewrite the lease file
- *     via tmp + rename, and everything durable is fsync'd. The queue is
- *     decentralized: any participant (worker or coordinator) reclaims
- *     expired leases, so workers keep draining the sweep even if the
- *     coordinator dies.
+ * A sweep's jobs — identified by their deterministic FNV-1a hash
+ * (sim/manifest.h) — are handed out as time-limited leases:
  *
- *   - TcpWorkQueue: a minimal length-prefixed RPC protocol (framing
- *     shared with sim/procexec.cc via sim/wire.h) against a
- *     single-threaded coordinator server holding the authoritative
- *     LeaseTable. Every RPC has a connect/read deadline budget; a dead
- *     coordinator yields ClaimOutcome::Lost / PushOutcome::Lost so the
- *     worker can flush its in-flight result locally.
+ *   pending --claim--> leased --complete--> done
+ *      ^                  |  \--fail-------> pending (backoff) | failed
+ *      \---expiry/reclaim-/
  *
- * Endpoints are strings: "tcp:HOST:PORT" (or "tcp:PORT" for
- * 127.0.0.1) selects TCP, anything else is a queue directory path.
+ *   - lease expiry + reclaim: a worker that stops heartbeating loses its
+ *     lease and the job is re-issued;
+ *   - bounded retries with exponential backoff + deterministic jitter
+ *     (seeded by the job hash, so the schedule is reproducible);
+ *   - straggler re-dispatch: once no pending work remains, long-running
+ *     leases are duplicated to idle workers — safe because jobs are
+ *     deterministic — and the first completion wins;
+ *   - idempotent completion: duplicate results (from stragglers or
+ *     expired-then-finished workers) are recorded once and the rest
+ *     discarded.
  */
 
 #ifndef UDP_SIM_WORKQUEUE_H
@@ -28,111 +33,88 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "sim/lease.h"
 #include "sim/manifest.h"
 
 namespace udp {
+
+/** One granted lease: the worker-side handle for a claimed job. */
+struct JobLease
+{
+    /** sweepJobHash() of the job — the idempotency key. */
+    std::uint64_t hash = 0;
+    /** Job index within the shared, deterministically expanded batch. */
+    std::size_t index = 0;
+    /** Unique lease token; names the lease file renew/push refer to. */
+    std::uint64_t token = 0;
+    /** 1-based attempt number this execution represents. */
+    unsigned attempt = 1;
+    /** Granted time-to-live; the worker heartbeats well within it. */
+    double ttlSec = 30.0;
+};
+
+/** Queue policy knobs, fixed at seed time in queue.json. */
+struct LeasePolicy
+{
+    /** Lease time-to-live; a worker silent for this long is presumed
+     *  dead and its lease reclaimed. */
+    double leaseTtlSec = 30.0;
+    /** Total execution attempts per job — each one ending in a failed
+     *  push or an expired lease — before the job is recorded as a final
+     *  failure. */
+    unsigned maxAttempts = 3;
+    /** Retry backoff: delay before attempt k+1 is
+     *  min(cap, base * 2^(k-1)) plus jitter. */
+    double backoffBaseSec = 0.5;
+    double backoffCapSec = 30.0;
+    /** Deterministic jitter: uniform in [0, frac * delay), seeded by
+     *  (job hash, attempt) so the schedule is reproducible. */
+    double backoffJitterFrac = 0.25;
+    /** Straggler re-dispatch: once nothing is pending, a lease older
+     *  than this is eligible for a duplicate issue. */
+    double stragglerAfterSec = 10.0;
+    /** Extra concurrent leases allowed per job near the tail. */
+    unsigned maxDuplicates = 1;
+    /** Client retry hint when no work is currently claimable. */
+    double noWorkRetrySec = 0.2;
+};
+
+/**
+ * Backoff before attempt @p attempt (>= 2) of the job hashed @p hash:
+ * min(cap, base * 2^(attempt-2)) plus deterministic jitter in
+ * [0, jitterFrac * delay). Attempt 1 has no delay.
+ */
+double backoffDelaySec(const LeasePolicy& policy, unsigned attempt,
+                       std::uint64_t hash);
+
+/** Outcome of a claim attempt. */
+enum class ClaimOutcome
+{
+    Granted, ///< lease issued
+    NoWork,  ///< nothing claimable right now (backoff window / all leased)
+    Drained, ///< every job is done or finally failed
+    Lost,    ///< the queue directory is unreadable
+};
 
 /** Outcome of delivering a job result to the queue. */
 enum class PushOutcome
 {
     Recorded,  ///< accepted (completion recorded, or failure processed)
     Duplicate, ///< someone else completed the job first — discarded
-    Lost,      ///< coordinator unreachable — flush locally
+    Lost,      ///< the queue directory is unwritable — flush locally
 };
 
 /**
- * Worker-side view of a sweep work queue. Implementations are
- * internally synchronized for the worker's heartbeat thread (renew may
- * race a concurrent claim/push).
+ * Reads the live sweep status JSON (obs/status.h schema) that the
+ * coordinator publishes as "<dir>/status.json". Used by tools/udp_top.
+ * Returns false with @p err set when no status has been published yet.
  */
-class WorkQueue
-{
-  public:
-    virtual ~WorkQueue() = default;
+bool queryQueueStatus(const std::string& dir, std::string* statusJson,
+                      std::string* err);
 
-    /** Establishes the connection / validates the queue directory. */
-    virtual bool connect(std::string* err) = 0;
-
-    /** The sweep spec JSON this queue serves ("" for bench pairing,
-     *  where both sides construct the job list from their own argv). */
-    virtual std::string specJson() = 0;
-
-    /** Total jobs in the sweep (drain detection). */
-    virtual std::size_t totalJobs() = 0;
-
-    /** Tries to claim one job lease. */
-    virtual ClaimOutcome claim(const std::string& worker, JobLease* out) = 0;
-
-    /** Heartbeat on a held lease; false when the lease is gone (the job
-     *  may have been reclaimed — completion is still safe to attempt). */
-    virtual bool renew(const JobLease& lease) = 0;
-
-    /**
-     * Delivers the result of a leased job. @p entry carries the full
-     * manifest record: ok entries hold the serialized Report (byte-exact
-     * round trip), failed entries the error kind. The queue applies its
-     * retry policy to failures; completions are idempotent.
-     */
-    virtual PushOutcome push(const JobLease& lease,
-                             const ManifestEntry& entry) = 0;
-
-    /** Retry hint after NoWork, seconds. */
-    virtual double noWorkRetrySec() = 0;
-};
-
-/** Parsed endpoint. */
-struct QueueEndpoint
-{
-    bool tcp = false;
-    std::string host; ///< tcp only
-    int port = 0;     ///< tcp only
-    std::string dir;  ///< filesystem only
-};
-
-/** Parses "tcp:HOST:PORT" / "tcp:PORT" / directory path. */
-QueueEndpoint parseQueueEndpoint(const std::string& endpoint);
-
-/**
- * Opens a worker-side queue client for @p endpoint.
- * Returns nullptr with @p err set on failure.
- */
-std::unique_ptr<WorkQueue> openWorkQueue(const std::string& endpoint,
-                                         double rpcTimeoutSec,
-                                         std::string* err);
-
-/**
- * Fetches the live sweep status JSON (obs/status.h schema) from
- * @p endpoint: one OpStatus RPC for "tcp:..." endpoints, a read of
- * "<dir>/status.json" for queue directories. Used by tools/udp_top.
- * Returns false with @p err set when the coordinator is unreachable or
- * no status has been published yet.
- */
-bool queryQueueStatus(const std::string& endpoint, double timeoutSec,
-                      std::string* statusJson, std::string* err);
-
-// --- filesystem backend ----------------------------------------------------
-
-/**
- * The shared-directory queue. Layout under the queue root:
- *
- *   queue.json           total jobs + lease policy (written at seed time)
- *   spec.json            the sweep spec served to udp_worker ("" = none)
- *   todo/<hash>.<n>.json claimable tickets {hash,index,attempt,not_before}
- *   leased/<hash>.<token>.json  active leases {... worker, expiry}
- *   done/<hash>.json     final ManifestEntry line (ok or failed)
- *   tmp/                 staging for atomic rename/link
- *
- * All transitions are single atomic directory operations, so any number
- * of workers race safely: rename(2) from todo/ decides claims, link(2)
- * into done/ decides completions (EEXIST = duplicate), and rename into
- * tmp/ decides who reclaims an expired lease.
- */
 /** One active lease as read off the queue directory (status snapshot). */
 struct FsLeaseInfo
 {
@@ -144,10 +126,28 @@ struct FsLeaseInfo
     std::uint64_t expiryMs = 0; ///< wall-clock expiry
 };
 
-class FsWorkQueue : public WorkQueue
+/**
+ * The shared-directory queue. Layout under the queue root:
+ *
+ *   queue.json           total jobs + lease policy (written at seed time)
+ *   spec.json            the sweep spec served to udp_worker ("" = none)
+ *   status.json          live status, republished by the coordinator
+ *   todo/<hash>.<n>.json claimable tickets {hash,index,attempt,not_before}
+ *   leased/<hash>.<token>.json  active leases {... worker, expiry}
+ *   done/<hash>.json     final ManifestEntry line (ok or failed)
+ *   tmp/                 staging for atomic rename/link
+ *
+ * All transitions are single atomic directory operations, so any number
+ * of workers race safely: rename(2) from todo/ decides claims, link(2)
+ * into done/ decides completions (EEXIST = duplicate), and rename into
+ * tmp/ decides who reclaims an expired lease. Internally synchronized
+ * for the worker's heartbeat thread (renew may race a concurrent
+ * claim/push).
+ */
+class FsWorkQueue
 {
   public:
-    FsWorkQueue(std::string dir, double rpcTimeoutSec);
+    explicit FsWorkQueue(std::string dir);
 
     /**
      * Coordinator: creates the directory layout and seeds one ticket
@@ -167,7 +167,8 @@ class FsWorkQueue : public WorkQueue
      * attempts are exhausted) and sweeps stale tickets/leases of jobs
      * that already completed. Run by the coordinator every poll tick
      * and by workers whenever they find nothing to claim — reclaim
-     * does not depend on the coordinator being alive.
+     * does not depend on the coordinator being alive. Only the seeding
+     * queue issues straggler duplicates.
      */
     void reclaimExpired();
 
@@ -185,7 +186,7 @@ class FsWorkQueue : public WorkQueue
     /** Snapshot of every active lease file (live status surface). */
     std::vector<FsLeaseInfo> scanLeases();
 
-    /** Claimable tickets currently in todo/ (live status surface). */
+    /** Claimable tickets currently in todo/. */
     std::size_t todoCount();
 
     /** Straggler duplicate tickets this process has issued. */
@@ -195,98 +196,45 @@ class FsWorkQueue : public WorkQueue
     std::uint64_t leasesReclaimed() const;
 
     /**
-     * Publishes @p statusJson atomically as "<dir>/status.json" — the FS
-     * transport's live status surface, refreshed by the coordinator each
-     * poll tick and once more after drain so post-completion queries
-     * reconcile with the final manifest.
+     * Publishes @p statusJson atomically as "<dir>/status.json" — the
+     * live status surface, refreshed by the coordinator each poll tick
+     * and once more after drain so post-completion queries reconcile
+     * with the final manifest.
      */
     bool writeStatusFile(const std::string& statusJson);
 
-    // WorkQueue interface.
-    bool connect(std::string* err) override;
-    std::string specJson() override;
-    std::size_t totalJobs() override;
-    ClaimOutcome claim(const std::string& worker, JobLease* out) override;
-    bool renew(const JobLease& lease) override;
-    PushOutcome push(const JobLease& lease,
-                     const ManifestEntry& entry) override;
-    double noWorkRetrySec() override;
+    /** Worker: validates the queue directory (queue.json readable). */
+    bool connect(std::string* err);
+
+    /** The sweep spec JSON this queue serves ("" for bench pairing,
+     *  where both sides construct the job list from their own argv). */
+    std::string specJson();
+
+    /** Total jobs in the sweep (drain detection). */
+    std::size_t totalJobs();
+
+    /** Tries to claim one job lease. */
+    ClaimOutcome claim(const std::string& worker, JobLease* out);
+
+    /** Heartbeat on a held lease; false when the lease is gone (the job
+     *  may have been reclaimed — completion is still safe to attempt). */
+    bool renew(const JobLease& lease);
+
+    /**
+     * Delivers the result of a leased job. @p entry carries the full
+     * manifest record: ok entries hold the serialized Report (byte-exact
+     * round trip), failed entries the error kind. Failures are requeued
+     * with backoff until LeasePolicy::maxAttempts, then recorded as
+     * final; completions are idempotent.
+     */
+    PushOutcome push(const JobLease& lease, const ManifestEntry& entry);
+
+    /** Retry hint after NoWork, seconds. */
+    double noWorkRetrySec();
 
   private:
     struct Impl;
     std::shared_ptr<Impl> impl;
-};
-
-// --- TCP backend -----------------------------------------------------------
-
-/** Worker-side TCP client. */
-class TcpWorkQueue : public WorkQueue
-{
-  public:
-    TcpWorkQueue(std::string host, int port, double rpcTimeoutSec);
-    ~TcpWorkQueue() override;
-
-    bool connect(std::string* err) override;
-    std::string specJson() override;
-    std::size_t totalJobs() override;
-    ClaimOutcome claim(const std::string& worker, JobLease* out) override;
-    bool renew(const JobLease& lease) override;
-    PushOutcome push(const JobLease& lease,
-                     const ManifestEntry& entry) override;
-    double noWorkRetrySec() override;
-
-  private:
-    struct Impl;
-    std::shared_ptr<Impl> impl;
-};
-
-/**
- * Coordinator-side TCP server: a single-threaded poll loop multiplexing
- * worker connections and dispatching framed RPCs into the handler
- * callbacks (which the coordinator backs with its LeaseTable +
- * manifest). No threads are spawned; the owner calls poll() from its
- * run loop.
- */
-class TcpQueueServer
-{
-  public:
-    struct Handlers
-    {
-        std::function<std::string()> spec;
-        std::function<std::size_t()> total;
-        std::function<ClaimOutcome(const std::string& worker, JobLease*)>
-            claim;
-        std::function<bool(std::uint64_t token)> renew;
-        std::function<LeaseTable::Push(std::uint64_t token,
-                                       const ManifestEntry&)>
-            push;
-        std::function<double()> retrySec;
-        /** OpStatus: live sweep status JSON (obs/status.h). Absent
-         *  handler answers an empty object. */
-        std::function<std::string()> status;
-    };
-
-    TcpQueueServer();
-    ~TcpQueueServer();
-    TcpQueueServer(const TcpQueueServer&) = delete;
-    TcpQueueServer& operator=(const TcpQueueServer&) = delete;
-
-    /** Binds and listens; port 0 picks an ephemeral port (see port()). */
-    bool listen(const std::string& host, int port, Handlers handlers,
-                std::string* err);
-
-    /** The bound port. */
-    int port() const;
-
-    /** Processes pending connections/RPCs for up to @p timeoutSec. */
-    void poll(double timeoutSec);
-
-    /** Closes the listener and every worker connection. */
-    void close();
-
-  private:
-    struct Impl;
-    std::unique_ptr<Impl> impl;
 };
 
 } // namespace udp

@@ -1,10 +1,9 @@
 /**
  * @file
  * Distribution: the histogram stat kind of the telemetry layer
- * (docs/TELEMETRY.md). Unlike the fixed unit-width common/histogram.h used
- * for FTQ occupancy, a Distribution supports linear *and* log2 bucketing,
- * tracks min/max/sum, answers percentile queries, and flattens into
- * schema-stable scalar summary entries for the JSON/CSV sinks.
+ * (docs/TELEMETRY.md). A Distribution supports linear *and* log2
+ * bucketing, tracks min/max/sum, answers percentile queries, and flattens
+ * into schema-stable scalar summary entries for the JSON/CSV sinks.
  */
 
 #ifndef UDP_STATS_HISTOGRAM_H

@@ -172,8 +172,10 @@ class Telemetry
     };
     void closeInterval(const IntervalCounters& c);
     /** Seeds the interval-delta baseline with the current cumulative
-     *  counters (call right after clearStats: retired() is not reset by
-     *  the measurement-window clear). */
+     *  counters. Cpu::clearStats calls it right after the
+     *  measurement-window clear, which zeroes every counter here
+     *  (Backend::clearStats resets retired() too), so the first
+     *  interval's deltas start from the window's own counts. */
     void setBaseline(const IntervalCounters& c) { prev_ = c; }
 
     // ----- prefetch lifecycle hooks ---------------------------------------

@@ -67,6 +67,31 @@ TEST(Ftq, FlushClearsAndCounts)
     EXPECT_EQ(q.stats().flushes, 1u);
 }
 
+TEST(Ftq, OccupancyMeanAndReset)
+{
+    Ftq q(64, 8);
+    EXPECT_DOUBLE_EQ(q.stats().meanOccupancy(), 0.0);
+    q.sampleOccupancy(); // 0 entries
+    for (int i = 0; i < 3; ++i) {
+        FtqEntry e;
+        e.id = q.allocId();
+        q.push(std::move(e));
+    }
+    q.sampleOccupancy(); // 3 entries
+    q.sampleOccupancy(); // 3 entries
+    EXPECT_EQ(q.stats().occupancySamples, 3u);
+    EXPECT_EQ(q.stats().occupancySum, 6u);
+    EXPECT_DOUBLE_EQ(q.stats().meanOccupancy(), 2.0);
+
+    // The measurement-window clear drops the samples, not the entries.
+    q.clearStats();
+    EXPECT_EQ(q.stats().occupancySamples, 0u);
+    EXPECT_EQ(q.stats().occupancySum, 0u);
+    EXPECT_DOUBLE_EQ(q.stats().meanOccupancy(), 0.0);
+    q.sampleOccupancy();
+    EXPECT_DOUBLE_EQ(q.stats().meanOccupancy(), 3.0);
+}
+
 TEST(Ftq, LineOfBlock)
 {
     FtqEntry e;

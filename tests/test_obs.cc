@@ -3,7 +3,7 @@
  * Tests for the observability subsystem (src/obs/): the metrics registry
  * under concurrent increments and registration races, log2-histogram
  * bucket/percentile edge cases, the structured event log's JSONL sink,
- * rate limiting and flush-on-error ring, the sweep STATUS JSON round
+ * rate limiting and flush-on-error ring, the sweep status JSON round
  * trip, the live status surface of a distributed sweep — including a
  * mid-sweep worker SIGKILL whose per-worker counters and final job
  * states must reconcile with the merged manifest — and the cycle-loop
@@ -281,7 +281,7 @@ TEST(ObsStatus, JsonRoundTripPreservesEveryField)
 {
     obs::SweepStatus s;
     s.name = "fig13";
-    s.transport = "tcp";
+    s.transport = "fs";
     s.tsMs = 1723190400123ull;
     s.total = 40;
     s.done = 12;
@@ -342,13 +342,13 @@ TEST(ObsStatus, JsonRoundTripPreservesEveryField)
 
 // --- live status surface of a running sweep --------------------------------
 
-TEST(ObsStatus, TcpStatusAnswersMidSweep)
+TEST(ObsStatus, FsStatusAnswersMidSweep)
 {
     std::vector<SweepJob> jobs = tinyJobs();
     CoordinatorOptions co;
-    co.name = "tcp-live";
+    co.name = "fs-live";
     co.policy = fastPolicy();
-    co.endpoint = "tcp:127.0.0.1:0";
+    co.endpoint = freshDir("status_live") + "/q";
     co.specJson = sweepSpecToJson(tinySpec());
     co.pollSec = 0.02;
     co.quiet = true;
@@ -357,18 +357,18 @@ TEST(ObsStatus, TcpStatusAnswersMidSweep)
     ASSERT_TRUE(coord.start(&err)) << err;
 
     std::thread worker([&] {
+        FsWorkQueue q(coord.endpoint());
         std::string werr;
-        auto q = openWorkQueue(coord.endpoint(), 5.0, &werr);
-        ASSERT_NE(q, nullptr) << werr;
+        ASSERT_TRUE(q.connect(&werr)) << werr;
         WorkerOptions wo;
         wo.name = "slow";
         wo.quiet = true;
-        wo.jobDelayMs = 100; // keeps the sweep alive while we poll STATUS
-        runSweepWorker(*q, jobs, wo);
+        wo.jobDelayMs = 100; // keeps the sweep alive while we poll status
+        runSweepWorker(q, jobs, wo);
     });
 
-    // The TCP server is pumped inside coord.run(), so STATUS must be
-    // polled concurrently; collect raw snapshots and verify after join.
+    // status.json is republished by the tick loop inside coord.run(), so
+    // poll it concurrently; collect raw snapshots and verify after join.
     std::atomic<bool> done{false};
     std::mutex mtx;
     std::vector<std::string> snapshots;
@@ -376,7 +376,7 @@ TEST(ObsStatus, TcpStatusAnswersMidSweep)
         while (!done.load()) {
             std::string raw;
             std::string qerr;
-            if (queryQueueStatus(coord.endpoint(), 2.0, &raw, &qerr)) {
+            if (queryQueueStatus(coord.endpoint(), &raw, &qerr)) {
                 std::lock_guard<std::mutex> lock(mtx);
                 snapshots.push_back(std::move(raw));
             }
@@ -390,23 +390,23 @@ TEST(ObsStatus, TcpStatusAnswersMidSweep)
     poller.join();
 
     ASSERT_FALSE(snapshots.empty())
-        << "no STATUS answer while the sweep was live";
+        << "no status snapshot while the sweep was live";
     bool sawWorker = false;
     for (const std::string& raw : snapshots) {
         obs::SweepStatus s;
         ASSERT_TRUE(obs::sweepStatusFromJson(raw, &s)) << raw;
         EXPECT_EQ(s.total, jobs.size());
-        EXPECT_EQ(s.transport, "tcp");
-        EXPECT_EQ(s.name, "tcp-live");
+        EXPECT_EQ(s.transport, "fs");
+        EXPECT_EQ(s.name, "fs-live");
         EXPECT_EQ(s.jobStates.size(), jobs.size());
         EXPECT_LE(s.finals(), s.total);
-        if (!s.workers.empty() && s.workers[0].name == "slow" &&
-            s.workers[0].claims >= 1) {
+        if (s.finals() < s.total && !s.workers.empty() &&
+            s.workers[0].name == "slow" && s.workers[0].claims >= 1) {
             sawWorker = true;
         }
     }
     EXPECT_TRUE(sawWorker)
-        << "the live worker never appeared on the status board";
+        << "the live worker never appeared on the mid-sweep status board";
     ASSERT_EQ(results.size(), jobs.size());
     for (const JobResult& r : results) {
         EXPECT_TRUE(r.ok);
@@ -416,23 +416,23 @@ TEST(ObsStatus, TcpStatusAnswersMidSweep)
 #ifndef _WIN32
 
 pid_t
-forkWorker(const std::string& endpoint, const std::vector<SweepJob>& jobs,
+forkWorker(const std::string& dir, const std::vector<SweepJob>& jobs,
            const std::string& name, unsigned jobDelayMs)
 {
     pid_t pid = ::fork();
     if (pid != 0) {
         return pid;
     }
+    FsWorkQueue q(dir);
     std::string err;
-    auto q = openWorkQueue(endpoint, 5.0, &err);
-    if (q == nullptr) {
+    if (!q.connect(&err)) {
         ::_exit(2);
     }
     WorkerOptions wo;
     wo.name = name;
     wo.quiet = true;
     wo.jobDelayMs = jobDelayMs;
-    WorkerSummary s = runSweepWorker(*q, jobs, wo);
+    WorkerSummary s = runSweepWorker(q, jobs, wo);
     ::_exit(s.queueLost ? 3 : 0);
 }
 
@@ -483,7 +483,7 @@ TEST(ObsStatus, FsStatusAfterWorkerSigkillReconcilesWithManifest)
 
     // Post-drain status file: the reconciliation surface.
     std::string raw;
-    ASSERT_TRUE(queryQueueStatus(co.endpoint, 2.0, &raw, &err)) << err;
+    ASSERT_TRUE(queryQueueStatus(co.endpoint, &raw, &err)) << err;
     obs::SweepStatus s;
     ASSERT_TRUE(obs::sweepStatusFromJson(raw, &s)) << raw;
     EXPECT_EQ(s.name, "fs-chaos");

@@ -1,14 +1,14 @@
 /**
  * @file
- * Tests for the distributed sweep service: the lease state machine
- * (sim/lease.h — expiry/reclaim, bounded retries with deterministic
- * backoff, straggler duplication with first-completion-wins, idempotent
- * completion), the sweep-spec round trip and its deterministic
- * expansion (sim/sweepd.h), both work-queue transports (sim/workqueue.h),
- * and the coordinator/worker integration: distributed runs — including
- * one with a worker SIGKILLed mid-job — produce Reports byte-identical
- * to a serial in-process run, and a restarted coordinator resumes from
- * its checkpoint manifest without re-running completed jobs.
+ * Tests for the distributed sweep service: the sweep-spec round trip and
+ * its deterministic expansion (sim/sweepd.h), the shared-directory work
+ * queue's lease policy (sim/workqueue.h — renewal, expiry/reclaim,
+ * bounded retries with deterministic backoff, straggler duplication with
+ * first-completion-wins, idempotent completion), and the
+ * coordinator/worker integration: distributed runs — including one with
+ * a worker SIGKILLed mid-job — produce Reports byte-identical to a
+ * serial in-process run, and a restarted coordinator resumes from its
+ * checkpoint manifest without re-running completed jobs.
  */
 
 #include <gtest/gtest.h>
@@ -21,7 +21,6 @@
 #include <thread>
 #include <vector>
 
-#include "sim/lease.h"
 #include "sim/manifest.h"
 #include "sim/procexec.h"
 #include "sim/sweep.h"
@@ -108,6 +107,22 @@ expectByteIdentical(const std::vector<SweepJob>& jobs,
     }
 }
 
+void
+sleepMs(std::uint64_t ms)
+{
+    std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+}
+
+/** Wall-clock ms since epoch — the queue's own lease clock. */
+std::uint64_t
+wallMs()
+{
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::system_clock::now().time_since_epoch())
+            .count());
+}
+
 LeasePolicy
 fastPolicy()
 {
@@ -119,196 +134,6 @@ fastPolicy()
     p.stragglerAfterSec = 0.5;
     p.noWorkRetrySec = 0.02;
     return p;
-}
-
-// --- LeaseTable: the pure state machine ------------------------------------
-
-TEST(LeaseTable, ClaimExecuteCompleteDrains)
-{
-    LeaseTable t({11, 22}, LeasePolicy{});
-    JobLease a;
-    JobLease b;
-    ASSERT_EQ(t.claim(0.0, "w1", &a), ClaimOutcome::Granted);
-    ASSERT_EQ(t.claim(0.0, "w2", &b), ClaimOutcome::Granted);
-    EXPECT_NE(a.token, b.token);
-    EXPECT_EQ(a.attempt, 1u);
-    // Everything is leased: nothing more to claim yet.
-    JobLease c;
-    EXPECT_EQ(t.claim(0.0, "w3", &c), ClaimOutcome::NoWork);
-
-    EXPECT_EQ(t.push(1.0, a.token, true, ""), LeaseTable::Push::RecordedFinal);
-    EXPECT_EQ(t.push(1.0, b.token, true, ""), LeaseTable::Push::RecordedFinal);
-    EXPECT_TRUE(t.drained());
-    EXPECT_EQ(t.doneCount(), 2u);
-    EXPECT_EQ(t.claim(1.0, "w3", &c), ClaimOutcome::Drained);
-}
-
-TEST(LeaseTable, LeaseExpiryReclaimsAndChargesAnAttempt)
-{
-    LeasePolicy p = fastPolicy();
-    LeaseTable t({7}, p);
-    JobLease a;
-    ASSERT_EQ(t.claim(0.0, "w1", &a), ClaimOutcome::Granted);
-    EXPECT_EQ(a.ttlSec, p.leaseTtlSec);
-
-    // Before expiry the lease holds.
-    t.tick(0.5);
-    EXPECT_EQ(t.activeLeases(0), 1u);
-
-    // Past expiry the job is reclaimed, one attempt charged, and the
-    // next claim (after the backoff window) is attempt 2.
-    t.tick(2.0);
-    EXPECT_EQ(t.activeLeases(0), 0u);
-    EXPECT_EQ(t.attemptsUsed(0), 1u);
-    JobLease b;
-    ASSERT_EQ(t.claim(10.0, "w2", &b), ClaimOutcome::Granted);
-    EXPECT_EQ(b.attempt, 2u);
-    // The dead worker's token no longer renews...
-    EXPECT_FALSE(t.renew(10.0, a.token));
-    // ...but its late RESULT is still honored if it lands first: the
-    // work is deterministic, so first completion wins regardless of
-    // which lease produced it.
-    EXPECT_EQ(t.push(10.5, a.token, true, ""),
-              LeaseTable::Push::RecordedFinal);
-    EXPECT_EQ(t.push(11.0, b.token, true, ""), LeaseTable::Push::Duplicate);
-    EXPECT_TRUE(t.drained());
-}
-
-TEST(LeaseTable, RenewExtendsTheLease)
-{
-    LeasePolicy p = fastPolicy();
-    LeaseTable t({7}, p);
-    JobLease a;
-    ASSERT_EQ(t.claim(0.0, "w1", &a), ClaimOutcome::Granted);
-    // Heartbeats carry the lease far past its original expiry.
-    for (double now = 0.8; now < 5.0; now += 0.8) {
-        EXPECT_TRUE(t.renew(now, a.token));
-        t.tick(now);
-        EXPECT_EQ(t.activeLeases(0), 1u);
-    }
-    EXPECT_EQ(t.attemptsUsed(0), 1u);
-    EXPECT_EQ(t.push(5.0, a.token, true, ""), LeaseTable::Push::RecordedFinal);
-}
-
-TEST(LeaseTable, FailedPushRequeuesWithBackoffThenFinallyFails)
-{
-    LeasePolicy p = fastPolicy();
-    p.maxAttempts = 2;
-    LeaseTable t({99}, p);
-    JobLease a;
-    ASSERT_EQ(t.claim(0.0, "w1", &a), ClaimOutcome::Granted);
-    EXPECT_EQ(t.push(0.1, a.token, false, "crash"),
-              LeaseTable::Push::Requeued);
-
-    // The retry is gated behind the backoff window.
-    JobLease b;
-    EXPECT_EQ(t.claim(0.1, "w1", &b), ClaimOutcome::NoWork);
-    ASSERT_EQ(t.claim(5.0, "w1", &b), ClaimOutcome::Granted);
-    EXPECT_EQ(b.attempt, 2u);
-
-    // Exhausting attempts records the final failure kind.
-    EXPECT_EQ(t.push(5.1, b.token, false, "crash"),
-              LeaseTable::Push::RecordedFinal);
-    EXPECT_TRUE(t.drained());
-    EXPECT_EQ(t.failedCount(), 1u);
-    ASSERT_NE(t.finalErrorKind(0), nullptr);
-    EXPECT_EQ(*t.finalErrorKind(0), "crash");
-}
-
-TEST(LeaseTable, ExhaustedExpiriesRecordWorkerLost)
-{
-    LeasePolicy p = fastPolicy();
-    p.maxAttempts = 2;
-    LeaseTable t({5}, p);
-    JobLease a;
-    ASSERT_EQ(t.claim(0.0, "w1", &a), ClaimOutcome::Granted);
-    t.tick(2.0); // expiry 1: requeued
-    JobLease b;
-    ASSERT_EQ(t.claim(10.0, "w2", &b), ClaimOutcome::Granted);
-    t.tick(20.0); // expiry 2: attempts exhausted, no survivor lease
-    EXPECT_TRUE(t.drained());
-    ASSERT_NE(t.finalErrorKind(0), nullptr);
-    EXPECT_EQ(*t.finalErrorKind(0), "worker_lost");
-}
-
-TEST(LeaseTable, BackoffBoundsAndDeterminism)
-{
-    LeasePolicy p;
-    p.backoffBaseSec = 0.5;
-    p.backoffCapSec = 30.0;
-    p.backoffJitterFrac = 0.25;
-    for (unsigned attempt = 2; attempt <= 10; ++attempt) {
-        double raw = p.backoffBaseSec;
-        for (unsigned k = 2; k < attempt; ++k) {
-            raw = std::min(p.backoffCapSec, raw * 2.0);
-        }
-        for (std::uint64_t hash : {0x1234ull, 0xdeadbeefull, 0x1ull}) {
-            double d = LeaseTable::backoffDelaySec(p, attempt, hash);
-            EXPECT_GE(d, raw) << "attempt " << attempt;
-            EXPECT_LT(d, raw * (1.0 + p.backoffJitterFrac) + 1e-9)
-                << "attempt " << attempt;
-            // Deterministic: the retry schedule is reproducible.
-            EXPECT_EQ(d, LeaseTable::backoffDelaySec(p, attempt, hash));
-        }
-    }
-    // The jitter seed covers (hash, attempt): different jobs retry at
-    // different offsets instead of stampeding together.
-    EXPECT_NE(LeaseTable::backoffDelaySec(p, 3, 42),
-              LeaseTable::backoffDelaySec(p, 3, 43));
-}
-
-TEST(LeaseTable, StragglerDuplicateFirstCompletionWins)
-{
-    LeasePolicy p = fastPolicy();
-    p.leaseTtlSec = 100.0; // never expires during the test
-    p.stragglerAfterSec = 0.5;
-    p.maxDuplicates = 1;
-    LeaseTable t({1, 2}, p);
-    JobLease a1;
-    JobLease a2;
-    ASSERT_EQ(t.claim(0.0, "slow", &a1), ClaimOutcome::Granted);
-    ASSERT_EQ(t.claim(0.0, "fast", &a2), ClaimOutcome::Granted);
-    EXPECT_EQ(t.push(0.2, a2.token, true, ""),
-              LeaseTable::Push::RecordedFinal);
-
-    // Too early for a duplicate: the lease is not a straggler yet.
-    JobLease d;
-    EXPECT_EQ(t.claim(0.3, "idle", &d), ClaimOutcome::NoWork);
-
-    // Once the lease is old enough, the idle worker gets a duplicate
-    // lease on the SAME job, same attempt accounting.
-    ASSERT_EQ(t.claim(1.0, "idle", &d), ClaimOutcome::Granted);
-    EXPECT_EQ(d.index, a1.index);
-    EXPECT_EQ(d.hash, a1.hash);
-    EXPECT_EQ(t.activeLeases(a1.index), 2u);
-
-    // maxDuplicates bounds the fan-out.
-    JobLease d2;
-    EXPECT_EQ(t.claim(2.0, "idle2", &d2), ClaimOutcome::NoWork);
-
-    // First completion wins; the loser is discarded as a duplicate.
-    EXPECT_EQ(t.push(2.5, d.token, true, ""),
-              LeaseTable::Push::RecordedFinal);
-    EXPECT_EQ(t.push(3.0, a1.token, true, ""), LeaseTable::Push::Duplicate);
-    EXPECT_TRUE(t.drained());
-    EXPECT_EQ(t.doneCount(), 2u);
-}
-
-TEST(LeaseTable, UnknownTokensAndResumeMarking)
-{
-    LeaseTable t({11, 22}, LeasePolicy{});
-    EXPECT_EQ(t.push(0.0, 0xbad, true, ""), LeaseTable::Push::Unknown);
-    EXPECT_FALSE(t.renew(0.0, 0xbad));
-    EXPECT_EQ(t.leaseIndex(0xbad), LeaseTable::npos);
-
-    // Checkpoint resume: marked jobs are never issued.
-    t.markDone(0);
-    JobLease a;
-    ASSERT_EQ(t.claim(0.0, "w", &a), ClaimOutcome::Granted);
-    EXPECT_EQ(a.index, 1u);
-    EXPECT_EQ(t.leaseIndex(a.token), 1u);
-    EXPECT_EQ(t.push(0.5, a.token, true, ""), LeaseTable::Push::RecordedFinal);
-    EXPECT_TRUE(t.drained());
 }
 
 // --- sweep spec ------------------------------------------------------------
@@ -426,11 +251,32 @@ skeletons(const std::vector<SweepJob>& jobs)
     return sk;
 }
 
+/** @p skeleton's job delivered as a success or as a failure of @p kind. */
+ManifestEntry
+resultOf(const ManifestEntry& skeleton, const std::string& kind = "")
+{
+    ManifestEntry e = skeleton;
+    e.ok = kind.empty();
+    e.errorKind = kind;
+    e.reportJson = e.ok ? "{}" : "";
+    return e;
+}
+
+/** Seeds @p q with the first tiny job alone; returns its skeleton. */
+ManifestEntry
+seedOneJob(FsWorkQueue& q, const LeasePolicy& policy)
+{
+    ManifestEntry job = skeletons(tinyJobs())[0];
+    std::string err;
+    EXPECT_TRUE(q.seed({job}, "", policy, &err)) << err;
+    return job;
+}
+
 TEST(FsWorkQueue, DuplicateCompletionIsIdempotent)
 {
     std::string dir = freshDir("fsdup");
     std::vector<SweepJob> jobs = tinyJobs();
-    FsWorkQueue q(dir, 5.0);
+    FsWorkQueue q(dir);
     std::string err;
     ASSERT_TRUE(
         q.seed(skeletons(jobs), sweepSpecToJson(tinySpec()), fastPolicy(),
@@ -466,7 +312,7 @@ TEST(FsWorkQueue, ReseedingResumesFromDoneEntries)
     std::string err;
 
     {
-        FsWorkQueue q(dir, 5.0);
+        FsWorkQueue q(dir);
         ASSERT_TRUE(q.seed(sk, spec, fastPolicy(), &err)) << err;
         JobLease a;
         ASSERT_EQ(q.claim("w1", &a), ClaimOutcome::Granted);
@@ -478,7 +324,7 @@ TEST(FsWorkQueue, ReseedingResumesFromDoneEntries)
 
     // A restarted coordinator seeding the same directory keeps the
     // recorded completion and only re-issues the rest.
-    FsWorkQueue q2(dir, 5.0);
+    FsWorkQueue q2(dir);
     ASSERT_TRUE(q2.seed(sk, spec, fastPolicy(), &err)) << err;
     EXPECT_EQ(q2.doneCount(), 1u);
     std::size_t granted = 0;
@@ -500,6 +346,175 @@ TEST(FsWorkQueue, ReseedingResumesFromDoneEntries)
     EXPECT_EQ(q2.claim("w2", &l), ClaimOutcome::Drained);
 }
 
+TEST(FsWorkQueue, RenewExtendsTheLease)
+{
+    LeasePolicy p = fastPolicy();
+    p.leaseTtlSec = 1.0;
+    p.maxDuplicates = 0; // the seeding queue must not add a straggler dup
+    FsWorkQueue q(freshDir("fsrenew"));
+    ManifestEntry job = seedOneJob(q, p);
+
+    JobLease a;
+    ASSERT_EQ(q.claim("w1", &a), ClaimOutcome::Granted);
+    std::uint64_t firstExpiryMs = q.scanLeases().at(0).expiryMs;
+    sleepMs(500);
+    ASSERT_TRUE(q.renew(a));
+    ASSERT_GT(q.scanLeases().at(0).expiryMs, firstExpiryMs);
+
+    // Past the original expiry, reclaim leaves the renewed lease alone.
+    while (wallMs() <= firstExpiryMs + 50) {
+        sleepMs(10);
+    }
+    q.reclaimExpired();
+    EXPECT_EQ(q.leasesReclaimed(), 0u);
+    ASSERT_EQ(q.scanLeases().size(), 1u);
+    EXPECT_EQ(q.scanLeases()[0].token, a.token);
+    EXPECT_EQ(q.todoCount(), 0u);
+    EXPECT_EQ(q.push(a, resultOf(job)), PushOutcome::Recorded);
+    EXPECT_EQ(q.doneCount(), 1u);
+}
+
+TEST(FsWorkQueue, FailedPushRequeuesWithBackoffThenFinallyFails)
+{
+    LeasePolicy p = fastPolicy();
+    p.maxAttempts = 2;
+    p.backoffBaseSec = 0.5;
+    FsWorkQueue q(freshDir("fsfail"));
+    ManifestEntry job = seedOneJob(q, p);
+
+    JobLease a;
+    ASSERT_EQ(q.claim("w1", &a), ClaimOutcome::Granted);
+    EXPECT_EQ(a.attempt, 1u);
+    EXPECT_EQ(q.push(a, resultOf(job, "crash")), PushOutcome::Recorded);
+    EXPECT_EQ(q.doneCount(), 0u);
+    EXPECT_EQ(q.todoCount(), 1u);
+
+    // The retry ticket is gated behind the backoff window.
+    JobLease b;
+    EXPECT_EQ(q.claim("w1", &b), ClaimOutcome::NoWork);
+    sleepMs(static_cast<std::uint64_t>(
+        backoffDelaySec(p, 2, a.hash) * 1000.0 + 50.0));
+    ASSERT_EQ(q.claim("w1", &b), ClaimOutcome::Granted);
+    EXPECT_EQ(b.hash, a.hash);
+    EXPECT_EQ(b.attempt, 2u);
+
+    // Exhausting attempts records the pushed error kind as final.
+    EXPECT_EQ(q.push(b, resultOf(job, "crash")), PushOutcome::Recorded);
+    std::vector<ManifestEntry> done = q.collectDone();
+    ASSERT_EQ(done.size(), 1u);
+    EXPECT_FALSE(done[0].ok);
+    EXPECT_EQ(done[0].errorKind, "crash");
+    EXPECT_EQ(done[0].workload, job.workload);
+    EXPECT_EQ(done[0].label, job.label);
+    JobLease c;
+    EXPECT_EQ(q.claim("w1", &c), ClaimOutcome::Drained);
+}
+
+TEST(FsWorkQueue, ExhaustedExpiriesRecordWorkerLost)
+{
+    LeasePolicy p = fastPolicy();
+    p.leaseTtlSec = 0.05;
+    p.maxAttempts = 2;
+    p.backoffBaseSec = 0.01;
+    FsWorkQueue q(freshDir("fslost"));
+    ManifestEntry job = seedOneJob(q, p);
+
+    JobLease a;
+    ASSERT_EQ(q.claim("w1", &a), ClaimOutcome::Granted);
+    sleepMs(100);
+    q.reclaimExpired(); // expiry 1: requeued for attempt 2
+    EXPECT_EQ(q.leasesReclaimed(), 1u);
+    EXPECT_EQ(q.doneCount(), 0u);
+    EXPECT_EQ(q.todoCount(), 1u);
+
+    sleepMs(50); // past the backoff window
+    JobLease b;
+    ASSERT_EQ(q.claim("w2", &b), ClaimOutcome::Granted);
+    EXPECT_EQ(b.attempt, 2u);
+    sleepMs(100);
+    q.reclaimExpired(); // expiry 2: attempts exhausted
+    EXPECT_EQ(q.leasesReclaimed(), 2u);
+
+    std::vector<ManifestEntry> done = q.collectDone();
+    ASSERT_EQ(done.size(), 1u);
+    EXPECT_FALSE(done[0].ok);
+    EXPECT_EQ(done[0].errorKind, "worker_lost");
+    EXPECT_EQ(done[0].workload, job.workload);
+    JobLease c;
+    EXPECT_EQ(q.claim("w2", &c), ClaimOutcome::Drained);
+}
+
+TEST(FsWorkQueue, StragglerDuplicateFirstCompletionWins)
+{
+    LeasePolicy p = fastPolicy();
+    p.leaseTtlSec = 100.0; // never expires during the test
+    p.stragglerAfterSec = 0.05;
+    p.maxDuplicates = 1;
+    std::string dir = freshDir("fsstraggler");
+    FsWorkQueue seeder(dir);
+    ManifestEntry job = seedOneJob(seeder, p);
+    FsWorkQueue worker(dir);
+    std::string err;
+    ASSERT_TRUE(worker.connect(&err)) << err;
+
+    JobLease slow;
+    ASSERT_EQ(worker.claim("slow", &slow), ClaimOutcome::Granted);
+    sleepMs(100); // the lease is now old enough to be a straggler
+
+    // Only the seeding queue issues duplicates, which keeps the
+    // per-job bound global.
+    worker.reclaimExpired();
+    EXPECT_EQ(worker.stragglerTicketsIssued(), 0u);
+    EXPECT_EQ(worker.todoCount(), 0u);
+    seeder.reclaimExpired();
+    EXPECT_EQ(seeder.stragglerTicketsIssued(), 1u);
+    EXPECT_EQ(seeder.todoCount(), 1u);
+
+    // The idle worker gets a second lease on the SAME job and attempt.
+    JobLease dup;
+    ASSERT_EQ(worker.claim("idle", &dup), ClaimOutcome::Granted);
+    EXPECT_EQ(dup.hash, slow.hash);
+    EXPECT_EQ(dup.index, slow.index);
+    EXPECT_EQ(dup.attempt, slow.attempt);
+    EXPECT_NE(dup.token, slow.token);
+
+    // maxDuplicates bounds the fan-out.
+    seeder.reclaimExpired();
+    EXPECT_EQ(seeder.stragglerTicketsIssued(), 1u);
+
+    // First completion wins; the loser is discarded as a duplicate.
+    EXPECT_EQ(worker.push(dup, resultOf(job)), PushOutcome::Recorded);
+    EXPECT_EQ(worker.push(slow, resultOf(job)), PushOutcome::Duplicate);
+    EXPECT_EQ(seeder.doneCount(), 1u);
+    JobLease none;
+    EXPECT_EQ(worker.claim("idle", &none), ClaimOutcome::Drained);
+}
+
+TEST(FsWorkQueue, BackoffBoundsAndDeterminism)
+{
+    LeasePolicy p;
+    p.backoffBaseSec = 0.5;
+    p.backoffCapSec = 30.0;
+    p.backoffJitterFrac = 0.25;
+    for (unsigned attempt = 2; attempt <= 10; ++attempt) {
+        double raw = p.backoffBaseSec;
+        for (unsigned k = 2; k < attempt; ++k) {
+            raw = std::min(p.backoffCapSec, raw * 2.0);
+        }
+        for (std::uint64_t hash : {0x1234ull, 0xdeadbeefull, 0x1ull}) {
+            double d = backoffDelaySec(p, attempt, hash);
+            EXPECT_GE(d, raw) << "attempt " << attempt;
+            EXPECT_LT(d, raw * (1.0 + p.backoffJitterFrac) + 1e-9)
+                << "attempt " << attempt;
+            // Deterministic: the retry schedule is reproducible.
+            EXPECT_EQ(d, backoffDelaySec(p, attempt, hash));
+        }
+    }
+    // The jitter seed covers (hash, attempt): different jobs retry at
+    // different offsets instead of stampeding together.
+    EXPECT_NE(backoffDelaySec(p, 3, 42), backoffDelaySec(p, 3, 43));
+}
+
 // --- coordinator + worker integration --------------------------------------
 
 TEST(Sweepd, FsDistributedRunIsByteIdenticalToSerial)
@@ -518,51 +533,16 @@ TEST(Sweepd, FsDistributedRunIsByteIdenticalToSerial)
     ASSERT_TRUE(coord.start(&err)) << err;
 
     std::thread worker([&] {
+        FsWorkQueue q(coord.endpoint());
         std::string werr;
-        auto q = openWorkQueue(coord.endpoint(), 5.0, &werr);
-        ASSERT_NE(q, nullptr) << werr;
+        ASSERT_TRUE(q.connect(&werr)) << werr;
         WorkerOptions wo;
         wo.name = "t1";
         wo.quiet = true;
-        runSweepWorker(*q, jobs, wo);
+        runSweepWorker(q, jobs, wo);
     });
     std::vector<JobResult> results = coord.run();
     worker.join();
-    expectByteIdentical(jobs, results, reference);
-}
-
-TEST(Sweepd, TcpDistributedRunIsByteIdenticalToSerial)
-{
-    std::vector<SweepJob> jobs = tinyJobs();
-    std::vector<std::string> reference = serialReference(jobs);
-
-    CoordinatorOptions co;
-    co.policy = fastPolicy();
-    co.endpoint = "tcp:127.0.0.1:0";
-    co.specJson = sweepSpecToJson(tinySpec());
-    co.pollSec = 0.02;
-    co.quiet = true;
-    SweepCoordinator coord(jobs, co);
-    std::string err;
-    ASSERT_TRUE(coord.start(&err)) << err;
-    ASSERT_GT(coord.port(), 0);
-
-    std::vector<std::thread> workers;
-    for (int w = 0; w < 2; ++w) {
-        workers.emplace_back([&, w] {
-            std::string werr;
-            auto q = openWorkQueue(coord.endpoint(), 5.0, &werr);
-            ASSERT_NE(q, nullptr) << werr;
-            WorkerOptions wo;
-            wo.name = "t" + std::to_string(w);
-            wo.quiet = true;
-            runSweepWorker(*q, jobs, wo);
-        });
-    }
-    std::vector<JobResult> results = coord.run();
-    for (auto& t : workers) {
-        t.join();
-    }
     expectByteIdentical(jobs, results, reference);
 }
 
@@ -607,13 +587,13 @@ TEST(Sweepd, CoordinatorRestartResumesFromManifest)
 
     WorkerSummary summary;
     std::thread worker([&] {
+        FsWorkQueue q(coord.endpoint());
         std::string werr;
-        auto q = openWorkQueue(coord.endpoint(), 5.0, &werr);
-        ASSERT_NE(q, nullptr) << werr;
+        ASSERT_TRUE(q.connect(&werr)) << werr;
         WorkerOptions wo;
         wo.name = "t1";
         wo.quiet = true;
-        summary = runSweepWorker(*q, jobs, wo);
+        summary = runSweepWorker(q, jobs, wo);
     });
     std::vector<JobResult> results = coord.run();
     worker.join();
@@ -628,25 +608,25 @@ TEST(Sweepd, CoordinatorRestartResumesFromManifest)
 
 #ifndef _WIN32
 
-/** Forks a worker process against @p endpoint; returns its pid. */
+/** Forks a worker process draining queue @p dir; returns its pid. */
 pid_t
-forkWorker(const std::string& endpoint, const std::vector<SweepJob>& jobs,
+forkWorker(const std::string& dir, const std::vector<SweepJob>& jobs,
            const std::string& name, unsigned jobDelayMs)
 {
     pid_t pid = ::fork();
     if (pid != 0) {
         return pid;
     }
+    FsWorkQueue q(dir);
     std::string err;
-    auto q = openWorkQueue(endpoint, 5.0, &err);
-    if (q == nullptr) {
+    if (!q.connect(&err)) {
         ::_exit(2);
     }
     WorkerOptions wo;
     wo.name = name;
     wo.quiet = true;
     wo.jobDelayMs = jobDelayMs;
-    WorkerSummary s = runSweepWorker(*q, jobs, wo);
+    WorkerSummary s = runSweepWorker(q, jobs, wo);
     ::_exit(s.queueLost ? 3 : 0);
 }
 

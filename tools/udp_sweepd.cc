@@ -2,12 +2,12 @@
  * @file
  * udp_sweepd — the distributed sweep coordinator (docs/ROBUSTNESS.md
  * §10). Reads a JSON sweep spec, expands it deterministically into jobs,
- * and serves them to udp_worker processes over TCP or a shared queue
+ * and serves them to udp_worker processes through a shared queue
  * directory with lease-based retry/backoff, straggler re-dispatch, and
  * checkpoint/resume. Merged artifacts are byte-identical to running the
  * same spec with --serial in one process.
  *
- *   udp_sweepd --spec fig13.json --listen tcp:0.0.0.0:7777 --json out.jsonl
+ *   udp_sweepd --spec fig13.json --queue /shared/q --json out.jsonl
  *   udp_sweepd --spec fig13.json --queue /shared/q --workers 3 --csv out.csv
  *   udp_sweepd --spec fig13.json --serial --json ref.jsonl
  */
@@ -29,7 +29,6 @@
 #include "obs/eventlog.h"
 #include "sim/sweep.h"
 #include "sim/sweepd.h"
-#include "sim/wire.h"
 #include "sim/workqueue.h"
 #include "stats/sink.h"
 
@@ -52,8 +51,7 @@ usage(const char* argv0)
 {
     std::fprintf(
         stderr,
-        "usage: %s --spec FILE (--listen tcp:HOST:PORT | --queue DIR | "
-        "--serial)\n"
+        "usage: %s --spec FILE (--queue DIR | --serial)\n"
         "  [--name S] [--json PATH] [--csv PATH] [--manifest PATH] "
         "[--resume]\n"
         "  [--shard-dir DIR] [--workers N] [--lease-sec X] "
@@ -83,7 +81,7 @@ struct Args
 {
     std::string specPath;
     std::string name;     ///< status-surface name (default: spec name)
-    std::string endpoint; ///< --listen or --queue
+    std::string queueDir; ///< --queue
     bool serial = false;
     std::string jsonPath;
     std::string csvPath;
@@ -151,20 +149,19 @@ writeArtifacts(const Args& a, const std::vector<SweepJob>& jobs,
 }
 
 #ifndef _WIN32
-/** Forks one local worker draining @p endpoint; never returns in the
- *  child. The child re-expands the spec it is handed — the same
- *  determinism contract as a remote udp_worker. */
+/** Forks one local worker draining the queue; never returns in the
+ *  child. The child shares the coordinator's expanded job list — the
+ *  same determinism contract as a remote udp_worker. */
 pid_t
-forkWorker(const Args& a, const std::string& endpoint,
-           const std::vector<SweepJob>& jobs, unsigned id)
+forkWorker(const Args& a, const std::vector<SweepJob>& jobs, unsigned id)
 {
     pid_t pid = ::fork();
     if (pid != 0) {
         return pid;
     }
+    FsWorkQueue q(a.queueDir);
     std::string err;
-    std::unique_ptr<WorkQueue> q = openWorkQueue(endpoint, 5.0, &err);
-    if (q == nullptr) {
+    if (!q.connect(&err)) {
         std::fprintf(stderr, "[worker-%u] %s\n", id, err.c_str());
         ::_exit(2);
     }
@@ -174,7 +171,7 @@ forkWorker(const Args& a, const std::string& endpoint,
     wo.quiet = a.quiet;
     wo.exec = a.exec;
     wo.jobDelayMs = a.delayMs;
-    WorkerSummary s = runSweepWorker(*q, jobs, wo);
+    WorkerSummary s = runSweepWorker(q, jobs, wo);
     ::_exit(s.queueLost ? 3 : 0);
 }
 #endif
@@ -194,8 +191,8 @@ main(int argc, char** argv)
             a.specPath = val();
         } else if (arg == "--name") {
             a.name = val();
-        } else if (arg == "--listen" || arg == "--queue") {
-            a.endpoint = val();
+        } else if (arg == "--queue") {
+            a.queueDir = val();
         } else if (arg == "--serial") {
             a.serial = true;
         } else if (arg == "--json") {
@@ -239,7 +236,7 @@ main(int argc, char** argv)
             return 2;
         }
     }
-    if (a.specPath.empty() || (a.endpoint.empty() && !a.serial)) {
+    if (a.specPath.empty() || (a.queueDir.empty() && !a.serial)) {
         usage(argv[0]);
         return 2;
     }
@@ -282,12 +279,10 @@ main(int argc, char** argv)
         return writeArtifacts(a, jobs, results);
     }
 
-    wire::installSigpipeIgnore();
-
     CoordinatorOptions co;
     co.name = a.name.empty() ? spec.name : a.name;
     co.policy = a.policy;
-    co.endpoint = a.endpoint;
+    co.endpoint = a.queueDir;
     co.specJson = specJson;
     co.manifestPath = a.manifestPath;
     co.resume = a.resume && !a.manifestPath.empty();
@@ -302,8 +297,8 @@ main(int argc, char** argv)
     }
     if (!a.quiet) {
         obs::Event(obs::LogLevel::Info, "sweepd", "serving")
-            .str("endpoint", coord.endpoint())
-            .str("hint", "watch with udp_top " + coord.endpoint())
+            .str("endpoint", a.queueDir)
+            .str("hint", "watch with udp_top " + a.queueDir)
             .emit();
     }
 
@@ -314,7 +309,7 @@ main(int argc, char** argv)
 #ifndef _WIN32
     std::vector<pid_t> children;
     for (unsigned w = 0; w < a.workers; ++w) {
-        pid_t pid = forkWorker(a, coord.endpoint(), jobs, w);
+        pid_t pid = forkWorker(a, jobs, w);
         if (pid > 0) {
             children.push_back(pid);
         }

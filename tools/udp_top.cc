@@ -1,14 +1,14 @@
 /**
  * @file
  * udp_top — live fleet dashboard for a distributed sweep
- * (docs/OBSERVABILITY.md). Polls the coordinator's status surface — an
- * OpStatus RPC for "tcp:HOST:PORT" endpoints, "<dir>/status.json" for
- * shared-queue directories — and renders sweep progress, ETA, per-job
- * states and per-worker health (leases, retries, stragglers, heartbeats).
+ * (docs/OBSERVABILITY.md). Polls the status file the coordinator
+ * republishes in its queue directory ("<dir>/status.json") and renders
+ * sweep progress, ETA, per-job states and per-worker health (leases,
+ * retries, stragglers, heartbeats).
  *
- *   udp_top tcp:127.0.0.1:7777              # refreshing dashboard
+ *   udp_top /shared/q                       # refreshing dashboard
  *   udp_top /shared/q --interval 1
- *   udp_top tcp:127.0.0.1:7777 --once       # one snapshot, human form
+ *   udp_top /shared/q --once                # one snapshot, human form
  *   udp_top /shared/q --once --json         # one raw status JSON line
  *
  * Exit codes: 0 snapshot fetched (or dashboard interrupted), 1 status
@@ -42,9 +42,7 @@ void
 usage(const char* argv0)
 {
     std::fprintf(stderr,
-                 "usage: %s ENDPOINT [--interval SEC] [--timeout SEC] "
-                 "[--once] [--json]\n"
-                 "  ENDPOINT: tcp:HOST:PORT or a queue directory\n",
+                 "usage: %s QUEUE_DIR [--interval SEC] [--once] [--json]\n",
                  argv0);
 }
 
@@ -141,9 +139,8 @@ render(const obs::SweepStatus& s)
 int
 main(int argc, char** argv)
 {
-    std::string endpoint;
+    std::string queueDir;
     double intervalSec = 2.0;
-    double timeoutSec = 5.0;
     bool once = false;
     bool json = false;
     for (int i = 1; i < argc; ++i) {
@@ -153,8 +150,6 @@ main(int argc, char** argv)
         };
         if (arg == "--interval") {
             intervalSec = std::strtod(val(), nullptr);
-        } else if (arg == "--timeout") {
-            timeoutSec = std::strtod(val(), nullptr);
         } else if (arg == "--once") {
             once = true;
         } else if (arg == "--json") {
@@ -162,14 +157,14 @@ main(int argc, char** argv)
         } else if (!arg.empty() && arg[0] == '-') {
             usage(argv[0]);
             return 2;
-        } else if (endpoint.empty()) {
-            endpoint = arg;
+        } else if (queueDir.empty()) {
+            queueDir = arg;
         } else {
             usage(argv[0]);
             return 2;
         }
     }
-    if (endpoint.empty()) {
+    if (queueDir.empty()) {
         usage(argv[0]);
         return 2;
     }
@@ -183,11 +178,11 @@ main(int argc, char** argv)
     while (g_stop == 0) {
         std::string raw;
         std::string err;
-        bool ok = queryQueueStatus(endpoint, timeoutSec, &raw, &err);
+        bool ok = queryQueueStatus(queueDir, &raw, &err);
         if (once) {
             if (!ok) {
                 std::fprintf(stderr, "[udp_top] %s: %s\n",
-                             endpoint.c_str(), err.c_str());
+                             queueDir.c_str(), err.c_str());
                 return 1;
             }
             if (json) {
@@ -198,7 +193,7 @@ main(int argc, char** argv)
             if (!obs::sweepStatusFromJson(raw, &s)) {
                 std::fprintf(stderr,
                              "[udp_top] %s: malformed status JSON\n",
-                             endpoint.c_str());
+                             queueDir.c_str());
                 return 1;
             }
             std::printf("%s", render(s).c_str());
@@ -214,7 +209,7 @@ main(int argc, char** argv)
         } else {
             // Dashboard: clear screen, home cursor, redraw.
             std::string frame = "\x1b[2J\x1b[H";
-            frame += "udp_top — " + endpoint + "  (refresh " +
+            frame += "udp_top — " + queueDir + "  (refresh " +
                      fmtDur(intervalSec) + ", ^C quits)\n\n";
             if (ok) {
                 obs::SweepStatus s;

@@ -1,15 +1,15 @@
 /**
  * @file
  * udp_worker — one worker of a distributed sweep (docs/ROBUSTNESS.md
- * §10). Connects to a udp_sweepd coordinator (TCP endpoint or shared
- * queue directory), fetches the sweep spec, expands it deterministically
- * into the same job list the coordinator holds, then claims and executes
- * leases until the sweep drains.
+ * §10). Joins the shared queue directory a udp_sweepd coordinator
+ * seeded, reads the sweep spec, expands it deterministically into the
+ * same job list the coordinator holds, then claims and executes leases
+ * until the sweep drains.
  *
- *   udp_worker --connect tcp:coordinator-host:7777
+ *   udp_worker --queue /shared/q
  *   udp_worker --queue /shared/q --isolate --mem-mb 4096
  *
- * Exit codes: 0 sweep drained / nothing left, 2 cannot reach or parse
+ * Exit codes: 0 sweep drained / nothing left, 2 cannot read or parse
  * the queue, 3 queue lost mid-run (pending result flushed to the shard
  * file when --shard-dir is set).
  */
@@ -23,7 +23,6 @@
 #include "obs/eventlog.h"
 #include "sim/sweep.h"
 #include "sim/sweepd.h"
-#include "sim/wire.h"
 #include "sim/workqueue.h"
 
 using namespace udp;
@@ -35,7 +34,7 @@ usage(const char* argv0)
 {
     std::fprintf(
         stderr,
-        "usage: %s (--connect tcp:HOST:PORT | --queue DIR) [--name S]\n"
+        "usage: %s --queue DIR [--name S]\n"
         "  [--shard-dir DIR] [--isolate] [--mem-mb N] [--cpu-sec N]\n"
         "  [--wall-sec X] [--poll-ms N] [--max-jobs N] [--delay-ms N] "
         "[--quiet]\n",
@@ -47,15 +46,15 @@ usage(const char* argv0)
 int
 main(int argc, char** argv)
 {
-    std::string endpoint;
+    std::string queueDir;
     WorkerOptions wo;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         auto val = [&]() -> const char* {
             return i + 1 < argc ? argv[++i] : "";
         };
-        if (arg == "--connect" || arg == "--queue") {
-            endpoint = val();
+        if (arg == "--queue") {
+            queueDir = val();
         } else if (arg == "--name") {
             wo.name = val();
         } else if (arg == "--shard-dir") {
@@ -82,21 +81,19 @@ main(int argc, char** argv)
             return 2;
         }
     }
-    if (endpoint.empty()) {
+    if (queueDir.empty()) {
         usage(argv[0]);
         return 2;
     }
 
-    wire::installSigpipeIgnore();
-
+    FsWorkQueue queue(queueDir);
     std::string err;
-    std::unique_ptr<WorkQueue> queue = openWorkQueue(endpoint, 5.0, &err);
-    if (queue == nullptr) {
+    if (!queue.connect(&err)) {
         std::fprintf(stderr, "[%s] %s\n", wo.name.c_str(), err.c_str());
         return 2;
     }
 
-    std::string specJson = queue->specJson();
+    std::string specJson = queue.specJson();
     if (specJson.empty()) {
         std::fprintf(stderr,
                      "[%s] queue serves no spec — this sweep pairs bench "
@@ -120,7 +117,7 @@ main(int argc, char** argv)
             .emit();
     }
 
-    WorkerSummary s = runSweepWorker(*queue, jobs, wo);
+    WorkerSummary s = runSweepWorker(queue, jobs, wo);
     if (!wo.quiet) {
         obs::Event(obs::LogLevel::Info, wo.name, "done")
             .u64("executed", s.executed)
