@@ -1,6 +1,7 @@
 #include "backend/backend.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdio>
 
@@ -13,29 +14,34 @@ Backend::Backend(const Program& prog, TrueStream& strm, MemSystem& m,
                  Bpu& bp, BranchRecordMap& recs, const BackendConfig& c)
     : program(prog), stream(strm), mem(m), bpu(bp), records(recs), cfg(c)
 {
-    unissued.reserve(cfg.rsSize + 8);
+    rob.resize(std::bit_ceil(std::max(cfg.robSize, 1u)));
+    robMask = rob.size() - 1;
+    ready.reserve(cfg.rsSize + 8);
 }
 
-Backend::RobEntry*
-Backend::entryAt(std::uint64_t pos)
+std::uint64_t
+Backend::producerPos(const RobEntry& e, unsigned k) const
 {
-    if (pos < robBasePos) {
-        return nullptr;
+    unsigned dep = k == 0 ? e.di.dep1 : e.di.dep2;
+    if (dep == 0 || e.pos < robBasePos + dep) {
+        return kNoPos; // no operand, or its producer already retired
     }
-    std::uint64_t off = pos - robBasePos;
-    if (off >= rob.size()) {
-        return nullptr;
-    }
-    return &rob[static_cast<std::size_t>(off)];
+    return e.pos - dep;
+}
+
+void
+Backend::markReady(std::uint64_t pos)
+{
+    ready.insert(std::upper_bound(ready.begin(), ready.end(), pos), pos);
 }
 
 bool
 Backend::canDispatch(const DecodedInstr& di) const
 {
-    if (rob.size() >= cfg.robSize) {
+    if (robCount >= cfg.robSize) {
         return false;
     }
-    if (unissued.size() >= cfg.rsSize) {
+    if (unissuedCount >= cfg.rsSize) {
         return false;
     }
     if (di.type == InstrType::Load && loadsInFlight >= cfg.lqSize) {
@@ -51,12 +57,29 @@ void
 Backend::dispatch(const DecodedInstr& di, Cycle now)
 {
     assert(canDispatch(di));
-    RobEntry e;
+    std::uint64_t pos = robBasePos + robCount;
+    RobEntry& e = slot(pos);
+    e = RobEntry();
     e.di = di;
-    e.pos = robBasePos + rob.size();
+    e.pos = pos;
     e.dispatchedAt = now;
-    rob.push_back(std::move(e));
-    unissued.push_back(rob.back().pos);
+    ++robCount;
+    ++unissuedCount;
+    // Wait on every uncompleted producer. Operand 1 links last, so when
+    // both operands name one producer it precedes operand 0 in the list.
+    for (unsigned k = 0; k < 2; ++k) {
+        std::uint64_t pp = producerPos(e, k);
+        if (pp == kNoPos || slot(pp).completed) {
+            continue;
+        }
+        RobEntry& p = slot(pp);
+        e.next[k] = p.consumers;
+        p.consumers = (pos << 1) | k;
+        e.waiting |= static_cast<std::uint8_t>(1u << k);
+    }
+    if (e.waiting == 0) {
+        markReady(pos);
+    }
     if (di.type == InstrType::Load) {
         ++loadsInFlight;
     } else if (di.type == InstrType::Store) {
@@ -136,6 +159,16 @@ Backend::completeReady(Cycle now)
             continue; // squashed or stale heap entry
         }
         e->completed = true;
+        for (Link l = e->consumers; l != kNoLink;) {
+            RobEntry& c = slot(l >> 1);
+            unsigned k = l & 1;
+            l = c.next[k];
+            c.waiting &= static_cast<std::uint8_t>(~(1u << k));
+            if (c.waiting == 0) {
+                markReady(c.pos);
+            }
+        }
+        e->consumers = kNoLink;
         if (e->di.kind != BranchKind::None && !e->resolved) {
             resolveBranch(*e);
             if (e->mispredicted) {
@@ -148,8 +181,20 @@ Backend::completeReady(Cycle now)
 void
 Backend::squashAfter(std::uint64_t pos)
 {
-    while (!rob.empty() && rob.back().pos > pos) {
-        RobEntry& victim = rob.back();
+    while (robCount > 0 && robBasePos + robCount - 1 > pos) {
+        RobEntry& victim = slot(robBasePos + robCount - 1);
+        // Youngest first, so the victim heads every list it is still on
+        // (operand 1 ahead of operand 0 when they share a producer).
+        for (unsigned k = 2; k-- > 0;) {
+            if (victim.waiting & (1u << k)) {
+                RobEntry& p = slot(producerPos(victim, k));
+                assert(p.consumers == ((victim.pos << 1) | k));
+                p.consumers = victim.next[k];
+            }
+        }
+        if (!victim.issued) {
+            --unissuedCount;
+        }
         if (victim.di.predictedBranch) {
             records.erase(victim.di.dynId);
         }
@@ -159,11 +204,10 @@ Backend::squashAfter(std::uint64_t pos)
             --storesInFlight;
         }
         ++stats_.squashed;
-        rob.pop_back();
+        --robCount;
     }
-    unissued.erase(std::remove_if(unissued.begin(), unissued.end(),
-                                  [pos](std::uint64_t p) { return p > pos; }),
-                   unissued.end());
+    ready.erase(std::upper_bound(ready.begin(), ready.end(), pos),
+                ready.end());
 }
 
 ResteerRequest
@@ -222,8 +266,8 @@ Backend::retire(Cycle now)
         return;
     }
     unsigned budget = cfg.retireWidth;
-    while (budget > 0 && !rob.empty() && rob.front().completed) {
-        RobEntry& e = rob.front();
+    while (budget > 0 && robCount > 0 && slot(robBasePos).completed) {
+        RobEntry& e = slot(robBasePos);
         if (e.di.kind != BranchKind::None && e.mispredicted &&
             !e.resteerHandled) {
             break; // recovery must run before this branch retires
@@ -264,8 +308,8 @@ Backend::retire(Cycle now)
         }
 
         stream.retireBelow(e.di.streamIdx + 1);
-        rob.pop_front();
         ++robBasePos;
+        --robCount;
         ++stats_.retired;
         --budget;
     }
@@ -279,17 +323,12 @@ Backend::issue(Cycle now)
     unsigned lds = cfg.numLoad;
     unsigned sts = cfg.numStore;
 
+    // Oldest ready first; an entry whose port is taken waits in place.
     std::size_t w = 0;
-    for (std::size_t r = 0; r < unissued.size(); ++r) {
-        std::uint64_t pos = unissued[r];
-        RobEntry* e = entryAt(pos);
-        if (!e || e->issued) {
-            continue; // squashed/stale
-        }
-        if (budget == 0) {
-            unissued[w++] = pos;
-            continue;
-        }
+    std::size_t r = 0;
+    for (; r < ready.size() && budget > 0; ++r) {
+        std::uint64_t pos = ready[r];
+        RobEntry* e = &slot(pos);
 
         // Functional unit availability.
         unsigned* fu = nullptr;
@@ -306,27 +345,7 @@ Backend::issue(Cycle now)
             break;
         }
         if (*fu == 0) {
-            unissued[w++] = pos;
-            continue;
-        }
-
-        // Dependence check: producers at pos-dep1 / pos-dep2.
-        bool ready = true;
-        for (unsigned dep : {unsigned{e->di.dep1}, unsigned{e->di.dep2}}) {
-            if (dep == 0) {
-                continue;
-            }
-            if (pos < robBasePos + dep) {
-                continue; // producer already retired
-            }
-            RobEntry* p = entryAt(pos - dep);
-            if (p && !p->completed) {
-                ready = false;
-                break;
-            }
-        }
-        if (!ready) {
-            unissued[w++] = pos;
+            ready[w++] = pos;
             continue;
         }
 
@@ -334,6 +353,7 @@ Backend::issue(Cycle now)
         e->issued = true;
         --*fu;
         --budget;
+        --unissuedCount;
         ++stats_.issued;
 
         Cycle done;
@@ -374,7 +394,8 @@ Backend::issue(Cycle now)
         e->completeAt = done;
         completions.emplace(done, pos);
     }
-    unissued.resize(w);
+    ready.erase(ready.begin() + static_cast<std::ptrdiff_t>(w),
+                ready.begin() + static_cast<std::ptrdiff_t>(r));
 }
 
 ResteerRequest
@@ -384,7 +405,7 @@ Backend::tick(Cycle now)
     ResteerRequest req = handleRecovery(now);
     retire(now);
     issue(now);
-    if (rob.size() >= cfg.robSize) {
+    if (robCount >= cfg.robSize) {
         ++stats_.robFullStalls;
     }
     return req;
@@ -394,9 +415,14 @@ std::string
 Backend::checkInvariants(bool full) const
 {
     char buf[160];
-    if (rob.size() > cfg.robSize) {
+    if (robCount > cfg.robSize) {
         std::snprintf(buf, sizeof(buf), "ROB occupancy %zu exceeds %u",
-                      rob.size(), cfg.robSize);
+                      robCount, cfg.robSize);
+        return buf;
+    }
+    if (unissuedCount > cfg.rsSize) {
+        std::snprintf(buf, sizeof(buf), "RS occupancy %u exceeds %u",
+                      unissuedCount, cfg.rsSize);
         return buf;
     }
     if (loadsInFlight > cfg.lqSize) {
@@ -409,32 +435,103 @@ Backend::checkInvariants(bool full) const
                       storesInFlight, cfg.sqSize);
         return buf;
     }
-    if (full) {
-        // Credit conservation: every dispatch increments, every retire or
-        // squash decrements, so the counters must equal a recount of the
-        // ROB-resident memory instructions.
-        unsigned loads = 0;
-        unsigned stores = 0;
-        for (const RobEntry& e : rob) {
-            if (e.di.type == InstrType::Load) {
-                ++loads;
-            } else if (e.di.type == InstrType::Store) {
-                ++stores;
+    if (!full) {
+        return "";
+    }
+
+    // Credit conservation: every dispatch increments, every retire or
+    // squash decrements, so the counters must equal a recount of the
+    // ROB-resident memory instructions. The scheduler state is checked
+    // the same way, against a fresh scan of every operand's producer.
+    unsigned loads = 0;
+    unsigned stores = 0;
+    unsigned unissued = 0;
+    std::size_t readyEntries = 0;
+    std::size_t waitingOperands = 0;
+    const std::uint64_t endPos = robBasePos + robCount;
+    for (std::uint64_t pos = robBasePos; pos < endPos; ++pos) {
+        const RobEntry& e = slot(pos);
+        if (e.di.type == InstrType::Load) {
+            ++loads;
+        } else if (e.di.type == InstrType::Store) {
+            ++stores;
+        }
+        for (unsigned k = 0; k < 2; ++k) {
+            std::uint64_t pp = producerPos(e, k);
+            bool waits = pp != kNoPos && !slot(pp).completed;
+            bool bit = (e.waiting >> k) & 1u;
+            if (waits != bit) {
+                std::snprintf(buf, sizeof(buf),
+                              "entry %llu operand %u: wait bit %d but "
+                              "producer %s",
+                              static_cast<unsigned long long>(pos), k,
+                              bit ? 1 : 0,
+                              waits ? "pending" : "done or absent");
+                return buf;
             }
         }
-        if (loads != loadsInFlight || stores != storesInFlight) {
+        waitingOperands += static_cast<std::size_t>(std::popcount(e.waiting));
+        if (!e.issued) {
+            ++unissued;
+            readyEntries += e.waiting == 0;
+        }
+    }
+    if (loads != loadsInFlight || stores != storesInFlight) {
+        std::snprintf(buf, sizeof(buf),
+                      "LSQ credit leak: counters %u/%u vs ROB recount "
+                      "%u/%u (loads/stores)",
+                      loadsInFlight, storesInFlight, loads, stores);
+        return buf;
+    }
+    if (unissued != unissuedCount) {
+        std::snprintf(buf, sizeof(buf),
+                      "unissued count %u vs ROB recount %u", unissuedCount,
+                      unissued);
+        return buf;
+    }
+    for (std::size_t i = 0; i < ready.size(); ++i) {
+        std::uint64_t pos = ready[i];
+        if ((i > 0 && pos <= ready[i - 1]) || !inRob(pos) ||
+            slot(pos).issued || slot(pos).waiting != 0) {
             std::snprintf(buf, sizeof(buf),
-                          "LSQ credit leak: counters %u/%u vs ROB recount "
-                          "%u/%u (loads/stores)",
-                          loadsInFlight, storesInFlight, loads, stores);
+                          "ready list entry %zu (pos %llu) is out of order, "
+                          "not in the ROB, issued or waiting",
+                          i, static_cast<unsigned long long>(pos));
             return buf;
         }
-        if (unissued.size() > rob.size()) {
-            std::snprintf(buf, sizeof(buf),
-                          "unissued list %zu larger than ROB %zu",
-                          unissued.size(), rob.size());
-            return buf;
+    }
+    if (ready.size() != readyEntries) {
+        std::snprintf(buf, sizeof(buf),
+                      "ready list holds %zu entries, ROB has %zu ready",
+                      ready.size(), readyEntries);
+        return buf;
+    }
+    // Every link names a live, unissued operand that waits on this
+    // producer, and the links cover every waiting operand exactly once.
+    std::size_t links = 0;
+    for (std::uint64_t pos = robBasePos; pos < endPos; ++pos) {
+        for (Link l = slot(pos).consumers; l != kNoLink;) {
+            std::uint64_t cpos = l >> 1;
+            unsigned k = l & 1;
+            if (++links > waitingOperands || !inRob(cpos) ||
+                slot(cpos).issued || !((slot(cpos).waiting >> k) & 1u) ||
+                producerPos(slot(cpos), k) != pos) {
+                std::snprintf(buf, sizeof(buf),
+                              "producer %llu: bad consumer link to operand "
+                              "%u of %llu",
+                              static_cast<unsigned long long>(pos), k,
+                              static_cast<unsigned long long>(cpos));
+                return buf;
+            }
+            l = slot(cpos).next[k];
         }
+    }
+    if (links != waitingOperands) {
+        std::snprintf(buf, sizeof(buf),
+                      "consumer lists hold %zu links for %zu waiting "
+                      "operands",
+                      links, waitingOperands);
+        return buf;
     }
     return "";
 }
@@ -443,7 +540,7 @@ std::string
 Backend::dumpState(Cycle now) const
 {
     char buf[256];
-    if (rob.empty()) {
+    if (robCount == 0) {
         std::snprintf(buf, sizeof(buf),
                       "[rob] occupancy=0/%u retired=%llu frozen=%d\n",
                       cfg.robSize,
@@ -451,13 +548,13 @@ Backend::dumpState(Cycle now) const
                       retireFrozen ? 1 : 0);
         return buf;
     }
-    const RobEntry& head = rob.front();
+    const RobEntry& head = slot(robBasePos);
     std::snprintf(
         buf, sizeof(buf),
         "[rob] occupancy=%zu/%u retired=%llu frozen=%d lq=%u/%u sq=%u/%u "
         "oldest={pc=0x%llx age=%llu issued=%d completed=%d "
         "mispredicted=%d}\n",
-        rob.size(), cfg.robSize,
+        robCount, cfg.robSize,
         static_cast<unsigned long long>(stats_.retired),
         retireFrozen ? 1 : 0, loadsInFlight, cfg.lqSize, storesInFlight,
         cfg.sqSize, static_cast<unsigned long long>(head.di.pc),

@@ -1,7 +1,8 @@
 /**
  * @file
- * The out-of-order backend: ROB / unified RS / LSQ with dependence-driven
- * wakeup, functional-unit constraints, branch resolution (including
+ * The out-of-order backend: ROB / unified RS / LSQ with event-driven
+ * wakeup (per-producer consumer lists feeding an age-ordered ready list),
+ * functional-unit constraints, branch resolution (including
  * wrong-path branches, which can re-resteer the wrong path — Scarab's
  * "multiple consequent mispredictions"), recovery, and in-order retirement
  * that trains the predictors and feeds UDP's Seniority-FTQ.
@@ -11,7 +12,6 @@
 #define UDP_BACKEND_BACKEND_H
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <queue>
 #include <string>
@@ -91,7 +91,7 @@ class Backend
     ResteerRequest tick(Cycle now);
 
     std::uint64_t retired() const { return stats_.retired; }
-    std::size_t robOccupancy() const { return rob.size(); }
+    std::size_t robOccupancy() const { return robCount; }
 
     /** Hook: invoked with the pc of every retired instruction. */
     std::function<void(Addr)> onRetirePc;
@@ -110,7 +110,9 @@ class Backend
     /**
      * Invariant check (sim/invariants.h): ROB/RS/LSQ occupancy bounds.
      * @p full additionally recomputes the load/store in-flight credits
-     * from ROB contents (conservation across dispatch/squash/retire).
+     * from ROB contents (conservation across dispatch/squash/retire) and
+     * checks the scheduler against a fresh dependence scan: wait masks,
+     * the ready list, every consumer-list link and the unissued count.
      * Returns the first violation, or "".
      */
     std::string checkInvariants(bool full) const;
@@ -119,6 +121,14 @@ class Backend
     std::string dumpState(Cycle now) const;
 
   private:
+    /**
+     * A consumer-list link names one source operand of one ROB entry:
+     * (dispatch position << 1) | operand. Each producer heads a singly
+     * linked list of the operands still waiting on it, youngest first.
+     */
+    using Link = std::uint64_t;
+    static constexpr Link kNoLink = ~Link{0};
+
     struct RobEntry
     {
         DecodedInstr di;
@@ -129,12 +139,38 @@ class Backend
         bool resteerHandled = false;
         bool mispredicted = false;
         bool actualTaken = false;
+        /** Bit k set: operand k waits on an uncompleted ROB producer. */
+        std::uint8_t waiting = 0;
         Addr actualNext = kInvalidAddr;
         Cycle completeAt = kInvalidCycle;
         Cycle dispatchedAt = 0; ///< for age reporting in dumps
+        Link consumers = kNoLink; ///< head of this producer's list
+        Link next[2] = {kNoLink, kNoLink}; ///< per-operand list successor
     };
 
-    RobEntry* entryAt(std::uint64_t pos);
+    /** The ROB slot of @p pos (valid only while @p pos is in the ROB). */
+    RobEntry& slot(std::uint64_t pos) { return rob[pos & robMask]; }
+    const RobEntry& slot(std::uint64_t pos) const
+    {
+        return rob[pos & robMask];
+    }
+    bool inRob(std::uint64_t pos) const
+    {
+        return pos >= robBasePos && pos - robBasePos < robCount;
+    }
+    RobEntry* entryAt(std::uint64_t pos)
+    {
+        return inRob(pos) ? &slot(pos) : nullptr;
+    }
+
+    static constexpr std::uint64_t kNoPos = ~std::uint64_t{0};
+
+    /** Position of operand @p k's producer if it is in the ROB, or
+     *  kNoPos (no such operand, or the producer already retired). */
+    std::uint64_t producerPos(const RobEntry& e, unsigned k) const;
+
+    /** Adds @p pos to the ready list, keeping it in ROB order. */
+    void markReady(std::uint64_t pos);
 
     /** Resolves the branch in @p e (fills actual outcome/mispredict). */
     void resolveBranch(RobEntry& e);
@@ -154,9 +190,14 @@ class Backend
     BranchRecordMap& records;
     BackendConfig cfg;
 
-    std::deque<RobEntry> rob;
-    std::uint64_t robBasePos = 0; ///< pos of rob.front()
-    std::vector<std::uint64_t> unissued; ///< positions, oldest first
+    /** Ring of power-of-two capacity >= robSize, indexed pos & robMask. */
+    std::vector<RobEntry> rob;
+    std::uint64_t robMask = 0;
+    std::uint64_t robBasePos = 0; ///< pos of the oldest entry
+    std::size_t robCount = 0;
+    /** Unissued entries with no waiting operand, ascending positions. */
+    std::vector<std::uint64_t> ready;
+    unsigned unissuedCount = 0; ///< RS occupancy
 
     /** (completeAt, pos) min-heap of scheduled completions. */
     using Completion = std::pair<Cycle, std::uint64_t>;

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "backend/backend.h"
 
 namespace udp {
@@ -52,10 +54,20 @@ struct BackendHarness
     BackendConfig cfg;
     std::unique_ptr<Backend> be;
 
-    BackendHarness()
+    explicit BackendHarness(const BackendConfig& c = BackendConfig())
+        : cfg(c)
     {
         be = std::make_unique<Backend>(prog, stream, mem, bpu, records,
                                        cfg);
+    }
+
+    /** One backend cycle followed by the full invariant check. */
+    ResteerRequest
+    tick(Cycle now)
+    {
+        ResteerRequest r = be->tick(now);
+        EXPECT_EQ(be->checkInvariants(/*full=*/true), "") << "cycle " << now;
+        return r;
     }
 
     /** Builds the DecodedInstr for true-stream position @p i. */
@@ -138,17 +150,18 @@ TEST(Backend, RetireHookSeesEveryPc)
     BackendHarness h;
     std::vector<Addr> retired_pcs;
     h.be->onRetirePc = [&](Addr pc) { retired_pcs.push_back(pc); };
+    // Retirement releases stream positions, so read the pcs up front.
+    std::vector<Addr> expected;
     Cycle now = 1;
     for (std::uint64_t i = 0; i < 4; ++i) {
-        h.be->dispatch(h.decoded(i), now);
+        DecodedInstr di = h.decoded(i);
+        expected.push_back(di.pc);
+        h.be->dispatch(di, now);
     }
     for (now = 2; now < 600; ++now) {
         h.be->tick(now);
     }
-    ASSERT_EQ(retired_pcs.size(), 4u);
-    for (std::uint64_t i = 0; i < 4; ++i) {
-        EXPECT_EQ(retired_pcs[i], h.stream.at(i).pc);
-    }
+    EXPECT_EQ(retired_pcs, expected);
 }
 
 TEST(Backend, IssueWidthBoundsThroughput)
@@ -275,6 +288,174 @@ TEST(Backend, LoadStoreQueueLimits)
         }
     }
     EXPECT_EQ(loads, h.cfg.lqSize);
+}
+
+TEST(Backend, IssuesOldestReadyFirstUnderPortLimits)
+{
+    BackendHarness h;
+    ASSERT_EQ(h.cfg.numLoad, 2u);
+    // Three independent loads, oldest first: the first two read one line
+    // and the third another. The first access to a line misses and
+    // installs it, so one L1 hit in the first cycle means the two oldest
+    // issued together. A younger ALU op still takes its own port.
+    DecodedInstr ld0 = h.decoded(4);
+    DecodedInstr ld1 = ld0;
+    ld1.dynId = 1000;
+    DecodedInstr ld2 = h.decoded(13);
+    ASSERT_EQ(ld2.type, InstrType::Load);
+    ASSERT_NE(lineAddr(h.stream.at(4).memAddr),
+              lineAddr(h.stream.at(13).memAddr));
+    DecodedInstr alu = h.decoded(14);
+    ASSERT_EQ(alu.type, InstrType::Alu);
+    for (DecodedInstr* di : {&ld0, &ld1, &ld2, &alu}) {
+        di->dep1 = 0;
+        di->dep2 = 0;
+        h.be->dispatch(*di, 1);
+    }
+
+    h.tick(1);
+    EXPECT_EQ(h.be->stats().issued, 3u); // two loads + the ALU op
+    EXPECT_EQ(h.mem.stats().dloads, 2u);
+    EXPECT_EQ(h.mem.stats().dloadL1Hits, 1u);
+
+    h.tick(2);
+    EXPECT_EQ(h.be->stats().issued, 4u);
+    EXPECT_EQ(h.mem.stats().dloads, 3u);
+    EXPECT_EQ(h.mem.stats().dloadL1Hits, 1u);
+}
+
+TEST(Backend, RefilledSlotWaitsOnItsOwnProducer)
+{
+    BackendHarness h;
+    auto wrongPath = [](DecodedInstr di, std::uint64_t dyn_id,
+                        std::uint8_t dep1, std::uint8_t dep2) {
+        di.dynId = dyn_id;
+        di.onPath = false;
+        di.dep1 = dep1;
+        di.dep2 = dep2;
+        return di;
+    };
+    // Position 0: an on-path load that misses to memory. Position 1: the
+    // loop branch, forced to predict not-taken (truth: taken).
+    DecodedInstr ld = h.decoded(4);
+    ld.dep1 = ld.dep2 = 0;
+    DecodedInstr br = h.decoded(8);
+    br.dep1 = br.dep2 = 0;
+    br.predTaken = false;
+    br.predTarget = kInvalidAddr;
+    // Positions 2-4, wrong path: a load that misses, a consumer naming it
+    // in both operands, and a consumer naming position 0 in both.
+    DecodedInstr wp_ld = wrongPath(h.decoded(4), 2000, 0, 0);
+    DecodedInstr wp_use = wrongPath(h.decoded(5), 2001, 1, 1);
+    DecodedInstr wp_use0 = wrongPath(h.decoded(6), 2002, 4, 4);
+    // Refill of positions 2-3 after recovery: a 5-cycle ALU op and its
+    // consumer.
+    DecodedInstr slow = h.decoded(9);
+    ASSERT_EQ(slow.type, InstrType::Alu);
+    slow.execLat = 5;
+    slow.dep1 = slow.dep2 = 0;
+    DecodedInstr use = h.decoded(10);
+    use.dep1 = 1;
+    use.dep2 = 0;
+
+    for (const DecodedInstr& di : {ld, br, wp_ld, wp_use, wp_use0}) {
+        h.be->dispatch(di, 1);
+    }
+    h.tick(1); // both loads and the branch issue; the consumers wait
+    EXPECT_EQ(h.be->stats().issued, 3u);
+    h.tick(2);
+    ResteerRequest req = h.tick(3); // branch resolves: squash 2-4
+    ASSERT_TRUE(req.valid);
+    EXPECT_EQ(h.be->stats().squashed, 3u);
+    EXPECT_EQ(h.be->robOccupancy(), 2u);
+
+    h.be->dispatch(slow, 3);
+    h.be->dispatch(use, 3);
+    h.tick(4);
+    EXPECT_EQ(h.be->stats().issued, 4u); // the ALU op; `use` waits on it
+    for (Cycle now = 5; now < 9; ++now) {
+        h.tick(now);
+        EXPECT_EQ(h.be->stats().issued, 4u) << "cycle " << now;
+    }
+    h.tick(9); // ALU op completes; neither old load has
+    EXPECT_EQ(h.be->stats().issued, 5u);
+    EXPECT_EQ(h.be->retired(), 0u);
+
+    for (Cycle now = 10; now < 2000 && h.be->retired() < 4; ++now) {
+        h.tick(now);
+    }
+    EXPECT_EQ(h.be->retired(), 4u);
+    EXPECT_EQ(h.be->stats().issued, 5u);
+}
+
+TEST(Backend, SharedProducerOperandsIssueOnce)
+{
+    BackendHarness h;
+    DecodedInstr prod = h.decoded(0);
+    prod.execLat = 3;
+    prod.dep1 = prod.dep2 = 0;
+    DecodedInstr use = h.decoded(1);
+    use.dep1 = 1;
+    use.dep2 = 1;
+    h.be->dispatch(prod, 1);
+    h.be->dispatch(use, 1);
+
+    h.tick(1); // producer issues, completes at cycle 4
+    EXPECT_EQ(h.be->stats().issued, 1u);
+    h.tick(2);
+    h.tick(3);
+    EXPECT_EQ(h.be->stats().issued, 1u);
+    h.tick(4);
+    EXPECT_EQ(h.be->stats().issued, 2u);
+    for (Cycle now = 5; now < 50; ++now) {
+        h.tick(now);
+    }
+    EXPECT_EQ(h.be->stats().issued, 2u);
+    EXPECT_EQ(h.be->retired(), 2u);
+}
+
+TEST(Backend, RetiresThroughTheRingManyTimes)
+{
+    BackendConfig cfg;
+    cfg.robSize = 5;
+    BackendHarness h(cfg);
+    const std::size_t ring = std::bit_ceil(cfg.robSize);
+
+    // Branch-free instructions with short dependences, some reaching
+    // producers that have already retired. Decoded up front because
+    // retirement releases stream positions.
+    std::vector<DecodedInstr> instrs;
+    for (std::uint64_t i = 0; instrs.size() < 3 * ring + 7; ++i) {
+        DecodedInstr di = h.decoded(i);
+        if (di.kind != BranchKind::None) {
+            continue;
+        }
+        di.dep1 = static_cast<std::uint8_t>(instrs.size() % 3);
+        di.dep2 = static_cast<std::uint8_t>(instrs.size() % 4 == 1 ? 6 : 0);
+        instrs.push_back(di);
+    }
+    std::vector<Addr> retired_pcs;
+    h.be->onRetirePc = [&](Addr pc) { retired_pcs.push_back(pc); };
+
+    std::size_t next = 0;
+    for (Cycle now = 1; now < 20000 && h.be->retired() < instrs.size();
+         ++now) {
+        h.tick(now);
+        for (unsigned n = 0; n < h.cfg.dispatchWidth &&
+                             next < instrs.size() &&
+                             h.be->canDispatch(instrs[next]);
+             ++n) {
+            h.be->dispatch(instrs[next++], now);
+        }
+        ASSERT_EQ(h.be->robOccupancy(), next - h.be->retired());
+        ASSERT_LE(h.be->robOccupancy(), cfg.robSize);
+    }
+    EXPECT_EQ(h.be->retired(), instrs.size());
+    EXPECT_EQ(h.be->robOccupancy(), 0u);
+    ASSERT_EQ(retired_pcs.size(), instrs.size());
+    for (std::size_t i = 0; i < instrs.size(); ++i) {
+        EXPECT_EQ(retired_pcs[i], instrs[i].pc) << "instruction " << i;
+    }
 }
 
 } // namespace
