@@ -11,7 +11,7 @@
 namespace udp {
 
 Backend::Backend(const Program& prog, TrueStream& strm, MemSystem& m,
-                 Bpu& bp, BranchRecordMap& recs, const BackendConfig& c)
+                 Bpu& bp, BranchRecordPool& recs, const BackendConfig& c)
     : program(prog), stream(strm), mem(m), bpu(bp), records(recs), cfg(c)
 {
     rob.resize(std::bit_ceil(std::max(cfg.robSize, 1u)));
@@ -106,9 +106,8 @@ Backend::resolveBranch(RobEntry& e)
         // Wrong-path branch: resolve against the stateless wrong-path
         // oracle so consequent mispredictions re-resteer the wrong path.
         const Instr& sin = program.instrAt(di.idx);
-        auto rec_it = records.find(di.dynId);
-        std::uint64_t spec_hist =
-            rec_it != records.end() ? rec_it->second.ckpt.hist64 : 0;
+        const BranchRecord* rec = records.find(di.record, di.dynId);
+        std::uint64_t spec_hist = rec ? rec->ckpt.hist64 : 0;
         switch (di.kind) {
           case BranchKind::CondDirect: {
             const BranchBehavior& b = program.condBehavior(sin);
@@ -195,9 +194,7 @@ Backend::squashAfter(std::uint64_t pos)
         if (!victim.issued) {
             --unissuedCount;
         }
-        if (victim.di.predictedBranch) {
-            records.erase(victim.di.dynId);
-        }
+        records.erase(victim.di.record, victim.di.dynId);
         if (victim.di.type == InstrType::Load) {
             --loadsInFlight;
         } else if (victim.di.type == InstrType::Store) {
@@ -237,9 +234,9 @@ Backend::handleRecovery(Cycle now)
                            [p = e->pos](std::uint64_t q) { return q > p; }),
             pendingRecovery.end());
 
-        auto rec_it = records.find(e->di.dynId);
-        if (rec_it != records.end()) {
-            bpu.recoverTo(rec_it->second.ckpt, e->di.pc,
+        const BranchRecord* rec = records.find(e->di.record, e->di.dynId);
+        if (rec) {
+            bpu.recoverTo(rec->ckpt, e->di.pc,
                           e->di.kind == BranchKind::CondDirect,
                           e->actualTaken);
         }
@@ -275,25 +272,22 @@ Backend::retire(Cycle now)
         assert(e.di.onPath && "only architectural-path instructions retire");
 
         // Train the predictors with the architectural outcome.
-        if (e.di.predictedBranch) {
-            auto rec_it = records.find(e.di.dynId);
-            if (rec_it != records.end()) {
-                const BranchRecord& rec = rec_it->second;
-                switch (e.di.kind) {
-                  case BranchKind::CondDirect:
-                    bpu.trainCond(e.di.pc, rec.cond, e.actualTaken);
-                    break;
-                  case BranchKind::IndirectJump:
-                  case BranchKind::IndirectCall:
-                    bpu.trainIndirect(e.di.pc, rec.indirect, e.actualNext);
-                    // Refresh the BTB's last-target hint.
-                    bpu.btb().insert(e.di.pc, e.di.kind, e.actualNext);
-                    break;
-                  default:
-                    break;
-                }
-                records.erase(rec_it);
+        const BranchRecord* rec = records.find(e.di.record, e.di.dynId);
+        if (rec) {
+            switch (e.di.kind) {
+              case BranchKind::CondDirect:
+                bpu.trainCond(e.di.pc, rec->cond, e.actualTaken);
+                break;
+              case BranchKind::IndirectJump:
+              case BranchKind::IndirectCall:
+                bpu.trainIndirect(e.di.pc, rec->indirect, e.actualNext);
+                // Refresh the BTB's last-target hint.
+                bpu.btb().insert(e.di.pc, e.di.kind, e.actualNext);
+                break;
+              default:
+                break;
             }
+            records.erase(e.di.record, e.di.dynId);
         }
 
         // Branches retire with resolution info; non-branches are simple.

@@ -75,7 +75,7 @@ class Backend
 {
   public:
     Backend(const Program& prog, TrueStream& stream, MemSystem& mem,
-            Bpu& bpu, BranchRecordMap& records, const BackendConfig& cfg);
+            Bpu& bpu, BranchRecordPool& records, const BackendConfig& cfg);
 
     /** Room for one more instruction of this type? */
     bool canDispatch(const DecodedInstr& di) const;
@@ -92,6 +92,12 @@ class Backend
 
     std::uint64_t retired() const { return stats_.retired; }
     std::size_t robOccupancy() const { return robCount; }
+
+    /** The instruction in ROB entry @p i, oldest (0) to youngest. */
+    const DecodedInstr& robInstr(std::size_t i) const
+    {
+        return slot(robBasePos + i).di;
+    }
 
     /** Hook: invoked with the pc of every retired instruction. */
     std::function<void(Addr)> onRetirePc;
@@ -187,7 +193,7 @@ class Backend
     TrueStream& stream;
     MemSystem& mem;
     Bpu& bpu;
-    BranchRecordMap& records;
+    BranchRecordPool& records;
     BackendConfig cfg;
 
     /** Ring of power-of-two capacity >= robSize, indexed pos & robMask. */

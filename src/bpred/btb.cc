@@ -11,7 +11,10 @@ Btb::Btb(const BtbConfig& c) : cfg(c)
     assert(cfg.assoc >= 1);
     numSets = cfg.numEntries / cfg.assoc;
     assert(isPowerOf2(numSets));
-    ways.resize(numSets * cfg.assoc);
+    setBits = floorLog2(numSets);
+    tags.assign(numSets * cfg.assoc, kEmptyTag);
+    entries.resize(numSets * cfg.assoc);
+    lru.assign(numSets * cfg.assoc, 0);
 }
 
 std::size_t
@@ -23,74 +26,70 @@ Btb::setOf(Addr pc) const
 Addr
 Btb::tagOf(Addr pc) const
 {
-    return (pc >> 2) / numSets;
+    return (pc >> 2) >> setBits;
+}
+
+std::ptrdiff_t
+Btb::find(Addr pc) const
+{
+    std::size_t base = setOf(pc) * cfg.assoc;
+    Addr tag = tagOf(pc);
+    for (unsigned w = 0; w < cfg.assoc; ++w) {
+        if (tags[base + w] == tag) {
+            return static_cast<std::ptrdiff_t>(base + w);
+        }
+    }
+    return -1;
 }
 
 const BtbEntry*
 Btb::lookup(Addr pc)
 {
     ++stats_.lookups;
-    std::size_t base = setOf(pc) * cfg.assoc;
-    Addr tag = tagOf(pc);
-    for (unsigned w = 0; w < cfg.assoc; ++w) {
-        Way& way = ways[base + w];
-        if (way.valid && way.tag == tag) {
-            way.lru = ++lruClock;
-            ++stats_.hits;
-            return &way.entry;
-        }
+    std::ptrdiff_t i = find(pc);
+    if (i < 0) {
+        return nullptr;
     }
-    return nullptr;
+    lru[i] = ++lruClock;
+    ++stats_.hits;
+    return &entries[i];
 }
 
 const BtbEntry*
 Btb::probe(Addr pc) const
 {
-    std::size_t base = setOf(pc) * cfg.assoc;
-    Addr tag = tagOf(pc);
-    for (unsigned w = 0; w < cfg.assoc; ++w) {
-        const Way& way = ways[base + w];
-        if (way.valid && way.tag == tag) {
-            return &way.entry;
-        }
-    }
-    return nullptr;
+    std::ptrdiff_t i = find(pc);
+    return i < 0 ? nullptr : &entries[i];
 }
 
 void
 Btb::insert(Addr pc, BranchKind kind, Addr target)
 {
-    std::size_t base = setOf(pc) * cfg.assoc;
-    Addr tag = tagOf(pc);
-
-    Way* victim = nullptr;
-    for (unsigned w = 0; w < cfg.assoc; ++w) {
-        Way& way = ways[base + w];
-        if (way.valid && way.tag == tag) {
-            way.entry.kind = kind;
-            way.entry.target = target;
-            way.lru = ++lruClock;
-            return;
-        }
-        if (!way.valid) {
-            if (!victim || victim->valid) {
-                victim = &way;
+    std::ptrdiff_t i = find(pc);
+    if (i < 0) {
+        // Victim: the first invalid way, else the least recently used
+        // (the first of equals).
+        std::size_t base = setOf(pc) * cfg.assoc;
+        std::size_t victim = base;
+        for (unsigned w = 0; w < cfg.assoc; ++w) {
+            if (tags[base + w] == kEmptyTag) {
+                victim = base + w;
+                break;
             }
-        } else if (!victim || (victim->valid && way.lru < victim->lru)) {
-            victim = &way;
+            if (lru[base + w] < lru[victim]) {
+                victim = base + w;
+            }
         }
+        if (tags[victim] != kEmptyTag) {
+            ++stats_.evictions;
+        }
+        tags[victim] = tagOf(pc);
+        ++stats_.inserts;
+        i = static_cast<std::ptrdiff_t>(victim);
     }
-
-    assert(victim);
-    if (victim->valid) {
-        ++stats_.evictions;
-    }
-    victim->valid = true;
-    victim->tag = tag;
-    victim->entry.kind = kind;
-    victim->entry.target = target;
-    victim->lru = ++lruClock;
-    ++stats_.inserts;
+    entries[i].kind = kind;
+    entries[i].target = target;
+    lru[i] = ++lruClock;
 }
 
 std::uint64_t

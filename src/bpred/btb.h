@@ -9,6 +9,7 @@
 #ifndef UDP_BPRED_BTB_H
 #define UDP_BPRED_BTB_H
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -40,7 +41,11 @@ struct BtbStats
     std::uint64_t evictions = 0;
 };
 
-/** Set-associative BTB with true-LRU replacement. */
+/**
+ * Set-associative BTB with true-LRU replacement, stored as parallel flat
+ * arrays (tags, entries, LRU stamps), so a lookup scans one set's tags
+ * from a single contiguous run (64 B at 8 ways).
+ */
 class Btb
 {
   public:
@@ -61,20 +66,21 @@ class Btb
     std::uint64_t storageBits() const;
 
   private:
-    struct Way
-    {
-        bool valid = false;
-        Addr tag = 0;
-        BtbEntry entry;
-        std::uint64_t lru = 0;
-    };
+    /** Tag of an invalid way; tagOf() never yields it (pc >> 2 < 2^62). */
+    static constexpr Addr kEmptyTag = ~Addr{0};
 
     std::size_t setOf(Addr pc) const;
     Addr tagOf(Addr pc) const;
+    /** Way index (set-major) holding @p pc, or -1 on a miss. */
+    std::ptrdiff_t find(Addr pc) const;
 
     BtbConfig cfg;
     std::size_t numSets;
-    std::vector<Way> ways; ///< numSets * assoc, row-major
+    unsigned setBits; ///< log2(numSets)
+    // numSets * assoc ways, set-major, in three parallel arrays.
+    std::vector<Addr> tags;
+    std::vector<BtbEntry> entries;
+    std::vector<std::uint64_t> lru;
     std::uint64_t lruClock = 0;
     BtbStats stats_;
 };

@@ -11,8 +11,11 @@
 #ifndef UDP_BPRED_HISTORY_H
 #define UDP_BPRED_HISTORY_H
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
+
+#include "common/intmath.h"
 
 namespace udp {
 
@@ -20,25 +23,23 @@ namespace udp {
 class GlobalHistory
 {
   public:
+    /** @param capacity_bits a power of two, so positions wrap by mask */
     explicit GlobalHistory(std::size_t capacity_bits = 1 << 16)
-        : buf(capacity_bits, 0)
+        : buf(capacity_bits, 0), mask(capacity_bits - 1)
     {
+        assert(isPowerOf2(capacity_bits));
     }
 
     /** Appends the newest outcome bit. */
     void
     push(bool bit)
     {
-        head = (head + 1) % buf.size();
+        head = (head + 1) & mask;
         buf[head] = bit ? 1 : 0;
     }
 
     /** Outcome @p age steps in the past (0 = most recent). */
-    bool
-    bit(std::size_t age) const
-    {
-        return buf[(head + buf.size() - (age % buf.size())) % buf.size()] != 0;
-    }
+    bool bit(std::size_t age) const { return buf[(head - age) & mask] != 0; }
 
     /** Packs the most recent @p n bits (n <= 64), bit 0 = newest. */
     std::uint64_t
@@ -54,30 +55,33 @@ class GlobalHistory
     std::uint64_t position() const { return head; }
 
     /** Rewinds (or replays) to a previously captured position. */
-    void setPosition(std::uint64_t pos) { head = pos % buf.size(); }
+    void setPosition(std::uint64_t pos) { head = pos & mask; }
 
     std::size_t capacity() const { return buf.size(); }
 
   private:
     std::vector<std::uint8_t> buf;
+    std::uint64_t mask;
     std::uint64_t head = 0;
 };
 
 /**
- * A folded (CSR) history register of @p width bits compressing the last
- * @p length outcome bits, maintained incrementally (Seznec's scheme).
+ * A folded (CSR) history register of `width` bits compressing the last
+ * `hist_len` outcome bits, maintained incrementally (Seznec's scheme).
  */
 struct FoldedHistory
 {
     std::uint32_t comp = 0;
-    std::uint16_t length = 0;
     std::uint16_t width = 1;
+    /** hist_len % width: where the bit leaving the window folds in. */
+    std::uint16_t outPos = 0;
 
     void
     configure(unsigned hist_len, unsigned fold_width)
     {
-        length = static_cast<std::uint16_t>(hist_len);
         width = static_cast<std::uint16_t>(fold_width ? fold_width : 1);
+        outPos = static_cast<std::uint16_t>(
+            static_cast<std::uint16_t>(hist_len) % width);
         comp = 0;
     }
 
@@ -89,7 +93,7 @@ struct FoldedHistory
     update(bool new_bit, bool old_bit)
     {
         comp = (comp << 1) | (new_bit ? 1u : 0u);
-        comp ^= (old_bit ? 1u : 0u) << (length % width);
+        comp ^= (old_bit ? 1u : 0u) << outPos;
         comp ^= comp >> width;
         comp &= (1u << width) - 1;
     }

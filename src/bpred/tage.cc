@@ -135,9 +135,11 @@ Tage::snapshot() const
     TageHistState s;
     s.ghistPos = ghist.position();
     s.pathHist = pathHist;
-    s.idxFold = idxFold;
-    s.tagFold1 = tagFold1;
-    s.tagFold2 = tagFold2;
+    for (unsigned t = 0; t < cfg.numTables; ++t) {
+        s.idxFold[t] = idxFold[t].comp;
+        s.tagFold1[t] = tagFold1[t].comp;
+        s.tagFold2[t] = tagFold2[t].comp;
+    }
     return s;
 }
 
@@ -146,9 +148,11 @@ Tage::restore(const TageHistState& s)
 {
     ghist.setPosition(s.ghistPos);
     pathHist = s.pathHist;
-    idxFold = s.idxFold;
-    tagFold1 = s.tagFold1;
-    tagFold2 = s.tagFold2;
+    for (unsigned t = 0; t < cfg.numTables; ++t) {
+        idxFold[t].comp = s.idxFold[t];
+        tagFold1[t].comp = s.tagFold1[t];
+        tagFold2[t].comp = s.tagFold2[t];
+    }
 }
 
 void

@@ -37,14 +37,18 @@ struct TageConfig
     unsigned usefulResetPeriod = 1 << 18; ///< updates between u-bit aging
 };
 
-/** Snapshot of all speculative history state (for recovery). */
+/**
+ * Snapshot of all speculative history state (for recovery). The folds
+ * hold FoldedHistory::comp of the configured tables only; their geometry
+ * never changes, so the predictor keeps it.
+ */
 struct TageHistState
 {
     std::uint64_t ghistPos = 0;
     std::uint64_t pathHist = 0;
-    std::array<FoldedHistory, kMaxTageTables> idxFold;
-    std::array<FoldedHistory, kMaxTageTables> tagFold1;
-    std::array<FoldedHistory, kMaxTageTables> tagFold2;
+    std::array<std::uint32_t, kMaxTageTables> idxFold{};
+    std::array<std::uint32_t, kMaxTageTables> tagFold1{};
+    std::array<std::uint32_t, kMaxTageTables> tagFold2{};
 };
 
 /** Per-prediction record, retained until update/squash. */

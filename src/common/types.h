@@ -24,6 +24,9 @@ using InstSeq = std::uint64_t;
 /** Index of a static instruction within a Program image. */
 using InstIdx = std::uint32_t;
 
+/** Slot of an in-flight branch's prediction record (frontend/records.h). */
+using RecordHandle = std::uint32_t;
+
 /** Sentinel for "no address". */
 inline constexpr Addr kInvalidAddr = std::numeric_limits<Addr>::max();
 
@@ -32,6 +35,10 @@ inline constexpr Cycle kInvalidCycle = std::numeric_limits<Cycle>::max();
 
 /** Sentinel for "no sequence number". */
 inline constexpr InstSeq kInvalidSeq = std::numeric_limits<InstSeq>::max();
+
+/** Sentinel for "no prediction record". */
+inline constexpr RecordHandle kNoRecord =
+    std::numeric_limits<RecordHandle>::max();
 
 /** Size of every synthetic instruction in bytes (fixed-width ISA). */
 inline constexpr unsigned kInstrBytes = 4;

@@ -8,7 +8,7 @@
 namespace udp {
 
 DecoupledFrontend::DecoupledFrontend(const Program& prog, TrueStream& strm,
-                                     Bpu& bp, Ftq& q, BranchRecordMap& recs,
+                                     Bpu& bp, Ftq& q, BranchRecordPool& recs,
                                      const FrontendConfig& c)
     : program(prog), stream(strm), bpu(bp), ftq(q), records(recs), cfg(c),
       pc(prog.entryPc())
@@ -51,7 +51,7 @@ bool
 DecoupledFrontend::buildBlock(Cycle now)
 {
     (void)now;
-    FtqEntry entry;
+    FtqEntry& entry = ftq.beginPush();
     entry.id = ftq.allocId();
     entry.startPc = pc;
     entry.onPath = aligned;
@@ -65,7 +65,8 @@ DecoupledFrontend::buildBlock(Cycle now)
 
     while (cur < region_end && entry.numInstrs < kInstrsPerFetchBlock) {
         cur = clampPc(cur);
-        FtqInstr fi;
+        FtqInstr& fi = entry.instrs[entry.numInstrs];
+        fi = FtqInstr();
         fi.idx = program.indexOf(cur);
         fi.pc = cur;
         fi.dynId = dynIdCounter++;
@@ -85,9 +86,10 @@ DecoupledFrontend::buildBlock(Cycle now)
         const BtbEntry* be = bpu.btb().lookup(cur);
         bool terminate = false;
 
-        if (be) {
+        if (be && be->kind != BranchKind::None) {
             fi.predictedBranch = true;
-            BranchRecord rec;
+            fi.record = records.alloc(fi.dynId);
+            BranchRecord& rec = records.at(fi.record);
             rec.kind = be->kind;
             rec.ckpt = bpu.checkpoint();
 
@@ -146,11 +148,7 @@ DecoupledFrontend::buildBlock(Cycle now)
                 break;
               }
               case BranchKind::None:
-                fi.predictedBranch = false;
                 break;
-            }
-            if (fi.predictedBranch) {
-                records.emplace(fi.dynId, std::move(rec));
             }
         }
 
@@ -169,7 +167,7 @@ DecoupledFrontend::buildBlock(Cycle now)
             }
         }
 
-        entry.instrs[entry.numInstrs++] = fi;
+        ++entry.numInstrs;
         cur += kInstrBytes;
         if (terminate) {
             next_pc = fi.predTarget;
@@ -183,7 +181,7 @@ DecoupledFrontend::buildBlock(Cycle now)
     pc = clampPc(next_pc);
 
     ++stats_.blocksBuilt;
-    ftq.push(std::move(entry));
+    ftq.commitPush();
     return true;
 }
 

@@ -61,7 +61,7 @@ class DecoupledFrontend
 {
   public:
     DecoupledFrontend(const Program& prog, TrueStream& stream, Bpu& bpu,
-                      Ftq& ftq, BranchRecordMap& records,
+                      Ftq& ftq, BranchRecordPool& records,
                       const FrontendConfig& cfg);
 
     /** Builds up to blocksPerCycle fetch blocks. */
@@ -102,7 +102,7 @@ class DecoupledFrontend
     TrueStream& stream;
     Bpu& bpu;
     Ftq& ftq;
-    BranchRecordMap& records;
+    BranchRecordPool& records;
     FrontendConfig cfg;
     FrontendHooks hooks_;
 

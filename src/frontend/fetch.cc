@@ -6,10 +6,10 @@
 namespace udp {
 
 FetchStage::FetchStage(const Program& prog, Bpu& bp, MemSystem& m, Ftq& q,
-                       DecoupledFrontend& fe, BranchRecordMap& recs,
+                       DecoupledFrontend& fe, BranchRecordPool& recs,
                        const FetchConfig& c)
     : program(prog), bpu(bp), mem(m), ftq(q), frontend(fe), records(recs),
-      cfg(c)
+      cfg(c), decodeQ(c.decodeQueueMax + c.fetchWidth)
 {
 }
 
@@ -40,7 +40,8 @@ FetchStage::postFetchCorrect(DecodedInstr& di, Cycle now)
     }
     bpu.btb().insert(di.pc, sin.branch, direct_target);
 
-    BranchRecord rec;
+    di.record = records.alloc(di.dynId);
+    BranchRecord& rec = records.at(di.record);
     rec.kind = sin.branch;
     rec.fromDecode = true;
     rec.ckpt = bpu.checkpoint();
@@ -89,7 +90,6 @@ FetchStage::postFetchCorrect(DecodedInstr& di, Cycle now)
     di.predictedBranch = true;
     di.predTaken = taken;
     di.predTarget = taken ? target : kInvalidAddr;
-    records.emplace(di.dynId, std::move(rec));
 
     if (!taken) {
         // Sequential continuation was correct from the frontend's point of
@@ -113,9 +113,7 @@ FetchStage::postFetchCorrect(DecodedInstr& di, Cycle now)
     for (std::size_t i = 0; i < ftq.size(); ++i) {
         const FtqEntry& e = ftq.at(i);
         for (unsigned k = 0; k < e.numInstrs; ++k) {
-            if (e.instrs[k].predictedBranch) {
-                records.erase(e.instrs[k].dynId);
-            }
+            records.erase(e.instrs[k].record, e.instrs[k].dynId);
         }
     }
     ftq.flush();
@@ -183,6 +181,7 @@ FetchStage::tick(Cycle now)
             DecodedInstr di;
             di.dynId = fi.dynId;
             di.idx = fi.idx;
+            di.record = fi.record;
             di.pc = fi.pc;
             di.type = sin.type;
             di.kind = sin.branch;
@@ -202,19 +201,19 @@ FetchStage::tick(Cycle now)
             ++stats_.instrsDelivered;
 
             resteered = postFetchCorrect(di, now);
-            decodeQ.push_back(di);
+            decodeQ.pushBack(di);
             if (resteered) {
                 return; // younger state flushed
             }
         }
 
         if (headConsumed >= head.numInstrs) {
-            FtqEntry done = ftq.popFront();
             headAccessed = false;
             headConsumed = 0;
             if (onBlockConsumed) {
-                onBlockConsumed(done);
+                onBlockConsumed(head);
             }
+            ftq.popFront();
         } else {
             break; // width exhausted mid-block
         }

@@ -11,12 +11,12 @@
 #define UDP_FRONTEND_FETCH_H
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 
 #include "bpred/bpu.h"
 #include "cache/memsys.h"
+#include "common/ring.h"
 #include "common/types.h"
 #include "frontend/decoupled_fe.h"
 #include "frontend/ftq.h"
@@ -30,6 +30,9 @@ struct DecodedInstr
 {
     std::uint64_t dynId = 0;
     InstIdx idx = 0;
+    /** Pool slot of this branch's prediction record (predicted branches;
+     *  sits in what would otherwise be padding). */
+    RecordHandle record = kNoRecord;
     Addr pc = kInvalidAddr;
     InstrType type = InstrType::Alu;
     BranchKind kind = BranchKind::None;
@@ -71,14 +74,18 @@ class FetchStage
 {
   public:
     FetchStage(const Program& prog, Bpu& bpu, MemSystem& mem, Ftq& ftq,
-               DecoupledFrontend& fe, BranchRecordMap& records,
+               DecoupledFrontend& fe, BranchRecordPool& records,
                const FetchConfig& cfg);
 
     /** One cycle of fetch + decode delivery. */
     void tick(Cycle now);
 
     /** Decode output queue (backend dispatch pulls from here). */
-    std::deque<DecodedInstr>& decodeQueue() { return decodeQ; }
+    Ring<DecodedInstr>& decodeQueue() { return decodeQ; }
+    const Ring<DecodedInstr>& decodeQueue() const { return decodeQ; }
+
+    /** Instructions of the head FTQ block already delivered to decode. */
+    unsigned headDelivered() const { return headConsumed; }
 
     /** Squashes everything in fetch/decode (execute-stage resteer). */
     void flushAll();
@@ -116,10 +123,11 @@ class FetchStage
     MemSystem& mem;
     Ftq& ftq;
     DecoupledFrontend& frontend;
-    BranchRecordMap& records;
+    BranchRecordPool& records;
     FetchConfig cfg;
 
-    std::deque<DecodedInstr> decodeQ;
+    /** Sized to the bound checkInvariants() enforces: it never grows. */
+    Ring<DecodedInstr> decodeQ;
 
     /** Per-head-block progress. */
     bool headAccessed = false;

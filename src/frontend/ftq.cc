@@ -9,7 +9,7 @@
 namespace udp {
 
 Ftq::Ftq(std::size_t physical_capacity, std::size_t capacity)
-    : physCap(physical_capacity),
+    : physCap(physical_capacity), q(physical_capacity),
       capacity_(std::clamp<std::size_t>(capacity, 1, physical_capacity))
 {
 }
@@ -20,24 +20,29 @@ Ftq::setCapacity(std::size_t c)
     capacity_ = std::clamp<std::size_t>(c, 1, physCap);
 }
 
-void
-Ftq::push(FtqEntry e)
+FtqEntry&
+Ftq::beginPush()
 {
     assert(!full());
-    ++stats_.pushes;
-    if (telem_) {
-        telem_->onFtqPush(e.startPc);
-    }
-    q.push_back(std::move(e));
+    FtqEntry& e = q.tail();
+    e.id = 0;
+    e.startPc = kInvalidAddr;
+    e.numInstrs = 0;
+    e.onPath = false;
+    e.prefetchProbed = false;
+    e.assumedOffPath = false;
+    e.udpOffPathCandidate = false;
+    return e;
 }
 
-FtqEntry
-Ftq::popFront()
+void
+Ftq::commitPush()
 {
-    assert(!q.empty());
-    FtqEntry e = std::move(q.front());
-    q.pop_front();
-    return e;
+    ++stats_.pushes;
+    if (telem_) {
+        telem_->onFtqPush(q.tail().startPc);
+    }
+    q.pushBack();
 }
 
 void

@@ -10,9 +10,9 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <string>
 
+#include "common/ring.h"
 #include "common/types.h"
 #include "workload/isa.h"
 
@@ -24,6 +24,9 @@ class Telemetry;
 struct FtqInstr
 {
     InstIdx idx = 0;
+    /** Pool slot of this branch's prediction record (predicted branches;
+     *  sits in what would otherwise be padding). */
+    RecordHandle record = kNoRecord;
     Addr pc = kInvalidAddr;
     /** Unique dynamic id assigned by the frontend (key for records). */
     std::uint64_t dynId = 0;
@@ -37,7 +40,11 @@ struct FtqInstr
     Addr predTarget = kInvalidAddr;
 };
 
-/** One fetch block (32 B aligned region, terminated early by taken CTI). */
+/**
+ * One fetch block (32 B aligned region, terminated early by taken CTI).
+ * Only instrs[0, numInstrs) are meaningful: a reused FTQ slot keeps stale
+ * instructions beyond numInstrs.
+ */
 struct FtqEntry
 {
     std::uint64_t id = 0; ///< monotonically increasing entry id
@@ -99,15 +106,22 @@ class Ftq
      */
     void setCapacity(std::size_t c);
 
-    /** Appends a block; the caller must check full() first. */
-    void push(FtqEntry e);
+    /**
+     * Returns the slot past the newest block with its header cleared
+     * (numInstrs = 0), for the caller to fill in place; commitPush()
+     * then appends it. The caller must check full() first.
+     */
+    FtqEntry& beginPush();
+
+    /** Appends the block filled in since beginPush(). */
+    void commitPush();
 
     /** Oldest block (fetch side). */
     FtqEntry& front() { return q.front(); }
     const FtqEntry& front() const { return q.front(); }
 
-    /** Pops the oldest block after the fetch stage consumed it. */
-    FtqEntry popFront();
+    /** Drops the oldest block after the fetch stage consumed it. */
+    void popFront() { q.popFront(); }
 
     /** Random access from oldest (0) to newest (size-1), for FDIP scan. */
     FtqEntry& at(std::size_t i) { return q[i]; }
@@ -145,8 +159,9 @@ class Ftq
 
   private:
     Telemetry* telem_ = nullptr;
-    std::deque<FtqEntry> q;
     std::size_t physCap;
+    /** Sized from physCap, which size() never exceeds: it never grows. */
+    Ring<FtqEntry> q;
     std::size_t capacity_;
     std::uint64_t nextId = 1;
     FtqStats stats_;

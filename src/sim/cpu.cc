@@ -117,14 +117,13 @@ Cpu::applyResteer(const ResteerRequest& req)
     for (std::size_t i = 0; i < ftq_->size(); ++i) {
         const FtqEntry& e = ftq_->at(i);
         for (unsigned k = 0; k < e.numInstrs; ++k) {
-            if (e.instrs[k].predictedBranch) {
-                records_.erase(e.instrs[k].dynId);
-            }
+            records_.erase(e.instrs[k].record, e.instrs[k].dynId);
         }
     }
-    for (const DecodedInstr& di : fetch_->decodeQueue()) {
-        if (di.predictedBranch && di.dynId > req.squashAfterDynId) {
-            records_.erase(di.dynId);
+    const Ring<DecodedInstr>& dq = fetch_->decodeQueue();
+    for (std::size_t i = 0; i < dq.size(); ++i) {
+        if (dq[i].dynId > req.squashAfterDynId) {
+            records_.erase(dq[i].record, dq[i].dynId);
         }
     }
 
@@ -180,7 +179,7 @@ Cpu::cycle()
     while (budget > 0 && !dq.empty() && dq.front().readyAt <= now_ &&
            backend_->canDispatch(dq.front())) {
         backend_->dispatch(dq.front(), now_);
-        dq.pop_front();
+        dq.popFront();
         --budget;
     }
 

@@ -55,6 +55,7 @@ class Cpu
     const FetchStage& fetch() const { return *fetch_; }
     const DecoupledFrontend& frontend() const { return *fe_; }
     const Backend& backend() const { return *backend_; }
+    const BranchRecordPool& records() const { return records_; }
     const UdpEngine* udp() const { return udp_.get(); }
     const UftqController* uftq() const { return uftq_.get(); }
     const Eip* eip() const { return eip_.get(); }
@@ -81,7 +82,7 @@ class Cpu
     std::unique_ptr<Bpu> bpu_;
     std::unique_ptr<MemSystem> mem_;
     std::unique_ptr<Ftq> ftq_;
-    BranchRecordMap records_;
+    BranchRecordPool records_;
     std::unique_ptr<DecoupledFrontend> fe_;
     std::unique_ptr<FetchStage> fetch_;
     std::unique_ptr<FdipEngine> fdip_;

@@ -23,7 +23,8 @@ class Cpu;
 /** One detected violation: which component, and what it reported. */
 struct InvariantFailure
 {
-    std::string component; ///< "ftq", "mshr", "fetch", "rob", "uftq", "udp"
+    /** "ftq", "mshr", "fetch", "rob", "records", "uftq" or "udp" */
+    std::string component;
     std::string detail;    ///< component-produced message
 };
 

@@ -13,8 +13,8 @@
 
 #include <cassert>
 #include <cstdint>
-#include <deque>
 
+#include "common/ring.h"
 #include "workload/walker.h"
 
 namespace udp {
@@ -23,15 +23,18 @@ namespace udp {
 class TrueStream
 {
   public:
-    explicit TrueStream(const Program& prog) : walker(prog) {}
+    explicit TrueStream(const Program& prog) : walker(prog), buf(64) {}
 
-    /** The instruction at absolute position @p i (extends on demand). */
+    /**
+     * The instruction at absolute position @p i (extends on demand). The
+     * reference is valid until the window next extends.
+     */
     const ArchInstr&
     at(std::uint64_t i)
     {
         assert(i >= base && "position already retired");
         while (base + buf.size() <= i) {
-            buf.push_back(walker.step());
+            buf.pushBack(walker.step());
         }
         return buf[static_cast<std::size_t>(i - base)];
     }
@@ -41,7 +44,7 @@ class TrueStream
     retireBelow(std::uint64_t i)
     {
         while (base < i && !buf.empty()) {
-            buf.pop_front();
+            buf.popFront();
             ++base;
         }
     }
@@ -51,7 +54,8 @@ class TrueStream
 
   private:
     Walker walker;
-    std::deque<ArchInstr> buf;
+    /** Grows to the in-flight window during warm-up, then stays put. */
+    Ring<ArchInstr> buf;
     std::uint64_t base = 0;
 };
 

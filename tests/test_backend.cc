@@ -50,7 +50,7 @@ struct BackendHarness
     TrueStream stream{prog};
     MemSystem mem{MemSysConfig{}};
     Bpu bpu{BpuConfig{}};
-    BranchRecordMap records;
+    BranchRecordPool records;
     BackendConfig cfg;
     std::unique_ptr<Backend> be;
 
@@ -91,13 +91,13 @@ struct BackendHarness
         di.readyAt = ready;
         if (sin.branch == BranchKind::CondDirect) {
             di.predictedBranch = true;
-            BranchRecord rec;
+            di.record = records.alloc(di.dynId);
+            BranchRecord& rec = records.at(di.record);
             rec.kind = sin.branch;
             rec.ckpt = bpu.checkpoint();
             rec.cond = bpu.predictCond(di.pc);
             di.predTaken = rec.cond.taken;
             di.predTarget = prog.pcOf(sin.target);
-            records.emplace(di.dynId, std::move(rec));
         }
         return di;
     }
@@ -221,7 +221,7 @@ TEST(Backend, CorrectPredictionNoResteer)
     bool resteer_seen = false;
     for (now = 2; now < 600; ++now) {
         ResteerRequest r = h.be->tick(now);
-        resteer_seen |= r.valid && !h.records.empty();
+        resteer_seen |= r.valid && h.records.size() != 0;
         if (h.be->robOccupancy() == 0) {
             break;
         }

@@ -366,6 +366,150 @@ TEST(Btb, LookupTouchesLru)
     EXPECT_EQ(btb.probe(b), nullptr);
 }
 
+/**
+ * Reference model: the BTB as an array of per-way (valid, tag, entry,
+ * LRU) records with a divided tag, the layout the flat Btb replaced.
+ */
+class RefBtb
+{
+  public:
+    RefBtb(unsigned entries, unsigned assoc)
+        : assoc(assoc), numSets(entries / assoc), ways(entries)
+    {
+    }
+
+    const BtbEntry*
+    lookup(Addr pc)
+    {
+        ++stats.lookups;
+        Way* way = find(pc);
+        if (!way) {
+            return nullptr;
+        }
+        way->lru = ++lruClock;
+        ++stats.hits;
+        return &way->entry;
+    }
+
+    const BtbEntry*
+    probe(Addr pc)
+    {
+        Way* way = find(pc);
+        return way ? &way->entry : nullptr;
+    }
+
+    void
+    insert(Addr pc, BranchKind kind, Addr target)
+    {
+        Way* victim = nullptr;
+        for (unsigned w = 0; w < assoc; ++w) {
+            Way& way = ways[setOf(pc) * assoc + w];
+            if (way.valid && way.tag == tagOf(pc)) {
+                way.entry = BtbEntry{kind, target};
+                way.lru = ++lruClock;
+                return;
+            }
+            if (!way.valid) {
+                if (!victim || victim->valid) {
+                    victim = &way;
+                }
+            } else if (!victim || (victim->valid && way.lru < victim->lru)) {
+                victim = &way;
+            }
+        }
+        if (victim->valid) {
+            ++stats.evictions;
+        }
+        *victim = Way{true, tagOf(pc), BtbEntry{kind, target}, ++lruClock};
+        ++stats.inserts;
+    }
+
+    BtbStats stats;
+
+  private:
+    struct Way
+    {
+        bool valid = false;
+        Addr tag = 0;
+        BtbEntry entry;
+        std::uint64_t lru = 0;
+    };
+
+    std::size_t setOf(Addr pc) const { return (pc >> 2) & (numSets - 1); }
+    Addr tagOf(Addr pc) const { return (pc >> 2) / numSets; }
+
+    Way*
+    find(Addr pc)
+    {
+        for (unsigned w = 0; w < assoc; ++w) {
+            Way& way = ways[setOf(pc) * assoc + w];
+            if (way.valid && way.tag == tagOf(pc)) {
+                return &way;
+            }
+        }
+        return nullptr;
+    }
+
+    unsigned assoc;
+    std::size_t numSets;
+    std::vector<Way> ways;
+    std::uint64_t lruClock = 0;
+};
+
+TEST(Btb, MatchesPerWayReferenceModel)
+{
+    BtbConfig cfg;
+    cfg.numEntries = 64;
+    cfg.assoc = 4;
+    Btb btb(cfg);
+    RefBtb ref(cfg.numEntries, cfg.assoc);
+
+    // Six consecutive tags in each of the 16 sets against four ways, so
+    // sets overflow and neighbouring tags must stay distinct.
+    std::vector<Addr> pcs;
+    for (Addr tag = 0; tag < 6; ++tag) {
+        for (Addr set = 0; set < 16; ++set) {
+            pcs.push_back(0x400000 + (tag * 16 + set) * 4);
+        }
+    }
+    Rng rng(2024);
+    for (int step = 0; step < 20000; ++step) {
+        Addr pc = pcs[rng.below(pcs.size())];
+        if (rng.chance(0.4)) {
+            auto kind = static_cast<BranchKind>(1 + rng.below(6));
+            Addr target = 0x500000 + rng.below(1024) * 4;
+            btb.insert(pc, kind, target);
+            ref.insert(pc, kind, target);
+            // Equal contents after every insert: the victims agree.
+            for (Addr q : pcs) {
+                const BtbEntry* got = btb.probe(q);
+                const BtbEntry* want = ref.probe(q);
+                ASSERT_EQ(got != nullptr, want != nullptr)
+                    << "pc " << q << " step " << step;
+                if (got) {
+                    ASSERT_EQ(got->kind, want->kind);
+                    ASSERT_EQ(got->target, want->target);
+                }
+            }
+        } else {
+            const BtbEntry* got = btb.lookup(pc);
+            const BtbEntry* want = ref.lookup(pc);
+            ASSERT_EQ(got != nullptr, want != nullptr)
+                << "pc " << pc << " step " << step;
+            if (got) {
+                ASSERT_EQ(got->kind, want->kind);
+                ASSERT_EQ(got->target, want->target);
+            }
+        }
+    }
+    EXPECT_EQ(btb.stats().lookups, ref.stats.lookups);
+    EXPECT_EQ(btb.stats().hits, ref.stats.hits);
+    EXPECT_EQ(btb.stats().inserts, ref.stats.inserts);
+    EXPECT_EQ(btb.stats().evictions, ref.stats.evictions);
+    EXPECT_GT(btb.stats().evictions, 1000u);
+    EXPECT_GT(btb.stats().hits, 1000u);
+}
+
 // ------------------------------------------------------------------ IBTB
 
 TEST(Ibtb, LearnsStableTarget)

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "frontend/decoupled_fe.h"
 #include "frontend/fdip.h"
 #include "frontend/fetch.h"
@@ -22,15 +23,15 @@ TEST(Ftq, CapacityAndPushPop)
     Ftq q(64, 4);
     EXPECT_TRUE(q.empty());
     for (int i = 0; i < 4; ++i) {
-        FtqEntry e;
+        FtqEntry& e = q.beginPush();
         e.id = q.allocId();
         e.startPc = 0x400000 + Addr{i} * 32;
-        q.push(std::move(e));
+        q.commitPush();
     }
     EXPECT_TRUE(q.full());
     EXPECT_EQ(q.size(), 4u);
-    FtqEntry head = q.popFront();
-    EXPECT_EQ(head.startPc, 0x400000u);
+    EXPECT_EQ(q.front().startPc, 0x400000u);
+    q.popFront();
     EXPECT_FALSE(q.full());
 }
 
@@ -47,9 +48,9 @@ TEST(Ftq, ShrinkRetainsEntries)
 {
     Ftq q(64, 8);
     for (int i = 0; i < 8; ++i) {
-        FtqEntry e;
+        FtqEntry& e = q.beginPush();
         e.id = q.allocId();
-        q.push(std::move(e));
+        q.commitPush();
     }
     q.setCapacity(2);
     EXPECT_EQ(q.size(), 8u); // drains naturally
@@ -59,9 +60,9 @@ TEST(Ftq, ShrinkRetainsEntries)
 TEST(Ftq, FlushClearsAndCounts)
 {
     Ftq q(64, 8);
-    FtqEntry e;
+    FtqEntry& e = q.beginPush();
     e.id = q.allocId();
-    q.push(std::move(e));
+    q.commitPush();
     q.flush();
     EXPECT_TRUE(q.empty());
     EXPECT_EQ(q.stats().flushes, 1u);
@@ -73,9 +74,9 @@ TEST(Ftq, OccupancyMeanAndReset)
     EXPECT_DOUBLE_EQ(q.stats().meanOccupancy(), 0.0);
     q.sampleOccupancy(); // 0 entries
     for (int i = 0; i < 3; ++i) {
-        FtqEntry e;
+        FtqEntry& e = q.beginPush();
         e.id = q.allocId();
-        q.push(std::move(e));
+        q.commitPush();
     }
     q.sampleOccupancy(); // 3 entries
     q.sampleOccupancy(); // 3 entries
@@ -92,11 +93,154 @@ TEST(Ftq, OccupancyMeanAndReset)
     EXPECT_DOUBLE_EQ(q.stats().meanOccupancy(), 3.0);
 }
 
+/** Appends a block tagged @p pc (startPc and one instruction). */
+void
+pushTagged(Ftq& q, Addr pc)
+{
+    FtqEntry& e = q.beginPush();
+    e.id = q.allocId();
+    e.startPc = pc;
+    e.instrs[0].pc = pc;
+    e.numInstrs = 1;
+    q.commitPush();
+}
+
+TEST(Ftq, RingWrapKeepsOldestFirstOrder)
+{
+    Ftq q(6, 6); // the ring rounds 6 slots up to 8
+    Addr next_push = 0;
+    Addr next_pop = 0;
+    // Push 12x the physical capacity through at random occupancies, so
+    // the head and tail wrap the 8-slot ring many times.
+    Rng rng(99);
+    while (next_push < 3 * 6 * 4) {
+        if (!q.full() && (q.empty() || rng.chance(0.6))) {
+            pushTagged(q, 0x400000 + next_push++ * 32);
+        } else {
+            ASSERT_EQ(q.front().startPc, 0x400000 + next_pop * 32);
+            q.popFront();
+            ++next_pop;
+        }
+        ASSERT_EQ(q.size(), next_push - next_pop);
+        for (std::size_t i = 0; i < q.size(); ++i) {
+            ASSERT_EQ(q.at(i).startPc, 0x400000 + (next_pop + i) * 32);
+        }
+        ASSERT_EQ(q.checkInvariants(/*full=*/true), "");
+    }
+
+    // A flush in mid-wrap empties the queue; pushing resumes cleanly.
+    ASSERT_FALSE(q.empty());
+    q.flush();
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.size(), 0u);
+    pushTagged(q, 0x500000);
+    EXPECT_EQ(q.size(), 1u);
+    EXPECT_EQ(q.front().startPc, 0x500000u);
+    EXPECT_EQ(q.front().numInstrs, 1u);
+
+    // Shrinking below the occupancy keeps every entry, in order.
+    for (int i = 1; i < 6; ++i) {
+        pushTagged(q, 0x500000 + Addr(i) * 32);
+    }
+    q.setCapacity(2);
+    EXPECT_TRUE(q.full());
+    ASSERT_EQ(q.size(), 6u);
+    for (std::size_t i = 0; i < 6; ++i) {
+        EXPECT_EQ(q.at(i).startPc, 0x500000 + i * 32);
+    }
+}
+
+TEST(Ftq, BeginPushClearsReusedHeader)
+{
+    Ftq q(2, 2);
+    for (int round = 0; round < 4; ++round) {
+        FtqEntry& e = q.beginPush();
+        EXPECT_EQ(e.numInstrs, 0u);
+        EXPECT_EQ(e.startPc, kInvalidAddr);
+        EXPECT_FALSE(e.onPath || e.prefetchProbed || e.assumedOffPath ||
+                     e.udpOffPathCandidate);
+        e.id = q.allocId();
+        e.startPc = 0x400000;
+        e.numInstrs = 3;
+        e.onPath = e.prefetchProbed = e.assumedOffPath = true;
+        e.udpOffPathCandidate = true;
+        q.commitPush();
+        q.popFront();
+    }
+    EXPECT_EQ(q.stats().pushes, 4u);
+}
+
 TEST(Ftq, LineOfBlock)
 {
     FtqEntry e;
     e.startPc = 0x400020; // second 32B block of the line
     EXPECT_EQ(e.line(), 0x400000u);
+}
+
+// ------------------------------------------------------------ record pool
+
+TEST(BranchRecordPool, SecondEraseIsNoOp)
+{
+    BranchRecordPool pool;
+    RecordHandle a = pool.alloc(10);
+    RecordHandle b = pool.alloc(11);
+    EXPECT_EQ(pool.size(), 2u);
+    pool.erase(a, 10);
+    EXPECT_EQ(pool.size(), 1u);
+    pool.erase(a, 10);
+    EXPECT_EQ(pool.size(), 1u);
+    EXPECT_EQ(pool.find(a, 10), nullptr);
+    EXPECT_NE(pool.find(b, 11), nullptr);
+    // No handle at all (an unpredicted instruction) finds nothing.
+    EXPECT_EQ(pool.find(kNoRecord, 11), nullptr);
+    pool.erase(kNoRecord, 11);
+    EXPECT_EQ(pool.size(), 1u);
+}
+
+TEST(BranchRecordPool, RecycledSlotBelongsToNewOwnerOnly)
+{
+    BranchRecordPool pool;
+    RecordHandle old_h = pool.alloc(5);
+    pool.at(old_h).kind = BranchKind::Return;
+    pool.at(old_h).fromDecode = true;
+    pool.erase(old_h, 5);
+
+    RecordHandle new_h = pool.alloc(9);
+    ASSERT_EQ(new_h, old_h); // the freed slot is reused
+    // The earlier owner, still carrying the handle, finds nothing and
+    // cannot erase the new owner's record.
+    EXPECT_EQ(pool.find(old_h, 5), nullptr);
+    pool.erase(old_h, 5);
+    EXPECT_EQ(pool.size(), 1u);
+    // The new owner finds a fresh record, not the old contents.
+    BranchRecord* rec = pool.find(new_h, 9);
+    ASSERT_NE(rec, nullptr);
+    EXPECT_EQ(rec->kind, BranchKind::None);
+    EXPECT_FALSE(rec->fromDecode);
+}
+
+TEST(BranchRecordPool, SizeCountsLiveRecordsOnly)
+{
+    BranchRecordPool pool;
+    std::vector<RecordHandle> hs;
+    for (std::uint64_t id = 1; id <= 50; ++id) {
+        hs.push_back(pool.alloc(id));
+    }
+    for (std::uint64_t id = 1; id <= 50; id += 2) {
+        pool.erase(hs[id - 1], id);
+    }
+    EXPECT_EQ(pool.size(), 25u);
+    EXPECT_EQ(pool.slotCount(), 50u);
+    for (std::uint64_t id = 100; id < 110; ++id) {
+        pool.alloc(id);
+    }
+    EXPECT_EQ(pool.size(), 35u);
+    EXPECT_EQ(pool.slotCount(), 50u); // the free slots absorbed them
+    std::size_t live = 0;
+    for (RecordHandle h = 0; h < pool.slotCount(); ++h) {
+        live += pool.live(h) ? 1 : 0;
+    }
+    EXPECT_EQ(live, pool.size());
 }
 
 // -------------------------- hand-crafted program for frontend unit tests
@@ -141,7 +285,7 @@ struct FrontendHarness
     TrueStream stream{prog};
     Bpu bpu{BpuConfig{}};
     Ftq ftq{64, 32};
-    BranchRecordMap records;
+    BranchRecordPool records;
     FrontendConfig cfg;
     DecoupledFrontend fe{prog, stream, bpu, ftq, records, cfg};
 };
@@ -187,7 +331,8 @@ TEST(DecoupledFrontend, PredictsThroughWarmBtb)
     // The cond branch is now recognised.
     EXPECT_TRUE(e.instrs[1].predictedBranch);
     // A prediction record exists for it.
-    EXPECT_EQ(h.records.count(e.instrs[1].dynId), 1u);
+    EXPECT_NE(h.records.find(e.instrs[1].record, e.instrs[1].dynId),
+              nullptr);
 }
 
 TEST(DecoupledFrontend, ResteerRedirects)
@@ -225,11 +370,11 @@ TEST(Fdip, PrefetchesMissingBlocks)
     Ftq ftq(64, 32);
     FdipEngine fdip(mem, ftq, FdipConfig{});
 
-    FtqEntry e;
+    FtqEntry& e = ftq.beginPush();
     e.id = 1;
     e.startPc = 0x400000;
     e.onPath = true;
-    ftq.push(std::move(e));
+    ftq.commitPush();
 
     fdip.tick(1);
     EXPECT_EQ(fdip.stats().candidates, 1u);
@@ -245,10 +390,10 @@ TEST(Fdip, SkipsResidentBlocks)
     Ftq ftq(64, 32);
     FdipEngine fdip(mem, ftq, FdipConfig{});
 
-    FtqEntry e;
+    FtqEntry& e = ftq.beginPush();
     e.id = 1;
     e.startPc = 0x400000;
-    ftq.push(std::move(e));
+    ftq.commitPush();
     fdip.tick(1);
     EXPECT_EQ(fdip.stats().candidates, 0u);
     EXPECT_EQ(fdip.stats().emitted, 0u);
@@ -263,10 +408,10 @@ TEST(Fdip, RespectsScanBudget)
     FdipEngine fdip(mem, ftq, cfg);
 
     for (int i = 0; i < 6; ++i) {
-        FtqEntry e;
+        FtqEntry& e = ftq.beginPush();
         e.id = static_cast<std::uint64_t>(i + 1);
         e.startPc = 0x400000 + Addr{i} * 64; // distinct lines
-        ftq.push(std::move(e));
+        ftq.commitPush();
     }
     fdip.tick(1);
     EXPECT_EQ(fdip.stats().blocksScanned, 2u);
@@ -282,10 +427,10 @@ TEST(Fdip, DisabledDoesNothing)
     FdipConfig cfg;
     cfg.enabled = false;
     FdipEngine fdip(mem, ftq, cfg);
-    FtqEntry e;
+    FtqEntry& e = ftq.beginPush();
     e.id = 1;
     e.startPc = 0x400000;
-    ftq.push(std::move(e));
+    ftq.commitPush();
     fdip.tick(1);
     EXPECT_EQ(fdip.stats().blocksScanned, 0u);
 }
@@ -296,18 +441,18 @@ TEST(Fdip, FlushResetsScan)
     Ftq ftq(64, 32);
     FdipEngine fdip(mem, ftq, FdipConfig{});
     for (int i = 0; i < 2; ++i) {
-        FtqEntry e;
+        FtqEntry& e = ftq.beginPush();
         e.id = static_cast<std::uint64_t>(i + 1);
         e.startPc = 0x400000 + Addr{i} * 64;
-        ftq.push(std::move(e));
+        ftq.commitPush();
     }
     fdip.tick(1);
     ftq.flush();
     fdip.onFtqFlush();
-    FtqEntry e;
+    FtqEntry& e = ftq.beginPush();
     e.id = 10;
     e.startPc = 0x500000;
-    ftq.push(std::move(e));
+    ftq.commitPush();
     fdip.tick(2);
     EXPECT_TRUE(mem.icacheLineInFlight(0x500000));
 }

@@ -376,6 +376,40 @@ TEST(TrueStream, RetireBelowShrinksWindow)
     EXPECT_NE(s.at(500).pc, kInvalidAddr);
 }
 
+TEST(TrueStream, WindowGrowthAcrossRetirementMatchesWalker)
+{
+    Profile p = profileByName("tomcat");
+    p.codeFootprintKB = 64;
+    Program prog = ProgramBuilder::build(p);
+    Walker w(prog);
+    std::vector<ArchInstr> truth;
+    for (int i = 0; i < 6000; ++i) {
+        truth.push_back(w.step());
+    }
+
+    // The window widens in steps (growing the ring past 64, 128, ...,
+    // 1024 entries) while retirement keeps moving its oldest end, so
+    // each growth copies a wrapped ring.
+    TrueStream s(prog);
+    std::uint64_t retired = 0;
+    std::uint64_t ahead = 0;
+    for (std::uint64_t width = 40; width <= 1500; width += 20) {
+        for (; ahead < retired + width; ++ahead) {
+            ASSERT_EQ(s.at(ahead).pc, truth[ahead].pc) << "pos " << ahead;
+        }
+        retired += 37;
+        s.retireBelow(retired);
+        ASSERT_EQ(s.firstLive(), retired);
+        ASSERT_EQ(s.windowSize(), ahead - retired);
+        for (std::uint64_t i = retired; i < ahead; i += 7) {
+            ASSERT_EQ(s.at(i).pc, truth[i].pc) << "pos " << i;
+            ASSERT_EQ(s.at(i).nextPc, truth[i].nextPc) << "pos " << i;
+            ASSERT_EQ(s.at(i).memAddr, truth[i].memAddr) << "pos " << i;
+        }
+    }
+    EXPECT_GT(ahead, 4000u);
+}
+
 // ---------------------------------------------------------------- program
 
 TEST(Program, PcIndexRoundTrip)
