@@ -1,18 +1,19 @@
 /**
  * @file
- * Shared helpers for the per-figure benchmark binaries.
+ * Shared bench helpers: the measurement window and banner, plus the
+ * execution flags, fault-tolerant sweep and artifact writers of the
+ * `figures` driver (catalog.h).
  *
- * Every binary regenerates one table/figure of the paper and prints the
- * same rows/series. Data points run through the parallel sweep runner
- * (sim/sweep.h): instruction counts scale via UDP_BENCH_WARMUP /
- * UDP_BENCH_INSTR, worker count via UDP_JOBS, and `--json out.jsonl` /
- * `--csv out.csv` write machine-readable artifacts (stats/sink.h). See
- * docs/EXPERIMENT_GUIDE.md for the full workflow.
+ * Instruction counts scale via UDP_BENCH_WARMUP / UDP_BENCH_INSTR and the
+ * worker count via UDP_JOBS. See docs/EXPERIMENT_GUIDE.md for the full
+ * workflow.
  */
 
 #ifndef UDP_BENCH_BENCH_UTIL_H
 #define UDP_BENCH_BENCH_UTIL_H
 
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -53,25 +54,16 @@ sweepDepths()
     return d;
 }
 
-/** Coarser sweep for finding each app's optimal (OPT oracle) depth. */
-inline const std::vector<unsigned>&
-optSearchDepths()
-{
-    static const std::vector<unsigned> d = {8, 16, 24, 32, 48, 64, 96, 128};
-    return d;
-}
-
-/** Directory bench binaries write failure diagnostic dumps into. */
+/** Directory the benches write failure diagnostic dumps into. */
 inline const char* kFailureDumpDir = "failure_dumps";
 
 /**
- * Artifact destinations and execution-mode flags shared by every bench:
- *   --json PATH / --csv PATH    machine-readable artifacts (stats/sink.h)
+ * Artifact destination and execution-mode flags of the `figures` driver:
+ *   --out-dir DIR               per-figure "<name>.txt/.jsonl/.csv" plus
+ *                               one checkpoint manifest (stats/sink.h)
  *   --isolate                   run each point in a forked child process
  *   --mem-mb N / --cpu-sec N /  per-child rlimits and wall-clock deadline
  *   --wall-sec X                (isolate only; mem defaults to 4096 MB)
- *   --manifest PATH             checkpoint manifest (default: derived from
- *                               the CSV/JSON path)
  *   --resume                    skip points the manifest records as done
  *   --interval-stats PATH       telemetry interval rows as CSV (a sibling
  *                               ".jsonl" with interval + summary rows is
@@ -82,11 +74,9 @@ inline const char* kFailureDumpDir = "failure_dumps";
  */
 struct SinkArgs
 {
-    std::string jsonPath;
-    std::string csvPath;
+    std::string outDir; ///< --out-dir; "" = tables on stdout, no files
     bool isolate = false;
     bool resume = false;
-    std::string manifestPath;
     std::uint64_t memLimitMb = 0;  ///< 0 = default (4096 when isolating)
     std::uint64_t cpuLimitSec = 0; ///< 0 = no RLIMIT_CPU
     double wallLimitSec = 0.0;     ///< 0 = no wall deadline
@@ -97,8 +87,8 @@ struct SinkArgs
 
     /** --profile: enable the cycle-loop self-profiler on every job and
      *  emit per-component host-time attribution (stdout summary + a
-     *  "<artifact-stem>.profile.jsonl" sidecar of profile_summary rows;
-     *  Report/CSV artifacts stay byte-identical). */
+     *  "figures.profile.jsonl" sidecar of profile_summary rows in the
+     *  --out-dir; Report/CSV artifacts stay byte-identical). */
     bool profile = false;
 
     // --- distributed execution (docs/ROBUSTNESS.md §10) ----------------
@@ -108,7 +98,7 @@ struct SinkArgs
      *  in local mode. */
     std::string coordinator;
     /** --worker-of DIR: run as a worker for a coordinator started
-     *  from the SAME bench binary with the SAME arguments/environment
+     *  with the SAME figures, arguments and environment
      *  (both sides must expand an identical job list). The process
      *  exits when the sweep drains. */
     std::string workerOf;
@@ -118,79 +108,105 @@ struct SinkArgs
     {
         return !intervalPath.empty() || !tracePath.empty();
     }
+
+    /** The checkpoint manifest in the --out-dir; "" without one (there
+     *  is nothing durable to resume into). */
+    std::string manifestPath() const
+    {
+        return outDir.empty() ? "" : outDir + "/figures.manifest.jsonl";
+    }
 };
 
-/**
- * Extracts the shared flags from argv; other arguments are left for the
- * binary's own positional parsing via @p positional.
- */
-inline SinkArgs
-parseSinkArgs(int argc, char** argv,
-              std::vector<std::string>* positional = nullptr)
+/** Parses a whole-string unsigned decimal; false on anything else. */
+inline bool
+parseCount(const std::string& s, std::uint64_t* out)
 {
-    SinkArgs s;
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a == "--json" && i + 1 < argc) {
-            s.jsonPath = argv[++i];
-        } else if (a == "--csv" && i + 1 < argc) {
-            s.csvPath = argv[++i];
-        } else if (a == "--isolate") {
-            s.isolate = true;
-        } else if (a == "--resume") {
-            s.resume = true;
-        } else if (a == "--manifest" && i + 1 < argc) {
-            s.manifestPath = argv[++i];
-        } else if (a == "--mem-mb" && i + 1 < argc) {
-            s.memLimitMb = std::strtoull(argv[++i], nullptr, 10);
-        } else if (a == "--cpu-sec" && i + 1 < argc) {
-            s.cpuLimitSec = std::strtoull(argv[++i], nullptr, 10);
-        } else if (a == "--wall-sec" && i + 1 < argc) {
-            s.wallLimitSec = std::strtod(argv[++i], nullptr);
-        } else if (a == "--interval-stats" && i + 1 < argc) {
-            s.intervalPath = argv[++i];
-        } else if (a == "--trace-out" && i + 1 < argc) {
-            s.tracePath = argv[++i];
-        } else if (a == "--telemetry-interval" && i + 1 < argc) {
-            s.telemetryInterval = std::strtoull(argv[++i], nullptr, 10);
-        } else if (a == "--profile") {
-            s.profile = true;
-        } else if (a == "--coordinator" && i + 1 < argc) {
-            s.coordinator = argv[++i];
-        } else if (a == "--worker-of" && i + 1 < argc) {
-            s.workerOf = argv[++i];
-        } else if (positional != nullptr) {
-            positional->push_back(std::move(a));
-        }
-    }
-    return s;
+    const char* end = s.data() + s.size();
+    auto [p, ec] = std::from_chars(s.data(), end, *out);
+    return !s.empty() && ec == std::errc() && p == end;
+}
+
+/** Parses a whole-string finite, non-negative decimal number. */
+inline bool
+parseSeconds(const std::string& s, double* out)
+{
+    const char* end = s.data() + s.size();
+    auto [p, ec] = std::from_chars(s.data(), end, *out);
+    return !s.empty() && ec == std::errc() && p == end &&
+           std::isfinite(*out) && *out >= 0.0;
 }
 
 /**
- * The checkpoint manifest path for @p args: explicit --manifest wins,
- * else it is derived from the CSV (or JSON) artifact path by replacing
- * the extension with ".manifest.jsonl". "" when no artifact is requested
- * (there is nothing durable to resume into).
+ * Parses argv into @p s; arguments that are not flags go to
+ * @p positional. Returns false with @p error set on an unknown flag, a
+ * flag missing its value (at the end, or followed by another "--" flag)
+ * or a malformed number (non-numeric, trailing junk, negative, or a
+ * --mem-mb too large to express in bytes).
  */
-inline std::string
-defaultManifestPath(const SinkArgs& args)
+inline bool
+parseSinkArgs(int argc, char** argv, SinkArgs* s,
+              std::vector<std::string>* positional, std::string* error)
 {
-    if (!args.manifestPath.empty()) {
-        return args.manifestPath;
-    }
-    std::string base = !args.csvPath.empty() ? args.csvPath : args.jsonPath;
-    if (base.empty()) {
-        return "";
-    }
-    for (const char* ext : {".csv", ".jsonl", ".json"}) {
-        std::string e = ext;
-        if (base.size() > e.size() &&
-            base.compare(base.size() - e.size(), e.size(), e) == 0) {
-            base.erase(base.size() - e.size());
-            break;
+    struct Valued
+    {
+        const char* flag;
+        std::string* text = nullptr;
+        std::uint64_t* count = nullptr;
+        double* seconds = nullptr;
+    };
+    const Valued valued[] = {
+        {"--out-dir", &s->outDir},
+        {"--interval-stats", &s->intervalPath},
+        {"--trace-out", &s->tracePath},
+        {"--coordinator", &s->coordinator},
+        {"--worker-of", &s->workerOf},
+        {"--mem-mb", nullptr, &s->memLimitMb},
+        {"--cpu-sec", nullptr, &s->cpuLimitSec},
+        {"--telemetry-interval", nullptr, &s->telemetryInterval},
+        {"--wall-sec", nullptr, nullptr, &s->wallLimitSec},
+    };
+    for (int i = 1; i < argc; ++i) {
+        const std::string a = argv[i];
+        if (a.empty() || a[0] != '-') {
+            positional->push_back(a);
+            continue;
+        }
+        if (a == "--isolate" || a == "--resume" || a == "--profile") {
+            bool& on = a == "--isolate"  ? s->isolate
+                       : a == "--resume" ? s->resume
+                                         : s->profile;
+            on = true;
+            continue;
+        }
+        const Valued* f = nullptr;
+        for (const Valued& v : valued) {
+            if (a == v.flag) {
+                f = &v;
+            }
+        }
+        if (f == nullptr) {
+            *error = "unknown option '" + a + "'";
+            return false;
+        }
+        if (i + 1 == argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
+            *error = a + " needs a value";
+            return false;
+        }
+        const std::string v = argv[++i];
+        if (f->text != nullptr) {
+            *f->text = v;
+        } else if (f->count != nullptr ? !parseCount(v, f->count)
+                                       : !parseSeconds(v, f->seconds)) {
+            *error = "malformed number '" + v + "' for " + a;
+            return false;
         }
     }
-    return base + ".manifest.jsonl";
+    if (s->memLimitMb > (UINT64_MAX >> 20)) {
+        *error = "--mem-mb " + std::to_string(s->memLimitMb) +
+                 " does not fit in bytes";
+        return false;
+    }
+    return true;
 }
 
 /**
@@ -289,20 +305,11 @@ applyProfile(std::vector<SweepJob>* jobs, const SinkArgs& args)
     }
 }
 
-/**
- * Fault-tolerant sweep used by every bench: a crashing or hanging point
- * never aborts the figure. Failed points get diagnostic dumps under
- * kFailureDumpDir and surface through writeArtifactsChecked()'s exit
- * code and failure rows. With @p args, the shared execution-mode flags
- * apply: --isolate forks each point (default 4096 MB RLIMIT_AS),
- * --resume replays completed points from the checkpoint manifest, and
- * SIGINT/SIGTERM drain in-flight points before exiting.
- */
 /** Shard-manifest directory paired with the checkpoint manifest. */
 inline std::string
 shardDirOf(const SinkArgs& args)
 {
-    std::string m = defaultManifestPath(args);
+    std::string m = args.manifestPath();
     return m.empty() ? std::string() : m + ".shards";
 }
 
@@ -368,7 +375,7 @@ runBenchCoordinated(std::vector<SweepJob> jobs, const SinkArgs& args)
         co.name = "bench";
     }
     co.endpoint = args.coordinator;
-    co.manifestPath = defaultManifestPath(args);
+    co.manifestPath = args.manifestPath();
     co.resume = args.resume && !co.manifestPath.empty();
     co.shardDir = shardDirOf(args);
     if (const char* s = std::getenv("UDP_LEASE_SEC")) {
@@ -388,12 +395,19 @@ runBenchCoordinated(std::vector<SweepJob> jobs, const SinkArgs& args)
     obs::Event(obs::LogLevel::Info, "bench", "coordinating")
         .u64("jobs", coord.totalJobs())
         .str("endpoint", args.coordinator)
-        .str("hint", "re-run this binary with --worker-of " +
-                         args.coordinator)
+        .str("hint", "re-run with --worker-of " + args.coordinator)
         .emit();
     return coord.run();
 }
 
+/**
+ * The fault-tolerant sweep: a crashing or hanging point never aborts the
+ * run. Failed points get diagnostic dumps under kFailureDumpDir and come
+ * back as failed JobResults. The execution-mode flags of @p args apply:
+ * --isolate forks each point (default 4096 MB RLIMIT_AS), --resume
+ * replays completed points from the checkpoint manifest, and
+ * SIGINT/SIGTERM drain in-flight points before returning.
+ */
 inline std::vector<JobResult>
 runBenchSweep(std::vector<SweepJob> jobs, const SinkArgs& args)
 {
@@ -415,21 +429,14 @@ runBenchSweep(std::vector<SweepJob> jobs, const SinkArgs& args)
         o.cpuLimitSec = args.cpuLimitSec;
         o.wallLimitSec = args.wallLimitSec;
     }
-    o.manifestPath = defaultManifestPath(args);
+    o.manifestPath = args.manifestPath();
     o.resume = args.resume && !o.manifestPath.empty();
     if (args.resume && o.manifestPath.empty()) {
-        std::fprintf(stderr, "[bench] --resume ignored: no manifest path "
-                             "(need --csv, --json or --manifest)\n");
+        std::fprintf(stderr, "[bench] --resume ignored: no manifest "
+                             "without --out-dir\n");
     }
     o.handleSignals = true;
     return runSweepChecked(jobs, o);
-}
-
-/** Legacy entry point: default execution mode, no artifacts. */
-inline std::vector<JobResult>
-runBenchSweep(const std::vector<SweepJob>& jobs)
-{
-    return runBenchSweep(jobs, SinkArgs{});
 }
 
 /** Converts a failed job to its machine-readable sink failure row. */
@@ -453,150 +460,41 @@ failureRowOf(const SweepJob& job, const JobResult& jr)
     return f;
 }
 
-/**
- * Positional Report view of @p results: a failed job contributes a
- * zero-valued placeholder named after its job, so table-building code
- * keeps its job-order indexing while the failure is reported separately.
- */
-inline std::vector<Report>
-reportsOf(const std::vector<SweepJob>& jobs,
-          const std::vector<JobResult>& results)
+/** The standard bench banner (four lines) for window @p o. */
+inline std::string
+banner(const char* figure, const char* what, const RunOptions& o)
 {
-    std::vector<Report> out(results.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        if (results[i].ok) {
-            out[i] = results[i].report;
-        } else {
-            out[i].workload = jobs[i].profile.name;
-            out[i].configName = jobs[i].label;
-        }
-    }
-    return out;
+    const std::string rule =
+        "==============================================================\n";
+    char window[160];
+    std::snprintf(window, sizeof(window),
+                  "warmup=%llu measured=%llu instructions per point "
+                  "(override: UDP_BENCH_WARMUP / UDP_BENCH_INSTR)\n",
+                  static_cast<unsigned long long>(o.warmupInstrs),
+                  static_cast<unsigned long long>(o.measureInstrs));
+    return rule + figure + " — " + what + "\n" + window + rule;
 }
 
 /**
- * Finds the best fixed FTQ depth (OPT oracle) for each of @p profiles,
- * sweeping all profiles x depths as one parallel batch. Ties keep the
- * shallower depth; depth 32 with a zero report is the fallback when every
- * point of a profile failed. Failed points are skipped in the argmax and
- * appended to @p failures when given.
+ * Writes "<stem>.jsonl" and "<stem>.csv": @p reports, then @p failures
+ * (the JSONL takes both; failure rows go to a "<stem>.failures.csv"
+ * sibling created on the first one). Returns false when a file could
+ * not be opened.
  */
-inline std::vector<std::pair<unsigned, Report>>
-findOptimalFtqBatch(const std::vector<Profile>& profiles,
-                    const RunOptions& opts,
-                    std::vector<FailureRow>* failures = nullptr,
-                    const SinkArgs& args = SinkArgs{})
-{
-    std::vector<SweepJob> jobs;
-    jobs.reserve(profiles.size() * optSearchDepths().size());
-    for (const Profile& p : profiles) {
-        for (unsigned d : optSearchDepths()) {
-            jobs.push_back({p, presets::fdipWithFtq(d), opts,
-                            "ftq" + std::to_string(d)});
-        }
-    }
-    std::vector<JobResult> results = runBenchSweep(jobs, args);
-
-    std::vector<std::pair<unsigned, Report>> best;
-    best.reserve(profiles.size());
-    std::size_t i = 0;
-    for (std::size_t pi = 0; pi < profiles.size(); ++pi) {
-        unsigned best_depth = 32;
-        Report best_report;
-        bool first = true;
-        for (unsigned d : optSearchDepths()) {
-            const JobResult& jr = results[i];
-            if (!jr.ok) {
-                // Skipped points (graceful shutdown) are not failures.
-                if (failures != nullptr && !jr.skipped) {
-                    failures->push_back(failureRowOf(jobs[i], jr));
-                }
-                ++i;
-                continue;
-            }
-            const Report& r = jr.report;
-            ++i;
-            if (first || r.ipc > best_report.ipc) {
-                best_report = r;
-                best_depth = d;
-                first = false;
-            }
-        }
-        best.emplace_back(best_depth, std::move(best_report));
-    }
-    return best;
-}
-
-/** Finds the best fixed FTQ depth (OPT oracle) for @p profile. */
-inline std::pair<unsigned, Report>
-findOptimalFtq(const Profile& profile, const RunOptions& opts)
-{
-    return findOptimalFtqBatch({profile}, opts).front();
-}
-
-/** Prints the standard bench banner. */
-inline void
-banner(const char* figure, const char* what)
-{
-    std::printf("==============================================================\n");
-    std::printf("%s — %s\n", figure, what);
-    RunOptions o = defaultOptions();
-    std::printf("warmup=%llu measured=%llu instructions per point "
-                "(override: UDP_BENCH_WARMUP / UDP_BENCH_INSTR)\n",
-                static_cast<unsigned long long>(o.warmupInstrs),
-                static_cast<unsigned long long>(o.measureInstrs));
-    std::printf("==============================================================\n");
-}
-
-/** Writes @p reports to the sinks requested in @p args (no-op if none). */
-inline void
-writeArtifacts(const SinkArgs& args, const std::vector<Report>& reports)
+inline bool
+writeReportArtifacts(const std::string& stem,
+                     const std::vector<Report>& reports,
+                     const std::vector<FailureRow>& failures)
 {
     ReportSink sink;
-    if (!args.jsonPath.empty()) {
-        sink.openJson(args.jsonPath);
+    bool opened = sink.openJson(stem + ".jsonl");
+    opened = sink.openCsv(stem + ".csv") && opened;
+    sink.writeAll(reports);
+    for (const FailureRow& f : failures) {
+        sink.writeFailure(f);
     }
-    if (!args.csvPath.empty()) {
-        sink.openCsv(args.csvPath);
-    }
-    if (sink.active()) {
-        sink.writeAll(reports);
-        sink.close();
-    }
-}
-
-/**
- * Writes @p reports plus @p failures to the requested sinks, prints the
- * failure summary, and returns the process exit code: 0 on a clean
- * sweep, 1 when any point failed (artifacts are still complete — every
- * successful Report and every failure row is on disk).
- */
-inline int
-finishArtifacts(const SinkArgs& args, const std::vector<Report>& reports,
-                const std::vector<FailureRow>& failures)
-{
-    ReportSink sink;
-    if (!args.jsonPath.empty()) {
-        sink.openJson(args.jsonPath);
-    }
-    if (!args.csvPath.empty()) {
-        sink.openCsv(args.csvPath);
-    }
-    if (sink.active()) {
-        sink.writeAll(reports);
-        for (const FailureRow& f : failures) {
-            sink.writeFailure(f);
-        }
-        sink.close();
-    }
-    if (!failures.empty()) {
-        std::fprintf(stderr,
-                     "[bench] %zu sweep point(s) FAILED; partial artifacts "
-                     "written, dumps under %s/\n",
-                     failures.size(), kFailureDumpDir);
-        return 1;
-    }
-    return 0;
+    sink.close();
+    return opened;
 }
 
 /** "<stem>.jsonl" sibling of the --interval-stats CSV path. */
@@ -665,34 +563,11 @@ writeTelemetryArtifacts(const SinkArgs& args,
 }
 
 /**
- * "<artifact-stem>.profile.jsonl" sidecar path for --profile summaries:
- * derived from --json (preferred) or --csv. Profile rows never go into
- * the report artifact itself, so figure outputs stay byte-identical
- * whether or not the profiler ran.
- */
-inline std::string
-profileJsonlPath(const SinkArgs& args)
-{
-    std::string base =
-        !args.jsonPath.empty() ? args.jsonPath : args.csvPath;
-    if (base.empty()) {
-        return std::string();
-    }
-    for (const char* e : {".jsonl", ".json", ".csv"}) {
-        std::size_t n = std::strlen(e);
-        if (base.size() > n &&
-            base.compare(base.size() - n, n, e) == 0) {
-            base.erase(base.size() - n);
-            break;
-        }
-    }
-    return base + ".profile.jsonl";
-}
-
-/**
- * --profile tail: prints a per-job phase-attribution summary and, when a
- * report artifact path is known, writes one profile_summary row per
- * successful job to the "<artifact-stem>.profile.jsonl" sidecar.
+ * --profile tail: prints a per-job phase-attribution summary and, with
+ * --out-dir, writes one profile_summary row per successful job to the
+ * "figures.profile.jsonl" sidecar there. Profile rows never go into the
+ * report artifacts, so those stay byte-identical whether or not the
+ * profiler ran.
  */
 inline void
 writeProfileArtifacts(const SinkArgs& args,
@@ -702,7 +577,8 @@ writeProfileArtifacts(const SinkArgs& args,
     if (!args.profile) {
         return;
     }
-    std::string path = profileJsonlPath(args);
+    std::string path =
+        args.outDir.empty() ? "" : args.outDir + "/figures.profile.jsonl";
     std::FILE* f =
         path.empty() ? nullptr : std::fopen(path.c_str(), "w");
     bool wroteAny = false;
@@ -741,43 +617,6 @@ writeProfileArtifacts(const SinkArgs& args,
             std::remove(path.c_str());
         }
     }
-}
-
-/**
- * Sink + exit-code tail for benches built on runBenchSweep(): writes each
- * successful job's Report and each failure's row, in job order. Jobs
- * skipped by a graceful shutdown produce neither — the sweep is
- * incomplete, the exit code is 130, and re-running with --resume picks
- * up exactly where it stopped.
- */
-inline int
-writeArtifactsChecked(const SinkArgs& args, const std::vector<SweepJob>& jobs,
-                      const std::vector<JobResult>& results)
-{
-    std::vector<Report> ok;
-    std::vector<FailureRow> failures;
-    std::size_t skipped = 0;
-    ok.reserve(results.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        if (results[i].ok) {
-            ok.push_back(results[i].report);
-        } else if (results[i].skipped) {
-            ++skipped;
-        } else {
-            failures.push_back(failureRowOf(jobs[i], results[i]));
-        }
-    }
-    int rc = finishArtifacts(args, ok, failures);
-    writeTelemetryArtifacts(args, jobs, results);
-    writeProfileArtifacts(args, jobs, results);
-    if (skipped != 0) {
-        std::fprintf(stderr,
-                     "[bench] interrupted: %zu point(s) skipped; re-run "
-                     "with --resume to finish the sweep\n",
-                     skipped);
-        return 130;
-    }
-    return rc;
 }
 
 } // namespace udp::bench

@@ -60,9 +60,12 @@ main(int argc, char** argv)
         }
     }
 
-    banner("Simulation speed",
-           "host throughput: simulated instrs/sec and cycles/sec");
     RunOptions o = defaultOptions();
+    std::fputs(banner("Simulation speed",
+                      "host throughput: simulated instrs/sec and cycles/sec",
+                      o)
+                   .c_str(),
+               stdout);
 
     struct Point
     {

@@ -42,6 +42,8 @@ struct BackendConfig
     unsigned numStore = 2;
     /** Issue-to-resolution latency of a branch. */
     Cycle branchExecLat = 2;
+
+    bool operator==(const BackendConfig&) const = default;
 };
 
 /** A resteer demand raised by branch resolution. */

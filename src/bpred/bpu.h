@@ -31,6 +31,8 @@ struct BpuConfig
     unsigned rasEntries = 64;
     /** Insert taken unconditional CTIs into the global history. */
     bool unconditionalHistory = true;
+
+    bool operator==(const BpuConfig&) const = default;
 };
 
 /** Snapshot of all speculative BPU state for one in-flight branch. */

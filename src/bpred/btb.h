@@ -30,6 +30,8 @@ struct BtbConfig
 {
     unsigned numEntries = 8192; ///< total entries
     unsigned assoc = 8;
+
+    bool operator==(const BtbConfig&) const = default;
 };
 
 /** Statistics. */

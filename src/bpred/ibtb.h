@@ -23,6 +23,8 @@ struct IbtbConfig
     unsigned taggedEntries = 512; ///< per tagged table
     unsigned tagBits = 10;
     std::array<unsigned, 4> histBits = {10, 24, 0, 0};
+
+    bool operator==(const IbtbConfig&) const = default;
 };
 
 /** Per-prediction record for update. */

@@ -29,6 +29,8 @@ struct LoopPredictorConfig
     unsigned tagBits = 14;
     unsigned confMax = 3;
     std::uint32_t maxTrip = 1 << 14;
+
+    bool operator==(const LoopPredictorConfig&) const = default;
 };
 
 /**

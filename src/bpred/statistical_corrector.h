@@ -25,6 +25,8 @@ struct ScConfig
     /** History bits feeding table t: histBits[t]. */
     std::array<unsigned, 4> histBits = {0, 8, 24, 0};
     int initialThreshold = 6;
+
+    bool operator==(const ScConfig&) const = default;
 };
 
 /** Per-prediction record retained for update. */

@@ -35,6 +35,8 @@ struct TageConfig
     unsigned minHist = 8;
     unsigned maxHist = 640;
     unsigned usefulResetPeriod = 1 << 18; ///< updates between u-bit aging
+
+    bool operator==(const TageConfig&) const = default;
 };
 
 /**

@@ -85,6 +85,8 @@ struct MemSysConfig
     /** Enable the data-side stream prefetcher. */
     bool dataStreamPrefetcher = true;
     StreamPrefetcherConfig streamCfg;
+
+    bool operator==(const MemSysConfig&) const = default;
 };
 
 /** Aggregated statistics across the hierarchy. */

@@ -21,6 +21,8 @@ struct StreamPrefetcherConfig
     unsigned numStreams = 16;
     unsigned trainThreshold = 2; ///< consecutive hits before prefetching
     unsigned depth = 4;          ///< lines prefetched ahead
+
+    bool operator==(const StreamPrefetcherConfig&) const = default;
 };
 
 /** Statistics. */

@@ -27,6 +27,8 @@ struct ConfidenceConfig
     /** Counter bump after a decode-corrected (BTB-miss) taken branch. */
     unsigned btbMissBump = 6;
     unsigned counterMax = 255;
+
+    bool operator==(const ConfidenceConfig&) const = default;
 };
 
 /** Statistics. */

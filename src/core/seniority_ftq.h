@@ -37,6 +37,8 @@ struct SeniorityFtqConfig
 {
     unsigned capacity = 128;
     SftqFlushPolicy flushPolicy = SftqFlushPolicy::Keep;
+
+    bool operator==(const SeniorityFtqConfig&) const = default;
 };
 
 /** Statistics. */

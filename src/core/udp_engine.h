@@ -25,6 +25,8 @@ struct UdpConfig
     ConfidenceConfig confidence;
     UsefulSetConfig usefulSet;
     SeniorityFtqConfig seniority;
+
+    bool operator==(const UdpConfig&) const = default;
 };
 
 /** FDIP's query result for one candidate. */

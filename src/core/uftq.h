@@ -49,6 +49,8 @@ struct UftqConfig
     unsigned searchEpochs = 8;
     /** Epochs the combined depth is held before re-searching. */
     unsigned holdEpochs = 32;
+
+    bool operator==(const UftqConfig&) const = default;
 };
 
 /** Statistics. */

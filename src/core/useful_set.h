@@ -35,6 +35,8 @@ struct UsefulSetConfig
     std::uint64_t minEmittedForClear = 512;
     /** Oracle mode: unbounded exact set, never cleared. */
     bool infiniteStorage = false;
+
+    bool operator==(const UsefulSetConfig&) const = default;
 };
 
 /** Statistics. */

@@ -30,6 +30,8 @@ struct FrontendConfig
     Cycle execResteerPenalty = 3;
     /** Redirect bubble after a decode-stage (post-fetch) resteer. */
     Cycle decodeResteerPenalty = 4;
+
+    bool operator==(const FrontendConfig&) const = default;
 };
 
 /** Hooks the frontend raises towards UDP (optional; may be empty). */

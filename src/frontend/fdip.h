@@ -26,6 +26,8 @@ struct FdipConfig
     unsigned blocksPerCycle = 2;
     /** Master enable (off = no instruction prefetching baseline). */
     bool enabled = true;
+
+    bool operator==(const FdipConfig&) const = default;
 };
 
 /** FDIP statistics. */

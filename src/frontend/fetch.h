@@ -55,6 +55,8 @@ struct FetchConfig
     unsigned fetchWidth = 6;      ///< instructions delivered per cycle
     Cycle decodePipeLat = 4;      ///< fetch-to-dispatch pipeline depth
     unsigned decodeQueueMax = 48; ///< backpressure bound
+
+    bool operator==(const FetchConfig&) const = default;
 };
 
 /** Fetch statistics. */

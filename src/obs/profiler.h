@@ -151,6 +151,8 @@ struct ProfileConfig
     bool enabled = false;
     /** Cycles per reporting interval (Chrome-trace counter cadence). */
     Cycle intervalCycles = 100000;
+
+    bool operator==(const ProfileConfig&) const = default;
 };
 
 } // namespace udp

@@ -30,6 +30,8 @@ struct EipConfig
     unsigned historyLen = 64;
     /** Desired prefetch lead time (≈ LLC/DRAM latency). */
     Cycle latencyTarget = 120;
+
+    bool operator==(const EipConfig&) const = default;
 };
 
 /** Statistics. */

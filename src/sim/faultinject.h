@@ -86,6 +86,8 @@ struct FaultPlan
     std::uint64_t seed = 1;
     /** DelayFill: cycles added to the victim fill's completion. */
     Cycle delay = 1'000'000'000;
+
+    bool operator==(const FaultPlan&) const = default;
 };
 
 /**

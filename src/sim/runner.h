@@ -132,6 +132,8 @@ struct RunOptions
 {
     std::uint64_t warmupInstrs = 500'000;
     std::uint64_t measureInstrs = 1'000'000;
+
+    bool operator==(const RunOptions&) const = default;
 };
 
 /**

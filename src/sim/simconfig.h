@@ -36,6 +36,8 @@ struct WatchdogConfig
     /** Cycles between always-on cheap invariant sweeps. 0 disables
      *  periodic sweeps (UDP_CHECK builds still run the full sweep). */
     Cycle invariantPeriod = 4096;
+
+    bool operator==(const WatchdogConfig&) const = default;
 };
 
 /** Everything needed to build a Cpu. */
@@ -80,6 +82,11 @@ struct SimConfig
      *  null-pointer check per phase site. Outside sweepJobHash(): it
      *  never perturbs job identity or modeled results. */
     ProfileConfig profile;
+
+    /** Member-wise, through every nested config: the figure catalog's
+     *  dedupe key (bench/catalog.h), so a knob added later can never
+     *  make two different points compare equal. */
+    bool operator==(const SimConfig&) const = default;
 };
 
 /** Named preset configurations used across benches and examples. */

@@ -46,6 +46,8 @@ struct TelemetryConfig {
     /** If non-empty, runSim writes a Chrome trace here when a SimError
      *  aborts the run (post-mortem slice with the dumpState() payload). */
     std::string errorTracePath;
+
+    bool operator==(const TelemetryConfig&) const = default;
 };
 
 /** Who issued a prefetch. Indexes Telemetry counters; keep dense. */

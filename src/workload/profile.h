@@ -90,6 +90,8 @@ struct Profile
     double depChance1 = 0.7;
     double depChance2 = 0.3;
     std::uint32_t maxDepDist = 12;
+
+    bool operator==(const Profile&) const = default;
 };
 
 /**

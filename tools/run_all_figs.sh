@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 #
-# Smoke-check every paper figure/table bench at reduced instruction counts,
-# writing JSON/CSV artifacts for the binaries that support sinks.
+# Regenerates every paper figure/table at reduced instruction counts, one
+# `figures NAME` process per figure (bench/catalog.h), writing
+# OUT_DIR/<figure>.txt, .jsonl and .csv per figure.
 #
 # Usage: tools/run_all_figs.sh [BUILD_DIR] [OUT_DIR]
 #   BUILD_DIR  cmake build tree (default: build)
@@ -10,16 +11,25 @@
 # Tunables (environment): UDP_BENCH_WARMUP / UDP_BENCH_INSTR (instruction
 # counts per data point, default here: 20k/40k), UDP_JOBS (sweep worker
 # count, default: all cores), UDP_BENCH_TIMEOUT (wall-clock seconds per
-# bench before it is killed and counted as hung, default: 900),
-# UDP_BENCH_ISOLATE=1 (run sink benches with --isolate: each sweep point
-# in its own resource-limited child process).
+# figure before it is killed and counted as hung, default: 900),
+# UDP_BENCH_ISOLATE=1 (run with --isolate: each sweep point in its own
+# resource-limited child process).
 #
-# Outcome classes per bench: ok, FAILED (nonzero exit), CRASHED (died on
+# Each figure runs, and is timed, on its own: perfbench/run.py takes every
+# figure's wall time and simulation rate from the "=== NAME ===" and
+# outcome lines below. One `figures --out-dir DIR` run writes the same
+# files and simulates each point that several figures share only once
+# (295 distinct of 1,115 requested points); this script switches to it
+# when the benchmark's per-figure metrics are redefined (ROADMAP.md).
+#
+# Outcome classes per figure: ok, FAILED (nonzero exit), CRASHED (died on
 # a signal — the signal name is reported), HUNG (wall-clock timeout) and
-# INTERRUPTED (exit 130: graceful shutdown). Sink benches checkpoint
-# every finished point into a manifest, so a HUNG or INTERRUPTED bench is
-# retried once with --resume and only re-runs what is missing.
-# See docs/EXPERIMENT_GUIDE.md and docs/ROBUSTNESS.md.
+# INTERRUPTED (exit 130: graceful shutdown). Each figure's sweep
+# checkpoints every finished point into OUT_DIR/figures.manifest.jsonl
+# (started afresh per figure), so a HUNG or INTERRUPTED figure is retried
+# once with --resume and only re-runs what is missing. Each figure's
+# sweep log is OUT_DIR/<figure>.log. See docs/EXPERIMENT_GUIDE.md and
+# docs/ROBUSTNESS.md.
 
 set -euo pipefail
 
@@ -27,8 +37,8 @@ BUILD_DIR=${1:-build}
 OUT_DIR=${2:-$BUILD_DIR/fig_artifacts}
 BENCH_TIMEOUT=${UDP_BENCH_TIMEOUT:-900}
 
-# Wall-clock guard around each bench: a modeling-bug hang inside one
-# binary must not wedge the whole sweep. `timeout` exits 124 on expiry.
+# Wall-clock guard around each run: a modeling-bug hang must not wedge
+# the whole script. `timeout` exits 124 on expiry.
 run_with_timeout() {
     if command -v timeout > /dev/null 2>&1; then
         timeout --signal=TERM --kill-after=30 "$BENCH_TIMEOUT" "$@"
@@ -47,18 +57,9 @@ export UDP_BENCH_WARMUP=${UDP_BENCH_WARMUP:-20000}
 export UDP_BENCH_INSTR=${UDP_BENCH_INSTR:-40000}
 mkdir -p "$OUT_DIR"
 
-# Benches migrated to the sweep runner emit machine-readable artifacts.
-SINK_BENCHES="fig03_ftq_sweep fig13_udp table3_optimal_ftq ablation_udp"
-
-ALL_BENCHES="fig01_perfect_icache fig03_ftq_sweep fig04_timeliness
-fig05_onpath_ratio fig06_usefulness fig08_occupancy fig11_uftq
-fig12_uftq_mpki fig13_udp fig14_udp_mpki fig15_lost_instructions
-fig16_btb_sensitivity fig17_ftq_sensitivity table3_optimal_ftq
-ablation_udp"
-
 # Classifies an exit status: ok | failed | crashed | hung | interrupted.
 # `timeout` exits 124 on expiry (137 when it had to SIGKILL); any other
-# status >= 128 means the bench itself died on signal (status - 128).
+# status >= 128 means the run itself died on signal (status - 128).
 classify_rc() {
     local rc=$1
     if [[ $rc -eq 0 ]]; then
@@ -81,64 +82,70 @@ signal_of_rc() {
 failures=0
 hung=0
 crashed=0
-resumed=0
-for bench in $ALL_BENCHES; do
-    bin="$BUILD_DIR/bench/$bench"
-    if [[ ! -x "$bin" ]]; then
-        echo "MISSING  $bench" >&2
-        failures=$((failures + 1))
-        continue
-    fi
-    args=()
-    is_sink=0
-    if [[ " $SINK_BENCHES " == *" $bench "* ]]; then
-        is_sink=1
-        args=(--json "$OUT_DIR/$bench.jsonl" --csv "$OUT_DIR/$bench.csv")
-        if [[ "${UDP_BENCH_ISOLATE:-0}" == "1" ]]; then
-            args+=(--isolate)
-        fi
-    fi
-    echo "=== $bench ==="
-    rc=0
-    run_with_timeout "$bin" "${args[@]}" \
-        > "$OUT_DIR/$bench.txt" 2> "$OUT_DIR/$bench.log" || rc=$?
-    outcome=$(classify_rc $rc)
 
-    # A hung or interrupted sink bench has a checkpoint manifest: retry
-    # once with --resume so only the missing points re-run.
-    if [[ $is_sink -eq 1 && ($outcome == hung || $outcome == interrupted) ]]; then
-        echo "RETRY    $bench ($outcome, resuming from manifest)" >&2
-        resumed=$((resumed + 1))
-        rc=0
-        run_with_timeout "$bin" "${args[@]}" --resume \
-            > "$OUT_DIR/$bench.txt" 2>> "$OUT_DIR/$bench.log" || rc=$?
-        outcome=$(classify_rc $rc)
-    fi
-
-    case $outcome in
+# Prints the outcome line of run NAME (exit status RC, output in LOG)
+# and counts it.
+report() {
+    local name=$1 rc=$2 log=$3
+    case $(classify_rc "$rc") in
     ok)
-        echo "ok       $bench"
+        echo "ok       $name"
         ;;
     hung)
-        echo "HUNG     $bench (killed after ${BENCH_TIMEOUT}s, see $OUT_DIR/$bench.log)" >&2
+        echo "HUNG     $name (killed after ${BENCH_TIMEOUT}s, see $log)" >&2
         hung=$((hung + 1))
         failures=$((failures + 1))
         ;;
     crashed)
-        echo "CRASHED  $bench ($(signal_of_rc $rc), see $OUT_DIR/$bench.log)" >&2
+        echo "CRASHED  $name ($(signal_of_rc "$rc"), see $log)" >&2
         crashed=$((crashed + 1))
         failures=$((failures + 1))
         ;;
     interrupted)
-        echo "INTERRUPTED $bench (exit 130, see $OUT_DIR/$bench.log)" >&2
+        echo "INTERRUPTED $name (exit 130, see $log)" >&2
         failures=$((failures + 1))
         ;;
     *)
-        echo "FAILED   $bench (exit $rc, see $OUT_DIR/$bench.log)" >&2
+        echo "FAILED   $name (exit $rc, see $log)" >&2
         failures=$((failures + 1))
         ;;
     esac
-done
+}
+
+# The catalog's figures in catalog order (tests/test_figures.cc checks
+# this list against bench/catalog.cc).
+FIGURES="fig01_perfect_icache fig03_ftq_sweep fig04_timeliness
+fig05_onpath_ratio fig06_usefulness fig08_occupancy fig11_uftq
+fig12_uftq_mpki fig13_udp fig14_udp_mpki fig15_lost_instructions
+fig16_btb_sensitivity fig17_ftq_sensitivity table3_optimal_ftq
+ablation_udp"
+
+bin="$BUILD_DIR/bench/figures"
+if [[ -x "$bin" ]]; then
+    args=(--out-dir "$OUT_DIR")
+    if [[ "${UDP_BENCH_ISOLATE:-0}" == "1" ]]; then
+        args+=(--isolate)
+    fi
+    for name in $FIGURES; do
+        log="$OUT_DIR/$name.log"
+        echo "=== $name ==="
+        rc=0
+        run_with_timeout "$bin" "$name" "${args[@]}" > "$log" 2>&1 || rc=$?
+        outcome=$(classify_rc $rc)
+        # A hung or interrupted figure has a checkpoint manifest: retry
+        # once with --resume so only the missing points re-run.
+        if [[ $outcome == hung || $outcome == interrupted ]]; then
+            echo "RETRY    $name ($outcome, resuming from manifest)" >&2
+            rc=0
+            run_with_timeout "$bin" "$name" "${args[@]}" --resume \
+                >> "$log" 2>&1 || rc=$?
+        fi
+        report "$name" $rc "$log"
+    done
+else
+    echo "MISSING  figures" >&2
+    failures=$((failures + 1))
+fi
 
 # The sweep-enabled example doubles as an API smoke check.
 if [[ -x "$BUILD_DIR/examples/example_compare_prefetchers" ]]; then
@@ -150,33 +157,12 @@ if [[ -x "$BUILD_DIR/examples/example_compare_prefetchers" ]]; then
         --csv "$OUT_DIR/compare_prefetchers.csv" \
         > "$OUT_DIR/compare_prefetchers.txt" \
         2> "$OUT_DIR/compare_prefetchers.log" || rc=$?
-    case $(classify_rc $rc) in
-    ok)
-        echo "ok       example_compare_prefetchers"
-        ;;
-    hung)
-        echo "HUNG     example_compare_prefetchers (killed after ${BENCH_TIMEOUT}s)" >&2
-        hung=$((hung + 1))
-        failures=$((failures + 1))
-        ;;
-    crashed)
-        echo "CRASHED  example_compare_prefetchers ($(signal_of_rc $rc))" >&2
-        crashed=$((crashed + 1))
-        failures=$((failures + 1))
-        ;;
-    *)
-        echo "FAILED   example_compare_prefetchers (exit $rc)" >&2
-        failures=$((failures + 1))
-        ;;
-    esac
+    report example_compare_prefetchers $rc "$OUT_DIR/compare_prefetchers.log"
 fi
 
 echo
-if [[ $resumed -ne 0 ]]; then
-    echo "$resumed bench(es) retried with --resume" >&2
-fi
 if [[ $failures -ne 0 ]]; then
-    echo "$failures bench(es) failed ($hung hung, $crashed crashed); artifacts in $OUT_DIR" >&2
+    echo "$failures run(s) failed ($hung hung, $crashed crashed); artifacts in $OUT_DIR" >&2
     exit 1
 fi
-echo "all benches passed; artifacts in $OUT_DIR"
+echo "all figures passed; artifacts in $OUT_DIR"
