@@ -12,24 +12,16 @@
 #ifndef UDP_BENCH_BENCH_UTIL_H
 #define UDP_BENCH_BENCH_UTIL_H
 
-#include <charconv>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include <chrono>
-
-#include "obs/eventlog.h"
 #include "sim/faultinject.h"
 #include "sim/runner.h"
 #include "sim/sweep.h"
-#include "sim/sweepd.h"
-#include "sim/workqueue.h"
 #include "stats/sink.h"
 #include "stats/table.h"
 #include "stats/tracefile.h"
@@ -91,18 +83,6 @@ struct SinkArgs
      *  --out-dir; Report/CSV artifacts stay byte-identical). */
     bool profile = false;
 
-    // --- distributed execution (docs/ROBUSTNESS.md §10) ----------------
-    /** --coordinator DIR: serve this bench's batch as a distributed
-     *  sweep through the shared queue directory DIR instead of running
-     *  it in-process. Artifacts are written by this process exactly as
-     *  in local mode. */
-    std::string coordinator;
-    /** --worker-of DIR: run as a worker for a coordinator started
-     *  with the SAME figures, arguments and environment
-     *  (both sides must expand an identical job list). The process
-     *  exits when the sweep drains. */
-    std::string workerOf;
-
     /** Telemetry is on whenever any telemetry artifact was requested. */
     bool telemetryEnabled() const
     {
@@ -116,25 +96,6 @@ struct SinkArgs
         return outDir.empty() ? "" : outDir + "/figures.manifest.jsonl";
     }
 };
-
-/** Parses a whole-string unsigned decimal; false on anything else. */
-inline bool
-parseCount(const std::string& s, std::uint64_t* out)
-{
-    const char* end = s.data() + s.size();
-    auto [p, ec] = std::from_chars(s.data(), end, *out);
-    return !s.empty() && ec == std::errc() && p == end;
-}
-
-/** Parses a whole-string finite, non-negative decimal number. */
-inline bool
-parseSeconds(const std::string& s, double* out)
-{
-    const char* end = s.data() + s.size();
-    auto [p, ec] = std::from_chars(s.data(), end, *out);
-    return !s.empty() && ec == std::errc() && p == end &&
-           std::isfinite(*out) && *out >= 0.0;
-}
 
 /**
  * Parses argv into @p s; arguments that are not flags go to
@@ -158,8 +119,6 @@ parseSinkArgs(int argc, char** argv, SinkArgs* s,
         {"--out-dir", &s->outDir},
         {"--interval-stats", &s->intervalPath},
         {"--trace-out", &s->tracePath},
-        {"--coordinator", &s->coordinator},
-        {"--worker-of", &s->workerOf},
         {"--mem-mb", nullptr, &s->memLimitMb},
         {"--cpu-sec", nullptr, &s->cpuLimitSec},
         {"--telemetry-interval", nullptr, &s->telemetryInterval},
@@ -305,101 +264,6 @@ applyProfile(std::vector<SweepJob>* jobs, const SinkArgs& args)
     }
 }
 
-/** Shard-manifest directory paired with the checkpoint manifest. */
-inline std::string
-shardDirOf(const SinkArgs& args)
-{
-    std::string m = args.manifestPath();
-    return m.empty() ? std::string() : m + ".shards";
-}
-
-/**
- * --worker-of: the worker half of a distributed bench run. Claims jobs
- * from the coordinator, executes them through the same per-job path as
- * the in-process engine, and exits the process when the sweep drains
- * (0), the queue is lost after flushing locally (3), or the queue
- * directory cannot be read (2). Never returns.
- */
-[[noreturn]] inline void
-runBenchWorker(const std::vector<SweepJob>& jobs, const SinkArgs& args)
-{
-    FsWorkQueue q(args.workerOf);
-    std::string err;
-    if (!q.connect(&err)) {
-        std::fprintf(stderr, "[bench] --worker-of %s: %s\n",
-                     args.workerOf.c_str(), err.c_str());
-        std::exit(2);
-    }
-    WorkerOptions wo;
-    wo.name = "w" + std::to_string(
-                        std::chrono::steady_clock::now()
-                            .time_since_epoch()
-                            .count() %
-                        1'000'000);
-    if (const char* n = std::getenv("UDP_WORKER_NAME")) {
-        wo.name = n;
-    }
-    wo.shardDir = shardDirOf(args);
-    wo.exec.dumpDir = kFailureDumpDir;
-    wo.exec.isolate = args.isolate;
-    if (args.isolate) {
-        wo.exec.memLimitBytes =
-            (args.memLimitMb == 0 ? 4096 : args.memLimitMb) << 20;
-        wo.exec.cpuLimitSec = args.cpuLimitSec;
-        wo.exec.wallLimitSec = args.wallLimitSec;
-    }
-    if (const char* d = std::getenv("UDP_WORKER_DELAY_MS")) {
-        wo.jobDelayMs =
-            static_cast<unsigned>(std::strtoul(d, nullptr, 10));
-    }
-    WorkerSummary s = runSweepWorker(q, jobs, wo);
-    if (s.executed != 0 || s.flushedLocal != 0) {
-        obs::Event(obs::LogLevel::Info, wo.name, "worker_summary")
-            .u64("executed", s.executed)
-            .u64("recorded", s.completed)
-            .u64("duplicates", s.duplicates)
-            .u64("flushed_local", s.flushedLocal)
-            .emit();
-    }
-    std::exit(s.queueLost ? 3 : 0);
-}
-
-/** --coordinator: serve the batch to workers; returns ordered results. */
-inline std::vector<JobResult>
-runBenchCoordinated(std::vector<SweepJob> jobs, const SinkArgs& args)
-{
-    CoordinatorOptions co;
-    if (const char* n = std::getenv("UDP_SWEEP_NAME")) {
-        co.name = n;
-    } else {
-        co.name = "bench";
-    }
-    co.endpoint = args.coordinator;
-    co.manifestPath = args.manifestPath();
-    co.resume = args.resume && !co.manifestPath.empty();
-    co.shardDir = shardDirOf(args);
-    if (const char* s = std::getenv("UDP_LEASE_SEC")) {
-        co.policy.leaseTtlSec = std::strtod(s, nullptr);
-    }
-    if (const char* s = std::getenv("UDP_MAX_ATTEMPTS")) {
-        co.policy.maxAttempts =
-            static_cast<unsigned>(std::strtoul(s, nullptr, 10));
-    }
-    SweepCoordinator coord(std::move(jobs), std::move(co));
-    std::string err;
-    if (!coord.start(&err)) {
-        std::fprintf(stderr, "[bench] --coordinator %s: %s\n",
-                     args.coordinator.c_str(), err.c_str());
-        std::exit(2);
-    }
-    obs::Event(obs::LogLevel::Info, "bench", "coordinating")
-        .u64("jobs", coord.totalJobs())
-        .str("endpoint", args.coordinator)
-        .str("hint", "re-run with --worker-of " + args.coordinator)
-        .emit();
-    return coord.run();
-}
-
 /**
  * The fault-tolerant sweep: a crashing or hanging point never aborts the
  * run. Failed points get diagnostic dumps under kFailureDumpDir and come
@@ -414,12 +278,6 @@ runBenchSweep(std::vector<SweepJob> jobs, const SinkArgs& args)
     applyEnvFault(&jobs);
     applyTelemetry(&jobs, args);
     applyProfile(&jobs, args);
-    if (!args.workerOf.empty()) {
-        runBenchWorker(jobs, args); // exits the process
-    }
-    if (!args.coordinator.empty()) {
-        return runBenchCoordinated(std::move(jobs), args);
-    }
     SweepOptions o;
     o.dumpDir = kFailureDumpDir;
     o.isolate = args.isolate;

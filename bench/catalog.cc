@@ -518,7 +518,6 @@ usageError(const std::string& why, const std::vector<Figure>& catalog)
         "               [--mem-mb N] [--cpu-sec N] [--wall-sec SEC]\n"
         "               [--interval-stats CSV] [--trace-out JSON]\n"
         "               [--telemetry-interval CYCLES] [--profile]\n"
-        "               [--coordinator DIR] [--worker-of DIR]\n"
         "FIGURE (default: all):",
         why.c_str());
     for (const Figure& f : catalog) {
@@ -577,9 +576,6 @@ figuresMain(int argc, char** argv)
                  "[figures] %zu figure(s): %zu points requested, %zu "
                  "distinct\n",
                  figs.size(), requested, u.jobs.size());
-    if (!args.workerOf.empty()) {
-        runBenchSweep(u.jobs, args); // a worker exits when the sweep drains
-    }
     if (!args.outDir.empty()) {
         std::error_code ec; // a failure surfaces as unwritable artifacts
         std::filesystem::create_directories(args.outDir, ec);

@@ -15,9 +15,9 @@
  * completed rows from the checkpoint manifest after an interruption.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -54,7 +54,11 @@ main(int argc, char** argv)
         } else if (a == "--resume") {
             resume = true;
         } else if (a == "--wall-sec" && i + 1 < argc) {
-            wall_sec = std::strtod(argv[++i], nullptr);
+            if (!parseSeconds(argv[++i], &wall_sec)) {
+                std::fprintf(stderr, "malformed number '%s' for --wall-sec\n",
+                             argv[i]);
+                return 2;
+            }
         } else {
             positional.push_back(std::move(a));
         }
@@ -65,11 +69,27 @@ main(int argc, char** argv)
     if (!positional.empty()) {
         app = positional[0];
     }
-    if (positional.size() > 1) {
-        opts.measureInstrs = std::strtoull(positional[1].c_str(), nullptr, 10);
+    if (positional.size() > 1 &&
+        !parseCount(positional[1], &opts.measureInstrs)) {
+        std::fprintf(stderr, "malformed number '%s' for measure_instrs\n",
+                     positional[1].c_str());
+        return 2;
     }
 
-    const Profile& prof = profileByName(app);
+    const std::vector<Profile>& profiles = datacenterProfiles();
+    auto known =
+        std::find_if(profiles.begin(), profiles.end(),
+                     [&app](const Profile& p) { return p.name == app; });
+    if (known == profiles.end()) {
+        std::fprintf(stderr, "unknown app '%s'; the profiles are:",
+                     app.c_str());
+        for (const Profile& p : profiles) {
+            std::fprintf(stderr, " %s", p.name.c_str());
+        }
+        std::fprintf(stderr, "\n");
+        return 2;
+    }
+    const Profile& prof = *known;
 
     struct Entry
     {

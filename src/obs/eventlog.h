@@ -2,13 +2,12 @@
  * @file
  * Leveled structured event log (docs/OBSERVABILITY.md).
  *
- * Replaces the ad-hoc fprintf(stderr, ...) scattered through the sweep
- * engine, the distributed coordinator/worker and procexec with one
+ * Replaces ad-hoc fprintf(stderr, ...) in the sweep engine with one
  * process-wide writer that renders each event twice:
  *
- *  - a human line on stderr ("[sweepd] progress done=5 total=50 ..."),
- *    assembled completely and emitted as ONE write so concurrent workers
- *    sharing a terminal never interleave mid-line;
+ *  - a human line on stderr ("[sweep] progress done=5 total=50 ..."),
+ *    assembled completely and emitted as ONE write so concurrent pool
+ *    workers sharing a terminal never interleave mid-line;
  *  - a schema-stable JSONL record ({"ts_ms":...,"level":"info",
  *    "source":...,"event":..., <fields>}) to an optional file sink
  *    (UDP_EVENT_LOG=<path> or EventLog::openSink).

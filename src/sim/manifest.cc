@@ -50,7 +50,9 @@ hashDouble(std::uint64_t* h, double v)
     hashU64(h, bits);
 }
 
-} // namespace
+// --- flat-JSON fields: hashes are 16 lowercase hex digits; the extractors
+// find the first "key": field of a single-line object (no nesting, no
+// whitespace around the colon) ----------------------------------------------
 
 std::string
 hexOf(std::uint64_t v)
@@ -128,6 +130,8 @@ extractU64(const std::string& line, const std::string& key,
     return true;
 }
 
+} // namespace
+
 std::uint64_t
 sweepJobHash(const SweepJob& job, std::size_t index)
 {
@@ -186,9 +190,6 @@ manifestEntryToJsonLine(const ManifestEntry& e)
                       "\",\"index\":" + std::to_string(e.index) +
                       ",\"workload\":\"" + jsonEscape(e.workload) +
                       "\",\"config\":\"" + jsonEscape(e.label) + "\"";
-    if (!e.worker.empty()) {
-        out += ",\"worker\":\"" + jsonEscape(e.worker) + "\"";
-    }
     if (e.ok) {
         // "report" is by construction the last key: the loader slices it
         // from the first '{' after it to the line's final '}'.
@@ -219,7 +220,6 @@ manifestEntryFromJsonLine(const std::string& line, ManifestEntry* out)
         return false;
     }
     e.index = index;
-    extractString(line, "worker", &e.worker); // optional field
     if (status == "ok") {
         const std::string needle = "\"report\":";
         std::size_t pos = line.find(needle);
@@ -260,22 +260,6 @@ manifestEntryIsConsistent(const ManifestEntry& e)
         return false;
     }
     return reportToJsonLine(r) == e.reportJson;
-}
-
-std::vector<ManifestEntry>
-readManifestFile(const std::string& path)
-{
-    std::vector<ManifestEntry> out;
-    std::ifstream in(path);
-    std::string line;
-    while (in.is_open() && std::getline(in, line)) {
-        ManifestEntry e;
-        if (manifestEntryFromJsonLine(line, &e) &&
-            manifestEntryIsConsistent(e)) {
-            out.push_back(std::move(e));
-        }
-    }
-    return out;
 }
 
 bool

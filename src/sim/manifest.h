@@ -9,7 +9,9 @@
  * lines all parse; a truncated final line is skipped on load. Completed
  * jobs store their full serialized Report, so a resumed sweep replays
  * them without re-running and the merged artifacts are byte-identical
- * to an uninterrupted run.
+ * to an uninterrupted run. One SweepRunner writes each manifest; keys
+ * it does not know (such as the "worker" of older distributed runs)
+ * are ignored on load, so such files still resume.
  */
 
 #ifndef UDP_SIM_MANIFEST_H
@@ -20,7 +22,6 @@
 #include <fstream>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "sim/sweep.h"
 
@@ -41,14 +42,6 @@ struct ManifestEntry
     std::string errorKind;
     /** reportToJsonLine() of a completed entry ("" when failed). */
     std::string reportJson;
-    /**
-     * Name of the worker that produced this result ("" when unknown —
-     * local sweeps, resumed entries, reclaim-published failures). Set by
-     * runSweepWorker so the status surface can attribute completions
-     * per worker; serialized only when non-empty, so local manifests are
-     * byte-identical to pre-field files.
-     */
-    std::string worker;
 };
 
 /**
@@ -96,19 +89,6 @@ class SweepManifest
     std::ofstream out;
 };
 
-/**
- * Flat-JSON helpers shared by the manifest and the work-queue files
- * (sim/workqueue.cc). Hashes and tokens are 16 lowercase hex digits;
- * the extractors find the first "key": field of a single-line object
- * (no nesting, no whitespace around the colon).
- */
-std::string hexOf(std::uint64_t v);
-bool hexTo(const std::string& s, std::uint64_t* out);
-bool extractString(const std::string& line, const std::string& key,
-                   std::string* out);
-bool extractU64(const std::string& line, const std::string& key,
-                std::uint64_t* out);
-
 /** Serializes @p e as one manifest JSON line (no trailing newline). */
 std::string manifestEntryToJsonLine(const ManifestEntry& e);
 
@@ -127,14 +107,6 @@ bool manifestEntryFromJsonLine(const std::string& line, ManifestEntry* out);
  * hash on resume.
  */
 bool manifestEntryIsConsistent(const ManifestEntry& e);
-
-/**
- * Loads every consistent entry of a manifest/shard file, in file order
- * (later duplicates of a hash are NOT collapsed; callers merging shards
- * dedupe by hash). Malformed, truncated, and inconsistent lines are
- * skipped; a missing file yields an empty vector.
- */
-std::vector<ManifestEntry> readManifestFile(const std::string& path);
 
 } // namespace udp
 

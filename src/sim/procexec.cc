@@ -15,7 +15,6 @@
 #include <new>
 #include <stdexcept>
 
-#include "obs/metrics.h"
 #include "sim/runner.h"
 #include "sim/simerror.h"
 #include "sim/wire.h"
@@ -280,7 +279,6 @@ runJobIsolated(const SweepJob& job, const ProcLimits& limits)
 
     pid_t pid = ::fork();
     if (pid < 0) {
-        obs::counter("procexec.fork_failures").add(1);
         jr.error.kind = "exception";
         jr.error.message =
             std::string("fork() failed: ") + std::strerror(errno);
@@ -385,14 +383,6 @@ runJobIsolated(const SweepJob& job, const ProcLimits& limits)
     while (::wait4(pid, &status, 0, &ru) < 0 && errno == EINTR) {
     }
 
-    // Per-outcome counters plus a child peak-RSS histogram: the isolation
-    // layer's own health, surfaced through STATUS/metrics snapshots.
-    obs::counter("procexec.children").add(1);
-    if (ru.ru_maxrss > 0) {
-        obs::histogram("procexec.child_max_rss_kb")
-            .observe(static_cast<std::uint64_t>(ru.ru_maxrss));
-    }
-
     auto attachDiagnostics = [&](JobError* e) {
         e->stderrTail = tail;
         e->maxRssKb = static_cast<std::uint64_t>(ru.ru_maxrss);
@@ -403,7 +393,6 @@ runJobIsolated(const SweepJob& job, const ProcLimits& limits)
     };
 
     if (timed_out) {
-        obs::counter("procexec.timeouts").add(1);
         jr.ok = false;
         jr.error = JobError{};
         jr.error.kind = "timeout";
@@ -419,10 +408,6 @@ runJobIsolated(const SweepJob& job, const ProcLimits& limits)
 
     if (WIFSIGNALED(status)) {
         int sig = WTERMSIG(status);
-        obs::counter(sig == SIGXCPU   ? "procexec.cpu_limit_kills"
-                     : sig == SIGKILL ? "procexec.oom_kills"
-                                      : "procexec.crashes")
-            .add(1);
         jr.ok = false;
         jr.error = JobError{};
         jr.error.signal = signalNameOf(sig);
@@ -445,16 +430,12 @@ runJobIsolated(const SweepJob& job, const ProcLimits& limits)
     }
 
     if (decodePayload(payload, &jr)) {
-        obs::counter(jr.ok ? "procexec.clean_exits"
-                           : "procexec.job_errors")
-            .add(1);
         if (!jr.ok) {
             attachDiagnostics(&jr.error);
         }
         return jr;
     }
 
-    obs::counter("procexec.protocol_errors").add(1);
     jr.ok = false;
     jr.error = JobError{};
     int exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;

@@ -1,6 +1,6 @@
 #include "sim/runner.h"
 
-#include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -168,20 +168,41 @@ prewarmProgram(const Profile& profile)
 }
 
 bool
+parseCount(const std::string& s, std::uint64_t* out)
+{
+    std::uint64_t v = 0;
+    const char* end = s.data() + s.size();
+    auto [p, ec] = std::from_chars(s.data(), end, v);
+    if (s.empty() || ec != std::errc() || p != end) {
+        return false;
+    }
+    *out = v;
+    return true;
+}
+
+bool
+parseSeconds(const std::string& s, double* out)
+{
+    double v = 0.0;
+    const char* end = s.data() + s.size();
+    auto [p, ec] = std::from_chars(s.data(), end, v);
+    if (s.empty() || ec != std::errc() || p != end || !std::isfinite(v) ||
+        v < 0.0) {
+        return false;
+    }
+    *out = v;
+    return true;
+}
+
+bool
 parsePositiveEnv(const char* name, std::uint64_t* out)
 {
     const char* text = std::getenv(name);
     if (text == nullptr) {
         return false;
     }
-    errno = 0;
-    char* end = nullptr;
-    unsigned long long v = std::strtoull(text, &end, 10);
-    bool overflow = errno == ERANGE;
-    // Reject empty strings, trailing junk ("1e6", "100k"), negatives
-    // (strtoull silently wraps them), zero and overflow.
-    if (end == text || *end != '\0' || text[0] == '-' || v == 0 ||
-        overflow) {
+    std::uint64_t v = 0;
+    if (!parseCount(text, &v) || v == 0) {
         std::fprintf(stderr,
                      "[udp] ignoring %s=\"%s\": expected a positive "
                      "integer; using the default\n",

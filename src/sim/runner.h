@@ -169,10 +169,21 @@ Report collectReport(const Cpu& cpu, std::string workload,
 RunOptions envRunOptions(RunOptions defaults = RunOptions{});
 
 /**
- * Parses environment variable @p name as a positive integer into @p out.
- * Returns false when unset; a set-but-malformed value (empty, non-numeric,
- * trailing junk, zero, or overflow) warns on stderr and also returns
- * false, so callers always fall back to their default.
+ * Parses @p s as a whole-string unsigned decimal into @p out. Returns
+ * false, leaving @p out untouched, on anything else: empty, a sign,
+ * whitespace, trailing junk or overflow. The one number parser of the
+ * command lines (figures, udp_sim, udp_trace, the examples).
+ */
+bool parseCount(const std::string& s, std::uint64_t* out);
+
+/** Like parseCount() for a finite, non-negative decimal number. */
+bool parseSeconds(const std::string& s, double* out);
+
+/**
+ * Parses environment variable @p name as a positive integer into @p out
+ * (parseCount() plus rejecting zero). Returns false when unset; a
+ * set-but-malformed value warns on stderr and also returns false, so
+ * callers always fall back to their default.
  */
 bool parsePositiveEnv(const char* name, std::uint64_t* out);
 

@@ -13,7 +13,6 @@
 #include <unordered_set>
 
 #include "obs/eventlog.h"
-#include "obs/metrics.h"
 #include "sim/manifest.h"
 #include "sim/pool.h"
 #include "sim/procexec.h"
@@ -150,18 +149,21 @@ class SignalGuard
 #endif
 };
 
-} // namespace
-
+/**
+ * Runs one job to a JobResult under @p opts: the watchdog budget, the
+ * retry loop, optional fork isolation (@p isolate: requested and
+ * supported), structured error capture and the failure dump. @p index
+ * only names the dump file.
+ */
 JobResult
 runJobChecked(const SweepJob& jobIn, std::size_t index,
-              const JobExecOptions& opts)
+              const SweepOptions& opts, bool isolate)
 {
     JobResult jr;
     SweepJob job = jobIn; // local copy: the budget edit is per execution
     if (opts.jobCycleBudget != 0 && job.config.watchdog.maxCycles == 0) {
         job.config.watchdog.maxCycles = opts.jobCycleBudget;
     }
-    const bool isolate = opts.isolate && procIsolationSupported();
     const unsigned maxAttempts = opts.maxAttempts == 0 ? 1 : opts.maxAttempts;
 
     for (unsigned attempt = 1; attempt <= maxAttempts && !jr.ok; ++attempt) {
@@ -207,6 +209,8 @@ runJobChecked(const SweepJob& jobIn, std::size_t index,
     }
     return jr;
 }
+
+} // namespace
 
 bool
 sweepStopRequested()
@@ -320,7 +324,6 @@ SweepRunner::runChecked(const std::vector<SweepJob>& jobs) const
     std::size_t skippedCount = 0;
     bool stopAnnounced = false;
     const Clock::time_point start = Clock::now();
-    const unsigned max_attempts = opts.maxAttempts == 0 ? 1 : opts.maxAttempts;
 
     auto postProgress = [&](std::size_t jobIndex, const JobResult& jr) {
         // Caller holds mtx; the event log is additionally a single
@@ -392,24 +395,14 @@ SweepRunner::runChecked(const std::vector<SweepJob>& jobs) const
             return;
         }
 
-        JobExecOptions eo;
-        eo.maxAttempts = max_attempts;
-        eo.jobCycleBudget = opts.jobCycleBudget;
-        eo.dumpDir = opts.dumpDir;
-        eo.isolate = isolate;
-        eo.memLimitBytes = opts.memLimitBytes;
-        eo.cpuLimitSec = opts.cpuLimitSec;
-        eo.wallLimitSec = opts.wallLimitSec;
-        jr = runJobChecked(jobs[i], i, eo);
+        jr = runJobChecked(jobs[i], i, opts, isolate);
 
         // A failed job still counts as done: progress always reaches
         // total and the ETA is computed from every finished job.
         std::lock_guard<std::mutex> lock(mtx);
         ++done;
-        obs::counter("sweep.jobs_done").add(1);
         if (!jr.ok) {
             ++failed;
-            obs::counter("sweep.jobs_failed").add(1);
         }
         if (manifest.isOpen()) {
             ManifestEntry e;

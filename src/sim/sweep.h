@@ -1,7 +1,11 @@
 /**
  * @file
- * The parallel experiment engine: run a batch of independent simulations
- * (one Report each) on a worker pool, with deterministic result ordering.
+ * The sweep engine: run a batch of independent simulations (one Report
+ * each) on a worker pool, with deterministic result ordering. It is the
+ * only way sweeps run, on one host: fork isolation per job
+ * (SweepOptions::isolate, sim/procexec.h), the checkpoint manifest
+ * behind --resume (sim/manifest.h) and graceful SIGINT/SIGTERM shutdown
+ * are options of the same runner.
  *
  * Every sweep point is an isolated (Profile, SimConfig, RunOptions) triple;
  * simulations share only the immutable Program cache inside runSim(), so a
@@ -159,39 +163,6 @@ struct SweepOptions
      *  process (the flushed manifest still allows --resume). */
     bool handleSignals = false;
 };
-
-/**
- * Execution knobs for running one job outside a SweepRunner batch (the
- * distributed-worker path, sim/sweepd.h). A subset of SweepOptions with
- * identical semantics, so a job run through runJobChecked() behaves —
- * and reports — exactly like the same job inside runChecked().
- */
-struct JobExecOptions
-{
-    /** Attempts for this execution (>= 1). Distributed workers usually
-     *  leave this at 1 and let the coordinator's lease policy own the
-     *  retry budget. */
-    unsigned maxAttempts = 1;
-    /** Watchdog budget installed when the job's config leaves it 0. */
-    Cycle jobCycleBudget = 0;
-    /** Directory for failure dump files ("" = in-memory only). */
-    std::string dumpDir;
-    /** Fork-isolated execution (sim/procexec.h); falls back to
-     *  in-process silently where unsupported. */
-    bool isolate = false;
-    std::uint64_t memLimitBytes = 0;
-    std::uint64_t cpuLimitSec = 0;
-    double wallLimitSec = 0.0;
-};
-
-/**
- * Runs one sweep job to a JobResult: the retry loop, optional process
- * isolation, structured error capture, and failure-dump writing of
- * SweepRunner::runChecked(), without the pool/manifest machinery.
- * @p index only labels diagnostics (dump file names).
- */
-JobResult runJobChecked(const SweepJob& job, std::size_t index,
-                        const JobExecOptions& opts = {});
 
 /** True once a graceful-shutdown signal was observed by the handlers
  *  installed via SweepOptions::handleSignals (sticky per batch). */

@@ -266,6 +266,10 @@ TEST(FiguresCli, RejectsUnknownFlag)
 {
     expectRejected({"fig13_udp", "--jsn", "x.jsonl"},
                    "unknown option '--jsn'");
+    expectRejected({"fig13_udp", "--coordinator", "q"},
+                   "unknown option '--coordinator'");
+    expectRejected({"fig13_udp", "--worker-of", "w"},
+                   "unknown option '--worker-of'");
 }
 
 TEST(FiguresCli, RejectsUnknownFigure)
@@ -302,8 +306,7 @@ TEST(FiguresCli, ParsesEveryFlag)
         "figures", "fig03_ftq_sweep", "--out-dir", "out", "--isolate",
         "--resume", "--mem-mb", "2048", "--cpu-sec", "60", "--wall-sec",
         "1.5", "--interval-stats", "i.csv", "--trace-out", "t.json",
-        "--telemetry-interval", "500", "--profile", "--coordinator", "q",
-        "--worker-of", "w", "fig13_udp"};
+        "--telemetry-interval", "500", "--profile", "fig13_udp"};
     std::vector<char*> argv;
     for (std::string& a : args) {
         argv.push_back(a.data());
@@ -325,8 +328,6 @@ TEST(FiguresCli, ParsesEveryFlag)
     EXPECT_EQ(s.intervalPath, "i.csv");
     EXPECT_EQ(s.tracePath, "t.json");
     EXPECT_EQ(s.telemetryInterval, 500u);
-    EXPECT_EQ(s.coordinator, "q");
-    EXPECT_EQ(s.workerOf, "w");
 }
 
 } // namespace

@@ -292,6 +292,20 @@ TEST(Manifest, EntryRoundTrips)
     EXPECT_FALSE(parsed.ok);
     EXPECT_EQ(parsed.errorKind, "crash");
     EXPECT_EQ(parsed.reportJson, "");
+
+    // A line with the "worker" key that distributed workers used to
+    // write still parses, so their manifests still resume.
+    std::string line = manifestEntryToJsonLine(ok);
+    const std::string status = ",\"status\":";
+    line.insert(line.find(status), ",\"worker\":\"w1\"");
+    ASSERT_TRUE(manifestEntryFromJsonLine(line, &parsed)) << line;
+    EXPECT_EQ(parsed.hash, ok.hash);
+    EXPECT_EQ(parsed.index, ok.index);
+    EXPECT_EQ(parsed.workload, ok.workload);
+    EXPECT_EQ(parsed.label, ok.label);
+    EXPECT_TRUE(parsed.ok);
+    EXPECT_EQ(parsed.reportJson, ok.reportJson);
+    EXPECT_TRUE(manifestEntryIsConsistent(parsed));
 }
 
 TEST(Manifest, TruncatedFinalLineIsSkippedOnLoad)

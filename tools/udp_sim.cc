@@ -12,12 +12,14 @@
  *             eip8k | uftq-aur | uftq-atr | uftq-atr-aur
  */
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <string>
 
+#include "common/intmath.h"
 #include "sim/runner.h"
 #include "workload/builder.h"
 #include "workload/serialize.h"
@@ -36,7 +38,8 @@ usage()
         "                       icache40k|eip8k|uftq-aur|uftq-atr|\n"
         "                       uftq-atr-aur (default fdip)\n"
         "  --ftq N              fixed FTQ depth (default 32)\n"
-        "  --btb N              BTB entries (default 8192)\n"
+        "  --btb N              BTB entries, 8 ways x a power of two\n"
+        "                       (default 8192)\n"
         "  --instrs N           measured instructions (default 1000000)\n"
         "  --warmup N           warmup instructions (default 500000)\n"
         "  --seed N             workload seed override\n"
@@ -44,6 +47,21 @@ usage()
         "  --load-program PATH  simulate a saved program image\n"
         "  --csv                emit the report as CSV key,value lines\n"
         "  --list               list available workload profiles\n");
+}
+
+/** The value of numeric flag @p flag; exits 2 unless it is a whole
+ *  decimal no larger than @p max. */
+std::uint64_t
+countArg(const std::string& flag, const char* text,
+         std::uint64_t max = UINT64_MAX)
+{
+    std::uint64_t v = 0;
+    if (!parseCount(text, &v) || v > max) {
+        std::fprintf(stderr, "udp_sim: malformed number '%s' for %s\n",
+                     text, flag.c_str());
+        std::exit(2);
+    }
+    return v;
 }
 
 std::optional<SimConfig>
@@ -112,15 +130,15 @@ main(int argc, char** argv)
         } else if (a == "--technique") {
             technique = next();
         } else if (a == "--ftq") {
-            ftq = static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
+            ftq = static_cast<unsigned>(countArg(a, next(), UINT_MAX));
         } else if (a == "--btb") {
-            btb = static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
+            btb = static_cast<unsigned>(countArg(a, next(), UINT_MAX));
         } else if (a == "--instrs") {
-            instrs = std::strtoull(next(), nullptr, 10);
+            instrs = countArg(a, next());
         } else if (a == "--warmup") {
-            warmup = std::strtoull(next(), nullptr, 10);
+            warmup = countArg(a, next());
         } else if (a == "--seed") {
-            seed_override = std::strtoull(next(), nullptr, 10);
+            seed_override = countArg(a, next());
         } else if (a == "--save-program") {
             save_path = next();
         } else if (a == "--load-program") {
@@ -151,6 +169,16 @@ main(int argc, char** argv)
                          technique.c_str());
             return 2;
         }
+        // The BTB indexes sets with a mask: any other size would leave
+        // some of its sets unreachable.
+        const unsigned assoc = cfg->bpu.btb.assoc;
+        if (btb % assoc != 0 || !isPowerOf2(btb / assoc)) {
+            std::fprintf(stderr,
+                         "udp_sim: --btb %u: entries must be %u ways times "
+                         "a power-of-two set count\n",
+                         btb, assoc);
+            return 2;
+        }
 
         Program prog = [&]() {
             if (!load_path.empty()) {
@@ -178,14 +206,17 @@ main(int argc, char** argv)
         cpu.runUntilRetired(instrs);
         Report r = collectReport(cpu, prog.name(), technique);
 
+        // Named, so the range-for below does not iterate a destroyed
+        // temporary.
+        const StatSet stats = r.toStatSet();
         if (csv) {
-            for (const auto& [k, v] : r.toStatSet().entries()) {
+            for (const auto& [k, v] : stats.entries()) {
                 std::printf("%s,%g\n", k.c_str(), v);
             }
         } else {
             std::printf("workload=%s technique=%s ftq=%u btb=%u\n",
                         prog.name().c_str(), technique.c_str(), ftq, btb);
-            std::printf("%s", r.toStatSet().toString().c_str());
+            std::printf("%s", stats.toString().c_str());
         }
         return 0;
     } catch (const std::exception& e) {

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <string>
 
+#include "sim/runner.h"
 #include "workload/builder.h"
 #include "workload/serialize.h"
 #include "workload/true_stream.h"
@@ -72,12 +73,17 @@ main(int argc, char** argv)
             app = next();
         } else if (a == "--load-program") {
             load_path = next();
-        } else if (a == "--skip") {
-            skip = std::strtoull(next(), nullptr, 10);
-        } else if (a == "--count") {
-            count = std::strtoull(next(), nullptr, 10);
-        } else if (a == "--seed") {
-            seed = std::strtoull(next(), nullptr, 10);
+        } else if (a == "--skip" || a == "--count" || a == "--seed") {
+            const char* text = next();
+            std::uint64_t& v = a == "--skip"    ? skip
+                               : a == "--count" ? count
+                                                : seed;
+            if (!parseCount(text, &v)) {
+                std::fprintf(stderr,
+                             "udp_trace: malformed number '%s' for %s\n",
+                             text, a.c_str());
+                return 2;
+            }
         } else {
             std::fprintf(stderr,
                          "usage: udp_trace [--app NAME|--load-program P] "
