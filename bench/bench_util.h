@@ -173,6 +173,8 @@ parseSinkArgs(int argc, char** argv, SinkArgs* s,
  * fault (sim/faultinject.h) into one job of the batch — job @c index
  * (default 0) at trigger cycle @c cycle (default 10000). Lets CI and the
  * docs demonstrate crash containment on a real bench without patching it.
+ * An unknown kind, a malformed number or an index past the last job
+ * warns and injects nothing.
  */
 inline void
 applyEnvFault(std::vector<SweepJob>* jobs)
@@ -182,18 +184,22 @@ applyEnvFault(std::vector<SweepJob>* jobs)
         return;
     }
     std::string kind = spec;
-    std::size_t index = 0;
+    std::uint64_t index = 0;
     Cycle cycle = 10'000;
     std::size_t colon = kind.find(':');
     if (colon != std::string::npos) {
         std::string rest = kind.substr(colon + 1);
         kind.erase(colon);
         std::size_t colon2 = rest.find(':');
-        if (colon2 != std::string::npos) {
-            cycle = std::strtoull(rest.c_str() + colon2 + 1, nullptr, 10);
-            rest.erase(colon2);
+        if (!parseCount(rest.substr(0, colon2), &index) ||
+            (colon2 != std::string::npos &&
+             !parseCount(rest.substr(colon2 + 1), &cycle))) {
+            std::fprintf(stderr,
+                         "[bench] UDP_BENCH_FAULT: malformed number in "
+                         "\"%s\"\n",
+                         spec);
+            return;
         }
-        index = std::strtoull(rest.c_str(), nullptr, 10);
     }
     FaultKind fk = FaultKind::None;
     if (!faultKindFromName(kind, &fk)) {
@@ -202,16 +208,21 @@ applyEnvFault(std::vector<SweepJob>* jobs)
         return;
     }
     if (index >= jobs->size()) {
-        index = jobs->size() - 1;
+        std::fprintf(stderr,
+                     "[bench] UDP_BENCH_FAULT: job %llu is past the last "
+                     "job (%zu)\n",
+                     static_cast<unsigned long long>(index),
+                     jobs->size() - 1);
+        return;
     }
     SweepJob& job = (*jobs)[index];
     job.config.fault.kind = fk;
     job.config.fault.triggerCycle = cycle;
     std::fprintf(stderr,
-                 "[bench] UDP_BENCH_FAULT: injecting %s into job %zu "
+                 "[bench] UDP_BENCH_FAULT: injecting %s into job %llu "
                  "(\"%s\") at cycle %llu\n",
-                 faultKindName(fk), index, job.label.c_str(),
-                 static_cast<unsigned long long>(cycle));
+                 faultKindName(fk), static_cast<unsigned long long>(index),
+                 job.label.c_str(), static_cast<unsigned long long>(cycle));
 }
 
 /**
@@ -295,27 +306,6 @@ runBenchSweep(std::vector<SweepJob> jobs, const SinkArgs& args)
     }
     o.handleSignals = true;
     return runSweepChecked(jobs, o);
-}
-
-/** Converts a failed job to its machine-readable sink failure row. */
-inline FailureRow
-failureRowOf(const SweepJob& job, const JobResult& jr)
-{
-    FailureRow f;
-    f.workload = job.profile.name;
-    f.config = job.label;
-    f.errorKind = jr.error.kind;
-    f.component = jr.error.component;
-    f.message = jr.error.message;
-    f.dumpPath = jr.error.dumpPath;
-    f.cycle = jr.error.cycle;
-    f.attempts = jr.attempts;
-    f.signal = jr.error.signal;
-    f.stderrTail = jr.error.stderrTail;
-    f.maxRssKb = jr.error.maxRssKb;
-    f.userSec = jr.error.userSec;
-    f.sysSec = jr.error.sysSec;
-    return f;
 }
 
 /** The standard bench banner (four lines) for window @p o. */

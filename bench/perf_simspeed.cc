@@ -10,10 +10,10 @@
  * Usage: perf_simspeed [--out BENCH_simspeed.json] [--repeat N]
  *                      [--profile]
  *
- * Each (workload, config) point is run --repeat times (default 3) in
- * this process, serially, after one untimed warmup run that populates
- * the shared Program cache; the fastest repeat is reported, the usual
- * way to suppress host scheduling noise.
+ * Each (workload, config) point is run --repeat times (a positive count,
+ * default 3) in this process, serially, after one untimed warmup run
+ * that populates the shared Program cache; the fastest repeat is
+ * reported, the usual way to suppress host scheduling noise.
  *
  * The output file is append-only: every invocation adds ONE timestamped
  * JSON row (a JSONL file), so the committed BENCH_simspeed.json
@@ -27,6 +27,7 @@
 #include "bench_util.h"
 
 #include <chrono>
+#include <climits>
 #include <ctime>
 #include <fstream>
 
@@ -45,10 +46,15 @@ main(int argc, char** argv)
         if (arg == "--out" && i + 1 < argc) {
             outPath = argv[++i];
         } else if (arg == "--repeat" && i + 1 < argc) {
-            repeat = static_cast<unsigned>(std::atoi(argv[++i]));
-            if (repeat == 0) {
-                repeat = 1;
+            std::uint64_t n = 0;
+            if (!parseCount(argv[++i], &n) || n == 0 || n > UINT_MAX) {
+                std::fprintf(stderr,
+                             "perf_simspeed: malformed number '%s' for "
+                             "--repeat\n",
+                             argv[i]);
+                return 2;
             }
+            repeat = static_cast<unsigned>(n);
         } else if (arg == "--profile") {
             profile = true;
         } else {

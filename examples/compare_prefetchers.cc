@@ -134,20 +134,7 @@ main(int argc, char** argv)
         } else if (results[i].skipped) {
             ++skipped;
         } else {
-            FailureRow f;
-            f.workload = prof.name;
-            f.config = jobs[i].label;
-            f.errorKind = results[i].error.kind;
-            f.component = results[i].error.component;
-            f.message = results[i].error.message;
-            f.cycle = results[i].error.cycle;
-            f.attempts = results[i].attempts;
-            f.signal = results[i].error.signal;
-            f.stderrTail = results[i].error.stderrTail;
-            f.maxRssKb = results[i].error.maxRssKb;
-            f.userSec = results[i].error.userSec;
-            f.sysSec = results[i].error.sysSec;
-            failures.push_back(std::move(f));
+            failures.push_back(failureRowOf(jobs[i], results[i]));
         }
     }
 

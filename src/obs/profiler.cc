@@ -40,6 +40,7 @@ ProfileSnapshot::phaseFrac(ProfPhase p) const
 void
 CycleProfiler::closeInterval()
 {
+    phase(cur_);
     ProfileIntervalRow row;
     row.cycleStart = intervalStartCycle_;
     row.cycleEnd = nowCycle_;
@@ -59,7 +60,6 @@ CycleProfiler::clearStats()
     std::memset(total_, 0, sizeof(total_));
     intervals_.clear();
     cycles_ = 0;
-    windowStartCycle_ = nowCycle_;
     intervalStartCycle_ = nowCycle_;
 }
 

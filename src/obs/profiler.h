@@ -51,7 +51,8 @@ inline constexpr std::size_t kNumProfPhases = 6;
 
 const char* profPhaseName(ProfPhase p);
 
-/** One profiler reporting interval (ProfileConfig::intervalCycles). */
+/** One profiler reporting interval: the cycles up to one closeInterval()
+ *  (Cpu closes it with each telemetry interval row). */
 struct ProfileIntervalRow
 {
     Cycle cycleStart = 0;
@@ -75,22 +76,15 @@ struct ProfileSnapshot
 class CycleProfiler
 {
   public:
-    explicit CycleProfiler(Cycle intervalCycles)
-        : intervalCycles_(intervalCycles != 0 ? intervalCycles : 100000)
-    {
-    }
-
     /** Starts a cycle: the clock starts ticking against Other. */
     void beginCycle(Cycle now)
     {
         nowCycle_ = now;
         if (cycles_ == 0 && intervals_.empty()) {
-            windowStartCycle_ = now;
             intervalStartCycle_ = now;
         }
         last_ = Clock::now();
         cur_ = ProfPhase::Other;
-        inCycle_ = true;
     }
 
     /** Charges time since the last switch to the current phase, then
@@ -105,16 +99,18 @@ class CycleProfiler
     }
 
     /** Ends the cycle: charges the trailing segment to the phase that is
-     *  still open and closes the interval when due. */
+     *  still open. */
     void endCycle()
     {
         phase(ProfPhase::Other);
-        inCycle_ = false;
         ++cycles_;
-        if (nowCycle_ - intervalStartCycle_ + 1 >= intervalCycles_) {
-            closeInterval();
-        }
     }
+
+    /** Closes the current interval at the current cycle, charging the
+     *  time since the last switch to it. Cpu::cycle() calls this when it
+     *  closes a telemetry interval row, so row i of both ends on the same
+     *  cycle; without telemetry the window is one interval. */
+    void closeInterval();
 
     /** Resets the measurement window (Cpu::clearStats). */
     void clearStats();
@@ -128,15 +124,10 @@ class CycleProfiler
   private:
     using Clock = std::chrono::steady_clock;
 
-    void closeInterval();
-
-    Cycle intervalCycles_;
     Clock::time_point last_{};
     ProfPhase cur_ = ProfPhase::Other;
-    bool inCycle_ = false;
     double acc_[kNumProfPhases] = {};   ///< current (open) interval
     double total_[kNumProfPhases] = {}; ///< whole window
-    Cycle windowStartCycle_ = 0;
     Cycle intervalStartCycle_ = 0;
     Cycle nowCycle_ = 0;
     std::uint64_t cycles_ = 0;
@@ -149,8 +140,6 @@ class CycleProfiler
 struct ProfileConfig
 {
     bool enabled = false;
-    /** Cycles per reporting interval (Chrome-trace counter cadence). */
-    Cycle intervalCycles = 100000;
 
     bool operator==(const ProfileConfig&) const = default;
 };

@@ -91,8 +91,7 @@ Cpu::Cpu(const Program& prog, const SimConfig& c) : cfg(c), program(prog)
 
 #ifndef UDP_NO_SELF_PROFILER
     if (cfg.profile.enabled) {
-        profiler_ = std::make_unique<obs::CycleProfiler>(
-            cfg.profile.intervalCycles);
+        profiler_ = std::make_unique<obs::CycleProfiler>();
     }
 #endif
 }
@@ -209,6 +208,7 @@ Cpu::cycle()
     UDP_PROF(phase(obs::ProfPhase::Other));
     if (telemetry_ && telemetry_->intervalDue()) {
         telemetry_->closeInterval(telemetryCounters());
+        UDP_PROF(closeInterval());
     }
 
     // --- hardening: forward-progress watchdog + invariant sweeps --------

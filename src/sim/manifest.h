@@ -9,9 +9,9 @@
  * lines all parse; a truncated final line is skipped on load. Completed
  * jobs store their full serialized Report, so a resumed sweep replays
  * them without re-running and the merged artifacts are byte-identical
- * to an uninterrupted run. One SweepRunner writes each manifest; keys
- * it does not know (such as the "worker" of older distributed runs)
- * are ignored on load, so such files still resume.
+ * to an uninterrupted run. One runSweepChecked call writes each
+ * manifest; keys it does not know (such as the "worker" of older
+ * distributed runs) are ignored on load, so such files still resume.
  */
 
 #ifndef UDP_SIM_MANIFEST_H

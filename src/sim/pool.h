@@ -1,11 +1,11 @@
 /**
  * @file
- * A fixed-size thread pool used by the sweep runner (sweep.h).
+ * A fixed-size thread pool used by runSweepChecked (sweep.h).
  *
  * Deliberately minimal: submit() enqueues fire-and-forget tasks, wait()
  * blocks until every submitted task has finished. Tasks must not throw —
- * callers that can fail should capture their own std::exception_ptr
- * (SweepRunner does exactly that).
+ * callers that can fail catch inside the task (runSweepChecked turns
+ * every exception into a JobError).
  */
 
 #ifndef UDP_SIM_POOL_H

@@ -8,11 +8,9 @@
 #include <filesystem>
 #include <fstream>
 #include <mutex>
-#include <stdexcept>
 #include <thread>
 #include <unordered_set>
 
-#include "obs/eventlog.h"
 #include "sim/manifest.h"
 #include "sim/pool.h"
 #include "sim/procexec.h"
@@ -29,6 +27,19 @@ double
 secondsSince(Clock::time_point start)
 {
     return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+/**
+ * Writes "[sweep] <body>" and a newline to stderr. The whole line goes
+ * out in one fwrite, so lines from concurrent pool workers never
+ * interleave.
+ */
+void
+sweepLine(const std::string& body)
+{
+    std::string line = "[sweep] " + body + "\n";
+    std::fwrite(line.data(), 1, line.size(), stderr);
+    std::fflush(stderr);
 }
 
 /** Filesystem-safe version of a job label. */
@@ -56,19 +67,15 @@ writeFailureDump(const std::string& dir, const std::string& label,
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);
     if (ec) {
-        obs::Event(obs::LogLevel::Warn, "sweep", "dump_dir_error")
-            .str("dir", dir)
-            .str("error", ec.message())
-            .emit();
+        sweepLine("warning: dump_dir_error dir=" + dir +
+                  " error=" + ec.message());
         return "";
     }
     std::string path = dir + "/" + sanitizeLabel(label) + "-" +
                        std::to_string(index) + ".dump.txt";
     std::ofstream out(path, std::ios::out | std::ios::trunc);
     if (!out.is_open()) {
-        obs::Event(obs::LogLevel::Warn, "sweep", "dump_open_error")
-            .str("path", path)
-            .emit();
+        sweepLine("warning: dump_open_error path=" + path);
         return "";
     }
     out << err.message << '\n';
@@ -189,17 +196,14 @@ runJobChecked(const SweepJob& jobIn, std::size_t index,
             jr.error.message = e.what();
             jr.error.dump = e.dump();
             jr.error.cycle = e.cycle();
-            jr.exception = std::current_exception();
         } catch (const std::exception& e) {
             jr.error = JobError{};
             jr.error.kind = "exception";
             jr.error.message = e.what();
-            jr.exception = std::current_exception();
         } catch (...) {
             jr.error = JobError{};
             jr.error.kind = "exception";
             jr.error.message = "unknown exception";
-            jr.exception = std::current_exception();
         }
     }
 
@@ -225,7 +229,7 @@ sweepStopSignal()
 }
 
 unsigned
-SweepRunner::defaultJobs()
+defaultJobs()
 {
     std::uint64_t n = 0;
     if (parsePositiveEnv("UDP_JOBS", &n)) {
@@ -235,15 +239,31 @@ SweepRunner::defaultJobs()
     return hw == 0 ? 1 : hw;
 }
 
-SweepRunner::SweepRunner(SweepOptions options)
-    : opts(std::move(options)),
-      threads(opts.numThreads == 0 ? defaultJobs() : opts.numThreads)
+FailureRow
+failureRowOf(const SweepJob& job, const JobResult& jr)
 {
+    FailureRow f;
+    f.workload = job.profile.name;
+    f.config = job.label;
+    f.errorKind = jr.error.kind;
+    f.component = jr.error.component;
+    f.message = jr.error.message;
+    f.dumpPath = jr.error.dumpPath;
+    f.cycle = jr.error.cycle;
+    f.attempts = jr.attempts;
+    f.signal = jr.error.signal;
+    f.stderrTail = jr.error.stderrTail;
+    f.maxRssKb = jr.error.maxRssKb;
+    f.userSec = jr.error.userSec;
+    f.sysSec = jr.error.sysSec;
+    return f;
 }
 
 std::vector<JobResult>
-SweepRunner::runChecked(const std::vector<SweepJob>& jobs) const
+runSweepChecked(const std::vector<SweepJob>& jobs, const SweepOptions& opts)
 {
+    const unsigned threads =
+        opts.numThreads == 0 ? defaultJobs() : opts.numThreads;
     std::vector<JobResult> results(jobs.size());
     if (jobs.empty()) {
         return results;
@@ -251,9 +271,7 @@ SweepRunner::runChecked(const std::vector<SweepJob>& jobs) const
 
     const bool isolate = opts.isolate && procIsolationSupported();
     if (opts.isolate && !isolate && !opts.quiet) {
-        obs::Event(obs::LogLevel::Warn, "sweep", "isolation_unsupported")
-            .str("fallback", "in_process")
-            .emit();
+        sweepLine("warning: isolation_unsupported fallback=in_process");
     }
 
     // Checkpoint manifest: hash every job up front; on resume, satisfy
@@ -289,11 +307,9 @@ SweepRunner::runChecked(const std::vector<SweepJob>& jobs) const
                 ++resumedCount;
             }
             if (!opts.quiet && resumedCount != 0) {
-                obs::Event(obs::LogLevel::Info, "sweep", "resumed")
-                    .u64("resumed", resumedCount)
-                    .u64("total", jobs.size())
-                    .str("manifest", opts.manifestPath)
-                    .emit();
+                sweepLine("resumed resumed=" + std::to_string(resumedCount) +
+                          " total=" + std::to_string(jobs.size()) +
+                          " manifest=" + opts.manifestPath);
             }
         }
     }
@@ -323,19 +339,20 @@ SweepRunner::runChecked(const std::vector<SweepJob>& jobs) const
     std::size_t failed = 0;
     std::size_t skippedCount = 0;
     bool stopAnnounced = false;
+    // Progress lines are throttled to one per kProgressEverySec; the
+    // line that reports done == total always goes out.
+    constexpr double kProgressEverySec = 0.25;
+    double nextProgressSec = 0.0;
     const Clock::time_point start = Clock::now();
 
     auto postProgress = [&](std::size_t jobIndex, const JobResult& jr) {
-        // Caller holds mtx; the event log is additionally a single
-        // writer emitting whole lines, so pool workers never interleave.
+        // Caller holds mtx.
         if (!jr.ok && !jr.skipped && !opts.quiet) {
-            obs::Event(obs::LogLevel::Warn, "sweep", "job_failed")
-                .u64("job", jobIndex)
-                .str("label", jobs[jobIndex].label)
-                .u64("attempts", jr.attempts)
-                .str("kind", jr.error.kind)
-                .str("message", jr.error.message)
-                .emit();
+            sweepLine("warning: job_failed job=" + std::to_string(jobIndex) +
+                      " label=" + jobs[jobIndex].label +
+                      " attempts=" + std::to_string(jr.attempts) +
+                      " kind=" + jr.error.kind +
+                      " message=" + jr.error.message);
         }
         SweepProgress p;
         p.done = done;
@@ -350,18 +367,15 @@ SweepRunner::runChecked(const std::vector<SweepJob>& jobs) const
                              static_cast<double>(p.total - p.done);
         if (opts.onProgress) {
             opts.onProgress(p);
-        } else if (!opts.quiet) {
-            obs::Event ev(obs::LogLevel::Info, "sweep", "progress");
-            ev.u64("done", p.done)
-                .u64("total", p.total)
-                .u64("failed", p.failed)
-                .f64("elapsed_sec", p.elapsedSec)
-                .f64("eta_sec", p.etaSec)
-                .every(0.25);
-            if (p.done == p.total) {
-                ev.force(); // the 100% line always lands
-            }
-            ev.emit();
+        } else if (!opts.quiet &&
+                   (p.elapsedSec >= nextProgressSec || p.done == p.total)) {
+            nextProgressSec = p.elapsedSec + kProgressEverySec;
+            char body[160];
+            std::snprintf(body, sizeof(body),
+                          "progress done=%zu total=%zu failed=%zu "
+                          "elapsed_sec=%.3g eta_sec=%.3g",
+                          p.done, p.total, p.failed, p.elapsedSec, p.etaSec);
+            sweepLine(body);
         }
     };
 
@@ -383,10 +397,9 @@ SweepRunner::runChecked(const std::vector<SweepJob>& jobs) const
             jr.error.message = "graceful shutdown requested before start";
             std::lock_guard<std::mutex> lock(mtx);
             if (!stopAnnounced && !opts.quiet) {
-                obs::Event(obs::LogLevel::Warn, "sweep", "stop_signal")
-                    .i64("signal", sweepStopSignal())
-                    .str("action", "draining in-flight, skipping queued")
-                    .emit();
+                sweepLine("warning: stop_signal signal=" +
+                          std::to_string(sweepStopSignal()) +
+                          " action=draining in-flight, skipping queued");
             }
             stopAnnounced = true;
             ++done;
@@ -439,41 +452,6 @@ SweepRunner::runChecked(const std::vector<SweepJob>& jobs) const
 
     manifest.close();
     return results;
-}
-
-std::vector<Report>
-SweepRunner::run(const std::vector<SweepJob>& jobs) const
-{
-    std::vector<JobResult> checked = runChecked(jobs);
-    // All-or-nothing contract: surface the first failure by job index.
-    for (const JobResult& jr : checked) {
-        if (!jr.ok) {
-            if (jr.exception) {
-                std::rethrow_exception(jr.exception);
-            }
-            // Isolated/skipped failures have no in-process exception.
-            throw std::runtime_error("[" + jr.error.kind + "] " +
-                                     jr.error.message);
-        }
-    }
-    std::vector<Report> results;
-    results.reserve(checked.size());
-    for (JobResult& jr : checked) {
-        results.push_back(std::move(jr.report));
-    }
-    return results;
-}
-
-std::vector<Report>
-runSweep(const std::vector<SweepJob>& jobs)
-{
-    return SweepRunner{}.run(jobs);
-}
-
-std::vector<JobResult>
-runSweepChecked(const std::vector<SweepJob>& jobs, SweepOptions options)
-{
-    return SweepRunner{std::move(options)}.runChecked(jobs);
 }
 
 } // namespace udp

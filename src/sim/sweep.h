@@ -21,10 +21,9 @@
 #include <string>
 #include <vector>
 
-#include <exception>
-
 #include "sim/runner.h"
 #include "sim/simconfig.h"
+#include "stats/sink.h"
 #include "workload/profile.h"
 
 namespace udp {
@@ -79,10 +78,6 @@ struct JobResult
      *  was resumed from the manifest or skipped. */
     unsigned attempts = 0;
     JobError error; ///< valid only when !ok
-    /** Original exception of the final attempt (rethrowable). Only set
-     *  for in-process failures — an isolated child's exception cannot
-     *  cross the process boundary, so it arrives as `error` only. */
-    std::exception_ptr exception;
     /** Satisfied from the checkpoint manifest without running (ok). */
     bool resumed = false;
     /** Never ran: graceful shutdown was requested before it started.
@@ -90,6 +85,9 @@ struct JobResult
      *  failure row for skipped jobs. */
     bool skipped = false;
 };
+
+/** Converts a failed job to its machine-readable sink failure row. */
+FailureRow failureRowOf(const SweepJob& job, const JobResult& jr);
 
 /** Progress snapshot passed to the progress callback after each job. */
 struct SweepProgress
@@ -112,13 +110,14 @@ struct SweepProgress
 /** Sweep execution options. */
 struct SweepOptions
 {
-    /** Worker count; 0 means SweepRunner::defaultJobs() (UDP_JOBS env or
+    /** Worker count; 0 means defaultJobs() (UDP_JOBS env or
      *  std::thread::hardware_concurrency()). */
     unsigned numThreads = 0;
     /** Called after each completed job (from the completing thread, under
      *  the runner's progress lock). Replaces the stderr progress line. */
     std::function<void(const SweepProgress&)> onProgress;
-    /** Suppresses the default stderr progress stream. */
+    /** Suppresses the sweep's "[sweep] ..." stderr lines, except the
+     *  warnings about failure dumps that could not be written. */
     bool quiet = false;
     /** Attempts per job (>= 1): a failing job is retried maxAttempts-1
      *  times before its failure is recorded. Retries target transient
@@ -172,55 +171,22 @@ bool sweepStopRequested();
 int sweepStopSignal();
 
 /**
- * Executes batches of SweepJobs on a fixed-size thread pool.
- *
- * Results are returned indexed exactly like the input jobs regardless of
- * completion order, and are bit-identical to a serial run of the same
- * batch.
+ * Default worker count: the UDP_JOBS environment variable when it parses
+ * as a positive integer (malformed values warn on stderr and are
+ * ignored), otherwise std::thread::hardware_concurrency(), otherwise 1.
  */
-class SweepRunner
-{
-  public:
-    explicit SweepRunner(SweepOptions options = {});
+unsigned defaultJobs();
 
-    /**
-     * Fault-tolerant execution: runs every job and returns one JobResult
-     * per job, in job order. A crashing or hanging job never takes the
-     * batch down — its structured error (and optional dump file) is
-     * recorded and every other job still produces its Report.
-     */
-    std::vector<JobResult> runChecked(const std::vector<SweepJob>& jobs) const;
-
-    /**
-     * Runs every job and returns one Report per job, in job order.
-     * Rethrows the first job exception (by job index) after the batch
-     * drains. Thin wrapper over runChecked() for callers that prefer
-     * all-or-nothing semantics.
-     */
-    std::vector<Report> run(const std::vector<SweepJob>& jobs) const;
-
-    /** Worker count this runner will use for a batch. */
-    unsigned threadCount() const { return threads; }
-
-    /**
-     * Default worker count: the UDP_JOBS environment variable when it
-     * parses as a positive integer (malformed values warn on stderr and
-     * are ignored), otherwise std::thread::hardware_concurrency(),
-     * otherwise 1.
-     */
-    static unsigned defaultJobs();
-
-  private:
-    SweepOptions opts;
-    unsigned threads;
-};
-
-/** Convenience: run @p jobs with default options (UDP_JOBS-sized pool). */
-std::vector<Report> runSweep(const std::vector<SweepJob>& jobs);
-
-/** Convenience: fault-tolerant sweep with explicit options. */
+/**
+ * Runs every job of @p jobs on a pool of SweepOptions::numThreads workers
+ * and returns one JobResult per job, in job order regardless of
+ * completion order, bit-identical to a serial run of the same batch. A
+ * crashing or hanging job never takes the batch down: its structured
+ * error (and optional dump file) is recorded and every other job still
+ * produces its Report.
+ */
 std::vector<JobResult> runSweepChecked(const std::vector<SweepJob>& jobs,
-                                       SweepOptions options = {});
+                                       const SweepOptions& opts = {});
 
 } // namespace udp
 

@@ -3,7 +3,7 @@
  * Tests for the simulation-hardening layer: the forward-progress watchdog
  * (sim/cpu.cc), the cross-component invariant checker (sim/invariants.h),
  * deterministic fault injection (sim/faultinject.h) and fault-tolerant
- * sweeps (SweepRunner::runChecked + failure-row sinks). Every injectable
+ * sweeps (runSweepChecked + failure-row sinks). Every injectable
  * fault class must be detected with the right structured SimError kind
  * and a non-empty multi-component diagnostic dump.
  */
@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <regex>
 #include <sstream>
 
 #include "sim/cpu.h"
@@ -261,7 +262,7 @@ TEST(SweepChecked, OneCrashingJobStillYieldsEveryOtherReport)
     opts.numThreads = 2;
     opts.quiet = true;
     opts.onProgress = [&seen](const SweepProgress& p) { seen.push_back(p); };
-    std::vector<JobResult> results = SweepRunner(opts).runChecked(jobs);
+    std::vector<JobResult> results = runSweepChecked(jobs, opts);
 
     ASSERT_EQ(results.size(), jobs.size());
     EXPECT_TRUE(results[0].ok);
@@ -272,17 +273,17 @@ TEST(SweepChecked, OneCrashingJobStillYieldsEveryOtherReport)
     EXPECT_EQ(results[1].error.component, "backend");
     EXPECT_GT(results[1].error.cycle, 0u);
     EXPECT_FALSE(results[1].error.dump.empty());
-    EXPECT_TRUE(static_cast<bool>(results[1].exception));
 
     // The healthy jobs' Reports are exactly what a clean sweep produces.
     std::vector<SweepJob> clean = {jobs[0], jobs[2], jobs[3]};
     SweepOptions serial;
     serial.numThreads = 1;
     serial.quiet = true;
-    std::vector<Report> ref = SweepRunner(serial).run(clean);
-    expectIdenticalReports(results[0].report, ref[0]);
-    expectIdenticalReports(results[2].report, ref[1]);
-    expectIdenticalReports(results[3].report, ref[2]);
+    std::vector<JobResult> ref = runSweepChecked(clean, serial);
+    ASSERT_TRUE(ref[0].ok && ref[1].ok && ref[2].ok);
+    expectIdenticalReports(results[0].report, ref[0].report);
+    expectIdenticalReports(results[2].report, ref[1].report);
+    expectIdenticalReports(results[3].report, ref[2].report);
 
     // Progress: a failed job still counts, so done reaches total and the
     // failure is visible in the snapshots (the satellite fix).
@@ -295,13 +296,49 @@ TEST(SweepChecked, OneCrashingJobStillYieldsEveryOtherReport)
     EXPECT_DOUBLE_EQ(seen.back().etaSec, 0.0);
 }
 
-TEST(SweepChecked, RunRethrowsTheFirstFailure)
+TEST(SweepChecked, StderrLinesAreWholeAndEndWithTheFinalProgress)
 {
     std::vector<SweepJob> jobs = mixedJobs();
     SweepOptions opts;
     opts.numThreads = 2;
-    opts.quiet = true;
-    EXPECT_THROW(SweepRunner(opts).run(jobs), SimHang);
+    testing::internal::CaptureStderr();
+    std::vector<JobResult> results = runSweepChecked(jobs, opts);
+    std::string err = testing::internal::GetCapturedStderr();
+    ASSERT_FALSE(results[1].ok);
+
+    // Every line is one of the sweep's two forms, whole: no line is cut
+    // short or shares its bytes with another.
+    ASSERT_FALSE(err.empty());
+    EXPECT_EQ(err.back(), '\n');
+    const std::regex progress(
+        R"(\[sweep\] progress done=[1-4] total=4 failed=[01] )"
+        R"(elapsed_sec=[0-9.e+-]+ eta_sec=[0-9.e+-]+)");
+    const std::string failed =
+        "[sweep] warning: job_failed job=1 label=frozen attempts=1 "
+        "kind=retire_stall message=" +
+        results[1].error.message;
+    std::vector<std::string> lines;
+    std::istringstream in(err);
+    for (std::string l; std::getline(in, l);) {
+        lines.push_back(l);
+    }
+    std::size_t failedLines = 0;
+    for (const std::string& l : lines) {
+        if (l == failed) {
+            ++failedLines;
+        } else {
+            EXPECT_TRUE(std::regex_match(l, progress)) << l;
+        }
+    }
+    EXPECT_EQ(failedLines, 1u);
+
+    // The last line is the final progress line, printed even inside the
+    // 0.25 s throttle window.
+    EXPECT_TRUE(std::regex_match(
+        lines.back(),
+        std::regex(R"(\[sweep\] progress done=4 total=4 failed=1 )"
+                   R"(elapsed_sec=[0-9.e+-]+ eta_sec=0)")))
+        << lines.back();
 }
 
 TEST(SweepChecked, JobCycleBudgetBoundsAHangingJob)
@@ -321,7 +358,7 @@ TEST(SweepChecked, JobCycleBudgetBoundsAHangingJob)
     opts.numThreads = 1;
     opts.quiet = true;
     opts.jobCycleBudget = 20'000;
-    std::vector<JobResult> results = SweepRunner(opts).runChecked(jobs);
+    std::vector<JobResult> results = runSweepChecked(jobs, opts);
     ASSERT_FALSE(results[0].ok);
     EXPECT_EQ(results[0].error.kind, "cycle_budget");
     EXPECT_EQ(results[0].error.cycle, 20'000u);
@@ -334,7 +371,7 @@ TEST(SweepChecked, RetriesAreBoundedAndCounted)
     opts.numThreads = 2;
     opts.quiet = true;
     opts.maxAttempts = 2;
-    std::vector<JobResult> results = SweepRunner(opts).runChecked(jobs);
+    std::vector<JobResult> results = runSweepChecked(jobs, opts);
     ASSERT_EQ(results.size(), jobs.size());
     EXPECT_EQ(results[0].attempts, 1u); // success on the first try
     ASSERT_FALSE(results[1].ok);        // deterministic fault: still fails
@@ -351,7 +388,7 @@ TEST(SweepChecked, FailureDumpIsWrittenToDumpDir)
     opts.numThreads = 1;
     opts.quiet = true;
     opts.dumpDir = dir;
-    std::vector<JobResult> results = SweepRunner(opts).runChecked(jobs);
+    std::vector<JobResult> results = runSweepChecked(jobs, opts);
     ASSERT_FALSE(results[1].ok);
     ASSERT_FALSE(results[1].error.dumpPath.empty());
     std::ifstream in(results[1].error.dumpPath);

@@ -3,7 +3,8 @@
  * Tests for the figure catalog (bench/catalog.h): the dedupe key (the
  * defaulted operator== of SimConfig, Profile and RunOptions), the point
  * union, deduplicated-vs-reference table equality, and the `figures`
- * driver's rejection of malformed command lines.
+ * driver's rejection of malformed command lines and UDP_BENCH_FAULT
+ * specs.
  */
 
 #include <gtest/gtest.h>
@@ -328,6 +329,63 @@ TEST(FiguresCli, ParsesEveryFlag)
     EXPECT_EQ(s.intervalPath, "i.csv");
     EXPECT_EQ(s.tracePath, "t.json");
     EXPECT_EQ(s.telemetryInterval, 500u);
+}
+
+/**
+ * Applies UDP_BENCH_FAULT=@p spec to three fault-free jobs. Returns the
+ * index of the job that got a fault (3 when none did), its trigger cycle
+ * in @p cycle and the hook's stderr in @p err.
+ */
+std::size_t
+faultedJob(const char* spec, Cycle* cycle, std::string* err)
+{
+    std::vector<SweepJob> jobs(
+        3, SweepJob{profileByName("mysql"), presets::fdipBaseline(), {}, "p"});
+    setenv("UDP_BENCH_FAULT", spec, 1);
+    testing::internal::CaptureStderr();
+    bench::applyEnvFault(&jobs);
+    *err = testing::internal::GetCapturedStderr();
+    unsetenv("UDP_BENCH_FAULT");
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        if (jobs[i].config.fault.kind != FaultKind::None) {
+            EXPECT_EQ(jobs[i].config.fault.kind, FaultKind::FreezeRetire);
+            *cycle = jobs[i].config.fault.triggerCycle;
+            return i;
+        }
+    }
+    return jobs.size();
+}
+
+TEST(BenchFault, EnvSpecInjectsTheNamedJobAtTheNamedCycle)
+{
+    Cycle cycle = 0;
+    std::string err;
+    EXPECT_EQ(faultedJob("freeze_retire", &cycle, &err), 0u);
+    EXPECT_EQ(cycle, 10'000u);
+    EXPECT_EQ(faultedJob("freeze_retire:2", &cycle, &err), 2u);
+    EXPECT_EQ(cycle, 10'000u);
+    EXPECT_EQ(faultedJob("freeze_retire:1:500", &cycle, &err), 1u);
+    EXPECT_EQ(cycle, 500u);
+    EXPECT_NE(err.find("injecting freeze_retire into job 1"),
+              std::string::npos)
+        << err;
+}
+
+TEST(BenchFault, MalformedOrOutOfRangeSpecInjectsNothing)
+{
+    Cycle cycle = 0;
+    std::string err;
+    for (const char* spec :
+         {"freeze_retire:abc:xyz", "freeze_retire:-1", "freeze_retire:",
+          "freeze_retire:1:", "freeze_retire:1:9x", "freeze_retire: 1"}) {
+        EXPECT_EQ(faultedJob(spec, &cycle, &err), 3u) << spec;
+        EXPECT_NE(err.find("malformed number"), std::string::npos)
+            << spec << ": " << err;
+    }
+    EXPECT_EQ(faultedJob("freeze_retire:3", &cycle, &err), 3u);
+    EXPECT_NE(err.find("past the last job"), std::string::npos) << err;
+    EXPECT_EQ(faultedJob("no_such_kind:1", &cycle, &err), 3u);
+    EXPECT_NE(err.find("unknown kind"), std::string::npos) << err;
 }
 
 } // namespace

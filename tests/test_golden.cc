@@ -56,13 +56,16 @@ readLines(const std::string& path)
 TEST(GoldenReports, MatchCommittedFile)
 {
     std::vector<SweepJob> jobs = goldenJobs();
-    std::vector<Report> reports = runSweep(jobs);
+    std::vector<JobResult> results = runSweepChecked(jobs);
     std::vector<std::string> expected = readLines(UDP_GOLDEN_FILE);
 
     std::string actual;
     std::size_t mismatches = 0;
-    for (std::size_t i = 0; i < reports.size(); ++i) {
-        std::string line = reportToJsonLine(reports[i]);
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        ASSERT_TRUE(results[i].ok) << jobs[i].profile.name << "/"
+                                   << jobs[i].label << ": "
+                                   << results[i].error.message;
+        std::string line = reportToJsonLine(results[i].report);
         actual += line + "\n";
         if (i >= expected.size() || expected[i] != line) {
             ++mismatches;
@@ -73,10 +76,10 @@ TEST(GoldenReports, MatchCommittedFile)
                           << "\n  actual:   " << line;
         }
     }
-    if (expected.size() != reports.size()) {
+    if (expected.size() != results.size()) {
         ++mismatches;
         ADD_FAILURE() << "golden file has " << expected.size()
-                      << " lines, the run produced " << reports.size();
+                      << " lines, the run produced " << results.size();
     }
     if (mismatches != 0) {
         std::ofstream(UDP_GOLDEN_ACTUAL) << actual;

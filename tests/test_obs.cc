@@ -1,48 +1,24 @@
 /**
  * @file
- * Tests for the observability subsystem (src/obs/): the structured event
- * log's JSONL sink, rate limiting and flush-on-error ring, and the
- * cycle-loop self-profiler's attribution identity (phases sum to the
- * measured loop time) with byte-identical Reports whether profiling is
- * on or off.
+ * Tests for the cycle-loop self-profiler (src/obs/): its attribution
+ * identity (phases sum to the measured loop time), its intervals on
+ * telemetry's interval clock, and byte-identical Reports whether
+ * profiling is on or off.
  */
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
-#include "obs/eventlog.h"
 #include "obs/profiler.h"
 #include "sim/runner.h"
 #include "sim/sweep.h"
 #include "stats/sink.h"
 #include "stats/tracefile.h"
 
-#ifndef _WIN32
-#include <unistd.h>
-#endif
-
 namespace udp {
 namespace {
-
-std::string
-freshDir(const std::string& tag)
-{
-    namespace fs = std::filesystem;
-#ifndef _WIN32
-    std::string pid = std::to_string(::getpid());
-#else
-    std::string pid = "0";
-#endif
-    fs::path p =
-        fs::temp_directory_path() / ("udp_obs_test_" + tag + "_" + pid);
-    fs::remove_all(p);
-    fs::create_directories(p);
-    return p.string();
-}
 
 /** mediawiki and drupal x fdip32 and udp8k at a 5K/10K window. */
 std::vector<SweepJob>
@@ -61,92 +37,19 @@ tinyJobs()
     return jobs;
 }
 
-// --- event log -------------------------------------------------------------
-
-TEST(ObsEventLog, SinkSchemaRateLimitAndErrorFlush)
-{
-    obs::EventLog& log = obs::EventLog::global();
-    std::string dir = freshDir("eventlog");
-    std::string path = dir + "/events.jsonl";
-    // Keep the test's own emissions off the test output.
-    log.setStderrLevel(obs::LogLevel::Error);
-    ASSERT_TRUE(log.openSink(path));
-
-    obs::Event(obs::LogLevel::Info, "obs-test", "tick")
-        .u64("n", 1)
-        .str("who", "a\"b")
-        .every(3600.0)
-        .emit();
-    std::uint64_t dropsBefore = log.rateLimitedDrops();
-    obs::Event(obs::LogLevel::Info, "obs-test", "tick")
-        .u64("n", 2)
-        .every(3600.0)
-        .emit(); // same key inside the window: dropped
-    EXPECT_EQ(log.rateLimitedDrops(), dropsBefore + 1);
-    obs::Event(obs::LogLevel::Info, "obs-test", "tick")
-        .u64("n", 3)
-        .every(3600.0)
-        .force()
-        .emit(); // force bypasses the window
-
-    // Debug is below the sink threshold — it reaches the file only when
-    // the subsequent Error flushes the ring for post-mortem context.
-    obs::Event(obs::LogLevel::Debug, "obs-test", "breadcrumb")
-        .u64("step", 42)
-        .emit();
-    obs::Event(obs::LogLevel::Error, "obs-test", "boom").emit();
-
-    log.closeSink();
-    log.setStderrLevel(obs::LogLevel::Info);
-
-    std::ifstream in(path);
-    ASSERT_TRUE(in.is_open());
-    std::vector<std::string> lines;
-    for (std::string l; std::getline(in, l);) {
-        lines.push_back(l);
-    }
-    auto countContaining = [&](const std::string& needle) {
-        std::size_t n = 0;
-        for (const std::string& l : lines) {
-            if (l.find(needle) != std::string::npos) {
-                ++n;
-            }
-        }
-        return n;
-    };
-    EXPECT_EQ(countContaining("\"event\":\"tick\""), 2u)
-        << "rate-limited repeat must not reach the sink";
-    EXPECT_EQ(countContaining("\"n\":1"), 1u);
-    EXPECT_EQ(countContaining("\"n\":3"), 1u);
-    EXPECT_EQ(countContaining("\"who\":\"a\\\"b\""), 1u)
-        << "field values must be JSON-escaped";
-    EXPECT_EQ(countContaining("\"breadcrumb\""), 1u)
-        << "error must flush sub-threshold ring context";
-    EXPECT_EQ(countContaining("\"level\":\"error\""), 1u);
-    for (const std::string& l : lines) {
-        EXPECT_EQ(l.find("{\"ts_ms\":"), 0u)
-            << "schema-stable leading key, got: " << l;
-        EXPECT_NE(l.find("\"source\":"), std::string::npos);
-        EXPECT_NE(l.find("\"event\":"), std::string::npos);
-    }
-    // The ring keeps recent lines for diagnostics.
-    bool sawBoom = false;
-    for (const std::string& l : obs::EventLog::global().recentLines()) {
-        sawBoom = sawBoom || l.find("\"boom\"") != std::string::npos;
-    }
-    EXPECT_TRUE(sawBoom);
-}
-
 // --- cycle-loop self-profiler ----------------------------------------------
 
 TEST(ObsProfiler, AttributionCoversTheLoopByConstruction)
 {
-    obs::CycleProfiler prof(/*intervalCycles=*/10);
+    obs::CycleProfiler prof;
     for (Cycle c = 1; c <= 25; ++c) {
         prof.beginCycle(c);
         prof.phase(obs::ProfPhase::Icache);
         prof.phase(obs::ProfPhase::Backend);
         prof.phase(obs::ProfPhase::Fetch);
+        if (c % 10 == 0) {
+            prof.closeInterval();
+        }
         prof.endCycle();
     }
     auto snap = prof.snapshot();
@@ -181,7 +84,6 @@ TEST(ObsProfiler, RunSimAttachesProfileAndKeepsReportsByteIdentical)
 
     SimConfig cfg = job.config;
     cfg.profile.enabled = true;
-    cfg.profile.intervalCycles = 5'000;
     Report profiled = runSim(job.profile, cfg, job.opts, job.label);
     ASSERT_NE(profiled.profile, nullptr);
     EXPECT_GT(profiled.profile->totalSec, 0.0);
@@ -200,14 +102,51 @@ TEST(ObsProfiler, RunSimAttachesProfileAndKeepsReportsByteIdentical)
         << "profiling must not perturb the report artifact";
 }
 
+TEST(ObsProfiler, IntervalsCloseWithTelemetryRows)
+{
+    const SweepJob job = tinyJobs()[1];
+    SimConfig cfg = job.config;
+    cfg.profile.enabled = true;
+    cfg.telemetry.enabled = true;
+    cfg.telemetry.intervalCycles = 2'000;
+    Report r = runSim(job.profile, cfg, job.opts, job.label);
+    ASSERT_NE(r.profile, nullptr);
+    ASSERT_NE(r.telemetry, nullptr);
+
+    // Row i of both ends on the same cycle; the profile adds at most the
+    // trailing partial interval, which telemetry does not report.
+    const auto& prof = r.profile->intervals;
+    const auto& tel = r.telemetry->intervals;
+    ASSERT_GE(tel.size(), 5u);
+    ASSERT_GE(prof.size(), tel.size());
+    ASSERT_LE(prof.size(), tel.size() + 1);
+    for (std::size_t i = 0; i < tel.size(); ++i) {
+        EXPECT_EQ(prof[i].cycleEnd, tel[i].cycleEnd) << "interval " << i;
+    }
+
+    double phaseSum = 0.0;
+    for (double sec : r.profile->phaseSec) {
+        phaseSum += sec;
+    }
+    EXPECT_NEAR(phaseSum, r.profile->totalSec, 1e-12);
+    double intervalSum = 0.0;
+    for (const obs::ProfileIntervalRow& row : prof) {
+        intervalSum += row.totalSec();
+    }
+    EXPECT_NEAR(intervalSum, r.profile->totalSec, 1e-9);
+}
+
 // --- chrome-trace + sink rendering of profiles -----------------------------
 
 TEST(ObsProfiler, ChromeTraceAndSummaryRowRenderPhases)
 {
-    obs::CycleProfiler prof(/*intervalCycles=*/4);
+    obs::CycleProfiler prof;
     for (Cycle c = 1; c <= 8; ++c) {
         prof.beginCycle(c);
         prof.phase(obs::ProfPhase::Prefetch);
+        if (c % 4 == 0) {
+            prof.closeInterval();
+        }
         prof.endCycle();
     }
     auto snap = prof.snapshot();

@@ -62,6 +62,18 @@ expectIdenticalReports(const Report& a, const Report& b)
     }
 }
 
+/** Runs @p jobs through runSweepChecked; every job must succeed. */
+std::vector<Report>
+reportsOf(const std::vector<SweepJob>& jobs, const SweepOptions& opts)
+{
+    std::vector<Report> reports;
+    for (JobResult& jr : runSweepChecked(jobs, opts)) {
+        EXPECT_TRUE(jr.ok) << jr.error.kind << ": " << jr.error.message;
+        reports.push_back(std::move(jr.report));
+    }
+    return reports;
+}
+
 std::vector<SweepJob>
 eightJobs()
 {
@@ -99,12 +111,12 @@ TEST(Sweep, SerialAndParallelReportsAreIdentical)
     SweepOptions serial;
     serial.numThreads = 1;
     serial.quiet = true;
-    std::vector<Report> a = SweepRunner(serial).run(jobs);
+    std::vector<Report> a = reportsOf(jobs, serial);
 
     SweepOptions parallel;
     parallel.numThreads = 4;
     parallel.quiet = true;
-    std::vector<Report> b = SweepRunner(parallel).run(jobs);
+    std::vector<Report> b = reportsOf(jobs, parallel);
 
     ASSERT_EQ(a.size(), jobs.size());
     ASSERT_EQ(b.size(), jobs.size());
@@ -119,7 +131,7 @@ TEST(Sweep, ResultsKeepJobOrder)
     SweepOptions opts;
     opts.numThreads = 4;
     opts.quiet = true;
-    std::vector<Report> r = SweepRunner(opts).run(jobs);
+    std::vector<Report> r = reportsOf(jobs, opts);
     ASSERT_EQ(r.size(), jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         EXPECT_EQ(r[i].configName, jobs[i].label);
@@ -138,7 +150,7 @@ TEST(Sweep, ProgressCallbackSeesEveryCompletion)
     opts.onProgress = [&seen](const SweepProgress& p) {
         seen.push_back(p); // serialized by the runner's progress lock
     };
-    SweepRunner(opts).run(jobs);
+    reportsOf(jobs, opts);
 
     ASSERT_EQ(seen.size(), jobs.size());
     for (std::size_t i = 0; i < seen.size(); ++i) {
@@ -165,7 +177,7 @@ TEST(Sweep, SharedProgramCacheStress)
     SweepOptions opts;
     opts.numThreads = 8;
     opts.quiet = true;
-    std::vector<Report> r = SweepRunner(opts).run(jobs);
+    std::vector<Report> r = reportsOf(jobs, opts);
     ASSERT_EQ(r.size(), jobs.size());
     for (std::size_t i = 1; i < r.size(); ++i) {
         expectIdenticalReports(r[0], r[i]);
@@ -176,17 +188,17 @@ TEST(Sweep, EmptyBatchReturnsEmpty)
 {
     SweepOptions opts;
     opts.quiet = true;
-    EXPECT_TRUE(SweepRunner(opts).run({}).empty());
+    EXPECT_TRUE(runSweepChecked({}, opts).empty());
 }
 
 TEST(Sweep, DefaultJobsHonoursEnv)
 {
     setenv("UDP_JOBS", "3", 1);
-    EXPECT_EQ(SweepRunner::defaultJobs(), 3u);
+    EXPECT_EQ(defaultJobs(), 3u);
     setenv("UDP_JOBS", "garbage", 1);
-    EXPECT_GE(SweepRunner::defaultJobs(), 1u); // warns, falls back to hw
+    EXPECT_GE(defaultJobs(), 1u); // warns, falls back to hw
     unsetenv("UDP_JOBS");
-    EXPECT_GE(SweepRunner::defaultJobs(), 1u);
+    EXPECT_GE(defaultJobs(), 1u);
 }
 
 TEST(Sink, SchemaKeysMatchStatSetOrder)
