@@ -17,6 +17,7 @@ Backend::Backend(const Program& prog, TrueStream& strm, MemSystem& m,
     rob.resize(std::bit_ceil(std::max(cfg.robSize, 1u)));
     robMask = rob.size() - 1;
     ready.reserve(cfg.rsSize + 8);
+    retiredPcs_.reserve(cfg.retireWidth);
 }
 
 std::uint64_t
@@ -259,6 +260,7 @@ void
 Backend::retire(Cycle now)
 {
     (void)now;
+    retiredPcs_.clear();
     if (retireFrozen) {
         return;
     }
@@ -290,10 +292,7 @@ Backend::retire(Cycle now)
             records.erase(e.di.record, e.di.dynId);
         }
 
-        // Branches retire with resolution info; non-branches are simple.
-        if (onRetirePc) {
-            onRetirePc(e.di.pc);
-        }
+        retiredPcs_.push_back(e.di.pc);
 
         if (e.di.type == InstrType::Load) {
             --loadsInFlight;

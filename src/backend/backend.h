@@ -12,7 +12,6 @@
 #define UDP_BACKEND_BACKEND_H
 
 #include <cstdint>
-#include <functional>
 #include <queue>
 #include <string>
 #include <vector>
@@ -92,6 +91,9 @@ class Backend
      */
     ResteerRequest tick(Cycle now);
 
+    /** Pcs the last tick() retired, oldest first (at most retireWidth). */
+    const std::vector<Addr>& retiredPcs() const { return retiredPcs_; }
+
     std::uint64_t retired() const { return stats_.retired; }
     std::size_t robOccupancy() const { return robCount; }
 
@@ -100,9 +102,6 @@ class Backend
     {
         return slot(robBasePos + i).di;
     }
-
-    /** Hook: invoked with the pc of every retired instruction. */
-    std::function<void(Addr)> onRetirePc;
 
     const BackendStats& stats() const { return stats_; }
     void clearStats() { stats_ = BackendStats(); }
@@ -209,12 +208,22 @@ class Backend
 
     /** (completeAt, pos) min-heap of scheduled completions. */
     using Completion = std::pair<Cycle, std::uint64_t>;
-    std::priority_queue<Completion, std::vector<Completion>,
-                        std::greater<Completion>>
+    struct Later
+    {
+        bool
+        operator()(const Completion& a, const Completion& b) const
+        {
+            return a > b;
+        }
+    };
+    std::priority_queue<Completion, std::vector<Completion>, Later>
         completions;
 
     /** Positions of resolved-mispredicted branches awaiting recovery. */
     std::vector<std::uint64_t> pendingRecovery;
+
+    /** Reserved to retireWidth up front: filling it never allocates. */
+    std::vector<Addr> retiredPcs_;
 
     unsigned loadsInFlight = 0;
     unsigned storesInFlight = 0;

@@ -11,8 +11,6 @@
 #ifndef UDP_CORE_CONFIDENCE_H
 #define UDP_CORE_CONFIDENCE_H
 
-#include <cstdint>
-
 #include "bpred/tage.h"
 
 namespace udp {
@@ -31,15 +29,6 @@ struct ConfidenceConfig
     bool operator==(const ConfidenceConfig&) const = default;
 };
 
-/** Statistics. */
-struct ConfidenceStats
-{
-    std::uint64_t predictionsSeen = 0;
-    std::uint64_t btbMissEvents = 0;
-    std::uint64_t resets = 0;
-    std::uint64_t cyclesAssumedOffPath = 0; ///< sampled by the owner
-};
-
 /** The saturating off-path confidence counter. */
 class OffPathConfidence
 {
@@ -50,7 +39,6 @@ class OffPathConfidence
     void
     onCondPredicted(Confidence c)
     {
-        ++stats_.predictionsSeen;
         unsigned w = c == Confidence::Low
                          ? cfg_.lowWeight
                          : (c == Confidence::Med ? cfg_.medWeight
@@ -59,27 +47,13 @@ class OffPathConfidence
     }
 
     /** Decode detected a predicted-taken branch missing from the BTB. */
-    void
-    onBtbMissTaken()
-    {
-        ++stats_.btbMissEvents;
-        bump(cfg_.btbMissBump);
-    }
+    void onBtbMissTaken() { bump(cfg_.btbMissBump); }
 
     /** Branch recovery / resteer: back on a (believed) correct path. */
-    void
-    reset()
-    {
-        ++stats_.resets;
-        counter = 0;
-    }
+    void reset() { counter = 0; }
 
     bool assumedOffPath() const { return counter >= cfg_.threshold; }
     unsigned value() const { return counter; }
-
-    ConfidenceStats& stats() { return stats_; }
-    const ConfidenceStats& stats() const { return stats_; }
-    void clearStats() { stats_ = ConfidenceStats(); }
 
   private:
     void
@@ -91,7 +65,6 @@ class OffPathConfidence
 
     ConfidenceConfig cfg_;
     unsigned counter = 0;
-    ConfidenceStats stats_;
 };
 
 } // namespace udp

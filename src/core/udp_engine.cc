@@ -23,11 +23,9 @@ UdpEngine::evaluate(const FtqEntry& entry, Addr line)
     d.base = lineAddr(line);
 
     if (!entry.assumedOffPath) {
-        ++stats_.candidatesOnPathAssumed;
         return d; // believed on-path: always emit (always useful)
     }
 
-    ++stats_.candidatesOffPathAssumed;
     // Track the candidate in the Seniority-FTQ right away: recovery
     // flushes the FTQ, and flushed off-path candidates are precisely the
     // ones a post-recovery retirement can prove useful. Entries are
@@ -47,15 +45,6 @@ UdpEngine::evaluate(const FtqEntry& entry, Addr line)
     d.span = span;
     d.base = UsefulSet::spanBase(lineAddr(line), span);
     return d;
-}
-
-void
-UdpEngine::onBlockConsumed(const FtqEntry& entry)
-{
-    // Candidates are inserted at FDIP-evaluation time (see evaluate());
-    // consumption needs no extra action but is kept as an explicit event
-    // for the DropYounger flush-policy ablation.
-    (void)entry;
 }
 
 void
@@ -87,7 +76,6 @@ UdpEngine::clearStats()
     stats_ = UdpStats();
     set.clearStats();
     sftq.clearStats();
-    conf.clearStats();
 }
 
 } // namespace udp

@@ -42,8 +42,6 @@ struct UdpDecision
 /** UDP statistics. */
 struct UdpStats
 {
-    std::uint64_t candidatesOnPathAssumed = 0;
-    std::uint64_t candidatesOffPathAssumed = 0;
     std::uint64_t emittedFiltered = 0; ///< off-path-assumed, set hit
     std::uint64_t droppedFiltered = 0; ///< off-path-assumed, set miss
     std::uint64_t retireMatches = 0;
@@ -55,10 +53,12 @@ class UdpEngine
   public:
     explicit UdpEngine(const UdpConfig& cfg);
 
-    // --- frontend-side hooks -------------------------------------------
+    // --- frontend-side --------------------------------------------------
+    /** A conditional direction was predicted with confidence @p c. */
     void onCondPredicted(Confidence c) { conf.onCondPredicted(c); }
+    /** Decode resteered on a taken branch that missed the BTB. */
     void onBtbMissTaken();
-    void onResteer() { conf.reset(); }
+    /** Tag for the next block the frontend builds. */
     bool assumedOffPath() const { return conf.assumedOffPath(); }
 
     // --- FDIP-side -------------------------------------------------------
@@ -75,10 +75,7 @@ class UdpEngine
     /** @p n prefetched lines were evicted unused (clear-policy feedback). */
     void noteUnuseful(std::uint64_t n) { set.noteUnuseful(n); }
 
-    // --- fetch/backend-side ----------------------------------------------
-    /** A block left the FTQ after consumption by the fetch engine. */
-    void onBlockConsumed(const FtqEntry& entry);
-
+    // --- backend-side ----------------------------------------------------
     /** The backend retired the (on-path) instruction at @p pc. */
     void onRetire(Addr pc);
 
@@ -101,7 +98,6 @@ class UdpEngine
     const UdpStats& stats() const { return stats_; }
     const UsefulSetStats& usefulSetStats() const { return set.stats(); }
     const SeniorityFtqStats& seniorityStats() const { return sftq.stats(); }
-    const ConfidenceStats& confidenceStats() const { return conf.stats(); }
     void clearStats();
 
     /** Telemetry attachment (null = disabled); forwarded to the

@@ -3,6 +3,7 @@
 #include <cassert>
 
 #include "common/intmath.h"
+#include "core/udp_engine.h"
 #include "stats/telemetry.h"
 
 namespace udp {
@@ -55,9 +56,7 @@ DecoupledFrontend::buildBlock(Cycle now)
     entry.id = ftq.allocId();
     entry.startPc = pc;
     entry.onPath = aligned;
-    if (hooks_.assumedOffPath) {
-        entry.assumedOffPath = hooks_.assumedOffPath();
-    }
+    entry.assumedOffPath = udp_ != nullptr && udp_->assumedOffPath();
 
     Addr cur = pc;
     const Addr region_end = fetchBlockAddr(pc) + kFetchBlockBytes;
@@ -84,77 +83,16 @@ DecoupledFrontend::buildBlock(Cycle now)
 
         // Hardware view: the BTB tells the frontend where branches are.
         const BtbEntry* be = bpu.btb().lookup(cur);
-        bool terminate = false;
-
         if (be && be->kind != BranchKind::None) {
             fi.predictedBranch = true;
             fi.record = records.alloc(fi.dynId);
-            BranchRecord& rec = records.at(fi.record);
-            rec.kind = be->kind;
-            rec.ckpt = bpu.checkpoint();
-
-            switch (be->kind) {
-              case BranchKind::CondDirect: {
-                rec.cond = bpu.predictCond(cur);
-                if (hooks_.onCondPredicted) {
-                    hooks_.onCondPredicted(rec.cond.conf);
-                }
-                fi.predTaken = rec.cond.taken;
-                fi.predTarget = be->target;
-                terminate = fi.predTaken;
-                break;
-              }
-              case BranchKind::Jump:
-                fi.predTaken = true;
-                fi.predTarget = be->target;
-                bpu.notifyUnconditional(cur);
-                terminate = true;
-                break;
-              case BranchKind::Call:
-                fi.predTaken = true;
-                fi.predTarget = be->target;
-                bpu.pushReturn(cur + kInstrBytes);
-                bpu.notifyUnconditional(cur);
-                terminate = true;
-                break;
-              case BranchKind::IndirectJump:
-              case BranchKind::IndirectCall: {
-                rec.indirect = bpu.predictIndirect(cur);
-                Addr tgt = rec.indirect.target;
-                if (tgt == kInvalidAddr) {
-                    tgt = be->target; // BTB hint (last-known target)
-                }
-                if (tgt == kInvalidAddr) {
-                    tgt = cur + kInstrBytes; // cold: fall through
-                }
-                fi.predTaken = true;
-                fi.predTarget = tgt;
-                if (be->kind == BranchKind::IndirectCall) {
-                    bpu.pushReturn(cur + kInstrBytes);
-                }
-                bpu.notifyUnconditional(cur);
-                terminate = true;
-                break;
-              }
-              case BranchKind::Return: {
-                Addr tgt = bpu.predictReturn();
-                if (tgt == kInvalidAddr) {
-                    tgt = cur + kInstrBytes;
-                }
-                fi.predTaken = true;
-                fi.predTarget = tgt;
-                bpu.notifyUnconditional(cur);
-                terminate = true;
-                break;
-              }
-              case BranchKind::None:
-                break;
-            }
+            Prediction p =
+                predict(be->kind, cur, be->target, records.at(fi.record));
+            fi.predTaken = p.taken;
+            fi.predTarget = p.target;
         }
 
-        Addr my_next = fi.predTaken && fi.predictedBranch
-                           ? fi.predTarget
-                           : cur + kInstrBytes;
+        Addr my_next = fi.predTaken ? fi.predTarget : cur + kInstrBytes;
 
         // Ground-truth alignment: did this speculative step leave the
         // architectural path? (Covers mispredictions *and* BTB misses on
@@ -169,7 +107,7 @@ DecoupledFrontend::buildBlock(Cycle now)
 
         ++entry.numInstrs;
         cur += kInstrBytes;
-        if (terminate) {
+        if (fi.predTaken) {
             next_pc = fi.predTarget;
             break;
         }
@@ -185,6 +123,54 @@ DecoupledFrontend::buildBlock(Cycle now)
     return true;
 }
 
+Prediction
+DecoupledFrontend::predict(BranchKind kind, Addr pc, Addr known_target,
+                           BranchRecord& rec)
+{
+    rec.kind = kind;
+    rec.ckpt = bpu.checkpoint();
+    const Addr fall_through = pc + kInstrBytes;
+    Prediction p{true, known_target};
+
+    switch (kind) {
+      case BranchKind::None:
+        return {};
+      case BranchKind::CondDirect:
+        rec.cond = bpu.predictCond(pc);
+        if (udp_) {
+            udp_->onCondPredicted(rec.cond.conf);
+        }
+        p.taken = rec.cond.taken;
+        return p;
+      case BranchKind::Jump:
+        break;
+      case BranchKind::Call:
+        bpu.pushReturn(fall_through);
+        break;
+      case BranchKind::IndirectJump:
+      case BranchKind::IndirectCall:
+        rec.indirect = bpu.predictIndirect(pc);
+        if (rec.indirect.target != kInvalidAddr) {
+            p.target = rec.indirect.target;
+        }
+        if (p.target == kInvalidAddr) {
+            p.target = fall_through; // cold: fall through
+        }
+        if (kind == BranchKind::IndirectCall) {
+            bpu.pushReturn(fall_through);
+        }
+        break;
+      case BranchKind::Return:
+        p.target = bpu.predictReturn();
+        if (p.target == kInvalidAddr) {
+            p.target = fall_through;
+        }
+        break;
+    }
+    bpu.notifyUnconditional(pc);
+    return p;
+}
+
 void
 DecoupledFrontend::resteer(Cycle resume_at, Addr new_pc, bool is_aligned,
                            std::uint64_t next_stream_idx, bool from_decode)
@@ -196,6 +182,9 @@ DecoupledFrontend::resteer(Cycle resume_at, Addr new_pc, bool is_aligned,
     ++stats_.resteers;
     if (from_decode) {
         ++stats_.decodeResteers;
+        if (udp_) {
+            udp_->onBtbMissTaken();
+        }
     }
     if (telem_) {
         telem_->onResteer(pc, from_decode);

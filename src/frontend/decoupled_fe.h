@@ -3,14 +3,14 @@
  * The decoupled frontend: walks the static code image under branch
  * prediction, producing fetch blocks into the FTQ ahead of the fetch
  * engine (FDIP's prefetch source). Tracks ground-truth path alignment
- * against the architectural stream for statistics and recovery.
+ * against the architectural stream for statistics and recovery, and
+ * raises UDP's confidence events when a UdpEngine is attached.
  */
 
 #ifndef UDP_FRONTEND_DECOUPLED_FE_H
 #define UDP_FRONTEND_DECOUPLED_FE_H
 
 #include <cstdint>
-#include <functional>
 
 #include "bpred/bpu.h"
 #include "common/types.h"
@@ -34,15 +34,11 @@ struct FrontendConfig
     bool operator==(const FrontendConfig&) const = default;
 };
 
-/** Hooks the frontend raises towards UDP (optional; may be empty). */
-struct FrontendHooks
+/** The predicted outcome of one control-transfer instruction. */
+struct Prediction
 {
-    /** A conditional direction was predicted with this confidence. */
-    std::function<void(Confidence)> onCondPredicted;
-    /** A predicted-taken branch missed the BTB (decode detected). */
-    std::function<void()> onBtbMissTaken;
-    /** Current off-path assumption for tagging new blocks. */
-    std::function<bool()> assumedOffPath;
+    bool taken = false;
+    Addr target = kInvalidAddr;
 };
 
 /** Frontend statistics. */
@@ -58,6 +54,8 @@ struct FrontendStats
     std::uint64_t stallCyclesRedirect = 0;
 };
 
+class UdpEngine;
+
 /** The block-building decoupled frontend. */
 class DecoupledFrontend
 {
@@ -66,8 +64,23 @@ class DecoupledFrontend
                       Ftq& ftq, BranchRecordPool& records,
                       const FrontendConfig& cfg);
 
+    /** Attaches UDP (nullptr = none): it sees every conditional
+     *  prediction and decode resteer, and tags each new block. */
+    void setUdp(UdpEngine* udp) { udp_ = udp; }
+
     /** Builds up to blocksPerCycle fetch blocks. */
     void tick(Cycle now);
+
+    /**
+     * The one prediction switch, for block building (BTB hit) and
+     * post-fetch correction (BTB miss found at decode): predicts the
+     * @p kind branch at @p pc into @p rec. Calls push pc+4 on the RAS.
+     * The target is @p known_target for direct branches; the ITTAGE's,
+     * else @p known_target, else pc+4 for indirect ones; the RAS's, else
+     * pc+4, for returns. A conditional's confidence goes to UDP.
+     */
+    Prediction predict(BranchKind kind, Addr pc, Addr known_target,
+                       BranchRecord& rec);
 
     /**
      * Redirects the frontend (execute- or decode-stage resteer).
@@ -75,17 +88,11 @@ class DecoupledFrontend
      * @param new_pc next fetch address
      * @param aligned the redirect lands on the architectural path
      * @param next_stream_idx TrueStream position of new_pc when aligned
-     * @param from_decode accounting only
+     * @param from_decode a decode resteer, which only a taken branch that
+     *        missed the BTB causes: raises UDP's BTB-miss bump
      */
     void resteer(Cycle resume_at, Addr new_pc, bool aligned,
                  std::uint64_t next_stream_idx, bool from_decode);
-
-    Addr specPc() const { return pc; }
-    bool isAligned() const { return aligned; }
-    std::uint64_t streamIndex() const { return streamIdx; }
-    std::uint64_t nextDynId() const { return dynIdCounter; }
-
-    FrontendHooks& hooks() { return hooks_; }
 
     const FrontendStats& stats() const { return stats_; }
     void clearStats() { stats_ = FrontendStats(); }
@@ -106,7 +113,7 @@ class DecoupledFrontend
     Ftq& ftq;
     BranchRecordPool& records;
     FrontendConfig cfg;
-    FrontendHooks hooks_;
+    UdpEngine* udp_ = nullptr;
 
     Addr pc;
     bool aligned = true;

@@ -10,35 +10,23 @@ FdipEngine::FdipEngine(MemSystem& m, Ftq& q, const FdipConfig& c)
 }
 
 void
-FdipEngine::onFtqPop()
-{
-    if (scanIdx > 0) {
-        --scanIdx;
-    }
-}
-
-void
 FdipEngine::tick(Cycle now)
 {
     if (!cfg.enabled) {
         return;
     }
-    unsigned budget = cfg.blocksPerCycle;
-    while (budget > 0 && scanIdx < ftq.size()) {
-        FtqEntry& e = ftq.at(scanIdx);
-        ++scanIdx;
-        if (e.prefetchProbed) {
-            continue;
+    for (unsigned budget = cfg.blocksPerCycle; budget > 0; --budget) {
+        const FtqEntry* e = ftq.nextToPrefetch();
+        if (e == nullptr) {
+            return;
         }
-        probe(e, now);
-        --budget;
+        probe(*e, now);
     }
 }
 
 void
-FdipEngine::probe(FtqEntry& e, Cycle now)
+FdipEngine::probe(const FtqEntry& e, Cycle now)
 {
-    e.prefetchProbed = true;
     ++stats_.blocksScanned;
 
     Addr line = e.line();
@@ -51,9 +39,6 @@ FdipEngine::probe(FtqEntry& e, Cycle now)
     Addr base = line;
     if (udp_) {
         UdpDecision d = udp_->evaluate(e, line);
-        if (e.assumedOffPath) {
-            e.udpOffPathCandidate = true;
-        }
         if (!d.emit) {
             ++stats_.droppedByUdp;
             if (telem_) {

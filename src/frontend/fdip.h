@@ -54,27 +54,21 @@ class FdipEngine
     /** Telemetry attachment (null = disabled). */
     void setTelemetry(Telemetry* t) { telem_ = t; }
 
-    /** Scans up to blocksPerCycle unprobed FTQ blocks. */
+    /** Scans up to blocksPerCycle FTQ blocks from the FTQ's prefetch
+     *  cursor. */
     void tick(Cycle now);
-
-    /** The fetch stage consumed the FTQ head. */
-    void onFtqPop();
-
-    /** The FTQ was flushed (resteer). */
-    void onFtqFlush() { scanIdx = 0; }
 
     const FdipStats& stats() const { return stats_; }
     void clearStats() { stats_ = FdipStats(); }
 
   private:
-    void probe(FtqEntry& e, Cycle now);
+    void probe(const FtqEntry& e, Cycle now);
 
     MemSystem& mem;
     Ftq& ftq;
     FdipConfig cfg;
     UdpEngine* udp_ = nullptr;
     Telemetry* telem_ = nullptr;
-    std::size_t scanIdx = 0;
     FdipStats stats_;
 };
 

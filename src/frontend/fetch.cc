@@ -3,6 +3,8 @@
 #include <cassert>
 #include <cstdio>
 
+#include "prefetch/eip.h"
+
 namespace udp {
 
 FetchStage::FetchStage(const Program& prog, Bpu& bp, MemSystem& m, Ftq& q,
@@ -42,56 +44,13 @@ FetchStage::postFetchCorrect(DecodedInstr& di, Cycle now)
 
     di.record = records.alloc(di.dynId);
     BranchRecord& rec = records.at(di.record);
-    rec.kind = sin.branch;
     rec.fromDecode = true;
-    rec.ckpt = bpu.checkpoint();
-
-    bool taken = true;
-    Addr target = direct_target;
-
-    switch (sin.branch) {
-      case BranchKind::CondDirect:
-        rec.cond = bpu.predictCond(di.pc);
-        if (frontend.hooks().onCondPredicted) {
-            frontend.hooks().onCondPredicted(rec.cond.conf);
-        }
-        taken = rec.cond.taken;
-        break;
-      case BranchKind::Jump:
-        bpu.notifyUnconditional(di.pc);
-        break;
-      case BranchKind::Call:
-        bpu.pushReturn(di.pc + kInstrBytes);
-        bpu.notifyUnconditional(di.pc);
-        break;
-      case BranchKind::IndirectJump:
-      case BranchKind::IndirectCall:
-        rec.indirect = bpu.predictIndirect(di.pc);
-        target = rec.indirect.target;
-        if (target == kInvalidAddr) {
-            target = di.pc + kInstrBytes;
-        }
-        if (sin.branch == BranchKind::IndirectCall) {
-            bpu.pushReturn(di.pc + kInstrBytes);
-        }
-        bpu.notifyUnconditional(di.pc);
-        break;
-      case BranchKind::Return:
-        target = bpu.predictReturn();
-        if (target == kInvalidAddr) {
-            target = di.pc + kInstrBytes;
-        }
-        bpu.notifyUnconditional(di.pc);
-        break;
-      case BranchKind::None:
-        break;
-    }
-
+    Prediction p = frontend.predict(sin.branch, di.pc, direct_target, rec);
     di.predictedBranch = true;
-    di.predTaken = taken;
-    di.predTarget = taken ? target : kInvalidAddr;
+    di.predTaken = p.taken;
+    di.predTarget = p.taken ? p.target : kInvalidAddr;
 
-    if (!taken) {
+    if (!p.taken) {
         // Sequential continuation was correct from the frontend's point of
         // view: no resteer needed.
         return false;
@@ -99,10 +58,8 @@ FetchStage::postFetchCorrect(DecodedInstr& di, Cycle now)
 
     // Taken: everything younger in the frontend is wrong-path relative to
     // the decode-corrected direction. Flush FTQ + younger decode state and
-    // resteer. (The paper's UDP treats this as an assume-off-path signal.)
-    if (frontend.hooks().onBtbMissTaken) {
-        frontend.hooks().onBtbMissTaken();
-    }
+    // resteer; the frontend raises UDP's BTB-miss bump (the paper's
+    // assume-off-path signal).
     ++stats_.decodeResteers;
 
     // Drop the not-yet-delivered remainder of the head block.
@@ -117,14 +74,9 @@ FetchStage::postFetchCorrect(DecodedInstr& di, Cycle now)
         }
     }
     ftq.flush();
-    if (onFtqFlushed) {
-        onFtqFlushed();
-    }
 
-    bool aligned = di.onPath;
-    std::uint64_t next_idx = di.streamIdx + 1;
-    frontend.resteer(now + 1, target, aligned, next_idx,
-                     /*from_decode=*/true);
+    frontend.resteer(now + 1, p.target, /*aligned=*/di.onPath,
+                     di.streamIdx + 1, /*from_decode=*/true);
     return true;
 }
 
@@ -146,15 +98,15 @@ FetchStage::tick(Cycle now)
             break;
         }
 
-        FtqEntry& head = ftq.front();
+        const FtqEntry& head = ftq.front();
 
         if (!headAccessed) {
             IFetchResult res = mem.ifetch(head.startPc, now, head.onPath);
             if (res.where == IFetchWhere::Stall) {
                 break; // MSHR full: retry next cycle
             }
-            if (onIFetchAccess) {
-                onIFetchAccess(lineAddr(head.startPc),
+            if (eip_) {
+                eip_->onAccess(lineAddr(head.startPc),
                                res.where == IFetchWhere::L1, now);
             }
             headAccessed = true;
@@ -210,9 +162,6 @@ FetchStage::tick(Cycle now)
         if (headConsumed >= head.numInstrs) {
             headAccessed = false;
             headConsumed = 0;
-            if (onBlockConsumed) {
-                onBlockConsumed(head);
-            }
             ftq.popFront();
         } else {
             break; // width exhausted mid-block

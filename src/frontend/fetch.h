@@ -11,7 +11,6 @@
 #define UDP_FRONTEND_FETCH_H
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "bpred/bpu.h"
@@ -24,6 +23,8 @@
 #include "workload/program.h"
 
 namespace udp {
+
+class Eip;
 
 /** A decoded dynamic instruction ready for dispatch. */
 struct DecodedInstr
@@ -79,6 +80,10 @@ class FetchStage
                DecoupledFrontend& fe, BranchRecordPool& records,
                const FetchConfig& cfg);
 
+    /** Attaches EIP (nullptr = none), which observes every demand icache
+     *  access, wrong path included. */
+    void setEip(Eip* eip) { eip_ = eip; }
+
     /** One cycle of fetch + decode delivery. */
     void tick(Cycle now);
 
@@ -91,14 +96,6 @@ class FetchStage
 
     /** Squashes everything in fetch/decode (execute-stage resteer). */
     void flushAll();
-
-    /** Callback invoked when a block fully leaves the FTQ (UDP hook). */
-    std::function<void(const FtqEntry&)> onBlockConsumed;
-    /** Callback invoked on every demand icache access: (line, hit, now).
-     *  Used by access-trained prefetchers such as EIP. */
-    std::function<void(Addr, bool, Cycle)> onIFetchAccess;
-    /** Callback invoked on any FTQ flush from decode (FDIP scan reset). */
-    std::function<void()> onFtqFlushed;
 
     const FetchStats& stats() const { return stats_; }
     void clearStats() { stats_ = FetchStats(); }
@@ -127,6 +124,7 @@ class FetchStage
     DecoupledFrontend& frontend;
     BranchRecordPool& records;
     FetchConfig cfg;
+    Eip* eip_ = nullptr;
 
     /** Sized to the bound checkInvariants() enforces: it never grows. */
     Ring<DecodedInstr> decodeQ;

@@ -29,9 +29,7 @@ Ftq::beginPush()
     e.startPc = kInvalidAddr;
     e.numInstrs = 0;
     e.onPath = false;
-    e.prefetchProbed = false;
     e.assumedOffPath = false;
-    e.udpOffPathCandidate = false;
     return e;
 }
 
@@ -53,6 +51,7 @@ Ftq::flush()
         telem_->onFtqFlush(q.size());
     }
     q.clear();
+    cursor = 0;
 }
 
 void
@@ -75,6 +74,11 @@ Ftq::checkInvariants(bool full) const
         std::snprintf(buf, sizeof(buf),
                       "dynamic capacity %zu outside [1, %zu]", capacity_,
                       physCap);
+        return buf;
+    }
+    if (cursor > q.size()) {
+        std::snprintf(buf, sizeof(buf), "prefetch cursor %zu past size %zu",
+                      cursor, q.size());
         return buf;
     }
     for (std::size_t i = 0; i < q.size(); ++i) {

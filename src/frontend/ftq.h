@@ -2,7 +2,8 @@
  * @file
  * The Fetch Target Queue: fetch blocks produced by the decoupled frontend,
  * consumed by the fetch stage and scanned by FDIP. Capacity is dynamic
- * (bounded by the physical size) — the knob UFTQ turns.
+ * (bounded by the physical size) — the knob UFTQ turns. The queue keeps
+ * FDIP's scan cursor, since every pop and flush passes through it.
  */
 
 #ifndef UDP_FRONTEND_FTQ_H
@@ -53,12 +54,8 @@ struct FtqEntry
     std::array<FtqInstr, kInstrsPerFetchBlock> instrs;
     /** Ground truth: the first instruction lies on the architectural path. */
     bool onPath = false;
-    /** FDIP already probed/prefetched this block. */
-    bool prefetchProbed = false;
     /** UDP's confidence counter tagged this block as assumed-off-path. */
     bool assumedOffPath = false;
-    /** FDIP evaluated this block as an off-path prefetch candidate. */
-    bool udpOffPathCandidate = false;
 
     /** Cache line containing this block (blocks never straddle lines). */
     Addr line() const { return lineAddr(startPc); }
@@ -120,14 +117,36 @@ class Ftq
     FtqEntry& front() { return q.front(); }
     const FtqEntry& front() const { return q.front(); }
 
-    /** Drops the oldest block after the fetch stage consumed it. */
-    void popFront() { q.popFront(); }
+    /**
+     * Drops the oldest block after the fetch stage consumed it. The
+     * prefetch cursor stays on the same block (an unscanned head is
+     * skipped: fetch already demanded its line).
+     */
+    void
+    popFront()
+    {
+        q.popFront();
+        if (cursor > 0) {
+            --cursor;
+        }
+    }
 
-    /** Random access from oldest (0) to newest (size-1), for FDIP scan. */
+    /** Random access from oldest (0) to newest (size-1). */
     FtqEntry& at(std::size_t i) { return q[i]; }
     const FtqEntry& at(std::size_t i) const { return q[i]; }
 
-    /** Drops all entries (resteer). */
+    /** Position of the oldest block FDIP has not scanned (0 = head). */
+    std::size_t prefetchCursor() const { return cursor; }
+
+    /** The oldest block FDIP has not scanned, moving the cursor past it;
+     *  nullptr once every block has been scanned. */
+    const FtqEntry*
+    nextToPrefetch()
+    {
+        return cursor < q.size() ? &q[cursor++] : nullptr;
+    }
+
+    /** Drops all entries (resteer); FDIP restarts at the new head. */
     void flush();
 
     /** Records the occupancy sample for this cycle. */
@@ -145,9 +164,10 @@ class Ftq
 
     /**
      * Invariant check (sim/invariants.h): size against the physical
-     * bound, capacity against [1, physical] and per-entry well-formedness
-     * (instruction count, valid addresses). @p full additionally verifies
-     * entry-id monotonicity. Returns the first violation, or "".
+     * bound, capacity against [1, physical], the prefetch cursor against
+     * the size and per-entry well-formedness (instruction count, valid
+     * addresses). @p full additionally verifies entry-id monotonicity.
+     * Returns the first violation, or "".
      */
     std::string checkInvariants(bool full) const;
 
@@ -163,6 +183,7 @@ class Ftq
     /** Sized from physCap, which size() never exceeds: it never grows. */
     Ring<FtqEntry> q;
     std::size_t capacity_;
+    std::size_t cursor = 0; ///< FDIP's next block, counted from the head
     std::uint64_t nextId = 1;
     FtqStats stats_;
 

@@ -43,14 +43,7 @@ Cpu::Cpu(const Program& prog, const SimConfig& c) : cfg(c), program(prog)
     if (cfg.udpEnabled) {
         udp_ = std::make_unique<UdpEngine>(cfg.udp);
         fdip_->setUdp(udp_.get());
-        fe_->hooks().onCondPredicted = [this](Confidence c2) {
-            udp_->onCondPredicted(c2);
-        };
-        fe_->hooks().onBtbMissTaken = [this]() { udp_->onBtbMissTaken(); };
-        fe_->hooks().assumedOffPath = [this]() {
-            return udp_->assumedOffPath();
-        };
-        backend_->onRetirePc = [this](Addr pc) { udp_->onRetire(pc); };
+        fe_->setUdp(udp_.get());
     }
 
     if (cfg.uftq.mode != UftqMode::Off) {
@@ -59,19 +52,8 @@ Cpu::Cpu(const Program& prog, const SimConfig& c) : cfg(c), program(prog)
 
     if (cfg.eipEnabled) {
         eip_ = std::make_unique<Eip>(*mem_, cfg.eip);
-        fetch_->onIFetchAccess = [this](Addr line, bool hit, Cycle t) {
-            eip_->onAccess(line, hit, t);
-        };
+        fetch_->setEip(eip_.get());
     }
-
-    // Fetch-side plumbing (UDP Seniority-FTQ + FDIP scan pointer).
-    fetch_->onBlockConsumed = [this](const FtqEntry& e) {
-        fdip_->onFtqPop();
-        if (udp_) {
-            udp_->onBlockConsumed(e);
-        }
-    };
-    fetch_->onFtqFlushed = [this]() { fdip_->onFtqFlush(); };
 
     if (cfg.telemetry.enabled) {
         telemetry_ = std::make_unique<Telemetry>(cfg.telemetry);
@@ -128,7 +110,6 @@ Cpu::applyResteer(const ResteerRequest& req)
 
     ftq_->flush();
     fetch_->flushAll();
-    fdip_->onFtqFlush();
     if (udp_) {
         udp_->onFlush(req.squashAfterDynId);
     }
@@ -168,6 +149,12 @@ Cpu::cycle()
 
     UDP_PROF(phase(obs::ProfPhase::Backend));
     ResteerRequest req = backend_->tick(now_);
+    if (udp_) {
+        // Learning sees this cycle's retirements before the flush below.
+        for (Addr pc : backend_->retiredPcs()) {
+            udp_->onRetire(pc);
+        }
+    }
     if (req.valid) {
         applyResteer(req);
     }

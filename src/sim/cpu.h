@@ -1,7 +1,8 @@
 /**
  * @file
- * The top-level simulated CPU: owns all components, wires the UDP/UFTQ
- * hooks, advances the cycle loop and applies resteers.
+ * The top-level simulated CPU: owns all components, attaches the optional
+ * UDP, UFTQ and EIP engines, advances the cycle loop, passes retirements
+ * to UDP and applies resteers.
  */
 
 #ifndef UDP_SIM_CPU_H

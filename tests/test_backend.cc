@@ -145,11 +145,20 @@ TEST(Backend, RetiresInOrderAndCounts)
     EXPECT_EQ(h.be->robOccupancy(), 0u);
 }
 
-TEST(Backend, RetireHookSeesEveryPc)
+/** Ticks the backend once and appends the pcs that tick retired. */
+void
+tickAndCollect(BackendHarness& h, Cycle now, std::vector<Addr>& retired_pcs)
+{
+    h.tick(now);
+    const std::vector<Addr>& pcs = h.be->retiredPcs();
+    EXPECT_LE(pcs.size(), h.cfg.retireWidth);
+    retired_pcs.insert(retired_pcs.end(), pcs.begin(), pcs.end());
+}
+
+TEST(Backend, RetiredPcsListEveryPc)
 {
     BackendHarness h;
     std::vector<Addr> retired_pcs;
-    h.be->onRetirePc = [&](Addr pc) { retired_pcs.push_back(pc); };
     // Retirement releases stream positions, so read the pcs up front.
     std::vector<Addr> expected;
     Cycle now = 1;
@@ -158,8 +167,19 @@ TEST(Backend, RetireHookSeesEveryPc)
         expected.push_back(di.pc);
         h.be->dispatch(di, now);
     }
-    for (now = 2; now < 600; ++now) {
+
+    // A tick with retirement frozen lists nothing, even once the oldest
+    // instructions have completed.
+    h.be->setRetireFrozen(true);
+    for (now = 2; now < 20; ++now) {
         h.be->tick(now);
+        EXPECT_TRUE(h.be->retiredPcs().empty()) << "cycle " << now;
+    }
+    EXPECT_EQ(h.be->retired(), 0u);
+    h.be->setRetireFrozen(false);
+
+    for (; now < 600; ++now) {
+        tickAndCollect(h, now, retired_pcs);
     }
     EXPECT_EQ(retired_pcs, expected);
 }
@@ -435,12 +455,11 @@ TEST(Backend, RetiresThroughTheRingManyTimes)
         instrs.push_back(di);
     }
     std::vector<Addr> retired_pcs;
-    h.be->onRetirePc = [&](Addr pc) { retired_pcs.push_back(pc); };
 
     std::size_t next = 0;
     for (Cycle now = 1; now < 20000 && h.be->retired() < instrs.size();
          ++now) {
-        h.tick(now);
+        tickAndCollect(h, now, retired_pcs);
         for (unsigned n = 0; n < h.cfg.dispatchWidth &&
                              next < instrs.size() &&
                              h.be->canDispatch(instrs[next]);

@@ -201,7 +201,7 @@ TEST(StreamPrefetcher, DetectsAscendingStream)
     std::vector<Addr> out;
     for (int i = 0; i < 8; ++i) {
         out.clear();
-        pf.observe(0x10000 + Addr{i} * kLineBytes, out);
+        pf.observe(0x10000 + Addr(i) * kLineBytes, out);
     }
     EXPECT_FALSE(out.empty());
     EXPECT_EQ(out[0], 0x10000 + 8 * Addr{kLineBytes});
@@ -213,7 +213,7 @@ TEST(StreamPrefetcher, DetectsDescendingStream)
     std::vector<Addr> out;
     for (int i = 0; i < 8; ++i) {
         out.clear();
-        pf.observe(0x40000 - Addr{i} * kLineBytes, out);
+        pf.observe(0x40000 - Addr(i) * kLineBytes, out);
     }
     EXPECT_FALSE(out.empty());
     EXPECT_LT(out[0], 0x40000 - 7 * Addr{kLineBytes});
@@ -301,7 +301,7 @@ TEST(MemSystem, PerfectIcacheAlwaysHits)
     cfg.perfectIcache = true;
     MemSystem mem(cfg);
     for (int i = 0; i < 100; ++i) {
-        IFetchResult r = mem.ifetch(0x400000 + Addr{i} * 4096, 10, true);
+        IFetchResult r = mem.ifetch(0x400000 + Addr(i) * 4096, 10, true);
         EXPECT_EQ(r.where, IFetchWhere::L1);
         EXPECT_EQ(r.ready, 10 + cfg.l1iLat);
     }

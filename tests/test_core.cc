@@ -380,7 +380,7 @@ TEST(UdpEngine, ResteerResetsConfidence)
         udp.onCondPredicted(Confidence::Low);
     }
     EXPECT_TRUE(udp.assumedOffPath());
-    udp.onResteer();
+    udp.onFlush(0);
     EXPECT_FALSE(udp.assumedOffPath());
 }
 

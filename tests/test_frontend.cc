@@ -1,13 +1,14 @@
 /**
  * @file
- * Tests for the frontend: FTQ behaviour, decoupled block building against
- * a hand-crafted program, FDIP probing, post-fetch correction and the
- * EIP baseline prefetcher.
+ * Tests for the frontend: FTQ behaviour and FDIP's scan cursor, decoupled
+ * block building and branch prediction against hand-crafted programs,
+ * FDIP probing, post-fetch correction and the EIP baseline prefetcher.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/udp_engine.h"
 #include "frontend/decoupled_fe.h"
 #include "frontend/fdip.h"
 #include "frontend/fetch.h"
@@ -25,7 +26,7 @@ TEST(Ftq, CapacityAndPushPop)
     for (int i = 0; i < 4; ++i) {
         FtqEntry& e = q.beginPush();
         e.id = q.allocId();
-        e.startPc = 0x400000 + Addr{i} * 32;
+        e.startPc = 0x400000 + Addr(i) * 32;
         q.commitPush();
     }
     EXPECT_TRUE(q.full());
@@ -157,17 +158,69 @@ TEST(Ftq, BeginPushClearsReusedHeader)
         FtqEntry& e = q.beginPush();
         EXPECT_EQ(e.numInstrs, 0u);
         EXPECT_EQ(e.startPc, kInvalidAddr);
-        EXPECT_FALSE(e.onPath || e.prefetchProbed || e.assumedOffPath ||
-                     e.udpOffPathCandidate);
+        EXPECT_FALSE(e.onPath || e.assumedOffPath);
         e.id = q.allocId();
         e.startPc = 0x400000;
         e.numInstrs = 3;
-        e.onPath = e.prefetchProbed = e.assumedOffPath = true;
-        e.udpOffPathCandidate = true;
+        e.onPath = e.assumedOffPath = true;
         q.commitPush();
         q.popFront();
     }
     EXPECT_EQ(q.stats().pushes, 4u);
+}
+
+TEST(Ftq, PrefetchCursorFollowsPopsAndFlushes)
+{
+    Ftq q(8, 8);
+    // startPc of the block the cursor hands out, or kInvalidAddr at the
+    // end of the queue.
+    auto next = [&q] {
+        const FtqEntry* e = q.nextToPrefetch();
+        return e != nullptr ? e->startPc : kInvalidAddr;
+    };
+    for (int i = 0; i < 4; ++i) {
+        pushTagged(q, 0x400000 + Addr(i) * 32);
+    }
+    // Blocks come out oldest first.
+    EXPECT_EQ(q.prefetchCursor(), 0u);
+    EXPECT_EQ(next(), 0x400000u);
+    EXPECT_EQ(next(), 0x400020u);
+    EXPECT_EQ(q.prefetchCursor(), 2u);
+
+    // A pop keeps the cursor on the same block: the next one out is
+    // neither skipped nor repeated.
+    q.popFront();
+    EXPECT_EQ(q.prefetchCursor(), 1u);
+    EXPECT_EQ(next(), 0x400040u);
+    // Popping every scanned block leaves it at the head.
+    q.popFront();
+    q.popFront();
+    EXPECT_EQ(q.prefetchCursor(), 0u);
+    // Popping an unscanned head (fetch got there first) keeps it at the
+    // head, so the new head comes out next; then it stops at the tail.
+    pushTagged(q, 0x400080);
+    q.popFront();
+    EXPECT_EQ(q.prefetchCursor(), 0u);
+    EXPECT_EQ(next(), 0x400080u);
+    EXPECT_EQ(next(), kInvalidAddr);
+    EXPECT_EQ(q.prefetchCursor(), 1u);
+    EXPECT_EQ(q.checkInvariants(/*full=*/true), "");
+
+    // A flush restarts the cursor at the new head.
+    q.flush();
+    EXPECT_EQ(q.prefetchCursor(), 0u);
+    EXPECT_EQ(next(), kInvalidAddr);
+    for (int i = 0; i < 5; ++i) {
+        pushTagged(q, 0x500000 + Addr(i) * 32);
+    }
+    EXPECT_EQ(next(), 0x500000u);
+    EXPECT_EQ(next(), 0x500020u);
+
+    // Shrinking the capacity below the occupancy leaves it in place.
+    q.setCapacity(1);
+    EXPECT_EQ(q.prefetchCursor(), 2u);
+    EXPECT_EQ(next(), 0x500040u);
+    EXPECT_EQ(q.checkInvariants(/*full=*/true), "");
 }
 
 TEST(Ftq, LineOfBlock)
@@ -362,6 +415,130 @@ TEST(DecoupledFrontend, StopsWhenFtqFull)
     EXPECT_GT(h.fe.stats().stallCyclesFtqFull, 0u);
 }
 
+// ------------------------------------------------- predict(), one per kind
+
+TEST(FrontendPredict, CondDirectTakesKnownTargetAndFeedsUdp)
+{
+    FrontendHarness h;
+    // Every confidence weighs 1 and one reaches the threshold, so a
+    // single prediction shows whether UDP saw it.
+    UdpConfig ucfg;
+    ucfg.confidence.threshold = 1;
+    ucfg.confidence.lowWeight = 1;
+    ucfg.confidence.medWeight = 1;
+    ucfg.confidence.highWeight = 1;
+    UdpEngine udp(ucfg);
+    h.fe.setUdp(&udp);
+
+    BranchRecord rec;
+    const Addr pc = h.prog.pcOf(1);
+    const Addr ras_top = h.bpu.ras().top();
+    Prediction p = h.fe.predict(BranchKind::CondDirect, pc, h.prog.pcOf(5),
+                                rec);
+    EXPECT_EQ(rec.kind, BranchKind::CondDirect);
+    EXPECT_EQ(p.taken, rec.cond.taken);
+    EXPECT_EQ(p.target, h.prog.pcOf(5)); // taken or not
+    EXPECT_EQ(h.bpu.stats().condPredictions, 1u);
+    EXPECT_EQ(h.bpu.ras().top(), ras_top);
+    EXPECT_TRUE(udp.assumedOffPath());
+}
+
+TEST(FrontendPredict, JumpTakesKnownTarget)
+{
+    FrontendHarness h;
+    BranchRecord rec;
+    const Addr ras_top = h.bpu.ras().top();
+    Prediction p = h.fe.predict(BranchKind::Jump, h.prog.pcOf(3),
+                                h.prog.pcOf(0), rec);
+    EXPECT_EQ(rec.kind, BranchKind::Jump);
+    EXPECT_TRUE(p.taken);
+    EXPECT_EQ(p.target, h.prog.pcOf(0));
+    EXPECT_EQ(h.bpu.ras().top(), ras_top);
+    EXPECT_EQ(h.bpu.stats().condPredictions, 0u);
+}
+
+TEST(FrontendPredict, CallTakesKnownTargetAndPushesReturn)
+{
+    FrontendHarness h;
+    BranchRecord rec;
+    const Addr pc = h.prog.pcOf(2);
+    Prediction p = h.fe.predict(BranchKind::Call, pc, h.prog.pcOf(5), rec);
+    EXPECT_EQ(rec.kind, BranchKind::Call);
+    EXPECT_TRUE(p.taken);
+    EXPECT_EQ(p.target, h.prog.pcOf(5));
+    EXPECT_EQ(h.bpu.ras().top(), pc + kInstrBytes);
+}
+
+TEST(FrontendPredict, IndirectJumpFallsBackFromIttageToKnownTargetToNext)
+{
+    FrontendHarness h;
+    const Addr pc = h.prog.pcOf(2);
+    const Addr ras_top = h.bpu.ras().top();
+
+    // Cold ITTAGE, no known target: fall through.
+    BranchRecord cold;
+    Prediction p = h.fe.predict(BranchKind::IndirectJump, pc, kInvalidAddr,
+                                cold);
+    EXPECT_EQ(cold.kind, BranchKind::IndirectJump);
+    EXPECT_EQ(cold.indirect.target, kInvalidAddr);
+    EXPECT_TRUE(p.taken);
+    EXPECT_EQ(p.target, pc + kInstrBytes);
+
+    // Cold ITTAGE, a known target (the BTB's last-target hint): use it.
+    BranchRecord hinted;
+    p = h.fe.predict(BranchKind::IndirectJump, pc, h.prog.pcOf(5), hinted);
+    EXPECT_EQ(p.target, h.prog.pcOf(5));
+
+    // Trained ITTAGE: its target wins over the known one.
+    h.bpu.trainIndirect(pc, hinted.indirect, h.prog.pcOf(6));
+    BranchRecord trained;
+    p = h.fe.predict(BranchKind::IndirectJump, pc, h.prog.pcOf(5), trained);
+    EXPECT_EQ(trained.indirect.target, h.prog.pcOf(6));
+    EXPECT_EQ(p.target, h.prog.pcOf(6));
+
+    EXPECT_EQ(h.bpu.ras().top(), ras_top); // a jump pushes nothing
+}
+
+TEST(FrontendPredict, IndirectCallUsesIttageAndPushesReturn)
+{
+    FrontendHarness h;
+    const Addr pc = h.prog.pcOf(2);
+    BranchRecord first;
+    Prediction p = h.fe.predict(BranchKind::IndirectCall, pc, kInvalidAddr,
+                                first);
+    EXPECT_EQ(p.target, pc + kInstrBytes); // cold: fall through
+    EXPECT_EQ(h.bpu.ras().top(), pc + kInstrBytes);
+
+    h.bpu.trainIndirect(pc, first.indirect, h.prog.pcOf(5));
+    BranchRecord rec;
+    p = h.fe.predict(BranchKind::IndirectCall, pc, kInvalidAddr, rec);
+    EXPECT_EQ(rec.kind, BranchKind::IndirectCall);
+    EXPECT_TRUE(p.taken);
+    EXPECT_EQ(p.target, h.prog.pcOf(5));
+    EXPECT_EQ(h.bpu.ras().top(), pc + kInstrBytes);
+}
+
+TEST(FrontendPredict, ReturnPopsRasElseFallsThrough)
+{
+    FrontendHarness h;
+    const Addr ret_pc = h.prog.pcOf(6);
+
+    // Empty RAS: fall through. A known target is never used.
+    BranchRecord cold;
+    Prediction p = h.fe.predict(BranchKind::Return, ret_pc, h.prog.pcOf(0),
+                                cold);
+    EXPECT_EQ(cold.kind, BranchKind::Return);
+    EXPECT_TRUE(p.taken);
+    EXPECT_EQ(p.target, ret_pc + kInstrBytes);
+
+    // After a call, the return goes back past it.
+    BranchRecord call;
+    h.fe.predict(BranchKind::Call, h.prog.pcOf(2), h.prog.pcOf(5), call);
+    BranchRecord ret;
+    p = h.fe.predict(BranchKind::Return, ret_pc, kInvalidAddr, ret);
+    EXPECT_EQ(p.target, h.prog.pcOf(3));
+}
+
 // ------------------------------------------------------------------- FDIP
 
 TEST(Fdip, PrefetchesMissingBlocks)
@@ -410,7 +587,7 @@ TEST(Fdip, RespectsScanBudget)
     for (int i = 0; i < 6; ++i) {
         FtqEntry& e = ftq.beginPush();
         e.id = static_cast<std::uint64_t>(i + 1);
-        e.startPc = 0x400000 + Addr{i} * 64; // distinct lines
+        e.startPc = 0x400000 + Addr(i) * 64; // distinct lines
         ftq.commitPush();
     }
     fdip.tick(1);
@@ -443,18 +620,102 @@ TEST(Fdip, FlushResetsScan)
     for (int i = 0; i < 2; ++i) {
         FtqEntry& e = ftq.beginPush();
         e.id = static_cast<std::uint64_t>(i + 1);
-        e.startPc = 0x400000 + Addr{i} * 64;
+        e.startPc = 0x400000 + Addr(i) * 64;
         ftq.commitPush();
     }
     fdip.tick(1);
-    ftq.flush();
-    fdip.onFtqFlush();
+    ftq.flush(); // restarts the prefetch cursor
     FtqEntry& e = ftq.beginPush();
     e.id = 10;
     e.startPc = 0x500000;
     ftq.commitPush();
     fdip.tick(2);
     EXPECT_TRUE(mem.icacheLineInFlight(0x500000));
+}
+
+// ------------------------------------------------------------ FetchStage
+
+/**
+ * Builds one 64 B line of straight-line code with a jump at 1:
+ *   0: alu, 1: jump -> 8, 2..14: alu, 15: jump -> 0
+ */
+Program
+jumpProgram()
+{
+    std::vector<Instr> ins(16);
+    ins[1].type = InstrType::Branch;
+    ins[1].branch = BranchKind::Jump;
+    ins[1].target = 8;
+    ins[15].type = InstrType::Branch;
+    ins[15].branch = BranchKind::Jump;
+    ins[15].target = 0;
+    Program p = Program::assemble("jumps", std::move(ins), 0, {}, {}, {},
+                                  {});
+    EXPECT_EQ(p.validate(), "");
+    return p;
+}
+
+TEST(FetchStage, DecodeCorrectedTakenBranchFlushesAndBumpsUdpOnce)
+{
+    Program prog = jumpProgram();
+    TrueStream stream{prog};
+    Bpu bpu{BpuConfig{}};
+    MemSystem mem{MemSysConfig{}};
+    Ftq ftq{64, 32};
+    BranchRecordPool records;
+    DecoupledFrontend fe{prog, stream, bpu, ftq, records, FrontendConfig{}};
+    FetchStage fetch{prog, bpu, mem, ftq, fe, records, FetchConfig{}};
+    FdipEngine fdip{mem, ftq, FdipConfig{}};
+    UdpEngine udp{UdpConfig{}};
+    fe.setUdp(&udp);
+    mem.icache().insert(lineAddr(prog.entryPc()), false); // fetch hits
+
+    // Cold BTB: the frontend runs straight past the jump, and FDIP scans
+    // both blocks.
+    fe.tick(1);
+    ASSERT_EQ(ftq.size(), 2u);
+    fdip.tick(1);
+    EXPECT_EQ(ftq.prefetchCursor(), 2u);
+    EXPECT_EQ(fdip.stats().blocksScanned, 2u);
+    // Two low-confidence predictions: UDP's counter at 4.
+    udp.onCondPredicted(Confidence::Low);
+    udp.onCondPredicted(Confidence::Low);
+
+    // Decode finds the jump, predicts it taken and resteers.
+    fetch.tick(2);
+    EXPECT_EQ(fetch.stats().decodeBtbCorrections, 1u);
+    EXPECT_EQ(fetch.stats().decodeResteers, 1u);
+    EXPECT_EQ(fe.stats().decodeResteers, 1u);
+    ASSERT_EQ(fetch.decodeQueue().size(), 2u); // instruction 0, the jump
+    const DecodedInstr& jump = fetch.decodeQueue()[1];
+    EXPECT_TRUE(jump.predictedBranch);
+    EXPECT_TRUE(jump.predTaken);
+    EXPECT_EQ(jump.predTarget, prog.pcOf(8));
+    EXPECT_NE(records.find(jump.record, jump.dynId), nullptr);
+    const BtbEntry* be = bpu.btb().lookup(prog.pcOf(1));
+    ASSERT_NE(be, nullptr);
+    EXPECT_EQ(be->target, prog.pcOf(8));
+    // The FTQ flush freed the squashed blocks and restarted the cursor.
+    EXPECT_TRUE(ftq.empty());
+    EXPECT_EQ(ftq.prefetchCursor(), 0u);
+    EXPECT_EQ(records.size(), 1u);
+
+    // The bump reset the counter and added 6: below the default threshold
+    // of 8 until one more low-confidence prediction adds 2.
+    EXPECT_FALSE(udp.assumedOffPath());
+    udp.onCondPredicted(Confidence::Low);
+    EXPECT_TRUE(udp.assumedOffPath());
+
+    // After the bubble, blocks resume at the target, tagged off-path, and
+    // FDIP scans them from the new head.
+    fe.tick(3);
+    ASSERT_EQ(ftq.size(), 2u);
+    EXPECT_EQ(ftq.at(0).startPc, prog.pcOf(8));
+    EXPECT_TRUE(ftq.at(0).assumedOffPath);
+    fdip.tick(3);
+    EXPECT_EQ(ftq.prefetchCursor(), 2u);
+    EXPECT_EQ(fdip.stats().blocksScanned, 4u);
+    EXPECT_EQ(fe.stats().resteers, 1u);
 }
 
 // -------------------------------------------------------------------- EIP

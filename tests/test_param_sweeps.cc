@@ -141,7 +141,7 @@ TEST(DramBandwidth, MoreTrafficNeverFinishesEarlier)
     // 'b' carries extra competing traffic; the probe load in 'b' must not
     // complete before the identical probe in 'a'.
     for (int i = 0; i < 8; ++i) {
-        b.dload(0x40000000 + Addr{i} * 4096, 10, true);
+        b.dload(0x40000000 + Addr(i) * 4096, 10, true);
     }
     Cycle probe_a = a.dload(0x7f000000, 10, true);
     Cycle probe_b = b.dload(0x7f000000, 10, true);

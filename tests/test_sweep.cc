@@ -347,7 +347,7 @@ TEST(Sink, TruncatedArtifactStillYieldsEveryCompleteLine)
 
 TEST(Sink, JsonEscapeRoundTrips)
 {
-    for (const std::string s :
+    for (const std::string& s :
          {std::string("plain"), std::string("quote\"back\\slash"),
           std::string("line\nbreak\ttab\rcr"),
           std::string("ctrl\x01\x1f"), std::string("")}) {
