@@ -16,8 +16,35 @@ Backend::Backend(const Program& prog, TrueStream& strm, MemSystem& m,
 {
     rob.resize(std::bit_ceil(std::max(cfg.robSize, 1u)));
     robMask = rob.size() - 1;
-    ready.reserve(cfg.rsSize + 8);
+    robWords = (rob.size() + 63) / 64;
+    readyBits.assign(robWords, 0);
+    wheel.assign(kWheelCycles * robWords, 0);
     retiredPcs_.reserve(cfg.retireWidth);
+}
+
+template <typename F>
+void
+Backend::forEachRobSlot(const std::uint64_t* bits, F&& f) const
+{
+    // A run of slots per word: up to a word boundary, the ring's end (a
+    // ring under 64 slots wraps inside its one word) or the youngest.
+    const std::size_t word_slots = std::min<std::size_t>(64, rob.size());
+    std::size_t s = robBasePos & robMask;
+    for (std::size_t left = robCount; left > 0;) {
+        const std::size_t off = s & 63;
+        const std::size_t n = std::min(word_slots - off, left);
+        std::uint64_t m = bits[s >> 6] >> off;
+        if (n < 64) {
+            m &= (std::uint64_t{1} << n) - 1;
+        }
+        for (; m != 0; m &= m - 1) {
+            if (!f(s + static_cast<std::size_t>(std::countr_zero(m)))) {
+                return;
+            }
+        }
+        left -= n;
+        s = (s + n) & robMask;
+    }
 }
 
 std::uint64_t
@@ -28,12 +55,6 @@ Backend::producerPos(const RobEntry& e, unsigned k) const
         return kNoPos; // no operand, or its producer already retired
     }
     return e.pos - dep;
-}
-
-void
-Backend::markReady(std::uint64_t pos)
-{
-    ready.insert(std::upper_bound(ready.begin(), ready.end(), pos), pos);
 }
 
 bool
@@ -79,7 +100,7 @@ Backend::dispatch(const DecodedInstr& di, Cycle now)
         e.waiting |= static_cast<std::uint8_t>(1u << k);
     }
     if (e.waiting == 0) {
-        markReady(pos);
+        setBit(readyBits.data(), pos & robMask);
     }
     if (di.type == InstrType::Load) {
         ++loadsInFlight;
@@ -149,32 +170,49 @@ Backend::resolveBranch(RobEntry& e)
 }
 
 void
+Backend::complete(RobEntry& e)
+{
+    e.completed = true;
+    for (Link l = e.consumers; l != kNoLink;) {
+        RobEntry& c = slot(l >> 1);
+        unsigned k = l & 1;
+        l = c.next[k];
+        c.waiting &= static_cast<std::uint8_t>(~(1u << k));
+        if (c.waiting == 0) {
+            setBit(readyBits.data(), c.pos & robMask);
+        }
+    }
+    e.consumers = kNoLink;
+    if (e.di.kind != BranchKind::None && !e.resolved) {
+        resolveBranch(e);
+        if (e.mispredicted) {
+            pendingRecovery.push_back(e.pos);
+        }
+    }
+}
+
+void
 Backend::completeReady(Cycle now)
 {
-    while (!completions.empty() && completions.top().first <= now) {
-        auto [when, pos] = completions.top();
-        completions.pop();
-        RobEntry* e = entryAt(pos);
-        if (!e || !e->issued || e->completed || e->completeAt != when) {
-            continue; // squashed or stale heap entry
-        }
-        e->completed = true;
-        for (Link l = e->consumers; l != kNoLink;) {
-            RobEntry& c = slot(l >> 1);
-            unsigned k = l & 1;
-            l = c.next[k];
-            c.waiting &= static_cast<std::uint8_t>(~(1u << k));
-            if (c.waiting == 0) {
-                markReady(c.pos);
+    // Each skipped cycle's bucket too, at most one full turn of the wheel.
+    Cycle first = now - std::min<Cycle>(now - lastCompleted, kWheelCycles);
+    lastCompleted = now;
+    for (Cycle c = first + 1; c <= now; ++c) {
+        const std::size_t b = c & (kWheelCycles - 1);
+        std::uint64_t* bits = bucket(c);
+        forEachRobSlot(bits, [&](std::size_t s) {
+            RobEntry& e = rob[s];
+            bool pending = e.issued && !e.completed;
+            if (pending && e.completeAt > now &&
+                (e.completeAt & (kWheelCycles - 1)) == b) {
+                return true; // due in a later rotation
             }
-        }
-        e->consumers = kNoLink;
-        if (e->di.kind != BranchKind::None && !e->resolved) {
-            resolveBranch(*e);
-            if (e->mispredicted) {
-                pendingRecovery.push_back(e->pos);
-            }
-        }
+            clearBit(bits, s);
+            if (pending && e.completeAt <= now) {
+                complete(e);
+            } // else squashed: a stale bit
+            return true;
+        });
     }
 }
 
@@ -201,11 +239,10 @@ Backend::squashAfter(std::uint64_t pos)
         } else if (victim.di.type == InstrType::Store) {
             --storesInFlight;
         }
+        clearBit(readyBits.data(), victim.pos & robMask);
         ++stats_.squashed;
         --robCount;
     }
-    ready.erase(std::upper_bound(ready.begin(), ready.end(), pos),
-                ready.end());
 }
 
 ResteerRequest
@@ -317,11 +354,8 @@ Backend::issue(Cycle now)
     unsigned sts = cfg.numStore;
 
     // Oldest ready first; an entry whose port is taken waits in place.
-    std::size_t w = 0;
-    std::size_t r = 0;
-    for (; r < ready.size() && budget > 0; ++r) {
-        std::uint64_t pos = ready[r];
-        RobEntry* e = &slot(pos);
+    forEachRobSlot(readyBits.data(), [&](std::size_t s) {
+        RobEntry* e = &rob[s];
 
         // Functional unit availability.
         unsigned* fu = nullptr;
@@ -338,11 +372,11 @@ Backend::issue(Cycle now)
             break;
         }
         if (*fu == 0) {
-            ready[w++] = pos;
-            continue;
+            return true;
         }
 
         // Issue.
+        clearBit(readyBits.data(), s);
         e->issued = true;
         --*fu;
         --budget;
@@ -384,11 +418,12 @@ Backend::issue(Cycle now)
             done = now + e->di.execLat;
             break;
         }
-        e->completeAt = done;
-        completions.emplace(done, pos);
-    }
-    ready.erase(ready.begin() + static_cast<std::ptrdiff_t>(w),
-                ready.begin() + static_cast<std::ptrdiff_t>(r));
+        // This cycle's completions have run: a zero latency lands next
+        // cycle.
+        e->completeAt = std::max(done, now + 1);
+        setBit(bucket(e->completeAt), s);
+        return budget > 0;
+    });
 }
 
 ResteerRequest
@@ -439,7 +474,6 @@ Backend::checkInvariants(bool full) const
     unsigned loads = 0;
     unsigned stores = 0;
     unsigned unissued = 0;
-    std::size_t readyEntries = 0;
     std::size_t waitingOperands = 0;
     const std::uint64_t endPos = robBasePos + robCount;
     for (std::uint64_t pos = robBasePos; pos < endPos; ++pos) {
@@ -464,9 +498,33 @@ Backend::checkInvariants(bool full) const
             }
         }
         waitingOperands += static_cast<std::size_t>(std::popcount(e.waiting));
-        if (!e.issued) {
-            ++unissued;
-            readyEntries += e.waiting == 0;
+        unissued += !e.issued;
+        // Issued and uncompleted: its slot's bit waits in the bucket of
+        // its completion cycle, which the wheel has yet to reach.
+        if (e.issued && !e.completed &&
+            (e.completeAt <= lastCompleted ||
+             !testBit(bucket(e.completeAt), pos & robMask))) {
+            std::snprintf(buf, sizeof(buf),
+                          "entry %llu: issued, due at cycle %llu, but no "
+                          "pending completion-wheel bit",
+                          static_cast<unsigned long long>(pos),
+                          static_cast<unsigned long long>(e.completeAt));
+            return buf;
+        }
+    }
+    // The ready bitmap holds exactly the unissued entries with no waiting
+    // operand: no bit of a slot outside the ROB (a squash clears them).
+    for (std::size_t s = 0; s < rob.size(); ++s) {
+        const RobEntry& e = rob[s];
+        bool want = (e.pos & robMask) == s && inRob(e.pos) && !e.issued &&
+                    e.waiting == 0;
+        if (testBit(readyBits.data(), s) != want) {
+            std::snprintf(buf, sizeof(buf),
+                          "ready bit of slot %zu (pos %llu) is %d, but the "
+                          "entry is %s",
+                          s, static_cast<unsigned long long>(e.pos),
+                          want ? 0 : 1, want ? "ready" : "not ready");
+            return buf;
         }
     }
     if (loads != loadsInFlight || stores != storesInFlight) {
@@ -480,23 +538,6 @@ Backend::checkInvariants(bool full) const
         std::snprintf(buf, sizeof(buf),
                       "unissued count %u vs ROB recount %u", unissuedCount,
                       unissued);
-        return buf;
-    }
-    for (std::size_t i = 0; i < ready.size(); ++i) {
-        std::uint64_t pos = ready[i];
-        if ((i > 0 && pos <= ready[i - 1]) || !inRob(pos) ||
-            slot(pos).issued || slot(pos).waiting != 0) {
-            std::snprintf(buf, sizeof(buf),
-                          "ready list entry %zu (pos %llu) is out of order, "
-                          "not in the ROB, issued or waiting",
-                          i, static_cast<unsigned long long>(pos));
-            return buf;
-        }
-    }
-    if (ready.size() != readyEntries) {
-        std::snprintf(buf, sizeof(buf),
-                      "ready list holds %zu entries, ROB has %zu ready",
-                      ready.size(), readyEntries);
         return buf;
     }
     // Every link names a live, unissued operand that waits on this

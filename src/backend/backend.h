@@ -1,7 +1,8 @@
 /**
  * @file
  * The out-of-order backend: ROB / unified RS / LSQ with event-driven
- * wakeup (per-producer consumer lists feeding an age-ordered ready list),
+ * wakeup (per-producer consumer lists feeding a ready bitmap walked
+ * oldest first), completion through a cycle-indexed timing wheel,
  * functional-unit constraints, branch resolution (including
  * wrong-path branches, which can re-resteer the wrong path — Scarab's
  * "multiple consequent mispredictions"), recovery, and in-order retirement
@@ -12,7 +13,6 @@
 #define UDP_BACKEND_BACKEND_H
 
 #include <cstdint>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -119,7 +119,8 @@ class Backend
      * @p full additionally recomputes the load/store in-flight credits
      * from ROB contents (conservation across dispatch/squash/retire) and
      * checks the scheduler against a fresh dependence scan: wait masks,
-     * the ready list, every consumer-list link and the unissued count.
+     * the ready bitmap, every consumer-list link, the unissued count, and
+     * a pending completion-wheel bit for every issued, uncompleted entry.
      * Returns the first violation, or "".
      */
     std::string checkInvariants(bool full) const;
@@ -176,8 +177,41 @@ class Backend
      *  kNoPos (no such operand, or the producer already retired). */
     std::uint64_t producerPos(const RobEntry& e, unsigned k) const;
 
-    /** Adds @p pos to the ready list, keeping it in ROB order. */
-    void markReady(std::uint64_t pos);
+    /** Bit of ROB slot @p s in the bitmap that starts at @p bits. */
+    static bool testBit(const std::uint64_t* bits, std::size_t s)
+    {
+        return (bits[s >> 6] >> (s & 63)) & 1u;
+    }
+    static void setBit(std::uint64_t* bits, std::size_t s)
+    {
+        bits[s >> 6] |= std::uint64_t{1} << (s & 63);
+    }
+    static void clearBit(std::uint64_t* bits, std::size_t s)
+    {
+        bits[s >> 6] &= ~(std::uint64_t{1} << (s & 63));
+    }
+
+    /**
+     * Calls @p f with each ROB slot whose bit is set in the slot bitmap
+     * @p bits, oldest first; stops when @p f returns false. Each word is
+     * read before its bits are visited, so @p f may clear the bit it is
+     * given.
+     */
+    template <typename F>
+    void forEachRobSlot(const std::uint64_t* bits, F&& f) const;
+
+    /** The wheel bucket (a slot bitmap) of completions due at @p when. */
+    std::uint64_t* bucket(Cycle when)
+    {
+        return &wheel[(when & (kWheelCycles - 1)) * robWords];
+    }
+    const std::uint64_t* bucket(Cycle when) const
+    {
+        return &wheel[(when & (kWheelCycles - 1)) * robWords];
+    }
+
+    /** Completes @p e: wakes its consumers and resolves a branch. */
+    void complete(RobEntry& e);
 
     /** Resolves the branch in @p e (fills actual outcome/mispredict). */
     void resolveBranch(RobEntry& e);
@@ -185,6 +219,8 @@ class Backend
     /** Squashes all entries younger than @p pos. */
     void squashAfter(std::uint64_t pos);
 
+    /** Completes every entry due by @p now, from the wheel buckets of the
+     *  cycles since the previous call (one bucket when ticked each cycle). */
     void completeReady(Cycle now);
     ResteerRequest handleRecovery(Cycle now);
     void retire(Cycle now);
@@ -202,22 +238,24 @@ class Backend
     std::uint64_t robMask = 0;
     std::uint64_t robBasePos = 0; ///< pos of the oldest entry
     std::size_t robCount = 0;
-    /** Unissued entries with no waiting operand, ascending positions. */
-    std::vector<std::uint64_t> ready;
+    /** Words of one slot bitmap: one bit per ROB slot (8 at 512). */
+    std::size_t robWords = 0;
+    /** Bit per unissued entry with no waiting operand. */
+    std::vector<std::uint64_t> readyBits;
     unsigned unissuedCount = 0; ///< RS occupancy
 
-    /** (completeAt, pos) min-heap of scheduled completions. */
-    using Completion = std::pair<Cycle, std::uint64_t>;
-    struct Later
-    {
-        bool
-        operator()(const Completion& a, const Completion& b) const
-        {
-            return a > b;
-        }
-    };
-    std::priority_queue<Completion, std::vector<Completion>, Later>
-        completions;
+    /**
+     * Completion timing wheel: kWheelCycles slot bitmaps, and an entry
+     * due at cycle c sets its slot's bit in bucket c & (kWheelCycles - 1).
+     * An entry due in a later rotation (a DRAM backlog) keeps its bit
+     * until the wheel comes round to its cycle. A squash leaves its
+     * victims' bits behind: completeReady() visits the ROB's slots only,
+     * and drops a bit whose slot holds no issued, uncompleted entry due
+     * in that bucket.
+     */
+    static constexpr std::size_t kWheelCycles = 64;
+    std::vector<std::uint64_t> wheel;
+    Cycle lastCompleted = 0; ///< the @p now of the last completeReady()
 
     /** Positions of resolved-mispredicted branches awaiting recovery. */
     std::vector<std::uint64_t> pendingRecovery;

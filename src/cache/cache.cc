@@ -1,5 +1,6 @@
 #include "cache/cache.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "common/intmath.h"
@@ -11,75 +12,60 @@ SetAssocCache::SetAssocCache(const CacheConfig& c) : cfg(c)
     assert(cfg.assoc >= 1);
     numSets_ = cfg.sizeBytes / (std::uint64_t{kLineBytes} * cfg.assoc);
     assert(numSets_ >= 1 && isPowerOf2(numSets_));
-    ways.resize(numSets_ * cfg.assoc);
+    tagShift = kLineBits + floorLog2(numSets_);
+    tags.assign(numSets_ * cfg.assoc, kEmptyTag);
+    flags.assign(numSets_ * cfg.assoc, 0);
+    lru.assign(numSets_ * cfg.assoc, 0);
 }
 
-std::size_t
-SetAssocCache::setOf(Addr line) const
+std::ptrdiff_t
+SetAssocCache::find(Addr addr) const
 {
-    return static_cast<std::size_t>((line / kLineBytes) & (numSets_ - 1));
-}
-
-Addr
-SetAssocCache::tagOf(Addr line) const
-{
-    return (line / kLineBytes) / numSets_;
-}
-
-SetAssocCache::Way*
-SetAssocCache::findWay(Addr addr)
-{
-    Addr line = lineAddr(addr);
-    std::size_t base = setOf(line) * cfg.assoc;
-    Addr tag = tagOf(line);
+    std::size_t base = setOf(addr) * cfg.assoc;
+    Addr tag = tagOf(addr);
     for (unsigned w = 0; w < cfg.assoc; ++w) {
-        Way& way = ways[base + w];
-        if (way.valid && way.tag == tag) {
-            return &way;
+        if (tags[base + w] == tag) {
+            return static_cast<std::ptrdiff_t>(base + w);
         }
     }
-    return nullptr;
-}
-
-const SetAssocCache::Way*
-SetAssocCache::findWay(Addr addr) const
-{
-    return const_cast<SetAssocCache*>(this)->findWay(addr);
+    return -1;
 }
 
 bool
 SetAssocCache::contains(Addr addr) const
 {
-    return findWay(addr) != nullptr;
+    return find(addr) >= 0;
 }
 
-bool
+CacheAccess
 SetAssocCache::demandAccess(Addr addr, bool on_path)
 {
     ++stats_.demandAccesses;
-    Way* way = findWay(addr);
-    if (!way) {
+    std::ptrdiff_t i = find(addr);
+    if (i < 0) {
         ++stats_.demandMisses;
-        return false;
+        return CacheAccess{};
     }
     ++stats_.demandHits;
-    way->lru = ++lruClock;
-    if (way->prefetch) {
+    lru[i] = ++lruClock;
+    CacheAccess res{true, (flags[i] & kPrefetch) != 0};
+    if (res.prefetched) {
         ++stats_.prefetchHits;
-        way->prefetch = false;
+        flags[i] &= ~kPrefetch;
     }
-    if (way->prefetchTrue && on_path) {
+    if ((flags[i] & kPrefetchTrue) && on_path) {
         ++stats_.prefetchHitsTrue;
-        way->prefetchTrue = false;
+        flags[i] &= ~kPrefetchTrue;
     }
-    return true;
+    return res;
 }
 
 void
 SetAssocCache::touch(Addr addr)
 {
-    if (Way* way = findWay(addr)) {
-        way->lru = ++lruClock;
+    std::ptrdiff_t i = find(addr);
+    if (i >= 0) {
+        lru[i] = ++lruClock;
     }
 }
 
@@ -87,46 +73,48 @@ CacheInsertResult
 SetAssocCache::insert(Addr addr, bool is_prefetch)
 {
     CacheInsertResult res;
-    Addr line = lineAddr(addr);
-
-    if (Way* way = findWay(line)) {
-        // Already present: refresh, don't re-mark a demand-touched line.
-        way->lru = ++lruClock;
-        return res;
+    // One pass over the set: a present line is refreshed, and the victim
+    // is the first invalid way, else the least recently used (the first
+    // of equals).
+    std::size_t set = setOf(addr);
+    std::size_t base = set * cfg.assoc;
+    Addr tag = tagOf(addr);
+    std::size_t victim = base;
+    bool invalid = false;
+    for (std::size_t i = base; i < base + cfg.assoc; ++i) {
+        if (tags[i] == tag) {
+            // Already present: don't re-mark a demand-touched line.
+            lru[i] = ++lruClock;
+            return res;
+        }
+        if (invalid) {
+            continue;
+        }
+        if (tags[i] == kEmptyTag) {
+            victim = i;
+            invalid = true;
+        } else if (lru[i] < lru[victim]) {
+            victim = i;
+        }
     }
 
-    std::size_t base = setOf(line) * cfg.assoc;
-    Way* victim = nullptr;
-    for (unsigned w = 0; w < cfg.assoc; ++w) {
-        Way& way = ways[base + w];
-        if (!way.valid) {
-            victim = &way;
-            break;
-        }
-        if (!victim || way.lru < victim->lru) {
-            victim = &way;
-        }
-    }
-    assert(victim);
-
-    if (victim->valid) {
+    if (tags[victim] != kEmptyTag) {
         res.evicted = true;
-        res.victimLine = (victim->tag * numSets_ + setOf(line)) * kLineBytes;
-        res.victimPrefetchUnused = victim->prefetch;
+        res.victimLine = ((tags[victim] << (tagShift - kLineBits)) | set)
+                         << kLineBits;
+        res.victimPrefetchUnused = (flags[victim] & kPrefetch) != 0;
         ++stats_.evictions;
-        if (victim->prefetch) {
+        if (flags[victim] & kPrefetch) {
             ++stats_.prefetchUnused;
         }
-        if (victim->prefetchTrue) {
+        if (flags[victim] & kPrefetchTrue) {
             ++stats_.prefetchUnusedTrue;
         }
     }
 
-    victim->valid = true;
-    victim->tag = tagOf(line);
-    victim->prefetch = is_prefetch;
-    victim->prefetchTrue = is_prefetch;
-    victim->lru = ++lruClock;
+    tags[victim] = tag;
+    flags[victim] = is_prefetch ? kPrefetch | kPrefetchTrue : 0;
+    lru[victim] = ++lruClock;
     ++stats_.inserts;
     return res;
 }
@@ -134,30 +122,20 @@ SetAssocCache::insert(Addr addr, bool is_prefetch)
 bool
 SetAssocCache::invalidate(Addr addr)
 {
-    if (Way* way = findWay(addr)) {
-        way->valid = false;
-        way->prefetch = false;
-        way->prefetchTrue = false;
-        return true;
+    std::ptrdiff_t i = find(addr);
+    if (i < 0) {
+        return false;
     }
-    return false;
-}
-
-bool
-SetAssocCache::prefetchBit(Addr addr) const
-{
-    const Way* way = findWay(addr);
-    return way && way->prefetch;
+    tags[i] = kEmptyTag;
+    flags[i] = 0;
+    return true;
 }
 
 void
 SetAssocCache::flush()
 {
-    for (Way& way : ways) {
-        way.valid = false;
-        way.prefetch = false;
-        way.prefetchTrue = false;
-    }
+    std::fill(tags.begin(), tags.end(), kEmptyTag);
+    std::fill(flags.begin(), flags.end(), std::uint8_t{0});
 }
 
 } // namespace udp

@@ -43,6 +43,17 @@ struct CacheStats
     std::uint64_t prefetchUnusedTrue = 0;
 };
 
+/** Result of a demand access. */
+struct CacheAccess
+{
+    bool hit = false;
+    /** The hit line still carried the prefetch bit: the first demand use
+     *  of a prefetched line (the bit is cleared by this access). */
+    bool prefetched = false;
+
+    explicit operator bool() const { return hit; }
+};
+
 /** Result of an insert. */
 struct CacheInsertResult
 {
@@ -56,6 +67,8 @@ struct CacheInsertResult
  * Set-associative, fully tagged, true-LRU cache over line addresses.
  * The number of sets must be a power of two; associativity is arbitrary
  * (supports the paper's 40 KiB = 64 sets x 10 ways icache variant).
+ * Ways are stored as parallel flat arrays (tags, prefetch bits, LRU
+ * stamps), set-major, and the set and tag come from shifts.
  */
 class SetAssocCache
 {
@@ -77,9 +90,9 @@ class SetAssocCache
      * Demand access: on a hit, touches LRU and clears/accounts the prefetch
      * bit. @p on_path is the ground-truth tag of the accessor (drives the
      * oracle utility counters only, never hardware behaviour).
-     * Returns hit/miss.
+     * Returns hit/miss and whether the hit consumed the prefetch bit.
      */
-    bool demandAccess(Addr addr, bool on_path = true);
+    CacheAccess demandAccess(Addr addr, bool on_path = true);
 
     /** Touch for LRU purposes without demand accounting (e.g. FDIP probe). */
     void touch(Addr addr);
@@ -93,9 +106,6 @@ class SetAssocCache
     /** Removes the line if present; returns true when it was. */
     bool invalidate(Addr addr);
 
-    /** Prefetch bit of a resident line (false when absent). */
-    bool prefetchBit(Addr addr) const;
-
     const CacheStats& stats() const { return stats_; }
     void clearStats() { stats_ = CacheStats(); }
 
@@ -103,24 +113,31 @@ class SetAssocCache
     void flush();
 
   private:
-    struct Way
-    {
-        bool valid = false;
-        Addr tag = 0;
-        bool prefetch = false;
-        /** Oracle bit: prefetched and not yet consumed by on-path demand. */
-        bool prefetchTrue = false;
-        std::uint64_t lru = 0;
-    };
+    static constexpr unsigned kLineBits = 6;
+    static_assert(kLineBytes == 1u << kLineBits);
+    /** Tag of an invalid way; tagOf() never yields it (addr >> 6 < 2^58). */
+    static constexpr Addr kEmptyTag = ~Addr{0};
+    /** Bits of flags[]: the hardware prefetch bit, and the oracle bit
+     *  (prefetched and not yet consumed by an on-path demand). */
+    static constexpr std::uint8_t kPrefetch = 1;
+    static constexpr std::uint8_t kPrefetchTrue = 2;
 
-    std::size_t setOf(Addr line) const;
-    Addr tagOf(Addr line) const;
-    Way* findWay(Addr line);
-    const Way* findWay(Addr line) const;
+    std::size_t setOf(Addr addr) const
+    {
+        return static_cast<std::size_t>((addr >> kLineBits) &
+                                        (numSets_ - 1));
+    }
+    Addr tagOf(Addr addr) const { return addr >> tagShift; }
+    /** Way index (set-major) holding @p addr's line, or -1 on a miss. */
+    std::ptrdiff_t find(Addr addr) const;
 
     CacheConfig cfg;
     std::size_t numSets_;
-    std::vector<Way> ways;
+    unsigned tagShift; ///< kLineBits + log2(numSets_)
+    // numSets_ * assoc ways, set-major, in three parallel arrays.
+    std::vector<Addr> tags;
+    std::vector<std::uint8_t> flags;
+    std::vector<std::uint64_t> lru;
     std::uint64_t lruClock = 0;
     CacheStats stats_;
 };

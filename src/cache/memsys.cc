@@ -1,6 +1,7 @@
 #include "cache/memsys.h"
 
 #include <algorithm>
+#include <cstdio>
 
 namespace udp {
 
@@ -31,9 +32,8 @@ MemSystem::MemSystem(const MemSysConfig& c)
 }
 
 Cycle
-MemSystem::lowerHierarchyLatency(Addr line, Cycle now, bool instruction)
+MemSystem::lowerHierarchyLatency(Addr line, Cycle now)
 {
-    (void)instruction;
     if (l2.demandAccess(line)) {
         return cfg.l2Lat;
     }
@@ -68,23 +68,42 @@ MemSystem::tick(Cycle now)
                 telem_->onPrefetchFill(e.line, ins.evicted);
             }
         }
-        if (e.isPrefetch && e.demandMerged && !e.onPathDemandMerged) {
-            // Hardware saw a merge, but it was wrong-path-only: from the
-            // oracle's perspective this prefetch is still unproven; since
-            // the line now looks like a demand line, account it here.
-            // (Kept as a statistic-neutral case: the line was at least
-            // fetched for an executed-wrong-path demand.)
-        }
     });
 
-    // Garbage-collect completed data in-flight entries.
-    if (!dInflight.empty()) {
-        dInflight.erase(std::remove_if(dInflight.begin(), dInflight.end(),
-                                       [now](const DInflight& d) {
-                                           return d.ready <= now;
-                                       }),
-                        dInflight.end());
+    // Garbage-collect completed data in-flight entries, once one is due.
+    if (now >= dInflightEarliest) {
+        Cycle earliest = kInvalidCycle;
+        std::erase_if(dInflight, [&](const DInflight& d) {
+            if (d.ready <= now) {
+                return true;
+            }
+            earliest = std::min(earliest, d.ready);
+            return false;
+        });
+        dInflightEarliest = earliest;
     }
+}
+
+std::string
+MemSystem::checkInvariants(Cycle now) const
+{
+    std::string fill = l1iMshr.checkInvariants(now);
+    if (!fill.empty()) {
+        return fill;
+    }
+    for (const DInflight& d : dInflight) {
+        if (d.ready < dInflightEarliest) {
+            char buf[160];
+            std::snprintf(buf, sizeof(buf),
+                          "data line 0x%llx in flight until %llu, before the "
+                          "earliest-fill bound %llu (it would not drain)",
+                          static_cast<unsigned long long>(d.line),
+                          static_cast<unsigned long long>(d.ready),
+                          static_cast<unsigned long long>(dInflightEarliest));
+            return buf;
+        }
+    }
+    return "";
 }
 
 IFetchResult
@@ -101,10 +120,10 @@ MemSystem::ifetch(Addr pc, Cycle now, bool on_path)
         return res;
     }
 
-    bool was_prefetched = l1i.prefetchBit(line);
-    if (l1i.demandAccess(line, on_path)) {
+    CacheAccess hit = l1i.demandAccess(line, on_path);
+    if (hit) {
         ++stats_.ifetchL1Hits;
-        if (was_prefetched) {
+        if (hit.prefetched) {
             ++stats_.ifetchTimelyPrefetchHits;
             if (telem_) {
                 telem_->onPrefetchFirstUse(line);
@@ -112,7 +131,7 @@ MemSystem::ifetch(Addr pc, Cycle now, bool on_path)
         }
         res.where = IFetchWhere::L1;
         res.ready = now + cfg.l1iLat;
-        res.hitPrefetchedLine = was_prefetched;
+        res.hitPrefetchedLine = hit.prefetched;
         return res;
     }
 
@@ -138,7 +157,7 @@ MemSystem::ifetch(Addr pc, Cycle now, bool on_path)
     }
 
     // True demand miss: allocate and go down the hierarchy.
-    Cycle fill_delta = lowerHierarchyLatency(line, now, true);
+    Cycle fill_delta = lowerHierarchyLatency(line, now);
     MshrEntry* e = l1iMshr.allocate(line, now + cfg.l1iLat + fill_delta,
                                     /*is_prefetch=*/false, now);
     if (!e) {
@@ -175,11 +194,11 @@ MemSystem::iprefetch(Addr addr, Cycle now, PfSource src)
             ++stats_.iprefNoMshr;
             return IPrefStatus::NoMshr;
         }
-        lowerHierarchyLatency(line, now, true);
+        lowerHierarchyLatency(line, now);
         ++stats_.iprefDemotedL2;
         return IPrefStatus::DemotedL2;
     }
-    Cycle fill_delta = lowerHierarchyLatency(line, now, true);
+    Cycle fill_delta = lowerHierarchyLatency(line, now);
     MshrEntry* e =
         l1iMshr.allocate(line, now + cfg.l1iLat + fill_delta, true, now);
     if (!e) {
@@ -187,7 +206,7 @@ MemSystem::iprefetch(Addr addr, Cycle now, PfSource src)
             ++stats_.iprefNoMshr;
             return IPrefStatus::NoMshr;
         }
-        lowerHierarchyLatency(line, now, true);
+        lowerHierarchyLatency(line, now);
         ++stats_.iprefDemotedL2;
         return IPrefStatus::DemotedL2;
     }
@@ -216,10 +235,10 @@ MemSystem::dload(Addr addr, Cycle now, bool on_path)
     ++stats_.dloads;
     Addr line = lineAddr(addr);
 
-    bool was_prefetched = l1d.prefetchBit(line);
-    if (l1d.demandAccess(line, on_path)) {
+    CacheAccess hit = l1d.demandAccess(line, on_path);
+    if (hit) {
         ++stats_.dloadL1Hits;
-        if (was_prefetched && telem_) {
+        if (hit.prefetched && telem_) {
             telem_->onPrefetchFirstUse(line);
         }
         return now + cfg.l1dLat;
@@ -232,13 +251,14 @@ MemSystem::dload(Addr addr, Cycle now, bool on_path)
         }
     }
 
-    Cycle fill_delta = lowerHierarchyLatency(line, now, false);
+    Cycle fill_delta = lowerHierarchyLatency(line, now);
     Cycle ready = now + cfg.l1dLat + fill_delta;
     CacheInsertResult ins = l1d.insert(line, false);
     if (telem_ && ins.victimPrefetchUnused) {
         telem_->onPrefetchEvicted(ins.victimLine);
     }
     dInflight.push_back(DInflight{line, ready});
+    dInflightEarliest = std::min(dInflightEarliest, ready);
 
     // Train the stream prefetcher on demand misses.
     if (cfg.dataStreamPrefetcher) {
@@ -248,7 +268,7 @@ MemSystem::dload(Addr addr, Cycle now, bool on_path)
             if (!l1d.contains(pf)) {
                 // Prefetch fills are modelled as immediate L2-side
                 // installs; latency hiding happens via presence.
-                lowerHierarchyLatency(pf, now, false);
+                lowerHierarchyLatency(pf, now);
                 CacheInsertResult pins = l1d.insert(pf, true);
                 if (telem_) {
                     if (pins.victimPrefetchUnused) {

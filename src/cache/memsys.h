@@ -168,12 +168,10 @@ class MemSystem
     MshrFile& fillBuffer() { return l1iMshr; }
     const MshrFile& fillBuffer() const { return l1iMshr; }
 
-    /** Invariant check (sim/invariants.h): fill-buffer consistency.
-     *  Returns the first violation found, or an empty string. */
-    std::string checkInvariants(Cycle now) const
-    {
-        return l1iMshr.checkInvariants(now);
-    }
+    /** Invariant check (sim/invariants.h): fill-buffer consistency,
+     *  then the data in-flight list's earliest-fill bound. Returns the
+     *  first violation found, or an empty string. */
+    std::string checkInvariants(Cycle now) const;
 
     /** Fill-buffer occupancy dump for diagnostic reports. */
     std::string dumpState(Cycle now) const
@@ -188,7 +186,7 @@ class MemSystem
 
   private:
     /** Looks up L2/LLC/DRAM; returns the fill latency beyond L1. */
-    Cycle lowerHierarchyLatency(Addr line, Cycle now, bool instruction);
+    Cycle lowerHierarchyLatency(Addr line, Cycle now);
 
     MemSysConfig cfg;
     SetAssocCache l1i;
@@ -206,6 +204,9 @@ class MemSystem
         Cycle ready;
     };
     std::vector<DInflight> dInflight;
+    /** At most the earliest ready in dInflight (kInvalidCycle when
+     *  empty): tick() compacts the list only from that cycle on. */
+    Cycle dInflightEarliest = kInvalidCycle;
 
     Cycle dramNextFree = 0;
     MemSysStats stats_;

@@ -1,5 +1,6 @@
 #include "cache/mshr.h"
 
+#include <algorithm>
 #include <cstdio>
 
 namespace udp {
@@ -28,7 +29,7 @@ MshrFile::allocate(Addr line, Cycle ready, bool is_prefetch, Cycle now)
         if (!e.valid) {
             e.valid = true;
             e.line = line;
-            e.ready = ready;
+            setReady(e, ready);
             e.allocatedAt = now;
             e.isPrefetch = is_prefetch;
             e.demandMerged = false;
@@ -42,11 +43,19 @@ MshrFile::allocate(Addr line, Cycle ready, bool is_prefetch, Cycle now)
 }
 
 void
+MshrFile::setReady(MshrEntry& e, Cycle ready)
+{
+    e.ready = ready;
+    earliestReady = std::min(earliestReady, ready);
+}
+
+void
 MshrFile::clear()
 {
     for (MshrEntry& e : entries) {
         e.valid = false;
     }
+    earliestReady = kInvalidCycle;
 }
 
 unsigned
@@ -76,6 +85,16 @@ MshrFile::checkInvariants(Cycle now) const
         const MshrEntry& a = entries[i];
         if (!a.valid) {
             continue;
+        }
+        if (a.ready < earliestReady) {
+            char buf[160];
+            std::snprintf(buf, sizeof(buf),
+                          "entry %zu: line 0x%llx ready=%llu is before the "
+                          "earliest-fill bound %llu (it would not drain)",
+                          i, static_cast<unsigned long long>(a.line),
+                          static_cast<unsigned long long>(a.ready),
+                          static_cast<unsigned long long>(earliestReady));
+            return buf;
         }
         for (std::size_t j = i + 1; j < entries.size(); ++j) {
             const MshrEntry& b = entries[j];

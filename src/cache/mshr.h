@@ -60,19 +60,34 @@ class MshrFile
 
     /**
      * Invokes @p cb (signature void(const MshrEntry&)) for every entry
-     * whose fill has arrived by @p now, then frees it.
+     * whose fill has arrived by @p now, in file order, then frees it.
+     * Returns at once before the earliest outstanding fill is due.
      */
     template <typename F>
     void
     drainReady(Cycle now, F&& cb)
     {
+        if (now < earliestReady) {
+            return;
+        }
+        Cycle earliest = kInvalidCycle;
         for (MshrEntry& e : entries) {
-            if (e.valid && e.ready <= now) {
+            if (!e.valid) {
+                continue;
+            }
+            if (e.ready <= now) {
                 cb(const_cast<const MshrEntry&>(e));
                 e.valid = false;
+            } else if (e.ready < earliest) {
+                earliest = e.ready;
             }
         }
+        earliestReady = earliest;
     }
+
+    /** Moves @p e's fill to @p ready (fault injection), keeping the
+     *  earliest-fill bound drainReady() gates on. */
+    void setReady(MshrEntry& e, Cycle ready);
 
     /** Drops all in-flight entries (pipeline-reset situations in tests). */
     void clear();
@@ -88,9 +103,10 @@ class MshrFile
     void noteDemandMerge(MshrEntry& e, bool on_path);
 
     /**
-     * Invariant check (sim/invariants.h): duplicate outstanding lines and
-     * leaked entries (an entry whose fill never drains — ready sentinel or
-     * ready in the past at end-of-cycle @p now). Returns the first
+     * Invariant check (sim/invariants.h): the earliest-fill bound is at
+     * most every valid entry's ready, duplicate outstanding lines, and
+     * leaked entries (an entry whose fill never drains — ready sentinel
+     * or ready in the past at end-of-cycle @p now). Returns the first
      * violation found, or an empty string.
      */
     std::string checkInvariants(Cycle now) const;
@@ -104,6 +120,9 @@ class MshrFile
 
   private:
     std::vector<MshrEntry> entries;
+    /** At most the earliest ready of the valid entries (kInvalidCycle
+     *  when none can drain); exact after each scanning drainReady(). */
+    Cycle earliestReady = kInvalidCycle;
     MshrStats stats_;
 };
 

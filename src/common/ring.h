@@ -92,6 +92,24 @@ class Ring
     }
 
     void
+    popBack()
+    {
+        assert(count > 0);
+        --count;
+    }
+
+    /** Removes entry @p i, moving each younger entry one place older. */
+    void
+    erase(std::size_t i)
+    {
+        assert(i < count);
+        for (; i + 1 < count; ++i) {
+            (*this)[i] = std::move((*this)[i + 1]);
+        }
+        --count;
+    }
+
+    void
     clear()
     {
         head = 0;

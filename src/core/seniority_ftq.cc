@@ -1,12 +1,48 @@
 #include "core/seniority_ftq.h"
 
+#include <bit>
+#include <cassert>
 #include <cstdio>
+
+#include "common/rng.h"
 
 namespace udp {
 
-SeniorityFtq::SeniorityFtq(const SeniorityFtqConfig& c) : cfg(c)
+SeniorityFtq::SeniorityFtq(const SeniorityFtqConfig& c)
+    : cfg(c), fifo(c.capacity)
 {
-    lines.reserve(cfg.capacity * 2);
+    assert(cfg.capacity >= 1);
+    // At most half full, so probe sequences stay short.
+    lines.assign(std::bit_ceil(std::size_t{cfg.capacity} * 2), kInvalidAddr);
+    linesMask = lines.size() - 1;
+}
+
+std::size_t
+SeniorityFtq::probe(Addr line) const
+{
+    std::size_t i = mix64(line) & linesMask;
+    while (lines[i] != line && lines[i] != kInvalidAddr) {
+        i = (i + 1) & linesMask;
+    }
+    return i;
+}
+
+void
+SeniorityFtq::unindex(Addr line)
+{
+    std::size_t hole = probe(line);
+    assert(lines[hole] == line);
+    // Backward-shift deletion: pull each later member of the probe run
+    // whose home slot does not lie in (hole, j] into the hole.
+    for (std::size_t j = (hole + 1) & linesMask; lines[j] != kInvalidAddr;
+         j = (j + 1) & linesMask) {
+        std::size_t home = mix64(lines[j]) & linesMask;
+        if (((j - home) & linesMask) >= ((j - hole) & linesMask)) {
+            lines[hole] = lines[j];
+            hole = j;
+        }
+    }
+    lines[hole] = kInvalidAddr;
 }
 
 void
@@ -15,20 +51,18 @@ SeniorityFtq::insert(Addr line, std::uint64_t dyn_id)
     line = lineAddr(line);
     // Deduplicate: consecutive blocks in the same line (and re-fetches of
     // the same region) must not flood the small FIFO.
-    if (lines.find(line) != lines.end()) {
+    std::size_t at = probe(line);
+    if (lines[at] == line) {
         return;
     }
     if (fifo.size() >= cfg.capacity) {
-        const Slot& old = fifo.front();
-        auto it = lines.find(old.line);
-        if (it != lines.end() && --it->second == 0) {
-            lines.erase(it);
-        }
-        fifo.pop_front();
+        unindex(fifo.front().line);
+        fifo.popFront();
         ++stats_.capacityEvictions;
+        at = probe(line);
     }
-    fifo.push_back(Slot{line, dyn_id});
-    ++lines[line];
+    fifo.pushBack(Slot{line, dyn_id});
+    lines[at] = line;
     ++stats_.inserts;
 }
 
@@ -36,21 +70,17 @@ bool
 SeniorityFtq::matchAndRemove(Addr line)
 {
     line = lineAddr(line);
-    auto it = lines.find(line);
-    if (it == lines.end()) {
+    if (lines[probe(line)] != line) {
         return false;
     }
     ++stats_.matches;
-    // Remove one matching slot (oldest first).
-    for (auto s = fifo.begin(); s != fifo.end(); ++s) {
-        if (s->line == line) {
-            fifo.erase(s);
+    for (std::size_t i = 0; i < fifo.size(); ++i) {
+        if (fifo[i].line == line) {
+            fifo.erase(i);
             break;
         }
     }
-    if (--it->second == 0) {
-        lines.erase(it);
-    }
+    unindex(line);
     return true;
 }
 
@@ -61,11 +91,8 @@ SeniorityFtq::onFlush(std::uint64_t squash_after_dyn_id)
         return;
     }
     while (!fifo.empty() && fifo.back().dynId > squash_after_dyn_id) {
-        auto it = lines.find(fifo.back().line);
-        if (it != lines.end() && --it->second == 0) {
-            lines.erase(it);
-        }
-        fifo.pop_back();
+        unindex(fifo.back().line);
+        fifo.popBack();
         ++stats_.flushDrops;
     }
 }
@@ -79,16 +106,24 @@ SeniorityFtq::checkInvariants() const
                       fifo.size(), cfg.capacity);
         return buf;
     }
-    std::size_t refs = 0;
-    for (const auto& [line, count] : lines) {
-        (void)line;
-        refs += count;
+    std::size_t held = 0;
+    for (Addr line : lines) {
+        held += line != kInvalidAddr;
     }
-    if (refs != fifo.size()) {
+    if (held != fifo.size()) {
         std::snprintf(buf, sizeof(buf),
-                      "line index holds %zu refs for %zu FIFO slots", refs,
+                      "line set holds %zu lines for %zu FIFO slots", held,
                       fifo.size());
         return buf;
+    }
+    for (std::size_t i = 0; i < fifo.size(); ++i) {
+        if (lines[probe(fifo[i].line)] != fifo[i].line) {
+            std::snprintf(buf, sizeof(buf),
+                          "FIFO slot %zu line 0x%llx is missing from the "
+                          "line set",
+                          i, static_cast<unsigned long long>(fifo[i].line));
+            return buf;
+        }
     }
     return "";
 }

@@ -11,10 +11,10 @@
 #define UDP_CORE_SENIORITY_FTQ_H
 
 #include <cstdint>
-#include <deque>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
+#include "common/ring.h"
 #include "common/types.h"
 
 namespace udp {
@@ -50,7 +50,12 @@ struct SeniorityFtqStats
     std::uint64_t flushDrops = 0;
 };
 
-/** FIFO of off-path candidate blocks with O(1) line matching. */
+/**
+ * FIFO of off-path candidate blocks with O(1) line matching. Inserts are
+ * deduplicated, so each line is held at most once: the FIFO is a ring of
+ * `capacity` slots and the line index an open-addressed set of twice
+ * that many, both allocated up front.
+ */
 class SeniorityFtq
 {
   public:
@@ -74,22 +79,27 @@ class SeniorityFtq
     void clearStats() { stats_ = SeniorityFtqStats(); }
 
     /** Invariant check (sim/invariants.h): capacity bound and agreement
-     *  between the FIFO and its line-refcount index. Returns the first
-     *  violation, or "". */
+     *  between the FIFO and its line set. Returns the first violation,
+     *  or "". */
     std::string checkInvariants() const;
 
   private:
     struct Slot
     {
-        Addr line;
-        std::uint64_t dynId;
+        Addr line = kInvalidAddr;
+        std::uint64_t dynId = 0;
     };
 
-    void erase(Addr line);
+    /** Index of @p line in the line set, or of the empty slot that ends
+     *  its probe sequence (linear probing; kInvalidAddr marks empty). */
+    std::size_t probe(Addr line) const;
+    /** Removes @p line, which must be in the set. */
+    void unindex(Addr line);
 
     SeniorityFtqConfig cfg;
-    std::deque<Slot> fifo;
-    std::unordered_map<Addr, unsigned> lines; ///< line -> refcount
+    Ring<Slot> fifo;
+    std::vector<Addr> lines; ///< open-addressed set of the held lines
+    std::size_t linesMask = 0;
     SeniorityFtqStats stats_;
 };
 

@@ -1,15 +1,24 @@
 #include "core/useful_set.h"
 
-#include <algorithm>
-
 #include "stats/telemetry.h"
 
 namespace udp {
 
 UsefulSet::UsefulSet(const UsefulSetConfig& c)
     : cfg(c), f1(c.bits1, c.numHashes), f2(c.bits2, c.numHashes),
-      f4(c.bits4, c.numHashes)
+      f4(c.bits4, c.numHashes), recent(c.coalesceBufferSize + 1)
 {
+}
+
+bool
+UsefulSet::inRecent(Addr line) const
+{
+    for (std::size_t i = 0; i < recent.size(); ++i) {
+        if (recent[i] == line) {
+            return true;
+        }
+    }
+    return false;
 }
 
 void
@@ -24,13 +33,13 @@ UsefulSet::learn(Addr line)
     }
 
     // Deduplicate within the coalescing buffer.
-    if (std::find(recent.begin(), recent.end(), line) != recent.end()) {
+    if (inRecent(line)) {
         return;
     }
-    recent.push_back(line);
+    recent.pushBack(line);
     if (recent.size() > cfg.coalesceBufferSize) {
         Addr evicted = recent.front();
-        recent.pop_front();
+        recent.popFront();
         insertEvicted(evicted);
     }
 }
@@ -38,10 +47,6 @@ UsefulSet::learn(Addr line)
 void
 UsefulSet::insertEvicted(Addr line)
 {
-    auto in_recent = [&](Addr l) {
-        return std::find(recent.begin(), recent.end(), l) != recent.end();
-    };
-
     // Already covered by a previously inserted super-block?
     Addr base4 = spanBase(line, 4);
     Addr base2 = spanBase(line, 2);
@@ -52,8 +57,8 @@ UsefulSet::insertEvicted(Addr line)
     // Try to form a 4-line super-block anchored at the aligned base: the
     // evicted line must be the base and its three successors must be
     // pending in the buffer (monotonically increasing addresses).
-    if (line == base4 && in_recent(line + kLineBytes) &&
-        in_recent(line + 2 * kLineBytes) && in_recent(line + 3 * kLineBytes)) {
+    if (line == base4 && inRecent(line + kLineBytes) &&
+        inRecent(line + 2 * kLineBytes) && inRecent(line + 3 * kLineBytes)) {
         f4.insert(base4);
         ++stats_.inserts4;
         // The partners stay in the buffer; covered-checks skip them later.
@@ -61,7 +66,7 @@ UsefulSet::insertEvicted(Addr line)
     }
 
     // Try a 2-line super-block.
-    if (line == base2 && in_recent(line + kLineBytes)) {
+    if (line == base2 && inRecent(line + kLineBytes)) {
         f2.insert(base2);
         ++stats_.inserts2;
         return;

@@ -11,9 +11,9 @@
 #define UDP_CORE_USEFUL_SET_H
 
 #include <cstdint>
-#include <deque>
 #include <unordered_set>
 
+#include "common/ring.h"
 #include "common/types.h"
 #include "core/bloom.h"
 
@@ -92,12 +92,15 @@ class UsefulSet
 
   private:
     void insertEvicted(Addr line);
+    bool inRecent(Addr line) const;
 
     UsefulSetConfig cfg;
     BloomFilter f1;
     BloomFilter f2;
     BloomFilter f4;
-    std::deque<Addr> recent; ///< coalescing buffer (newest at back)
+    /** Coalescing buffer (newest at back); one slot over its size, so
+     *  it never grows. */
+    Ring<Addr> recent;
     std::unordered_set<Addr> infinite;
     std::uint64_t epochEmitted = 0;
     std::uint64_t epochUnuseful = 0;

@@ -70,7 +70,7 @@ applyFault(Cpu& cpu, const FaultPlan& plan, Cycle now)
         if (e == nullptr) {
             return false; // nothing outstanding yet: retry next cycle
         }
-        e->ready = kInvalidCycle;
+        fill.setReady(*e, kInvalidCycle);
         return true;
       }
 
@@ -79,7 +79,7 @@ applyFault(Cpu& cpu, const FaultPlan& plan, Cycle now)
         if (e == nullptr) {
             return false;
         }
-        e->ready = now + plan.delay;
+        fill.setReady(*e, now + plan.delay);
         return true;
       }
 
@@ -104,7 +104,7 @@ applyFault(Cpu& cpu, const FaultPlan& plan, Cycle now)
             nullptr) {
             return false;
         }
-        e->ready = kInvalidCycle;
+        fill.setReady(*e, kInvalidCycle);
         return true;
       }
 

@@ -1,16 +1,13 @@
 /**
  * @file
- * Allocation guard: once warm, the cycle loop of the FDIP and UFTQ
+ * Allocation guard: once warm, the cycle loop of the FDIP, UFTQ and UDP
  * configurations makes no heap allocation. The FTQ, decode queue and
- * true-stream window are rings and branch records live in a recycled
- * pool, so after warm-up grows them to their working size no per-block
- * or per-instruction allocation remains. The binary counts calls of a
+ * true-stream window are rings, branch records live in a recycled pool
+ * and the Seniority-FTQ is a fixed ring with a flat line set, so after
+ * warm-up grows them to their working size no per-block or
+ * per-instruction allocation remains. The binary counts calls of a
  * replaced global operator new (counting_new.cc), which is why it is
  * separate from udp_tests.
- *
- * UDP (udp8k) is not covered: SeniorityFtq::lines (core/seniority_ftq.h)
- * is an unordered_map that allocates a node for every inserted
- * candidate.
  */
 
 #include <gtest/gtest.h>
@@ -41,8 +38,10 @@ constexpr std::uint64_t kMeasuredInstrs = 80'000;
 SimConfig
 configNamed(const std::string& name)
 {
-    return name == "uftq" ? presets::uftq(UftqMode::AtrAur)
-                          : presets::fdipBaseline();
+    if (name == "uftq") {
+        return presets::uftq(UftqMode::AtrAur);
+    }
+    return name == "udp8k" ? presets::udp8k() : presets::fdipBaseline();
 }
 
 class AllocGuard
@@ -74,7 +73,7 @@ TEST_P(AllocGuard, WarmCycleLoopAllocatesNothing)
 INSTANTIATE_TEST_SUITE_P(
     Apps, AllocGuard,
     ::testing::Combine(::testing::Values("mysql", "verilator"),
-                       ::testing::Values("fdip32", "uftq")),
+                       ::testing::Values("fdip32", "uftq", "udp8k")),
     [](const auto& info) {
         return std::get<0>(info.param) + "_" + std::get<1>(info.param);
     });

@@ -434,6 +434,92 @@ TEST(Backend, SharedProducerOperandsIssueOnce)
     EXPECT_EQ(h.be->retired(), 2u);
 }
 
+/** Completion wheel span: a latency beyond this is a later rotation. */
+constexpr Cycle kWheelSpan = 64;
+
+TEST(Backend, LoadBeyondTheWheelCompletesOnTime)
+{
+    BackendHarness h;
+    // A DRAM backlog: cold data lines ahead of the load in the channel.
+    // The twin memory system replays the same accesses to predict the
+    // load's completion cycle.
+    MemSystem twin{MemSysConfig{}};
+    for (Addr k = 0; k < 30; ++k) {
+        Addr addr = 0x7000'0000 + k * 4096;
+        h.mem.dload(addr, 1, true);
+        twin.dload(addr, 1, true);
+    }
+    DecodedInstr ld = h.decoded(4);
+    ASSERT_EQ(ld.type, InstrType::Load);
+    ld.dep1 = ld.dep2 = 0;
+    DecodedInstr use = h.decoded(5);
+    use.dep1 = 1; // waits for the load
+    use.dep2 = 0;
+    const Cycle done = twin.dload(h.stream.at(4).memAddr, 1, true);
+    ASSERT_GT(done, 1 + 4 * kWheelSpan);
+
+    h.be->dispatch(ld, 1);
+    h.be->dispatch(use, 1);
+    for (Cycle now = 1; now < done; ++now) {
+        h.tick(now);
+        ASSERT_EQ(h.be->stats().issued, 1u) << "cycle " << now;
+    }
+    h.tick(done); // the load completes and wakes its consumer
+    EXPECT_EQ(h.be->stats().issued, 2u);
+}
+
+TEST(Backend, RedispatchedSlotIgnoresItsSquashedCompletion)
+{
+    // The squashed wrong-path op completes at cycle 131. The refill of
+    // its slot issues at cycle 4 and is due either in a later rotation of
+    // the same wheel bucket (131 + 64) or in another bucket; its consumer
+    // must issue exactly then, not at 131. The consumer's slot held a
+    // squashed op that was ready but not issued.
+    for (std::uint8_t lat : {std::uint8_t{191}, std::uint8_t{150}}) {
+        SCOPED_TRACE(testing::Message() << "refill latency " << int(lat));
+        BackendHarness h;
+        DecodedInstr br = h.decoded(8); // position 0, forced wrong
+        br.dep1 = br.dep2 = 0;
+        br.predTaken = false; // truth: taken (trip-1000 loop)
+        br.predTarget = kInvalidAddr;
+        DecodedInstr wp = h.decoded(9); // position 1, wrong path
+        ASSERT_EQ(wp.type, InstrType::Alu);
+        wp.dynId = 5000;
+        wp.onPath = false;
+        wp.dep1 = wp.dep2 = 0;
+        wp.execLat = 130;
+        DecodedInstr wp_ready = wp; // position 2, wrong path
+        wp_ready.dynId = 5001;
+        wp_ready.execLat = 1;
+        DecodedInstr refill = h.decoded(9); // position 1 again
+        refill.dep1 = refill.dep2 = 0;
+        refill.execLat = lat;
+        DecodedInstr use = h.decoded(10); // position 2
+        ASSERT_EQ(use.type, InstrType::Alu);
+        use.dep1 = 1;
+        use.dep2 = 0;
+
+        h.be->dispatch(br, 1);
+        h.be->dispatch(wp, 1);
+        h.tick(1); // both issue: the wrong-path op is due at 131
+        h.tick(2);
+        h.be->dispatch(wp_ready, 2);
+        // The branch resolves, squashes positions 1-2 and retires.
+        ASSERT_TRUE(h.tick(3).valid);
+        ASSERT_EQ(h.be->robOccupancy(), 0u);
+        ASSERT_EQ(h.be->retired(), 1u);
+        h.be->dispatch(refill, 3);
+        h.be->dispatch(use, 3);
+        const Cycle due = 4 + lat;
+        for (Cycle now = 4; now < due; ++now) {
+            h.tick(now);
+            ASSERT_EQ(h.be->stats().issued, 3u) << "cycle " << now;
+        }
+        h.tick(due);
+        EXPECT_EQ(h.be->stats().issued, 4u);
+    }
+}
+
 TEST(Backend, RetiresThroughTheRingManyTimes)
 {
     BackendConfig cfg;

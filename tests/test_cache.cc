@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "cache/memsys.h"
 #include "common/rng.h"
 
@@ -84,9 +87,12 @@ TEST(Cache, PrefetchBitLifecycle)
 {
     SetAssocCache c(smallCache());
     c.insert(0x2000, true);
-    EXPECT_TRUE(c.prefetchBit(0x2000));
-    c.demandAccess(0x2000, true);
-    EXPECT_FALSE(c.prefetchBit(0x2000));
+    CacheAccess first = c.demandAccess(0x2000, true);
+    EXPECT_TRUE(first.hit);
+    EXPECT_TRUE(first.prefetched);
+    CacheAccess second = c.demandAccess(0x2000, true);
+    EXPECT_TRUE(second.hit);
+    EXPECT_FALSE(second.prefetched);
     EXPECT_EQ(c.stats().prefetchHits, 1u);
     EXPECT_EQ(c.stats().prefetchHitsTrue, 1u);
 }
@@ -120,7 +126,7 @@ TEST(Cache, InsertExistingDoesNotEvict)
     CacheInsertResult res = c.insert(0x1000, true);
     EXPECT_FALSE(res.evicted);
     // Re-insert must not set the prefetch bit on a demand line.
-    EXPECT_FALSE(c.prefetchBit(0x1000));
+    EXPECT_FALSE(c.demandAccess(0x1000).prefetched);
 }
 
 TEST(Cache, InvalidateAndFlush)
@@ -148,6 +154,199 @@ TEST(Cache, CapacityInvariant)
     EXPECT_EQ(c.stats().inserts - c.stats().evictions <= 32, true);
 }
 
+/**
+ * Reference model: the cache as an array of per-way records with a
+ * divided set index and tag, the layout the flat SetAssocCache replaced.
+ */
+class RefCache
+{
+  public:
+    RefCache(std::size_t sets, unsigned assoc)
+        : numSets(sets), assoc(assoc), ways(sets * assoc)
+    {
+    }
+
+    /** Hit/miss and the prefetch bit the hit consumed. */
+    std::pair<bool, bool>
+    demandAccess(Addr addr, bool on_path)
+    {
+        ++stats.demandAccesses;
+        Way* way = find(addr);
+        if (!way) {
+            ++stats.demandMisses;
+            return {false, false};
+        }
+        ++stats.demandHits;
+        way->lru = ++lruClock;
+        bool prefetched = way->prefetch;
+        if (way->prefetch) {
+            ++stats.prefetchHits;
+            way->prefetch = false;
+        }
+        if (way->prefetchTrue && on_path) {
+            ++stats.prefetchHitsTrue;
+            way->prefetchTrue = false;
+        }
+        return {true, prefetched};
+    }
+
+    void
+    touch(Addr addr)
+    {
+        if (Way* way = find(addr)) {
+            way->lru = ++lruClock;
+        }
+    }
+
+    CacheInsertResult
+    insert(Addr addr, bool is_prefetch)
+    {
+        CacheInsertResult res;
+        if (Way* way = find(addr)) {
+            way->lru = ++lruClock;
+            return res;
+        }
+        std::size_t base = setOf(addr) * assoc;
+        Way* victim = nullptr;
+        for (unsigned w = 0; w < assoc; ++w) {
+            Way& way = ways[base + w];
+            if (!way.valid) {
+                victim = &way;
+                break;
+            }
+            if (!victim || way.lru < victim->lru) {
+                victim = &way;
+            }
+        }
+        if (victim->valid) {
+            res.evicted = true;
+            res.victimLine = (victim->tag * numSets + setOf(addr)) * kLineBytes;
+            res.victimPrefetchUnused = victim->prefetch;
+            ++stats.evictions;
+            stats.prefetchUnused += victim->prefetch;
+            stats.prefetchUnusedTrue += victim->prefetchTrue;
+        }
+        *victim = Way{true, tagOf(addr), is_prefetch, is_prefetch, ++lruClock};
+        ++stats.inserts;
+        return res;
+    }
+
+    bool
+    invalidate(Addr addr)
+    {
+        Way* way = find(addr);
+        if (!way) {
+            return false;
+        }
+        way->valid = way->prefetch = way->prefetchTrue = false;
+        return true;
+    }
+
+    bool contains(Addr addr) { return find(addr) != nullptr; }
+
+    CacheStats stats;
+
+  private:
+    struct Way
+    {
+        bool valid = false;
+        Addr tag = 0;
+        bool prefetch = false;
+        bool prefetchTrue = false;
+        std::uint64_t lru = 0;
+    };
+
+    std::size_t setOf(Addr addr) const
+    {
+        return static_cast<std::size_t>((addr / kLineBytes) % numSets);
+    }
+    Addr tagOf(Addr addr) const { return addr / kLineBytes / numSets; }
+
+    Way*
+    find(Addr addr)
+    {
+        for (unsigned w = 0; w < assoc; ++w) {
+            Way& way = ways[setOf(addr) * assoc + w];
+            if (way.valid && way.tag == tagOf(addr)) {
+                return &way;
+            }
+        }
+        return nullptr;
+    }
+
+    std::size_t numSets;
+    unsigned assoc;
+    std::vector<Way> ways;
+    std::uint64_t lruClock = 0;
+};
+
+TEST(SetAssocCache, MatchesPerWayReferenceModel)
+{
+    // The 32 KiB L1I, the 40 KiB 10-way L1I variant and the 2 MiB LLC.
+    const std::pair<std::size_t, unsigned> geometries[] = {
+        {64, 8}, {64, 10}, {2048, 16}};
+    for (auto [sets, assoc] : geometries) {
+        SCOPED_TRACE(testing::Message() << sets << "x" << assoc);
+        SetAssocCache c(smallCache(Addr{sets} * assoc * kLineBytes, assoc));
+        ASSERT_EQ(c.numSets(), sets);
+        RefCache ref(sets, assoc);
+
+        // assoc + 4 tags in each of six sets (the first, the last and
+        // four in between), some with high tag bits, at random offsets
+        // within their lines: sets overflow and evict.
+        std::vector<Addr> lines;
+        for (Addr t = 0; t < assoc + 4; ++t) {
+            Addr tag = t % 3 == 2 ? t | (Addr{1} << 40) : t;
+            for (Addr set : {Addr{0}, Addr{1}, Addr{2}, Addr{sets / 2},
+                             Addr{sets - 2}, Addr{sets - 1}}) {
+                lines.push_back((tag * sets + set) * kLineBytes);
+            }
+        }
+        Rng rng(77 + sets + assoc);
+        for (int step = 0; step < 20000; ++step) {
+            Addr addr = lines[rng.below(lines.size())] + rng.below(kLineBytes);
+            std::uint64_t op = rng.below(100);
+            if (op < 45) {
+                bool on_path = rng.chance(0.7);
+                CacheAccess got = c.demandAccess(addr, on_path);
+                auto [hit, prefetched] = ref.demandAccess(addr, on_path);
+                ASSERT_EQ(got.hit, hit) << "step " << step;
+                ASSERT_EQ(got.prefetched, prefetched) << "step " << step;
+            } else if (op < 85) {
+                bool is_prefetch = rng.chance(0.5);
+                CacheInsertResult got = c.insert(addr, is_prefetch);
+                CacheInsertResult want = ref.insert(addr, is_prefetch);
+                ASSERT_EQ(got.evicted, want.evicted) << "step " << step;
+                ASSERT_EQ(got.victimLine, want.victimLine) << "step " << step;
+                ASSERT_EQ(got.victimPrefetchUnused, want.victimPrefetchUnused)
+                    << "step " << step;
+            } else if (op < 93) {
+                c.touch(addr);
+                ref.touch(addr);
+            } else if (op < 97) {
+                ASSERT_EQ(c.contains(addr), ref.contains(addr))
+                    << "step " << step;
+            } else {
+                ASSERT_EQ(c.invalidate(addr), ref.invalidate(addr))
+                    << "step " << step;
+            }
+        }
+        const CacheStats& got = c.stats();
+        const CacheStats& want = ref.stats;
+        EXPECT_EQ(got.demandAccesses, want.demandAccesses);
+        EXPECT_EQ(got.demandHits, want.demandHits);
+        EXPECT_EQ(got.demandMisses, want.demandMisses);
+        EXPECT_EQ(got.inserts, want.inserts);
+        EXPECT_EQ(got.evictions, want.evictions);
+        EXPECT_EQ(got.prefetchHits, want.prefetchHits);
+        EXPECT_EQ(got.prefetchUnused, want.prefetchUnused);
+        EXPECT_EQ(got.prefetchHitsTrue, want.prefetchHitsTrue);
+        EXPECT_EQ(got.prefetchUnusedTrue, want.prefetchUnusedTrue);
+        EXPECT_GT(got.evictions, 1000u);
+        EXPECT_GT(got.prefetchHits, 500u);
+    }
+}
+
 // ------------------------------------------------------------------- MSHR
 
 TEST(Mshr, AllocateFindDrain)
@@ -168,6 +367,29 @@ TEST(Mshr, AllocateFindDrain)
         EXPECT_TRUE(entry.isPrefetch);
     });
     EXPECT_EQ(drained, 1);
+    EXPECT_EQ(m.numFree(), 4u);
+}
+
+TEST(Mshr, FillMovedBeforeTheEarliestDrainsOnTime)
+{
+    MshrFile m(4);
+    MshrEntry* late = m.allocate(0x1000, 100, false);
+    MshrEntry* moved = m.allocate(0x2000, 200, true);
+    std::vector<Addr> drained;
+    auto note = [&](const MshrEntry& e) { drained.push_back(e.line); };
+    m.drainReady(50, note); // nothing due before cycle 100
+    EXPECT_TRUE(drained.empty());
+
+    // A DelayFill-style move to a cycle before the earliest fill.
+    m.setReady(*moved, 60);
+    EXPECT_EQ(m.checkInvariants(50), "");
+    m.drainReady(59, note);
+    EXPECT_TRUE(drained.empty());
+    m.drainReady(60, note);
+    EXPECT_EQ(drained, std::vector<Addr>{0x2000});
+    EXPECT_TRUE(late->valid);
+    m.drainReady(100, note);
+    EXPECT_EQ(drained, (std::vector<Addr>{0x2000, 0x1000}));
     EXPECT_EQ(m.numFree(), 4u);
 }
 

@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <set>
+#include <utility>
+
 #include "common/rng.h"
 #include "core/udp_engine.h"
 #include "core/uftq.h"
@@ -260,6 +265,78 @@ TEST(SeniorityFtq, DropYoungerPolicyRemovesOnFlush)
     EXPECT_FALSE(s.matchAndRemove(0x400080)); // younger: dropped
     EXPECT_TRUE(s.matchAndRemove(0x400040));  // older: kept
     EXPECT_EQ(s.stats().flushDrops, 1u);
+}
+
+TEST(SeniorityFtq, MatchesDequeReferenceModel)
+{
+    // The FIFO as a deque and the line index as a set, the layout the
+    // ring and the open-addressed line set replaced. Forty lines against
+    // 16 slots (a 32-slot line set): probe runs collide and deletions
+    // shift them.
+    SeniorityFtqConfig cfg;
+    cfg.capacity = 16;
+    cfg.flushPolicy = SftqFlushPolicy::DropYounger;
+    SeniorityFtq s(cfg);
+    std::deque<std::pair<Addr, std::uint64_t>> ref;
+    std::set<Addr> refLines;
+    SeniorityFtqStats want;
+
+    Rng rng(1234);
+    std::uint64_t dyn = 0;
+    for (int step = 0; step < 20000; ++step) {
+        Addr line = 0x400000 + rng.below(40) * kLineBytes;
+        std::uint64_t op = rng.below(100);
+        if (op < 55) {
+            ++dyn;
+            s.insert(line + rng.below(kLineBytes), dyn);
+            if (!refLines.count(line)) {
+                if (ref.size() >= cfg.capacity) {
+                    refLines.erase(ref.front().first);
+                    ref.pop_front();
+                    ++want.capacityEvictions;
+                }
+                ref.emplace_back(line, dyn);
+                refLines.insert(line);
+                ++want.inserts;
+            }
+        } else if (op < 95) {
+            bool hit = refLines.erase(line) != 0;
+            if (hit) {
+                ++want.matches;
+                for (auto it = ref.begin(); it != ref.end(); ++it) {
+                    if (it->first == line) {
+                        ref.erase(it);
+                        break;
+                    }
+                }
+            }
+            ASSERT_EQ(s.matchAndRemove(line), hit) << "step " << step;
+        } else {
+            std::uint64_t boundary = dyn - std::min<std::uint64_t>(
+                                               dyn, rng.below(8));
+            s.onFlush(boundary);
+            while (!ref.empty() && ref.back().second > boundary) {
+                refLines.erase(ref.back().first);
+                ref.pop_back();
+                ++want.flushDrops;
+            }
+        }
+        ASSERT_EQ(s.size(), ref.size()) << "step " << step;
+        ASSERT_EQ(s.checkInvariants(), "") << "step " << step;
+    }
+    EXPECT_EQ(s.stats().inserts, want.inserts);
+    EXPECT_EQ(s.stats().matches, want.matches);
+    EXPECT_EQ(s.stats().capacityEvictions, want.capacityEvictions);
+    EXPECT_EQ(s.stats().flushDrops, want.flushDrops);
+    EXPECT_GT(want.capacityEvictions, 100u);
+    EXPECT_GT(want.flushDrops, 100u);
+    // Evictions follow FIFO order, so equal matches above mean equal
+    // order; the lines left are the reference's.
+    while (!ref.empty()) {
+        ASSERT_TRUE(s.matchAndRemove(ref.front().first));
+        ref.pop_front();
+    }
+    EXPECT_EQ(s.size(), 0u);
 }
 
 // ------------------------------------------------------------ confidence

@@ -13,14 +13,21 @@ Also summarizes the cycle-loop self-profiler when present
 "*.profile.jsonl" sidecar, and "host_us_per_phase" counter tracks inside
 a --trace Chrome-trace file, both printed as per-phase host-time shares.
 
+Rows of bench/perf_simspeed ("bench": "perf_simspeed", e.g. the committed
+BENCH_simspeed.json) print as a speed trajectory: per row, the geomean
+instructions per host second over its points and, for --profile rows, each
+phase's share of host time, with deltas against the previous row.
+
 Usage:
     tools/trace_summary.py out/fig13.jsonl [fig13.profile.jsonl ...]
     tools/trace_summary.py out/trace.json
+    tools/trace_summary.py BENCH_simspeed.json
 
 Only the standard library is used.
 """
 
 import json
+import math
 import sys
 
 OUTCOMES = ("timely", "late", "unused", "polluting", "pending")
@@ -47,12 +54,14 @@ def profiles_from_trace(doc):
 
 
 def load_inputs(paths):
-    """Split inputs into telemetry_summary rows and profile entries.
+    """Split inputs into telemetry_summary rows, profile entries and
+    perf_simspeed rows.
 
-    Accepts telemetry/profile JSONL artifacts and --trace Chrome-trace
-    files in any order; tolerates a truncated final JSONL line.
+    Accepts telemetry/profile JSONL artifacts, --trace Chrome-trace files
+    and perf_simspeed JSONL in any order; tolerates a truncated final
+    JSONL line.
     """
-    telemetry, profiles = [], []
+    telemetry, profiles, speed = [], [], []
     for path in paths:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -72,7 +81,9 @@ def load_inputs(paths):
             except json.JSONDecodeError:
                 continue  # crash-safe artifacts may end mid-line
             kind = row.get("row_type")
-            if kind == "telemetry_summary":
+            if row.get("bench") == "perf_simspeed":
+                speed.append(row)
+            elif kind == "telemetry_summary":
                 telemetry.append(row)
             elif kind == "profile_summary":
                 name = (f"{row.get('workload', '?')}/"
@@ -81,7 +92,7 @@ def load_inputs(paths):
                        for p in PHASES}
                 profiles.append({"name": name, "phase_sec": sec,
                                  "cycles": row.get("cycles")})
-    return telemetry, profiles
+    return telemetry, profiles, speed
 
 
 def pct(num, den):
@@ -90,6 +101,16 @@ def pct(num, den):
 
 def fmt_row(cells, widths):
     return "  ".join(str(c).rjust(w) for c, w in zip(cells, widths))
+
+
+def print_table(table):
+    """Right-aligned columns; table[0] is the header."""
+    widths = [max(len(str(row[i])) for row in table)
+              for i in range(len(table[0]))]
+    print(fmt_row(table[0], widths))
+    print("  ".join("-" * w for w in widths))
+    for row in table[1:]:
+        print(fmt_row(row, widths))
 
 
 def print_profiles(profiles):
@@ -104,12 +125,45 @@ def print_profiles(profiles):
             f"{total:.3f}",
             *(f"{pct(e['phase_sec'][p], total):.1f}" for p in PHASES),
         ])
-    widths = [max(len(str(row[i])) for row in table)
-              for i in range(len(header))]
-    print(fmt_row(table[0], widths))
-    print("  ".join("-" * w for w in widths))
-    for row in table[1:]:
-        print(fmt_row(row, widths))
+    print_table(table)
+
+
+def print_speed(rows):
+    """perf_simspeed trajectory: geomean speed and host-time-weighted phase
+    shares per row, each with its delta against the previous row."""
+    print("perf_simspeed trajectory (Minstr/s: geomean over the row's "
+          "points; phase%: share of host time, delta in points):")
+    header = ["row", "ts", "window", "points", "Minstr/s", "delta"] + [
+        f"{p}%" for p in PHASES]
+    table = [header]
+    prev_speed, prev_share = None, None
+    for i, r in enumerate(rows):
+        pts = r.get("points", [])
+        speed = math.exp(sum(math.log(p["instr_per_sec"]) for p in pts) /
+                         len(pts)) / 1e6 if pts else 0.0
+        delta = (f"{pct(speed - prev_speed, prev_speed):+.1f}%"
+                 if prev_speed else "")
+        share = None
+        if pts and all(f"phase_{p}_pct" in pt for pt in pts
+                       for p in PHASES):
+            host = sum(pt["host_sec"] for pt in pts)
+            share = {p: sum(pt["host_sec"] * pt[f"phase_{p}_pct"]
+                            for pt in pts) / host for p in PHASES}
+        cells = []
+        for p in PHASES:
+            if share is None:
+                cells.append("-")
+            elif prev_share is None:
+                cells.append(f"{share[p]:.1f}")
+            else:
+                cells.append(f"{share[p]:.1f} ({share[p] - prev_share[p]:+.1f})")
+        table.append([i, r.get("ts", "?"),
+                      f"{r.get('warmup_instrs', '?')}/"
+                      f"{r.get('measure_instrs', '?')}",
+                      len(pts), f"{speed:.3f}", delta, *cells])
+        prev_speed = speed
+        prev_share = share if share is not None else prev_share
+    print_table(table)
 
 
 def main(argv):
@@ -117,15 +171,21 @@ def main(argv):
         print(__doc__.strip(), file=sys.stderr)
         return 2
 
-    rows, profiles = load_inputs(argv[1:])
-    if not rows and not profiles:
-        print("no telemetry_summary / profile_summary rows or profiler "
-              "trace tracks found (run a bench with --interval-stats or "
-              "--profile; see docs/TELEMETRY.md and docs/OBSERVABILITY.md)",
+    rows, profiles, speed = load_inputs(argv[1:])
+    if not rows and not profiles and not speed:
+        print("no telemetry_summary / profile_summary / perf_simspeed rows "
+              "or profiler trace tracks found (run a bench with "
+              "--interval-stats or --profile; see docs/TELEMETRY.md and "
+              "docs/OBSERVABILITY.md)",
               file=sys.stderr)
         return 1
+    if speed:
+        print_speed(speed)
+        if rows or profiles:
+            print()
     if not rows:
-        print_profiles(profiles)
+        if profiles:
+            print_profiles(profiles)
         return 0
 
     header = ["workload", "config", "issued"] + list(OUTCOMES) + [
@@ -147,12 +207,7 @@ def main(argv):
             int(r.get("pf_late_by_p99", 0)),
         ])
 
-    widths = [max(len(str(row[i])) for row in table)
-              for i in range(len(header))]
-    print(fmt_row(table[0], widths))
-    print("  ".join("-" * w for w in widths))
-    for row in table[1:]:
-        print(fmt_row(row, widths))
+    print_table(table)
 
     # Per-source issue mix, when any non-FDIP source contributed.
     mixed = [r for r in rows
