@@ -59,8 +59,10 @@ struct ProcLimits
  * the child's rusage (peak RSS, user/system CPU), and the captured
  * stderr tail. JobResult::attempts is left 0 for the caller to fill.
  *
- * The caller should prewarmProgram(job.profile) first so the child
- * inherits the built Program via copy-on-write instead of rebuilding it.
+ * The child inherits the parent's built Programs via copy-on-write;
+ * runSweepChecked builds every Program of its sweep before it forks, and
+ * any other caller should prewarmProgram(job.profile) first, or the child
+ * rebuilds it.
  */
 JobResult runJobIsolated(const SweepJob& job, const ProcLimits& limits);
 

@@ -38,8 +38,7 @@ cachedProgram(const Profile& p)
 {
     static std::map<std::string, ProgramCacheEntry> cache;
     static std::mutex mtx;
-    std::string key = p.name + "#" + std::to_string(p.seed) + "#" +
-                      std::to_string(p.codeFootprintKB);
+    std::string key = programKey(p);
     ProgramCacheEntry* entry;
     {
         std::lock_guard<std::mutex> lock(mtx);
@@ -159,6 +158,13 @@ runSim(const Profile& profile, const SimConfig& cfg, const RunOptions& opts,
         throw;
     }
     return collectReport(cpu, profile.name, std::move(config_name));
+}
+
+std::string
+programKey(const Profile& profile)
+{
+    return profile.name + "#" + std::to_string(profile.seed) + "#" +
+           std::to_string(profile.codeFootprintKB);
 }
 
 void

@@ -149,10 +149,17 @@ Report runSim(const Profile& profile, const SimConfig& cfg,
               const RunOptions& opts, std::string config_name = "");
 
 /**
+ * The Program cache key of @p profile: "name#seed#footprint". Profiles
+ * with equal keys share one built Program.
+ */
+std::string programKey(const Profile& profile);
+
+/**
  * Builds (and caches) the Program for @p profile without running anything.
- * Isolated sweeps (sim/procexec.h) call this in the parent before forking
- * so every child inherits the built image via copy-on-write instead of
- * rebuilding it per process.
+ * runSweepChecked (sim/sweep.h) queues one call per distinct Program ahead
+ * of its points, so the builds run on every worker at once; an isolated
+ * sweep waits for them before forking, so every child inherits the built
+ * images via copy-on-write instead of rebuilding them per process.
  */
 void prewarmProgram(const Profile& profile);
 

@@ -1,5 +1,6 @@
 #include "sim/sweep.h"
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -314,24 +315,38 @@ runSweepChecked(const std::vector<SweepJob>& jobs, const SweepOptions& opts)
         }
     }
 
-    // Isolation shares the parent's Program cache with every child via
-    // copy-on-write: build each distinct workload once before forking.
-    if (isolate) {
-        std::unordered_set<std::string> warmed;
+    // The distinct Programs the points to run need, largest footprint
+    // (longest build) first.
+    std::vector<const Profile*> programs;
+    {
+        std::unordered_set<std::string> seen;
         for (std::size_t i = 0; i < jobs.size(); ++i) {
-            if (results[i].resumed) {
-                continue;
-            }
-            const Profile& p = jobs[i].profile;
-            std::string key = p.name + "#" + std::to_string(p.seed) + "#" +
-                              std::to_string(p.codeFootprintKB);
-            if (warmed.insert(std::move(key)).second) {
-                prewarmProgram(p);
+            if (!results[i].resumed &&
+                seen.insert(programKey(jobs[i].profile)).second) {
+                programs.push_back(&jobs[i].profile);
             }
         }
+        std::stable_sort(programs.begin(), programs.end(),
+                         [](const Profile* a, const Profile* b) {
+                             return a->codeFootprintKB > b->codeFootprintKB;
+                         });
     }
 
     SignalGuard guard(opts.handleSignals);
+
+    // Builds one Program into the cache; after a stop request the points
+    // are skipped, so their builds are too.
+    auto build = [&opts](const Profile* p) {
+        if (opts.handleSignals && sweepStopRequested()) {
+            return;
+        }
+        try {
+            prewarmProgram(*p);
+        } catch (...) {
+            // Nothing is cached: each point that needs this Program
+            // builds it again and records the error as its own JobError.
+        }
+    };
 
     // Progress state shared by the workers.
     std::mutex mtx;
@@ -435,12 +450,27 @@ runSweepChecked(const std::vector<SweepJob>& jobs, const SweepOptions& opts)
     };
 
     if (threads <= 1) {
-        // Serial reference path: same code, no pool.
+        // Serial reference path: same code, no pool. Each point builds its
+        // own Program, except that forked children must inherit them.
+        if (isolate) {
+            for (const Profile* p : programs) {
+                build(p);
+            }
+        }
         for (std::size_t i = 0; i < jobs.size(); ++i) {
             runOne(i);
         }
     } else {
+        // The builds go ahead of every point: a point only ever waits on
+        // a build that a worker is already running, while the other
+        // workers build the rest. Forked children must inherit them all.
         ThreadPool pool(threads);
+        for (const Profile* p : programs) {
+            pool.submit([&build, p] { build(p); });
+        }
+        if (isolate) {
+            pool.wait();
+        }
         for (std::size_t i = 0; i < jobs.size(); ++i) {
             if (results[i].resumed) {
                 continue;

@@ -64,13 +64,19 @@ inline constexpr std::uint32_t kNoBehavior = 0xffffffffu;
 /**
  * One static instruction. Program stores these in a flat array; the pc of
  * instruction i is codeBase + i * kInstrBytes.
+ *
+ * The class, kind and latency share one byte of bit-fields, so an Instr
+ * takes 12 bytes: the ten catalog Programs hold 3.2M of them, and a
+ * sweep keeps them all resident while its workers simulate. A 3-bit kind
+ * can hold a value past Return; Program::validate() rejects it in images
+ * read from disk.
  */
 struct Instr
 {
-    InstrType type = InstrType::Alu;
-    BranchKind branch = BranchKind::None;
-    /** Execution latency in cycles (ALU classes: 1..4). */
-    std::uint8_t execLat = 1;
+    InstrType type : 2 = InstrType::Alu;
+    BranchKind branch : 3 = BranchKind::None;
+    /** Execution latency in cycles (ALU classes: 1..4; at most 7). */
+    std::uint8_t execLat : 3 = 1;
     /**
      * Dataflow: distances (in dynamic instructions) to up to two producer
      * instructions; 0 means no dependence through that slot.
@@ -86,7 +92,7 @@ struct Instr
     std::uint32_t behavior = kNoBehavior;
 };
 
-static_assert(sizeof(Instr) <= 16, "keep the static image compact");
+static_assert(sizeof(Instr) == 12, "keep the static image compact");
 
 } // namespace udp
 

@@ -87,6 +87,10 @@ Program::validate() const
           case BranchKind::Return:
           case BranchKind::None:
             break;
+          default:
+            err << "instr " << i << ": unknown branch kind "
+                << static_cast<unsigned>(in.branch);
+            return err.str();
         }
         if ((in.type == InstrType::Load || in.type == InstrType::Store) &&
             in.behavior >= memPatterns_.size()) {

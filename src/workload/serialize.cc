@@ -12,7 +12,8 @@ namespace udp {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x55445031; // "UDP1"
-constexpr std::uint32_t kVersion = 2;
+// Images hold raw Instr bytes: 3 is the 12-byte, bit-field layout.
+constexpr std::uint32_t kVersion = 3;
 
 template <typename T>
 void

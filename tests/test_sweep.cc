@@ -74,13 +74,16 @@ reportsOf(const std::vector<SweepJob>& jobs, const SweepOptions& opts)
     return reports;
 }
 
+/** Four configs on each of two Programs, "<stem>11" and a larger
+ *  "<stem>22". */
 std::vector<SweepJob>
-eightJobs()
+eightJobs(const std::string& stem = "sweeptest")
 {
     RunOptions o = tinyOptions();
     std::vector<SweepJob> jobs;
     for (std::uint64_t seed : {11u, 22u}) {
-        Profile p = tinyProfile("sweeptest" + std::to_string(seed), seed);
+        Profile p = tinyProfile(stem + std::to_string(seed), seed);
+        p.codeFootprintKB += seed == 22 ? 32 : 0;
         jobs.push_back({p, presets::fdipBaseline(), o, "fdip32"});
         jobs.push_back({p, presets::fdipWithFtq(64), o, "ftq64"});
         jobs.push_back({p, presets::udp8k(), o, "udp8k"});
@@ -106,22 +109,34 @@ TEST(ThreadPool, RunsEveryTask)
 
 TEST(Sweep, SerialAndParallelReportsAreIdentical)
 {
-    std::vector<SweepJob> jobs = eightJobs();
-
     SweepOptions serial;
     serial.numThreads = 1;
     serial.quiet = true;
-    std::vector<Report> a = reportsOf(jobs, serial);
-
     SweepOptions parallel;
     parallel.numThreads = 4;
     parallel.quiet = true;
-    std::vector<Report> b = reportsOf(jobs, parallel);
 
-    ASSERT_EQ(a.size(), jobs.size());
-    ASSERT_EQ(b.size(), jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        expectIdenticalReports(a[i], b[i]);
+    // Warm: the serial side builds both Programs, the parallel side finds
+    // them cached. Cold: Programs no other test builds and the parallel
+    // side first, so its queued builds race the points they gate.
+    for (bool cold : {false, true}) {
+        SCOPED_TRACE(cold ? "cold cache" : "warm cache");
+        std::vector<SweepJob> jobs = eightJobs(cold ? "sweepcold"
+                                                    : "sweeptest");
+        std::vector<Report> a, b;
+        if (cold) {
+            b = reportsOf(jobs, parallel);
+            a = reportsOf(jobs, serial);
+        } else {
+            a = reportsOf(jobs, serial);
+            b = reportsOf(jobs, parallel);
+        }
+
+        ASSERT_EQ(a.size(), jobs.size());
+        ASSERT_EQ(b.size(), jobs.size());
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            expectIdenticalReports(a[i], b[i]);
+        }
     }
 }
 

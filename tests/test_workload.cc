@@ -448,6 +448,20 @@ TEST(Program, ValidateCatchesKindMismatch)
     EXPECT_NE(prog.validate(), "");
 }
 
+TEST(Program, ValidateCatchesUnknownBranchKind)
+{
+    // An image read from disk can carry any value the 3-bit kind holds.
+    std::vector<Instr> instrs(2);
+    instrs[0].type = InstrType::Branch;
+    instrs[0].branch = static_cast<BranchKind>(7);
+    instrs[0].target = 1;
+    Program prog = Program::assemble("bad", std::move(instrs), 0, {}, {},
+                                     {}, {});
+    EXPECT_NE(prog.validate().find("unknown branch kind 7"),
+              std::string::npos)
+        << prog.validate();
+}
+
 TEST(Profiles, AllTenPresent)
 {
     EXPECT_EQ(datacenterProfiles().size(), 10u);

@@ -26,6 +26,7 @@ Usage:
 Only the standard library is used.
 """
 
+import argparse
 import json
 import math
 import sys
@@ -167,11 +168,18 @@ def print_speed(rows):
 
 
 def main(argv):
-    if len(argv) < 2:
-        print(__doc__.strip(), file=sys.stderr)
-        return 2
+    parser = argparse.ArgumentParser(
+        prog="trace_summary.py", description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("inputs", nargs="+", metavar="FILE")
+    args = parser.parse_args(argv[1:])
 
-    rows, profiles, speed = load_inputs(argv[1:])
+    try:
+        rows, profiles, speed = load_inputs(args.inputs)
+    except OSError as e:
+        print(f"trace_summary.py: cannot read {e.filename}: {e.strerror}",
+              file=sys.stderr)
+        return 2
     if not rows and not profiles and not speed:
         print("no telemetry_summary / profile_summary / perf_simspeed rows "
               "or profiler trace tracks found (run a bench with "
