@@ -46,9 +46,6 @@ sweepDepths()
     return d;
 }
 
-/** Directory the benches write failure diagnostic dumps into. */
-inline const char* kFailureDumpDir = "failure_dumps";
-
 /**
  * Artifact destination and execution-mode flags of the `figures` driver:
  *   --out-dir DIR               per-figure "<name>.txt/.jsonl/.csv" plus
@@ -277,8 +274,8 @@ applyProfile(std::vector<SweepJob>* jobs, const SinkArgs& args)
 
 /**
  * The fault-tolerant sweep: a crashing or hanging point never aborts the
- * run. Failed points get diagnostic dumps under kFailureDumpDir and come
- * back as failed JobResults. The execution-mode flags of @p args apply:
+ * run. Failed points come back as failed JobResults, their diagnostic
+ * dumps in JobError. The execution-mode flags of @p args apply:
  * --isolate forks each point (default 4096 MB RLIMIT_AS), --resume
  * replays completed points from the checkpoint manifest, and
  * SIGINT/SIGTERM drain in-flight points before returning.
@@ -290,7 +287,6 @@ runBenchSweep(std::vector<SweepJob> jobs, const SinkArgs& args)
     applyTelemetry(&jobs, args);
     applyProfile(&jobs, args);
     SweepOptions o;
-    o.dumpDir = kFailureDumpDir;
     o.isolate = args.isolate;
     if (args.isolate) {
         o.memLimitBytes =
@@ -324,22 +320,21 @@ banner(const char* figure, const char* what, const RunOptions& o)
 }
 
 /**
- * Writes "<stem>.jsonl" and "<stem>.csv": @p reports, then @p failures
- * (the JSONL takes both; failure rows go to a "<stem>.failures.csv"
- * sibling created on the first one). Returns false when a file could
- * not be opened.
+ * Writes "<stem>.jsonl" and "<stem>.csv": @p reports, then the failure
+ * rows @p failures (failureToJsonLine), which go to the JSONL only.
+ * Returns false when a file could not be opened.
  */
 inline bool
 writeReportArtifacts(const std::string& stem,
                      const std::vector<Report>& reports,
-                     const std::vector<FailureRow>& failures)
+                     const std::vector<std::string>& failures)
 {
     ReportSink sink;
     bool opened = sink.openJson(stem + ".jsonl");
     opened = sink.openCsv(stem + ".csv") && opened;
     sink.writeAll(reports);
-    for (const FailureRow& f : failures) {
-        sink.writeFailure(f);
+    for (const std::string& row : failures) {
+        sink.writeFailure(row);
     }
     sink.close();
     return opened;

@@ -601,13 +601,15 @@ figuresMain(int argc, char** argv)
         }
         const std::vector<JobResult> rs =
             figureResults(f, u.jobOf[i], results);
-        std::vector<FailureRow> failures;
+        std::vector<std::string> failures;
         std::size_t skipped = 0;
         for (std::size_t k = 0; k < rs.size(); ++k) {
             if (rs[k].skipped) {
                 ++skipped;
             } else if (!rs[k].ok) {
-                failures.push_back(failureRowOf(f.points[k], rs[k]));
+                failures.push_back(failureToJsonLine(
+                    f.points[k].profile.name, f.points[k].label,
+                    rs[k].attempts, rs[k].error));
             }
         }
         const std::string text =
@@ -616,6 +618,10 @@ figuresMain(int argc, char** argv)
         if (args.outDir.empty()) {
             std::fputs(text.c_str(), stdout);
             std::fflush(stdout);
+            // No JSONL to hold the failure rows: stderr gets them.
+            for (const std::string& row : failures) {
+                std::fprintf(stderr, "%s\n", row.c_str());
+            }
         } else {
             std::vector<Report> reports;
             if (f.artifacts) {
@@ -657,9 +663,9 @@ figuresMain(int argc, char** argv)
     }
     if (failed != 0) {
         std::fprintf(stderr,
-                     "[figures] %zu sweep point(s) FAILED; partial "
-                     "artifacts written, dumps under %s/\n",
-                     failed, kFailureDumpDir);
+                     "[figures] %zu sweep point(s) FAILED; their failure "
+                     "rows carry the dumps\n",
+                     failed);
     }
     if (skipped != 0) {
         std::fprintf(stderr,

@@ -126,7 +126,7 @@ main(int argc, char** argv)
     sweep_opts.handleSignals = true;
     std::vector<JobResult> results = runSweepChecked(jobs, sweep_opts);
     std::vector<Report> reports;
-    std::vector<FailureRow> failures;
+    std::vector<std::string> failures;
     std::size_t skipped = 0;
     for (std::size_t i = 0; i < results.size(); ++i) {
         if (results[i].ok) {
@@ -134,7 +134,10 @@ main(int argc, char** argv)
         } else if (results[i].skipped) {
             ++skipped;
         } else {
-            failures.push_back(failureRowOf(jobs[i], results[i]));
+            failures.push_back(failureToJsonLine(jobs[i].profile.name,
+                                                 jobs[i].label,
+                                                 results[i].attempts,
+                                                 results[i].error));
         }
     }
 
@@ -167,8 +170,11 @@ main(int argc, char** argv)
         sink.openCsv(csv_path);
     }
     sink.writeAll(reports);
-    for (const FailureRow& f : failures) {
-        sink.writeFailure(f);
+    for (const std::string& row : failures) {
+        if (json_path.empty()) {
+            std::fprintf(stderr, "%s\n", row.c_str()); // keeps the dump
+        }
+        sink.writeFailure(row);
     }
     if (skipped != 0) {
         std::fprintf(stderr,

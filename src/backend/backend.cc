@@ -164,9 +164,6 @@ Backend::resolveBranch(RobEntry& e)
     }
 
     e.mispredicted = pred_next != e.actualNext;
-    if (e.mispredicted) {
-        ++stats_.mispredictsResolved;
-    }
 }
 
 void
@@ -285,9 +282,6 @@ Backend::handleRecovery(Cycle now)
         req.nextStreamIdx = e->di.onPath ? e->di.streamIdx + 1 : 0;
         req.squashAfterDynId = e->di.dynId;
         req.fromOnPath = e->di.onPath;
-        if (!e->di.onPath) {
-            ++stats_.wrongPathResteers;
-        }
         return req;
     }
     return req;
@@ -433,9 +427,6 @@ Backend::tick(Cycle now)
     ResteerRequest req = handleRecovery(now);
     retire(now);
     issue(now);
-    if (robCount >= cfg.robSize) {
-        ++stats_.robFullStalls;
-    }
     return req;
 }
 

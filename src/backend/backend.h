@@ -66,9 +66,6 @@ struct BackendStats
     std::uint64_t issued = 0;
     std::uint64_t squashed = 0;
     std::uint64_t branchesResolved = 0;
-    std::uint64_t mispredictsResolved = 0;
-    std::uint64_t wrongPathResteers = 0;
-    std::uint64_t robFullStalls = 0;
 };
 
 /** The backend pipeline. */

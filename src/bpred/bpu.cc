@@ -3,7 +3,7 @@
 namespace udp {
 
 Bpu::Bpu(const BpuConfig& c)
-    : cfg(c), tage_(c.tage), loop_(c.loop), sc_(c.sc), btb_(c.btb),
+    : tage_(c.tage), loop_(c.loop), sc_(c.sc), btb_(c.btb),
       ibtb_(c.ibtb), ras_(c.rasEntries)
 {
 }
@@ -36,12 +36,6 @@ Bpu::predictCond(Addr pc)
         rec.conf = rec.tage.conf;
     }
 
-    switch (rec.conf) {
-      case Confidence::High: ++stats_.confHigh; break;
-      case Confidence::Med: ++stats_.confMed; break;
-      case Confidence::Low: ++stats_.confLow; break;
-    }
-
     pushHistory(rec.taken, pc);
     return rec;
 }
@@ -49,16 +43,13 @@ Bpu::predictCond(Addr pc)
 IbtbPrediction
 Bpu::predictIndirect(Addr pc)
 {
-    ++stats_.indirectPredictions;
     return ibtb_.predict(pc, hist64);
 }
 
 void
 Bpu::notifyUnconditional(Addr pc)
 {
-    if (cfg.unconditionalHistory) {
-        pushHistory(true, pc);
-    }
+    pushHistory(true, pc);
 }
 
 BpuCheckpoint
@@ -77,11 +68,7 @@ Bpu::recoverTo(const BpuCheckpoint& ck, Addr pc, bool is_cond, bool taken)
     tage_.restore(ck.tage);
     ras_.restore(ck.ras);
     hist64 = ck.hist64;
-    if (is_cond) {
-        pushHistory(taken, pc);
-    } else if (cfg.unconditionalHistory) {
-        pushHistory(true, pc);
-    }
+    pushHistory(is_cond ? taken : true, pc);
 }
 
 void

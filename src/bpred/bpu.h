@@ -29,8 +29,6 @@ struct BpuConfig
     BtbConfig btb;        ///< 8K entries (Table II)
     IbtbConfig ibtb;      ///< ~2K entries (Table II)
     unsigned rasEntries = 64;
-    /** Insert taken unconditional CTIs into the global history. */
-    bool unconditionalHistory = true;
 
     bool operator==(const BpuConfig&) const = default;
 };
@@ -58,11 +56,6 @@ struct BpuStats
 {
     std::uint64_t condPredictions = 0;
     std::uint64_t condMispredicts = 0;
-    std::uint64_t confHigh = 0;
-    std::uint64_t confMed = 0;
-    std::uint64_t confLow = 0;
-    std::uint64_t indirectPredictions = 0;
-    std::uint64_t returnPredictions = 0;
 };
 
 /** The branch prediction unit. */
@@ -81,15 +74,14 @@ class Bpu
     IbtbPrediction predictIndirect(Addr pc);
 
     /** Predicts a return target (RAS pop). */
-    Addr predictReturn() { ++stats_.returnPredictions; return ras_.pop(); }
+    Addr predictReturn() { return ras_.pop(); }
 
     /** Notes a call: pushes the return address. */
     void pushReturn(Addr ret) { ras_.push(ret); }
 
     /**
-     * Inserts an unconditional taken CTI into the history (no-op unless
-     * configured). Call for jumps/calls/returns/indirects on the
-     * speculative path.
+     * Inserts an unconditional taken CTI into the history. Call for
+     * jumps/calls/returns/indirects on the speculative path.
      */
     void notifyUnconditional(Addr pc);
 
@@ -127,7 +119,6 @@ class Bpu
   private:
     void pushHistory(bool taken, Addr pc);
 
-    BpuConfig cfg;
     Tage tage_;
     LoopPredictor loop_;
     StatisticalCorrector sc_;

@@ -42,7 +42,6 @@ MemSystem::lowerHierarchyLatency(Addr line, Cycle now)
         return cfg.l2Lat + cfg.llcLat;
     }
     // DRAM: latency plus single-channel bandwidth occupancy.
-    ++stats_.memReads;
     Cycle start = std::max(now + cfg.l2Lat + cfg.llcLat, dramNextFree);
     dramNextFree = start + cfg.memCyclesPerLine;
     Cycle done_delta = (start - now) + cfg.memLat;
@@ -179,11 +178,9 @@ MemSystem::iprefetch(Addr addr, Cycle now, PfSource src)
 {
     Addr line = lineAddr(addr);
     if (cfg.perfectIcache || l1i.contains(line)) {
-        ++stats_.iprefAlreadyPresent;
         return IPrefStatus::AlreadyPresent;
     }
     if (l1iMshr.find(line)) {
-        ++stats_.iprefInFlight;
         return IPrefStatus::InFlight;
     }
     // When the fill buffer has no prefetch headroom, demote the prefetch
@@ -191,7 +188,6 @@ MemSystem::iprefetch(Addr addr, Cycle now, PfSource src)
     // bandwidth) without occupying an L1I MSHR demand misses may need.
     if (l1iMshr.capacity() - l1iMshr.numFree() >= cfg.l1iMshrsForPrefetch) {
         if (!cfg.l1iPrefetchDemoteL2) {
-            ++stats_.iprefNoMshr;
             return IPrefStatus::NoMshr;
         }
         lowerHierarchyLatency(line, now);
@@ -203,7 +199,6 @@ MemSystem::iprefetch(Addr addr, Cycle now, PfSource src)
         l1iMshr.allocate(line, now + cfg.l1iLat + fill_delta, true, now);
     if (!e) {
         if (!cfg.l1iPrefetchDemoteL2) {
-            ++stats_.iprefNoMshr;
             return IPrefStatus::NoMshr;
         }
         lowerHierarchyLatency(line, now);
@@ -261,23 +256,21 @@ MemSystem::dload(Addr addr, Cycle now, bool on_path)
     dInflightEarliest = std::min(dInflightEarliest, ready);
 
     // Train the stream prefetcher on demand misses.
-    if (cfg.dataStreamPrefetcher) {
-        streamOut.clear();
-        streamPf.observe(line, streamOut);
-        for (Addr pf : streamOut) {
-            if (!l1d.contains(pf)) {
-                // Prefetch fills are modelled as immediate L2-side
-                // installs; latency hiding happens via presence.
-                lowerHierarchyLatency(pf, now);
-                CacheInsertResult pins = l1d.insert(pf, true);
-                if (telem_) {
-                    if (pins.victimPrefetchUnused) {
-                        telem_->onPrefetchEvicted(pins.victimLine);
-                    }
-                    // Immediate-fill model: issue and fill coincide.
-                    telem_->onPrefetchIssued(pf, PfSource::Stream);
-                    telem_->onPrefetchFill(pf, pins.evicted);
+    streamOut.clear();
+    streamPf.observe(line, streamOut);
+    for (Addr pf : streamOut) {
+        if (!l1d.contains(pf)) {
+            // Prefetch fills are modelled as immediate L2-side installs;
+            // latency hiding happens via presence.
+            lowerHierarchyLatency(pf, now);
+            CacheInsertResult pins = l1d.insert(pf, true);
+            if (telem_) {
+                if (pins.victimPrefetchUnused) {
+                    telem_->onPrefetchEvicted(pins.victimLine);
                 }
+                // Immediate-fill model: issue and fill coincide.
+                telem_->onPrefetchIssued(pf, PfSource::Stream);
+                telem_->onPrefetchFill(pf, pins.evicted);
             }
         }
     }
@@ -288,7 +281,6 @@ void
 MemSystem::dstore(Addr addr, Cycle now)
 {
     (void)now;
-    ++stats_.dstores;
     Addr line = lineAddr(addr);
     if (!l1d.contains(line)) {
         // Write-allocate without stalling the pipeline (store buffer).

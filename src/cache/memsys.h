@@ -82,8 +82,6 @@ struct MemSysConfig
 
     /** Every instruction access hits L1I (the Fig. 1 oracle). */
     bool perfectIcache = false;
-    /** Enable the data-side stream prefetcher. */
-    bool dataStreamPrefetcher = true;
     StreamPrefetcherConfig streamCfg;
 
     bool operator==(const MemSysConfig&) const = default;
@@ -107,18 +105,11 @@ struct MemSysStats
     std::uint64_t pfMshrMergesTrue = 0;
 
     std::uint64_t iprefIssued = 0;
-    std::uint64_t iprefAlreadyPresent = 0;
-    std::uint64_t iprefInFlight = 0;
     std::uint64_t iprefDemotedL2 = 0;
-    std::uint64_t iprefNoMshr = 0;
 
     // Data side.
     std::uint64_t dloads = 0;
     std::uint64_t dloadL1Hits = 0;
-    std::uint64_t dstores = 0;
-
-    // Traffic.
-    std::uint64_t memReads = 0;
 };
 
 /** The full memory hierarchy. */

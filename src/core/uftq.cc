@@ -90,8 +90,6 @@ UftqController::tick(const MemSysStats& mem, const CacheStats& l1i)
     lastMshrHits = mshr_hits;
 
     ++stats_.epochs;
-    stats_.lastUtility = utility;
-    stats_.lastTimeliness = timeliness;
 
     switch (cfg.mode) {
       case UftqMode::Aur:
@@ -106,7 +104,6 @@ UftqController::tick(const MemSysStats& mem, const CacheStats& l1i)
             applyDepth(ruleStep(utility, cfg.aur, false));
             if (++phaseEpochs >= cfg.searchEpochs) {
                 qdAur = depth;
-                stats_.lastQdAur = qdAur;
                 phase = Phase::SearchAtr;
                 phaseEpochs = 0;
             }
@@ -115,7 +112,6 @@ UftqController::tick(const MemSysStats& mem, const CacheStats& l1i)
             applyDepth(ruleStep(timeliness, cfg.atr, true));
             if (++phaseEpochs >= cfg.searchEpochs) {
                 qdAtr = depth;
-                stats_.lastQdAtr = qdAtr;
                 double combined = combine(qdAur, qdAtr);
                 applyDepth(static_cast<unsigned>(
                     std::max(combined, 1.0)));

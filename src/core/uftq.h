@@ -60,10 +60,6 @@ struct UftqStats
     std::uint64_t increases = 0;
     std::uint64_t decreases = 0;
     std::uint64_t applies = 0; ///< polynomial applications (ATR-AUR)
-    double lastUtility = 0.0;
-    double lastTimeliness = 0.0;
-    unsigned lastQdAur = 0;
-    unsigned lastQdAtr = 0;
 };
 
 /** The UFTQ controller; owns the FTQ's dynamic capacity. */

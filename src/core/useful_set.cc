@@ -73,7 +73,6 @@ UsefulSet::insertEvicted(Addr line)
     }
 
     f1.insert(line);
-    ++stats_.inserts1;
 }
 
 unsigned

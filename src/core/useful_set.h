@@ -43,7 +43,6 @@ struct UsefulSetConfig
 struct UsefulSetStats
 {
     std::uint64_t learns = 0;
-    std::uint64_t inserts1 = 0;
     std::uint64_t inserts2 = 0;
     std::uint64_t inserts4 = 0;
     std::uint64_t hits = 0;

@@ -33,12 +33,10 @@ void
 DecoupledFrontend::tick(Cycle now)
 {
     if (now < stallUntil) {
-        ++stats_.stallCyclesRedirect;
         return;
     }
     for (unsigned b = 0; b < cfg.blocksPerCycle; ++b) {
         if (ftq.full()) {
-            ftq.noteFullStall();
             ++stats_.stallCyclesFtqFull;
             return;
         }
@@ -118,7 +116,6 @@ DecoupledFrontend::buildBlock(Cycle now)
     }
     pc = clampPc(next_pc);
 
-    ++stats_.blocksBuilt;
     ftq.commitPush();
     return true;
 }

@@ -44,14 +44,12 @@ struct Prediction
 /** Frontend statistics. */
 struct FrontendStats
 {
-    std::uint64_t blocksBuilt = 0;
     std::uint64_t instrsEmitted = 0;
     std::uint64_t onPathInstrs = 0;
     std::uint64_t offPathInstrs = 0;
     std::uint64_t resteers = 0;
     std::uint64_t decodeResteers = 0;
     std::uint64_t stallCyclesFtqFull = 0;
-    std::uint64_t stallCyclesRedirect = 0;
 };
 
 class UdpEngine;

@@ -57,9 +57,6 @@ FdipEngine::probe(const FtqEntry& e, Cycle now)
             target != line ? PfSource::UdpExtra : PfSource::Fdip);
         if (st == IPrefStatus::Issued || st == IPrefStatus::DemotedL2) {
             ++stats_.emitted;
-            if (target != line) {
-                ++stats_.udpExtraEmitted;
-            }
             if (e.onPath) {
                 ++stats_.emittedOnPath;
             } else {

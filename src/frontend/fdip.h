@@ -39,7 +39,6 @@ struct FdipStats
     std::uint64_t emittedOnPath = 0;    ///< ground truth
     std::uint64_t emittedOffPath = 0;
     std::uint64_t droppedByUdp = 0;
-    std::uint64_t udpExtraEmitted = 0;  ///< super-block (2-/4-line) extras
 };
 
 /** The FDIP scan engine. */

@@ -92,9 +92,6 @@ FetchStage::tick(Cycle now)
 
     while (budget > 0) {
         if (ftq.empty()) {
-            if (budget == cfg.fetchWidth) {
-                ++stats_.ftqEmptyCycles;
-            }
             break;
         }
 
@@ -150,7 +147,6 @@ FetchStage::tick(Cycle now)
 
             ++headConsumed;
             --budget;
-            ++stats_.instrsDelivered;
 
             resteered = postFetchCorrect(di, now);
             decodeQ.pushBack(di);
@@ -169,7 +165,6 @@ FetchStage::tick(Cycle now)
     }
 
     if (stalled_on_miss) {
-        ++stats_.icacheStallCycles;
         stats_.lostSlotsIcacheMiss += budget;
     }
 }

@@ -63,11 +63,8 @@ struct FetchConfig
 /** Fetch statistics. */
 struct FetchStats
 {
-    std::uint64_t instrsDelivered = 0;
-    std::uint64_t icacheStallCycles = 0;
     /** Delivery slots lost while stalled on an icache miss (Fig. 15). */
     std::uint64_t lostSlotsIcacheMiss = 0;
-    std::uint64_t ftqEmptyCycles = 0;
     std::uint64_t decodeBtbCorrections = 0;
     std::uint64_t decodeResteers = 0;
 };

@@ -65,7 +65,6 @@ struct FtqEntry
 struct FtqStats
 {
     std::uint64_t pushes = 0;
-    std::uint64_t fullStalls = 0;
     std::uint64_t flushes = 0;
     /** Per-cycle occupancy samples: running sum and count. */
     std::uint64_t occupancySum = 0;
@@ -155,8 +154,6 @@ class Ftq
         stats_.occupancySum += q.size();
         ++stats_.occupancySamples;
     }
-
-    void noteFullStall() { ++stats_.fullStalls; }
 
     FtqStats& stats() { return stats_; }
     const FtqStats& stats() const { return stats_; }

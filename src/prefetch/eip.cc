@@ -60,7 +60,6 @@ Eip::onAccess(Addr line, bool hit, Cycle now)
 
     // Trigger: does this access entangle future lines?
     if (Entry* e = findEntry(line)) {
-        ++stats_.triggers;
         for (Addr dst : e->dsts) {
             if (mem.iprefetch(dst, now, PfSource::Eip) ==
                 IPrefStatus::Issued) {

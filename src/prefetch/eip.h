@@ -39,7 +39,6 @@ struct EipStats
 {
     std::uint64_t trainings = 0;
     std::uint64_t entanglings = 0;
-    std::uint64_t triggers = 0;
     std::uint64_t prefetchesIssued = 0;
 };
 

@@ -1,23 +1,16 @@
 #include "sim/procexec.h"
 
-#ifndef _WIN32
 #include <poll.h>
 #include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
-#endif
 
 #include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <new>
-#include <stdexcept>
 
-#include "sim/runner.h"
-#include "sim/simerror.h"
-#include "sim/wire.h"
 #include "stats/sink.h"
 
 // Sanitizers reserve terabytes of virtual address space for shadow
@@ -36,34 +29,10 @@
 namespace udp {
 
 bool
-procIsolationSupported()
-{
-#ifdef _WIN32
-    return false;
-#else
-    return true;
-#endif
-}
-
-bool
 procUnderSanitizer()
 {
     return UDP_UNDER_SANITIZER != 0;
 }
-
-#ifdef _WIN32
-
-JobResult
-runJobIsolated(const SweepJob& job, const ProcLimits&)
-{
-    JobResult jr;
-    jr.error.kind = "exception";
-    jr.error.message = "process isolation is not supported on this platform";
-    (void)job;
-    return jr;
-}
-
-#else // POSIX
 
 namespace {
 
@@ -71,21 +40,22 @@ using Clock = std::chrono::steady_clock;
 
 // --- pipe protocol ---------------------------------------------------------
 //
-// One message per child: magic, status byte ('R' report / 'E' error),
-// then length-prefixed fields encoded with the shared wire primitives
-// (sim/wire.h). The parent treats anything that does not parse exactly
-// as a protocol failure.
+// The child writes exactly one line to its result pipe: the Report's
+// reportToJsonLine() or its failure row (failureToJsonLine), then '\n'.
+// The parent treats anything that is not exactly one such line as a
+// protocol failure.
 
-using wire::appendStr;
-using wire::appendU32;
-using wire::appendU64;
-using wire::readStr;
-using wire::readU32;
-using wire::readU64;
-
-constexpr std::uint32_t kMagic = 0x55445031; // "UDP1"
-constexpr char kStatusReport = 'R';
-constexpr char kStatusError = 'E';
+/**
+ * Ignores SIGPIPE process-wide (idempotent). A peer that dies between
+ * our write()s would otherwise raise SIGPIPE and kill the process; with
+ * the signal ignored the write fails with EPIPE and is classified
+ * ("exit" for a child whose parent died).
+ */
+void
+ignoreSigpipe()
+{
+    std::signal(SIGPIPE, SIG_IGN);
+}
 
 bool
 writeAll(int fd, const char* data, std::size_t n)
@@ -131,53 +101,23 @@ applyChildLimits(const ProcLimits& limits)
     }
 }
 
-std::string
-encodeError(const std::string& kind, const std::string& component,
-            const std::string& message, const std::string& dump,
-            std::uint64_t cycle)
-{
-    std::string buf;
-    appendU32(&buf, kMagic);
-    buf.push_back(kStatusError);
-    appendStr(&buf, kind);
-    appendStr(&buf, component);
-    appendStr(&buf, message);
-    appendStr(&buf, dump);
-    appendU64(&buf, cycle);
-    return buf;
-}
-
 [[noreturn]] void
 childRun(const SweepJob& job, int result_fd)
 {
-    std::string payload;
+    std::string line;
     try {
-        try {
-            Report r = runSim(job.profile, job.config, job.opts, job.label);
-            payload.clear();
-            appendU32(&payload, kMagic);
-            payload.push_back(kStatusReport);
-            appendStr(&payload, reportToJsonLine(r));
-        } catch (const SimError& e) {
-            payload = encodeError(e.kindName(), e.component(), e.what(),
-                                  e.dump(), e.cycle());
-        } catch (const std::bad_alloc&) {
-            payload = encodeError(
-                "mem_limit", "",
-                "std::bad_alloc: allocation failed (memory limit reached)",
-                "", 0);
-        } catch (const std::exception& e) {
-            payload = encodeError("exception", "", e.what(), "", 0);
-        } catch (...) {
-            payload = encodeError("exception", "", "unknown exception", "",
-                                  0);
-        }
+        Report r;
+        JobError e;
+        line = runJobInProcess(job, &r, &e)
+                   ? reportToJsonLine(r)
+                   : failureToJsonLine(job.profile.name, job.label, 0, e);
+        line += '\n';
     } catch (...) {
-        // Even building the payload failed (e.g. bad_alloc while copying
-        // a large dump under RLIMIT_AS): report through the exit status.
+        // Even building the line failed (e.g. bad_alloc while copying a
+        // large dump under RLIMIT_AS): report through the exit status.
         _exit(4);
     }
-    if (!writeAll(result_fd, payload.data(), payload.size())) {
+    if (!writeAll(result_fd, line.data(), line.size())) {
         _exit(3);
     }
     _exit(0);
@@ -205,48 +145,25 @@ signalNameOf(int sig)
     }
 }
 
-/** Decodes a complete child payload into @p jr; false when malformed. */
+/** Reads the child's one result line into @p jr; false when @p payload
+ *  is not exactly one report line or failure row. */
 bool
-decodePayload(const std::string& buf, JobResult* jr)
+readResultLine(const std::string& payload, JobResult* jr)
 {
-    std::size_t pos = 0;
-    std::uint32_t magic = 0;
-    if (!readU32(buf, &pos, &magic) || magic != kMagic ||
-        pos >= buf.size()) {
+    if (payload.empty() || payload.find('\n') != payload.size() - 1) {
         return false;
     }
-    char status = buf[pos++];
-    if (status == kStatusReport) {
-        std::string json;
-        if (!readStr(buf, &pos, &json) || pos != buf.size()) {
-            return false;
-        }
-        Report r;
-        if (!reportFromJsonLine(json, &r)) {
-            return false;
-        }
-        jr->report = std::move(r);
+    const std::string line = payload.substr(0, payload.size() - 1);
+    if (reportFromJsonLine(line, &jr->report)) {
         jr->ok = true;
         return true;
     }
-    if (status == kStatusError) {
-        JobError e;
-        if (!readStr(buf, &pos, &e.kind) ||
-            !readStr(buf, &pos, &e.component) ||
-            !readStr(buf, &pos, &e.message) ||
-            !readStr(buf, &pos, &e.dump)) {
-            return false;
-        }
-        std::uint64_t cycle = 0;
-        if (!readU64(buf, &pos, &cycle) || pos != buf.size()) {
-            return false;
-        }
-        e.cycle = cycle;
-        jr->error = std::move(e);
-        jr->ok = false;
-        return true;
-    }
-    return false;
+    std::string workload;
+    std::string config;
+    unsigned attempts = 0;
+    jr->ok = false;
+    return failureFromJsonLine(line, &workload, &config, &attempts,
+                               &jr->error);
 }
 
 } // namespace
@@ -254,7 +171,7 @@ decodePayload(const std::string& buf, JobResult* jr)
 JobResult
 runJobIsolated(const SweepJob& job, const ProcLimits& limits)
 {
-    wire::installSigpipeIgnore();
+    ignoreSigpipe();
     JobResult jr;
     int res_pipe[2];
     int err_pipe[2];
@@ -305,7 +222,7 @@ runJobIsolated(const SweepJob& job, const ProcLimits& limits)
         // If the parent dies first, writing the result must fail with
         // EPIPE (classified "exit") instead of SIGPIPE killing us with
         // no classification at all.
-        wire::installSigpipeIgnore();
+        ignoreSigpipe();
         applyChildLimits(limits);
         childRun(job, res_pipe[1]); // noreturn
     }
@@ -429,7 +346,7 @@ runJobIsolated(const SweepJob& job, const ProcLimits& limits)
         return jr;
     }
 
-    if (decodePayload(payload, &jr)) {
+    if (readResultLine(payload, &jr)) {
         if (!jr.ok) {
             attachDiagnostics(&jr.error);
         }
@@ -443,16 +360,14 @@ runJobIsolated(const SweepJob& job, const ProcLimits& limits)
         jr.error.kind = "exit";
         jr.error.message = "child exited with status " +
                            std::to_string(exit_code) +
-                           " without a result payload";
+                           " without a result line";
     } else {
         jr.error.kind = "protocol";
-        jr.error.message = "malformed result payload from child (" +
+        jr.error.message = "malformed result line from child (" +
                            std::to_string(payload.size()) + " bytes)";
     }
     attachDiagnostics(&jr.error);
     return jr;
 }
-
-#endif // POSIX
 
 } // namespace udp

@@ -9,8 +9,9 @@
  * tail) and every other job still produces its Report.
  *
  * Clean-run determinism: a successful isolated job returns a Report
- * byte-identical to the same job run in-process — the pipe payload is the
- * exact round-trip JSON serialization of stats/sink.h.
+ * byte-identical to the same job run in-process. The child writes one
+ * line to the pipe, the same JSONL row the sinks write (stats/sink.h):
+ * the Report's exact round-trip serialization, or its failure row.
  */
 
 #ifndef UDP_SIM_PROCEXEC_H
@@ -52,8 +53,8 @@ struct ProcLimits
  * | "oom_kill"  | child was SIGKILLed by the kernel (cgroup/global OOM)  |
  * | "cpu_limit" | RLIMIT_CPU expired (SIGXCPU)                           |
  * | "timeout"   | wall-clock deadline expired (parent SIGKILL)           |
- * | "exit"      | child exited nonzero without a result payload          |
- * | "protocol"  | child exited zero but the payload was malformed        |
+ * | "exit"      | child exited nonzero without a result line             |
+ * | "protocol"  | child exited zero but did not write exactly one line   |
  *
  * Every failure also carries the terminating signal name (when any),
  * the child's rusage (peak RSS, user/system CPU), and the captured
@@ -65,9 +66,6 @@ struct ProcLimits
  * rebuilds it.
  */
 JobResult runJobIsolated(const SweepJob& job, const ProcLimits& limits);
-
-/** True when this platform supports fork-based isolation. */
-bool procIsolationSupported();
 
 /** True when this binary was built under ASan/TSan — RLIMIT_AS is then
  *  skipped and memory-cap tests should be skipped too. */

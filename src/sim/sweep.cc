@@ -6,9 +6,8 @@
 #include <cstdio>
 #include <cstring>
 #include <exception>
-#include <filesystem>
-#include <fstream>
 #include <mutex>
+#include <new>
 #include <thread>
 #include <unordered_set>
 
@@ -43,55 +42,6 @@ sweepLine(const std::string& body)
     std::fflush(stderr);
 }
 
-/** Filesystem-safe version of a job label. */
-std::string
-sanitizeLabel(const std::string& label)
-{
-    std::string out;
-    out.reserve(label.size());
-    for (char c : label) {
-        bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                  (c >= '0' && c <= '9') || c == '-' || c == '_' || c == '.';
-        out += ok ? c : '_';
-    }
-    return out.empty() ? std::string("job") : out;
-}
-
-/**
- * Writes a failure's diagnostics under @p dir; returns the file path, or
- * "" when the write failed (the dump stays available in JobResult).
- */
-std::string
-writeFailureDump(const std::string& dir, const std::string& label,
-                 std::size_t index, const JobError& err)
-{
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    if (ec) {
-        sweepLine("warning: dump_dir_error dir=" + dir +
-                  " error=" + ec.message());
-        return "";
-    }
-    std::string path = dir + "/" + sanitizeLabel(label) + "-" +
-                       std::to_string(index) + ".dump.txt";
-    std::ofstream out(path, std::ios::out | std::ios::trunc);
-    if (!out.is_open()) {
-        sweepLine("warning: dump_open_error path=" + path);
-        return "";
-    }
-    out << err.message << '\n';
-    if (!err.dump.empty()) {
-        out << err.dump;
-    }
-    if (!err.stderrTail.empty()) {
-        out << "--- child stderr tail ---\n" << err.stderrTail;
-        if (err.stderrTail.back() != '\n') {
-            out << '\n';
-        }
-    }
-    return path;
-}
-
 // --- graceful shutdown ------------------------------------------------------
 
 volatile std::sig_atomic_t g_stopSignal = 0;
@@ -118,10 +68,6 @@ class SignalGuard
             return;
         }
         g_stopSignal = 0;
-#ifdef _WIN32
-        std::signal(SIGINT, sweepStopHandler);
-        std::signal(SIGTERM, sweepStopHandler);
-#else
         struct sigaction sa;
         std::memset(&sa, 0, sizeof(sa));
         sa.sa_handler = sweepStopHandler;
@@ -129,7 +75,6 @@ class SignalGuard
         sa.sa_flags = SA_RESETHAND;
         ::sigaction(SIGINT, &sa, &oldInt);
         ::sigaction(SIGTERM, &sa, &oldTerm);
-#endif
     }
 
     ~SignalGuard()
@@ -137,13 +82,8 @@ class SignalGuard
         if (!active) {
             return;
         }
-#ifdef _WIN32
-        std::signal(SIGINT, SIG_DFL);
-        std::signal(SIGTERM, SIG_DFL);
-#else
         ::sigaction(SIGINT, &oldInt, nullptr);
         ::sigaction(SIGTERM, &oldTerm, nullptr);
-#endif
     }
 
     SignalGuard(const SignalGuard&) = delete;
@@ -151,21 +91,16 @@ class SignalGuard
 
   private:
     bool active;
-#ifndef _WIN32
     struct sigaction oldInt {};
     struct sigaction oldTerm {};
-#endif
 };
 
 /**
  * Runs one job to a JobResult under @p opts: the watchdog budget, the
- * retry loop, optional fork isolation (@p isolate: requested and
- * supported), structured error capture and the failure dump. @p index
- * only names the dump file.
+ * retry loop, optional fork isolation and structured error capture.
  */
 JobResult
-runJobChecked(const SweepJob& jobIn, std::size_t index,
-              const SweepOptions& opts, bool isolate)
+runJobChecked(const SweepJob& jobIn, const SweepOptions& opts)
 {
     JobResult jr;
     SweepJob job = jobIn; // local copy: the budget edit is per execution
@@ -176,7 +111,7 @@ runJobChecked(const SweepJob& jobIn, std::size_t index,
 
     for (unsigned attempt = 1; attempt <= maxAttempts && !jr.ok; ++attempt) {
         jr.attempts = attempt;
-        if (isolate) {
+        if (opts.isolate) {
             ProcLimits limits;
             limits.memLimitBytes = opts.memLimitBytes;
             limits.cpuLimitSec = opts.cpuLimitSec;
@@ -185,32 +120,10 @@ runJobChecked(const SweepJob& jobIn, std::size_t index,
             jr.ok = sub.ok;
             jr.report = std::move(sub.report);
             jr.error = std::move(sub.error);
-            continue;
+        } else {
+            jr.error = JobError{};
+            jr.ok = runJobInProcess(job, &jr.report, &jr.error);
         }
-        try {
-            jr.report = runSim(job.profile, job.config, job.opts, job.label);
-            jr.ok = true;
-        } catch (const SimError& e) {
-            jr.error = JobError{};
-            jr.error.kind = e.kindName();
-            jr.error.component = e.component();
-            jr.error.message = e.what();
-            jr.error.dump = e.dump();
-            jr.error.cycle = e.cycle();
-        } catch (const std::exception& e) {
-            jr.error = JobError{};
-            jr.error.kind = "exception";
-            jr.error.message = e.what();
-        } catch (...) {
-            jr.error = JobError{};
-            jr.error.kind = "exception";
-            jr.error.message = "unknown exception";
-        }
-    }
-
-    if (!jr.ok && !opts.dumpDir.empty()) {
-        jr.error.dumpPath =
-            writeFailureDump(opts.dumpDir, job.label, index, jr.error);
     }
     return jr;
 }
@@ -240,24 +153,30 @@ defaultJobs()
     return hw == 0 ? 1 : hw;
 }
 
-FailureRow
-failureRowOf(const SweepJob& job, const JobResult& jr)
+bool
+runJobInProcess(const SweepJob& job, Report* report, JobError* error)
 {
-    FailureRow f;
-    f.workload = job.profile.name;
-    f.config = job.label;
-    f.errorKind = jr.error.kind;
-    f.component = jr.error.component;
-    f.message = jr.error.message;
-    f.dumpPath = jr.error.dumpPath;
-    f.cycle = jr.error.cycle;
-    f.attempts = jr.attempts;
-    f.signal = jr.error.signal;
-    f.stderrTail = jr.error.stderrTail;
-    f.maxRssKb = jr.error.maxRssKb;
-    f.userSec = jr.error.userSec;
-    f.sysSec = jr.error.sysSec;
-    return f;
+    try {
+        *report = runSim(job.profile, job.config, job.opts, job.label);
+        return true;
+    } catch (const SimError& e) {
+        error->kind = e.kindName();
+        error->component = e.component();
+        error->message = e.what();
+        error->dump = e.dump();
+        error->cycle = e.cycle();
+    } catch (const std::bad_alloc&) {
+        error->kind = "mem_limit";
+        error->message =
+            "std::bad_alloc: allocation failed (memory limit reached)";
+    } catch (const std::exception& e) {
+        error->kind = "exception";
+        error->message = e.what();
+    } catch (...) {
+        error->kind = "exception";
+        error->message = "unknown exception";
+    }
+    return false;
 }
 
 std::vector<JobResult>
@@ -268,11 +187,6 @@ runSweepChecked(const std::vector<SweepJob>& jobs, const SweepOptions& opts)
     std::vector<JobResult> results(jobs.size());
     if (jobs.empty()) {
         return results;
-    }
-
-    const bool isolate = opts.isolate && procIsolationSupported();
-    if (opts.isolate && !isolate && !opts.quiet) {
-        sweepLine("warning: isolation_unsupported fallback=in_process");
     }
 
     // Checkpoint manifest: hash every job up front; on resume, satisfy
@@ -423,7 +337,7 @@ runSweepChecked(const std::vector<SweepJob>& jobs, const SweepOptions& opts)
             return;
         }
 
-        jr = runJobChecked(jobs[i], i, opts, isolate);
+        jr = runJobChecked(jobs[i], opts);
 
         // A failed job still counts as done: progress always reaches
         // total and the ETA is computed from every finished job.
@@ -452,7 +366,7 @@ runSweepChecked(const std::vector<SweepJob>& jobs, const SweepOptions& opts)
     if (threads <= 1) {
         // Serial reference path: same code, no pool. Each point builds its
         // own Program, except that forked children must inherit them.
-        if (isolate) {
+        if (opts.isolate) {
             for (const Profile* p : programs) {
                 build(p);
             }
@@ -468,7 +382,7 @@ runSweepChecked(const std::vector<SweepJob>& jobs, const SweepOptions& opts)
         for (const Profile* p : programs) {
             pool.submit([&build, p] { build(p); });
         }
-        if (isolate) {
+        if (opts.isolate) {
             pool.wait();
         }
         for (std::size_t i = 0; i < jobs.size(); ++i) {

@@ -17,13 +17,13 @@
 #define UDP_SIM_SWEEP_H
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "sim/runner.h"
 #include "sim/simconfig.h"
-#include "stats/sink.h"
 #include "workload/profile.h"
 
 namespace udp {
@@ -38,13 +38,18 @@ struct SweepJob
     std::string label;
 };
 
-/** Structured description of one failed job (docs/ROBUSTNESS.md). */
+/**
+ * Structured description of one failed job (docs/ROBUSTNESS.md). Its one
+ * encoding is the failure row of stats/sink.h (failureToJsonLine), which
+ * the sinks write and the isolated child sends over its result pipe.
+ */
 struct JobError
 {
     /** SimError kind name ("retire_stall", "cycle_budget", "invariant"),
-     *  "exception" for anything else that escaped runSim(), or one of
-     *  the process-isolation kinds ("crash", "timeout", "cpu_limit",
-     *  "oom_kill", "mem_limit", "exit", "protocol" — sim/procexec.h). */
+     *  "mem_limit" for a failed allocation, "exception" for anything
+     *  else that escaped runSim(), or one of the process-isolation kinds
+     *  ("crash", "timeout", "cpu_limit", "oom_kill", "exit", "protocol"
+     *  — sim/procexec.h). */
     std::string kind;
     /** Failing component for SimErrors ("backend", "mshr", ...), else "". */
     std::string component;
@@ -52,8 +57,6 @@ struct JobError
     std::string message;
     /** Multi-component diagnostic dump (SimError only, possibly ""). */
     std::string dump;
-    /** File the dump was written to (SweepOptions::dumpDir), or "". */
-    std::string dumpPath;
     /** Simulated cycle of the failure (SimError only). */
     Cycle cycle = 0;
 
@@ -86,8 +89,12 @@ struct JobResult
     bool skipped = false;
 };
 
-/** Converts a failed job to its machine-readable sink failure row. */
-FailureRow failureRowOf(const SweepJob& job, const JobResult& jr);
+/**
+ * Runs @p job in this process: true with its Report, or false with
+ * @p error describing what runSim() threw. The isolated child
+ * (sim/procexec.h) runs its job through this too.
+ */
+bool runJobInProcess(const SweepJob& job, Report* report, JobError* error);
 
 /** Progress snapshot passed to the progress callback after each job. */
 struct SweepProgress
@@ -116,8 +123,7 @@ struct SweepOptions
     /** Called after each completed job (from the completing thread, under
      *  the runner's progress lock). Replaces the stderr progress line. */
     std::function<void(const SweepProgress&)> onProgress;
-    /** Suppresses the sweep's "[sweep] ..." stderr lines, except the
-     *  warnings about failure dumps that could not be written. */
+    /** Suppresses the sweep's "[sweep] ..." stderr lines. */
     bool quiet = false;
     /** Attempts per job (>= 1): a failing job is retried maxAttempts-1
      *  times before its failure is recorded. Retries target transient
@@ -127,9 +133,6 @@ struct SweepOptions
      *  whose config leaves it 0, so one pathological sweep point cannot
      *  hang the batch. 0 = leave each job's configuration alone. */
     Cycle jobCycleBudget = 0;
-    /** Directory for per-failure diagnostic dump files (created on
-     *  demand). Empty = keep dumps in memory only (JobResult::error). */
-    std::string dumpDir;
 
     // --- process isolation (docs/ROBUSTNESS.md, "Isolated execution") ---
     /** Run every job in a forked child process (sim/procexec.h): a
@@ -182,8 +185,7 @@ unsigned defaultJobs();
  * and returns one JobResult per job, in job order regardless of
  * completion order, bit-identical to a serial run of the same batch. A
  * crashing or hanging job never takes the batch down: its structured
- * error (and optional dump file) is recorded and every other job still
- * produces its Report.
+ * error is recorded and every other job still produces its Report.
  */
 std::vector<JobResult> runSweepChecked(const std::vector<SweepJob>& jobs,
                                        const SweepOptions& opts = {});

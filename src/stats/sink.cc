@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "sim/runner.h"
+#include "sim/sweep.h"
 
 namespace udp {
 
@@ -268,127 +269,155 @@ scanJsonString(const std::string& s, std::size_t* pos, std::string* out)
     return jsonUnescape(raw, out);
 }
 
+/**
+ * Walks the flat JSON object that is all of @p line: "{", then
+ * "key":value pairs separated by commas, then "}" as the last byte. Each
+ * pair goes to @p field(key, value, quoted): a string value unescaped
+ * (quoted = true) or a number's text. False when the line is anything
+ * else or @p field rejects a pair.
+ */
+template <class Field>
+bool
+walkJsonObject(const std::string& line, Field&& field)
+{
+    if (line.size() < 2 || line[0] != '{') {
+        return false;
+    }
+    std::size_t pos = 1;
+    if (line[pos] == '}') {
+        return line.size() == 2;
+    }
+    while (true) {
+        std::string key;
+        if (!scanJsonString(line, &pos, &key) || pos >= line.size() ||
+            line[pos] != ':') {
+            return false;
+        }
+        ++pos;
+        std::string value;
+        const bool quoted = pos < line.size() && line[pos] == '"';
+        if (quoted) {
+            if (!scanJsonString(line, &pos, &value)) {
+                return false;
+            }
+        } else {
+            std::size_t end = line.find_first_of(",}", pos);
+            if (end == std::string::npos) {
+                return false;
+            }
+            value = line.substr(pos, end - pos);
+            pos = end;
+        }
+        if (!field(key, value, quoted) || pos >= line.size()) {
+            return false;
+        }
+        if (line[pos] == '}') {
+            return pos + 1 == line.size();
+        }
+        if (line[pos] != ',') {
+            return false;
+        }
+        ++pos;
+    }
+}
+
+/** Parses all of @p text as one number of type T. */
+template <class T>
+bool
+parseNumber(const std::string& text, T* out)
+{
+    std::from_chars_result res =
+        std::from_chars(text.data(), text.data() + text.size(), *out);
+    return res.ec == std::errc{} && res.ptr == text.data() + text.size();
+}
+
 } // namespace
 
 bool
 reportFromJsonLine(const std::string& line, Report* out)
 {
     Report r;
-    std::size_t pos = 0;
-    if (pos >= line.size() || line[pos] != '{') {
-        return false;
-    }
-    ++pos;
-    bool first = true;
-    while (pos < line.size() && line[pos] != '}') {
-        if (!first && line[pos] == ',') {
-            ++pos;
-        }
-        first = false;
-        std::string key;
-        if (!scanJsonString(line, &pos, &key)) {
-            return false;
-        }
-        if (pos >= line.size() || line[pos] != ':') {
-            return false;
-        }
-        ++pos;
+    auto field = [&r](const std::string& key, const std::string& value,
+                      bool quoted) {
         if (key == "workload" || key == "config") {
-            std::string val;
-            if (!scanJsonString(line, &pos, &val)) {
-                return false;
-            }
-            (key == "workload" ? r.workload : r.configName) = val;
-            continue;
-        }
-        std::size_t end = pos;
-        while (end < line.size() && line[end] != ',' && line[end] != '}') {
-            ++end;
+            (key == "workload" ? r.workload : r.configName) = value;
+            return quoted;
         }
         double v = 0.0;
-        std::from_chars_result res =
-            std::from_chars(line.data() + pos, line.data() + end, v);
-        if (res.ec != std::errc{} || res.ptr != line.data() + end) {
-            return false;
-        }
-        if (!setReportStat(&r, key, v)) {
-            return false; // unknown key, or a failure row ("error_kind")
-        }
-        pos = end;
-    }
-    if (pos >= line.size() || line[pos] != '}') {
+        // An unknown key, or a failure row ("error_kind"), is rejected.
+        return !quoted && parseNumber(value, &v) && setReportStat(&r, key, v);
+    };
+    if (!walkJsonObject(line, field)) {
         return false;
     }
     *out = std::move(r);
     return true;
 }
 
-std::vector<std::string>
-failureSchemaKeys()
+std::string
+failureToJsonLine(const std::string& workload, const std::string& config,
+                  unsigned attempts, const JobError& e)
 {
-    return {"workload", "config",     "error_kind", "component",
-            "cycle",    "attempts",   "message",    "dump_path",
-            "signal",   "max_rss_kb", "user_sec",   "sys_sec",
-            "stderr_tail"};
+    return "{\"workload\":\"" + jsonEscape(workload) +
+           "\",\"config\":\"" + jsonEscape(config) +
+           "\",\"error_kind\":\"" + jsonEscape(e.kind) +
+           "\",\"component\":\"" + jsonEscape(e.component) +
+           "\",\"cycle\":" + std::to_string(e.cycle) +
+           ",\"attempts\":" + std::to_string(attempts) +
+           ",\"message\":\"" + jsonEscape(e.message) +
+           "\",\"dump\":\"" + jsonEscape(e.dump) +
+           "\",\"signal\":\"" + jsonEscape(e.signal) +
+           "\",\"max_rss_kb\":" + std::to_string(e.maxRssKb) +
+           ",\"user_sec\":" + formatNumber(e.userSec) +
+           ",\"sys_sec\":" + formatNumber(e.sysSec) +
+           ",\"stderr_tail\":\"" + jsonEscape(e.stderrTail) + "\"}";
 }
 
-std::string
-failureToJsonLine(const FailureRow& f)
+bool
+failureFromJsonLine(const std::string& line, std::string* workload,
+                    std::string* config, unsigned* attempts,
+                    JobError* error)
 {
-    std::string out = "{\"workload\":\"" + jsonEscape(f.workload) +
-                      "\",\"config\":\"" + jsonEscape(f.config) +
-                      "\",\"error_kind\":\"" + jsonEscape(f.errorKind) +
-                      "\",\"component\":\"" + jsonEscape(f.component) +
-                      "\",\"cycle\":" + std::to_string(f.cycle) +
-                      ",\"attempts\":" + std::to_string(f.attempts) +
-                      ",\"message\":\"" + jsonEscape(f.message) +
-                      "\",\"dump_path\":\"" + jsonEscape(f.dumpPath) +
-                      "\",\"signal\":\"" + jsonEscape(f.signal) +
-                      "\",\"max_rss_kb\":" + std::to_string(f.maxRssKb) +
-                      ",\"user_sec\":" + formatNumber(f.userSec) +
-                      ",\"sys_sec\":" + formatNumber(f.sysSec) +
-                      ",\"stderr_tail\":\"" + jsonEscape(f.stderrTail) +
-                      "\"}";
-    return out;
-}
-
-std::string
-failureCsvHeader()
-{
-    std::string out;
-    for (const std::string& key : failureSchemaKeys()) {
-        if (!out.empty()) {
-            out += ',';
+    JobError e;
+    bool tagged = false;
+    auto field = [&](const std::string& key, const std::string& value,
+                     bool quoted) {
+        std::string* text = key == "workload"      ? workload
+                            : key == "config"      ? config
+                            : key == "error_kind"  ? &e.kind
+                            : key == "component"   ? &e.component
+                            : key == "message"     ? &e.message
+                            : key == "dump"        ? &e.dump
+                            : key == "signal"      ? &e.signal
+                            : key == "stderr_tail" ? &e.stderrTail
+                                                   : nullptr;
+        if (text != nullptr) {
+            tagged = tagged || key == "error_kind";
+            *text = value;
+            return quoted;
         }
-        out += key;
-    }
-    return out;
-}
-
-std::string
-failureToCsvRow(const FailureRow& f)
-{
-    // Flatten the stderr tail: quoted embedded newlines are legal CSV,
-    // but one physical line per row is what makes the artifact
-    // crash-safe for line-oriented readers (grep, wc, tail -f).
-    std::string tail;
-    tail.reserve(f.stderrTail.size());
-    for (char c : f.stderrTail) {
-        if (c == '\n') {
-            tail += "\\n";
-        } else if (c == '\r') {
-            tail += "\\r";
-        } else {
-            tail += c;
+        if (quoted) {
+            return false;
         }
+        if (key == "attempts") {
+            return parseNumber(value, attempts);
+        }
+        std::uint64_t* count = key == "cycle"        ? &e.cycle
+                               : key == "max_rss_kb" ? &e.maxRssKb
+                                                     : nullptr;
+        if (count != nullptr) {
+            return parseNumber(value, count);
+        }
+        double* sec = key == "user_sec"  ? &e.userSec
+                      : key == "sys_sec" ? &e.sysSec
+                                         : nullptr;
+        return sec != nullptr && parseNumber(value, sec);
+    };
+    if (!walkJsonObject(line, field) || !tagged) {
+        return false;
     }
-    return csvEscape(f.workload) + ',' + csvEscape(f.config) + ',' +
-           csvEscape(f.errorKind) + ',' + csvEscape(f.component) + ',' +
-           std::to_string(f.cycle) + ',' + std::to_string(f.attempts) +
-           ',' + csvEscape(f.message) + ',' + csvEscape(f.dumpPath) + ',' +
-           csvEscape(f.signal) + ',' + std::to_string(f.maxRssKb) + ',' +
-           formatNumber(f.userSec) + ',' + formatNumber(f.sysSec) + ',' +
-           csvEscape(tail);
+    *error = std::move(e);
+    return true;
 }
 
 bool
@@ -412,7 +441,6 @@ ReportSink::openCsv(const std::string& path)
                      path.c_str());
         return false;
     }
-    csvPath = path;
     writeLineAtomic(csv, reportCsvHeader());
     return true;
 }
@@ -437,32 +465,10 @@ ReportSink::writeAll(const std::vector<Report>& reports)
 }
 
 void
-ReportSink::writeFailure(const FailureRow& f)
+ReportSink::writeFailure(const std::string& row)
 {
-    ++failures;
     if (json.is_open()) {
-        writeLineAtomic(json, failureToJsonLine(f));
-    }
-    if (csv.is_open() && !failureCsv.is_open()) {
-        // Lazy sibling file: a clean sweep leaves no failure artifact,
-        // so "<name>.failures.csv exists" alone signals trouble.
-        std::string path = csvPath;
-        const std::string ext = ".csv";
-        if (path.size() >= ext.size() &&
-            path.compare(path.size() - ext.size(), ext.size(), ext) == 0) {
-            path.resize(path.size() - ext.size());
-        }
-        path += ".failures.csv";
-        failureCsv.open(path, std::ios::out | std::ios::trunc);
-        if (!failureCsv.is_open()) {
-            std::fprintf(stderr, "[udp] cannot open failure CSV \"%s\"\n",
-                         path.c_str());
-        } else {
-            writeLineAtomic(failureCsv, failureCsvHeader());
-        }
-    }
-    if (failureCsv.is_open()) {
-        writeLineAtomic(failureCsv, failureToCsvRow(f));
+        writeLineAtomic(json, row);
     }
 }
 
@@ -474,9 +480,6 @@ ReportSink::close()
     }
     if (csv.is_open()) {
         csv.close();
-    }
-    if (failureCsv.is_open()) {
-        failureCsv.close();
     }
 }
 

@@ -12,7 +12,6 @@
 #ifndef UDP_STATS_SINK_H
 #define UDP_STATS_SINK_H
 
-#include <cstdint>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -22,57 +21,41 @@
 
 namespace udp {
 
+struct JobError;
 struct Report;
-
-/**
- * Machine-readable record of one failed sweep job (docs/ROBUSTNESS.md has
- * the schema table). Written next to the successful Reports so a partially
- * failing sweep still yields a complete, parseable artifact set.
- */
-struct FailureRow
-{
-    std::string workload;
-    std::string config;    ///< the job label
-    std::string errorKind; ///< simErrorKindName(), a process-isolation kind
-                           ///< ("crash", "timeout", ...) or "exception"
-    std::string component; ///< failing component, "" for plain exceptions
-    std::string message;   ///< exception what()
-    std::string dumpPath;  ///< diagnostic dump file, "" when none written
-    std::uint64_t cycle = 0;
-    std::uint64_t attempts = 1;
-
-    // Process-isolation diagnostics (--isolate sweeps, sim/procexec.h);
-    // empty/zero for in-process failures.
-    std::string signal;     ///< terminating signal name ("SIGSEGV"), or ""
-    std::string stderrTail; ///< captured tail of the child's stderr
-    std::uint64_t maxRssKb = 0; ///< child peak RSS (ru_maxrss)
-    double userSec = 0.0;       ///< child user CPU seconds
-    double sysSec = 0.0;        ///< child system CPU seconds
-};
 
 /** Shortest round-trip decimal rendering of @p v ("400000", "0.85");
  *  integers serialize plain, never in exponent notation. */
 std::string formatNumber(double v);
 
 /** JSON string escaping (quotes, backslash, control characters). Shared
- *  with the sweep manifest and the isolated-execution pipe protocol. */
+ *  with the sweep manifest and the Chrome-trace writer. */
 std::string jsonEscape(const std::string& s);
 
 /** Inverse of jsonEscape(); returns false on a malformed escape. */
 bool jsonUnescape(const std::string& s, std::string* out);
 
-/** Ordered list of failure-row schema keys. */
-std::vector<std::string> failureSchemaKeys();
+/**
+ * The failure row of one sweep point (docs/ROBUSTNESS.md has the schema
+ * table): one JSON object on a single line, with keys workload, config,
+ * error_kind, component, cycle, attempts, message, dump, signal,
+ * max_rss_kb, user_sec, sys_sec and stderr_tail, in that order. The
+ * "error_kind" key tells it apart from report lines in the same stream.
+ * It is also the isolated child's result-pipe message (sim/procexec.h).
+ */
+std::string failureToJsonLine(const std::string& workload,
+                              const std::string& config, unsigned attempts,
+                              const JobError& error);
 
-/** One JSON object (single line) for @p f. Distinguishable from report
- *  lines in the same stream by the presence of the "error_kind" key. */
-std::string failureToJsonLine(const FailureRow& f);
-
-/** The CSV header row (no trailing newline) matching failureToCsvRow. */
-std::string failureCsvHeader();
-
-/** One CSV data row (no trailing newline) for @p f. */
-std::string failureToCsvRow(const FailureRow& f);
+/**
+ * Parses one failureToJsonLine() line back; the round trip reproduces
+ * every field. Returns false (leaving the outputs unspecified) unless
+ * @p line is exactly one such object: a truncated line, trailing bytes,
+ * an unknown key or a report line (no "error_kind") are rejected.
+ */
+bool failureFromJsonLine(const std::string& line, std::string* workload,
+                         std::string* config, unsigned* attempts,
+                         JobError* error);
 
 /** Ordered list of schema keys: "workload", "config", then every numeric
  *  StatSet key of Report. */
@@ -93,7 +76,8 @@ std::string reportToCsvRow(const Report& r);
  * parsed Report reproduces the input byte for byte. Used by the
  * checkpoint manifest (sim/manifest.h) and the isolated-execution pipe
  * protocol (sim/procexec.h). Returns false (leaving @p out unspecified)
- * on malformed input, unknown keys, or a failure row (key "error_kind").
+ * on malformed input, trailing bytes, unknown keys, or a failure row
+ * (key "error_kind").
  */
 bool reportFromJsonLine(const std::string& line, Report* out);
 
@@ -194,19 +178,12 @@ class ReportSink
     /** Appends each report in order to every open sink. */
     void writeAll(const std::vector<Report>& reports);
 
-    /**
-     * Appends @p f to the failure outputs: the JSON-lines file shared
-     * with reports (when open), and a sibling "<csv>.failures.csv" file
-     * opened lazily on the first failure (when the CSV sink is open —
-     * failures have different columns than reports).
-     */
-    void writeFailure(const FailureRow& f);
+    /** Appends the failure row @p row (failureToJsonLine) to the
+     *  JSON-lines file, when open; the CSV holds Reports only. */
+    void writeFailure(const std::string& row);
 
     /** True when at least one sink is open. */
     bool active() const { return json.is_open() || csv.is_open(); }
-
-    /** Failure rows written so far (benches use this for exit codes). */
-    std::size_t failureCount() const { return failures; }
 
     /** Flushes and closes all sinks (also done on destruction). */
     void close();
@@ -214,9 +191,6 @@ class ReportSink
   private:
     std::ofstream json;
     std::ofstream csv;
-    std::ofstream failureCsv;
-    std::string csvPath;
-    std::size_t failures = 0;
 };
 
 } // namespace udp

@@ -68,8 +68,7 @@ inline constexpr std::uint32_t kNoBehavior = 0xffffffffu;
  * The class, kind and latency share one byte of bit-fields, so an Instr
  * takes 12 bytes: the ten catalog Programs hold 3.2M of them, and a
  * sweep keeps them all resident while its workers simulate. A 3-bit kind
- * can hold a value past Return; Program::validate() rejects it in images
- * read from disk.
+ * can hold a value past Return; Program::validate() rejects it.
  */
 struct Instr
 {

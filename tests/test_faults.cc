@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -378,79 +377,124 @@ TEST(SweepChecked, RetriesAreBoundedAndCounted)
     EXPECT_EQ(results[1].attempts, 2u); // ...but consumed both attempts
 }
 
-TEST(SweepChecked, FailureDumpIsWrittenToDumpDir)
+TEST(SweepChecked, FailedRowCarriesTheDump)
 {
-    std::string dir = ::testing::TempDir() + "udp_fault_dumps";
-    std::filesystem::remove_all(dir);
-
     std::vector<SweepJob> jobs = mixedJobs();
     SweepOptions opts;
     opts.numThreads = 1;
     opts.quiet = true;
-    opts.dumpDir = dir;
     std::vector<JobResult> results = runSweepChecked(jobs, opts);
     ASSERT_FALSE(results[1].ok);
-    ASSERT_FALSE(results[1].error.dumpPath.empty());
-    std::ifstream in(results[1].error.dumpPath);
-    ASSERT_TRUE(in.is_open());
-    std::stringstream ss;
-    ss << in.rdbuf();
-    EXPECT_NE(ss.str().find("retire_stall"), std::string::npos);
-    EXPECT_NE(ss.str().find("[rob]"), std::string::npos);
-    std::filesystem::remove_all(dir);
+    const std::string row =
+        failureToJsonLine(jobs[1].profile.name, jobs[1].label,
+                          results[1].attempts, results[1].error);
+    std::string workload;
+    std::string config;
+    unsigned attempts = 0;
+    JobError e;
+    ASSERT_TRUE(failureFromJsonLine(row, &workload, &config, &attempts, &e));
+    // The row carries the watchdog's message and the component dump.
+    EXPECT_EQ(e.kind, "retire_stall");
+    EXPECT_NE(e.message.find("retire_stall"), std::string::npos);
+    EXPECT_NE(e.dump.find("[rob]"), std::string::npos);
+    EXPECT_EQ(e.dump, results[1].error.dump);
 }
 
-// --- failure-row sinks -----------------------------------------------------
+// --- failure rows ------------------------------------------------------------
 
-FailureRow
+JobError
 sampleFailure()
 {
-    FailureRow f;
-    f.workload = "mysql";
-    f.config = "udp8k";
-    f.errorKind = "retire_stall";
-    f.component = "backend";
-    f.message = "no instruction retired for 5000 cycles";
-    f.dumpPath = "dumps/udp8k-1.dump.txt";
-    f.cycle = 12'345;
-    f.attempts = 2;
-    f.signal = "SIGSEGV";
-    f.stderrTail = "[fault] crash_segv: raising SIGSEGV\n";
-    f.maxRssKb = 61'440;
-    f.userSec = 0.25;
-    f.sysSec = 0.125;
-    return f;
+    JobError e;
+    e.kind = "retire_stall";
+    e.component = "backend";
+    e.message = "no instruction retired for 5000 cycles";
+    e.dump = "[rob] head=3 \"stalled\"\n[mshr] C:\\path\ttab\x01\x1f end\n";
+    e.cycle = 12'345;
+    e.signal = "SIGSEGV";
+    e.stderrTail = "[fault] crash_segv: raising SIGSEGV\n";
+    e.maxRssKb = 61'440;
+    e.userSec = 0.25;
+    e.sysSec = 0.1;
+    return e;
 }
 
 TEST(Sink, FailureRowSerialization)
 {
-    FailureRow f = sampleFailure();
-    std::string json = failureToJsonLine(f);
-    EXPECT_NE(json.find("\"workload\":\"mysql\""), std::string::npos);
-    EXPECT_NE(json.find("\"error_kind\":\"retire_stall\""),
+    std::string json = failureToJsonLine("mysql", "udp8k", 2, sampleFailure());
+    EXPECT_EQ(json.rfind("{\"workload\":\"mysql\",\"config\":\"udp8k\","
+                         "\"error_kind\":\"retire_stall\","
+                         "\"component\":\"backend\",\"cycle\":12345,"
+                         "\"attempts\":2,",
+                         0),
+              0u)
+        << json;
+    // Isolation diagnostics and the dump ride along, one physical line.
+    EXPECT_NE(json.find("\"dump\":\"[rob] head=3 \\\"stalled\\\"\\n"),
               std::string::npos);
-    EXPECT_NE(json.find("\"component\":\"backend\""), std::string::npos);
-    EXPECT_NE(json.find("\"cycle\":12345"), std::string::npos);
-    EXPECT_NE(json.find("\"attempts\":2"), std::string::npos);
-    // Isolation diagnostics ride along in both serializations.
     EXPECT_NE(json.find("\"signal\":\"SIGSEGV\""), std::string::npos);
     EXPECT_NE(json.find("\"max_rss_kb\":61440"), std::string::npos);
     EXPECT_NE(json.find("\"stderr_tail\":\"[fault] crash_segv"),
               std::string::npos);
-    EXPECT_NE(failureToCsvRow(f).find("SIGSEGV"), std::string::npos);
+    EXPECT_EQ(json.find('\n'), std::string::npos);
     // Report lines never carry "error_kind": the discriminator key.
     EXPECT_EQ(reportToJsonLine(Report{}).find("error_kind"),
               std::string::npos);
-
-    auto commas = [](const std::string& s) {
-        return std::count(s.begin(), s.end(), ',');
-    };
-    EXPECT_EQ(commas(failureToCsvRow(f)), commas(failureCsvHeader()));
-    EXPECT_EQ(failureSchemaKeys().size(),
-              static_cast<std::size_t>(commas(failureCsvHeader())) + 1);
 }
 
-TEST(Sink, WriteFailureCreatesSiblingCsvAndTaggedJsonLine)
+TEST(Sink, FailureJsonLineRoundTripsEveryField)
+{
+    const JobError in = sampleFailure();
+    const std::string line = failureToJsonLine("my\"sql", "udp\\8k", 3, in);
+    std::string workload;
+    std::string config;
+    unsigned attempts = 0;
+    JobError out;
+    ASSERT_TRUE(
+        failureFromJsonLine(line, &workload, &config, &attempts, &out));
+    EXPECT_EQ(workload, "my\"sql");
+    EXPECT_EQ(config, "udp\\8k");
+    EXPECT_EQ(attempts, 3u);
+    EXPECT_EQ(out.kind, in.kind);
+    EXPECT_EQ(out.component, in.component);
+    EXPECT_EQ(out.message, in.message);
+    EXPECT_EQ(out.dump, in.dump);
+    EXPECT_EQ(out.cycle, in.cycle);
+    EXPECT_EQ(out.signal, in.signal);
+    EXPECT_EQ(out.stderrTail, in.stderrTail);
+    EXPECT_EQ(out.maxRssKb, in.maxRssKb);
+    EXPECT_EQ(out.userSec, in.userSec);
+    EXPECT_EQ(out.sysSec, in.sysSec);
+    EXPECT_EQ(failureToJsonLine(workload, config, attempts, out), line);
+}
+
+TEST(Sink, FailureParserRejectsTruncatedJunkAndReportLines)
+{
+    const std::string line = failureToJsonLine("mysql", "udp8k", 1,
+                                               sampleFailure());
+    std::string workload;
+    std::string config;
+    unsigned attempts = 0;
+    JobError out;
+    auto parses = [&](const std::string& l) {
+        return failureFromJsonLine(l, &workload, &config, &attempts, &out);
+    };
+    ASSERT_TRUE(parses(line));
+    for (std::size_t cut : {std::size_t{0}, std::size_t{1}, line.size() / 2,
+                            line.size() - 2, line.size() - 1}) {
+        EXPECT_FALSE(parses(line.substr(0, cut))) << "cut at " << cut;
+    }
+    EXPECT_FALSE(parses(line + "x"));
+    EXPECT_FALSE(parses(line + "\n"));
+    EXPECT_FALSE(parses(line + line));
+    Report r;
+    r.workload = "mysql";
+    r.configName = "udp8k";
+    EXPECT_FALSE(parses(reportToJsonLine(r)));
+    EXPECT_FALSE(parses("{\"workload\":\"a\",\"config\":\"b\"}"));
+}
+
+TEST(Sink, WriteFailureAppendsATaggedJsonLineOnly)
 {
     std::string json_path = ::testing::TempDir() + "fault_sink.jsonl";
     std::string csv_path = ::testing::TempDir() + "fault_sink.csv";
@@ -460,38 +504,39 @@ TEST(Sink, WriteFailureCreatesSiblingCsvAndTaggedJsonLine)
     Report r;
     r.workload = "app";
     r.configName = "cfg";
+    const std::string row = failureToJsonLine("app", "cfg", 1,
+                                              sampleFailure());
 
     ReportSink sink;
     ASSERT_TRUE(sink.openJson(json_path));
     ASSERT_TRUE(sink.openCsv(csv_path));
     sink.write(r);
-    EXPECT_EQ(sink.failureCount(), 0u);
-    sink.writeFailure(sampleFailure());
-    EXPECT_EQ(sink.failureCount(), 1u);
+    sink.writeFailure(row);
     sink.close();
 
     // JSONL: report line then failure line, in the same stream.
     std::ifstream jf(json_path);
     std::string l1;
     std::string l2;
+    std::string l3;
     ASSERT_TRUE(std::getline(jf, l1));
     ASSERT_TRUE(std::getline(jf, l2));
+    EXPECT_FALSE(std::getline(jf, l3));
     EXPECT_EQ(l1, reportToJsonLine(r));
-    EXPECT_EQ(l2, failureToJsonLine(sampleFailure()));
+    EXPECT_EQ(l2, row);
 
-    // The failure CSV is a sibling file with its own header.
-    std::ifstream ff(fail_path);
-    ASSERT_TRUE(ff.is_open());
+    // The CSV holds the Report only, and no failure CSV appears.
+    std::ifstream cf(csv_path);
     std::string header;
-    std::string row;
-    ASSERT_TRUE(std::getline(ff, header));
-    EXPECT_EQ(header, failureCsvHeader());
-    ASSERT_TRUE(std::getline(ff, row));
-    EXPECT_EQ(row, failureToCsvRow(sampleFailure()));
+    std::string data;
+    ASSERT_TRUE(std::getline(cf, header));
+    ASSERT_TRUE(std::getline(cf, data));
+    EXPECT_EQ(data, reportToCsvRow(r));
+    EXPECT_FALSE(std::getline(cf, l3));
+    EXPECT_FALSE(std::filesystem::exists(fail_path));
 
     std::remove(json_path.c_str());
     std::remove(csv_path.c_str());
-    std::remove(fail_path.c_str());
 }
 
 // --- error-type plumbing ---------------------------------------------------

@@ -279,11 +279,15 @@ TEST(Sink, ReportParserRejectsMalformedAndForeignLines)
     EXPECT_FALSE(reportFromJsonLine("not json", &out));
     EXPECT_FALSE(reportFromJsonLine("{\"workload\":\"a\"", &out));
     // Failure rows share the stream but must not parse as Reports.
-    FailureRow f;
-    f.workload = "app";
-    f.config = "cfg";
-    f.errorKind = "crash";
-    EXPECT_FALSE(reportFromJsonLine(failureToJsonLine(f), &out));
+    JobError e;
+    e.kind = "crash";
+    EXPECT_FALSE(reportFromJsonLine(failureToJsonLine("app", "cfg", 1, e),
+                                    &out));
+    // Exactly one object: trailing bytes are rejected.
+    Report r;
+    r.workload = "app";
+    EXPECT_TRUE(reportFromJsonLine(reportToJsonLine(r), &out));
+    EXPECT_FALSE(reportFromJsonLine(reportToJsonLine(r) + "x", &out));
     // Unknown keys are a schema mismatch, not silently dropped data.
     EXPECT_FALSE(reportFromJsonLine(
         "{\"workload\":\"a\",\"config\":\"b\",\"bogus\":1}", &out));

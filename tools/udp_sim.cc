@@ -5,8 +5,6 @@
  *   udp_sim --app mysql --technique udp8k --instrs 1000000
  *   udp_sim --list
  *   udp_sim --app xgboost --technique fdip --ftq 64 --csv
- *   udp_sim --app clang --save-program clang.prog
- *   udp_sim --load-program clang.prog --technique uftq-atr-aur
  *
  * Techniques: nopf | fdip | perfect | udp8k | udp-infinite | icache40k |
  *             eip8k | uftq-aur | uftq-atr | uftq-atr-aur
@@ -22,7 +20,6 @@
 #include "common/intmath.h"
 #include "sim/runner.h"
 #include "workload/builder.h"
-#include "workload/serialize.h"
 
 namespace {
 
@@ -43,8 +40,6 @@ usage()
         "  --instrs N           measured instructions (default 1000000)\n"
         "  --warmup N           warmup instructions (default 500000)\n"
         "  --seed N             workload seed override\n"
-        "  --save-program PATH  write the generated program image and exit\n"
-        "  --load-program PATH  simulate a saved program image\n"
         "  --csv                emit the report as CSV key,value lines\n"
         "  --list               list available workload profiles\n");
 }
@@ -107,8 +102,6 @@ main(int argc, char** argv)
 {
     std::string app = "mysql";
     std::string technique = "fdip";
-    std::string save_path;
-    std::string load_path;
     unsigned ftq = 32;
     unsigned btb = 8192;
     std::uint64_t instrs = 1'000'000;
@@ -139,10 +132,6 @@ main(int argc, char** argv)
             warmup = countArg(a, next());
         } else if (a == "--seed") {
             seed_override = countArg(a, next());
-        } else if (a == "--save-program") {
-            save_path = next();
-        } else if (a == "--load-program") {
-            load_path = next();
         } else if (a == "--csv") {
             csv = true;
         } else if (a == "--list") {
@@ -180,25 +169,11 @@ main(int argc, char** argv)
             return 2;
         }
 
-        Program prog = [&]() {
-            if (!load_path.empty()) {
-                return loadProgramFile(load_path);
-            }
-            Profile p = profileByName(app);
-            if (seed_override) {
-                p.seed = seed_override;
-            }
-            return ProgramBuilder::build(p);
-        }();
-
-        if (!save_path.empty()) {
-            saveProgramFile(prog, save_path);
-            std::printf("saved %s (%zu instrs, %zu KB) to %s\n",
-                        prog.name().c_str(), prog.numInstrs(),
-                        static_cast<std::size_t>(prog.codeBytes() / 1024),
-                        save_path.c_str());
-            return 0;
+        Profile p = profileByName(app);
+        if (seed_override) {
+            p.seed = seed_override;
         }
+        const Program prog = ProgramBuilder::build(p);
 
         Cpu cpu(prog, *cfg);
         cpu.runUntilRetired(warmup);

@@ -1,11 +1,10 @@
 /**
  * @file
  * udp_trace: dump the architectural dynamic instruction stream of a
- * workload in a readable text format (for debugging workload models and
- * for diffing against saved program images).
+ * workload in a readable text format (for debugging workload models).
  *
  *   udp_trace --app xgboost --count 200
- *   udp_trace --load-program clang.prog --skip 1000000 --count 50
+ *   udp_trace --app clang --seed 7 --skip 1000000 --count 50
  */
 
 #include <cstdio>
@@ -15,7 +14,6 @@
 
 #include "sim/runner.h"
 #include "workload/builder.h"
-#include "workload/serialize.h"
 #include "workload/true_stream.h"
 
 namespace {
@@ -55,7 +53,6 @@ int
 main(int argc, char** argv)
 {
     std::string app = "mysql";
-    std::string load_path;
     std::uint64_t skip = 0;
     std::uint64_t count = 100;
     std::uint64_t seed = 0;
@@ -71,8 +68,6 @@ main(int argc, char** argv)
         };
         if (a == "--app") {
             app = next();
-        } else if (a == "--load-program") {
-            load_path = next();
         } else if (a == "--skip" || a == "--count" || a == "--seed") {
             const char* text = next();
             std::uint64_t& v = a == "--skip"    ? skip
@@ -86,23 +81,18 @@ main(int argc, char** argv)
             }
         } else {
             std::fprintf(stderr,
-                         "usage: udp_trace [--app NAME|--load-program P] "
+                         "usage: udp_trace [--app NAME] "
                          "[--skip N] [--count N] [--seed N]\n");
             return a == "--help" || a == "-h" ? 0 : 2;
         }
     }
 
     try {
-        Program prog = [&]() {
-            if (!load_path.empty()) {
-                return loadProgramFile(load_path);
-            }
-            Profile p = profileByName(app);
-            if (seed) {
-                p.seed = seed;
-            }
-            return ProgramBuilder::build(p);
-        }();
+        Profile p = profileByName(app);
+        if (seed) {
+            p.seed = seed;
+        }
+        const Program prog = ProgramBuilder::build(p);
 
         std::printf("# %s: %zu instrs, entry %#llx\n", prog.name().c_str(),
                     prog.numInstrs(),
