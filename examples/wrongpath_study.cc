@@ -3,6 +3,8 @@
  * Example: drive the Cpu cycle-by-cycle (the low-level API) and study
  * wrong-path behaviour directly — how often the frontend diverges, how
  * long it stays off-path, and what UDP's confidence estimator sees.
+ * Component counters are cumulative, so the window's numbers are the
+ * differences between two reads of them.
  */
 
 #include <cstdio>
@@ -30,16 +32,19 @@ main()
 
     // Warm up, then observe a window cycle by cycle.
     cpu.runUntilRetired(200'000);
-    cpu.clearStats();
+    const CpuCounters start = cpu.counters();
+    const UdpEngine* udp_engine = cpu.udp();
+    const SeniorityFtqStats seniority_start =
+        udp_engine ? udp_engine->seniorityStats() : SeniorityFtqStats{};
 
     std::uint64_t window_cycles = 200'000;
     for (std::uint64_t i = 0; i < window_cycles; ++i) {
         cpu.cycle();
     }
 
-    const FrontendStats& fe = cpu.frontend().stats();
-    const FdipStats& fdip = cpu.fdip().stats();
-    const UdpEngine* udp_engine = cpu.udp();
+    const CpuCounters window = counterDelta(cpu.counters(), start);
+    const FrontendStats& fe = window.frontend;
+    const FdipStats& fdip = window.fdip;
 
     double off_frac =
         static_cast<double>(fe.offPathInstrs) /
@@ -62,17 +67,18 @@ main()
     if (udp_engine) {
         std::printf("  useful-set learned   : %llu lines "
                     "(seniority matches %llu)\n",
+                    static_cast<unsigned long long>(window.usefulSet.learns),
                     static_cast<unsigned long long>(
-                        udp_engine->usefulSetStats().learns),
-                    static_cast<unsigned long long>(
-                        udp_engine->seniorityStats().matches));
+                        counterDelta(udp_engine->seniorityStats(),
+                                     seniority_start)
+                            .matches));
         std::printf("  UDP storage          : %llu bytes (paper: 8KB)\n",
                     static_cast<unsigned long long>(
                         udp_engine->storageBits() / 8));
     }
     std::printf("  retired              : %llu instrs -> IPC %.3f\n",
-                static_cast<unsigned long long>(cpu.retired()),
-                static_cast<double>(cpu.retired()) /
-                    static_cast<double>(cpu.cyclesSinceClear()));
+                static_cast<unsigned long long>(window.retired),
+                static_cast<double>(window.retired) /
+                    static_cast<double>(window.cycle));
     return 0;
 }

@@ -101,7 +101,6 @@ class Backend
     }
 
     const BackendStats& stats() const { return stats_; }
-    void clearStats() { stats_ = BackendStats(); }
 
     /**
      * Fault-injection hook (sim/faultinject.h): while frozen, retirement
@@ -122,8 +121,10 @@ class Backend
      */
     std::string checkInvariants(bool full) const;
 
-    /** ROB occupancy + oldest-entry summary for diagnostic reports. */
-    std::string dumpState(Cycle now) const;
+    /** ROB occupancy + oldest-entry summary for diagnostic reports. It
+     *  reports @p window_retired as the retired count: Cpu passes
+     *  Cpu::retired(), counted from the measurement window's start. */
+    std::string dumpState(Cycle now, std::uint64_t window_retired) const;
 
   private:
     /**

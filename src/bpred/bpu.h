@@ -112,7 +112,6 @@ class Bpu
     std::uint64_t history64() const { return hist64; }
 
     const BpuStats& stats() const { return stats_; }
-    void clearStats() { stats_ = BpuStats(); }
 
     std::uint64_t storageBits() const;
 

@@ -63,7 +63,6 @@ class Btb
     void insert(Addr pc, BranchKind kind, Addr target);
 
     const BtbStats& stats() const { return stats_; }
-    void clearStats() { stats_ = BtbStats(); }
 
     std::uint64_t storageBits() const;
 

@@ -60,7 +60,6 @@ class Ibtb
     void update(Addr pc, const IbtbPrediction& pred, Addr actual);
 
     const IbtbStats& stats() const { return stats_; }
-    void clearStats() { stats_ = IbtbStats(); }
 
     std::uint64_t storageBits() const;
 

@@ -107,7 +107,6 @@ class SetAssocCache
     bool invalidate(Addr addr);
 
     const CacheStats& stats() const { return stats_; }
-    void clearStats() { stats_ = CacheStats(); }
 
     /** Drops all lines (not the stats). */
     void flush();

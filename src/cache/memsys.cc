@@ -293,16 +293,4 @@ MemSystem::dstore(Addr addr, Cycle now)
     }
 }
 
-void
-MemSystem::clearStats()
-{
-    stats_ = MemSysStats();
-    l1i.clearStats();
-    l1d.clearStats();
-    l2.clearStats();
-    llc.clearStats();
-    l1iMshr.clearStats();
-    streamPf.clearStats();
-}
-
 } // namespace udp

@@ -151,9 +151,6 @@ class MemSystem
     const CacheStats& l1iStats() const { return l1i.stats(); }
     const MshrStats& l1iMshrStats() const { return l1iMshr.stats(); }
 
-    /** Clears all statistics (not cache content) — start of measurement. */
-    void clearStats();
-
     SetAssocCache& icache() { return l1i; }
     const SetAssocCache& icache() const { return l1i; }
     MshrFile& fillBuffer() { return l1iMshr; }

@@ -97,7 +97,6 @@ class MshrFile
     bool full() const { return numFree() == 0; }
 
     const MshrStats& stats() const { return stats_; }
-    void clearStats() { stats_ = MshrStats(); }
 
     /** Records a demand merge on @p e (statistics + flags). */
     void noteDemandMerge(MshrEntry& e, bool on_path);

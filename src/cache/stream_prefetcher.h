@@ -48,7 +48,6 @@ class StreamPrefetcher
     void observe(Addr line, std::vector<Addr>& out);
 
     const StreamPrefetcherStats& stats() const { return stats_; }
-    void clearStats() { stats_ = StreamPrefetcherStats(); }
 
   private:
     struct Stream

@@ -76,7 +76,6 @@ class SeniorityFtq
     std::size_t size() const { return fifo.size(); }
 
     const SeniorityFtqStats& stats() const { return stats_; }
-    void clearStats() { stats_ = SeniorityFtqStats(); }
 
     /** Invariant check (sim/invariants.h): capacity bound and agreement
      *  between the FIFO and its line set. Returns the first violation,

@@ -70,12 +70,4 @@ UdpEngine::storageBits() const
     return set.storageBits() + cfg.seniority.capacity * 40 + 8;
 }
 
-void
-UdpEngine::clearStats()
-{
-    stats_ = UdpStats();
-    set.clearStats();
-    sftq.clearStats();
-}
-
 } // namespace udp

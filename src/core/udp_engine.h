@@ -98,7 +98,6 @@ class UdpEngine
     const UdpStats& stats() const { return stats_; }
     const UsefulSetStats& usefulSetStats() const { return set.stats(); }
     const SeniorityFtqStats& seniorityStats() const { return sftq.stats(); }
-    void clearStats();
 
     /** Telemetry attachment (null = disabled); forwarded to the
      *  useful-set so filter clears surface as trace events. */

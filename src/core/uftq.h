@@ -90,17 +90,15 @@ class UftqController
     /** Telemetry attachment (null = disabled). */
     void setTelemetry(Telemetry* t) { telem_ = t; }
 
-    /** Resets statistics and counter snapshots (measurement start). */
-    void
-    clearStats()
-    {
-        stats_ = UftqStats();
-        lastEmitted = 0;
-        lastUsefulHw = 0;
-        lastUnusedHw = 0;
-        lastL1Hits = 0;
-        lastMshrHits = 0;
-    }
+    /**
+     * Starts a new epoch at the current counters: rebases the five epoch
+     * snapshots to @p mem and @p l1i, discarding the open epoch's
+     * progress. tick() calls it at every epoch boundary. Cpu::clearStats
+     * also calls it at the measurement-window start, so measuring
+     * perturbs UFTQ's epochs; ROADMAP.md, "The model must not read its
+     * own statistics", deletes that call.
+     */
+    void restartEpoch(const MemSysStats& mem, const CacheStats& l1i);
 
   private:
     enum class Phase : std::uint8_t { SearchAur, SearchAtr, Hold };

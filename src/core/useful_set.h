@@ -84,7 +84,6 @@ class UsefulSet
     std::uint64_t storageBits() const;
 
     const UsefulSetStats& stats() const { return stats_; }
-    void clearStats() { stats_ = UsefulSetStats(); }
 
     /** Telemetry attachment (null = disabled). */
     void setTelemetry(Telemetry* t) { telem_ = t; }

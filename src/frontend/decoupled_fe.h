@@ -93,7 +93,6 @@ class DecoupledFrontend
                  std::uint64_t next_stream_idx, bool from_decode);
 
     const FrontendStats& stats() const { return stats_; }
-    void clearStats() { stats_ = FrontendStats(); }
 
     /** Telemetry attachment (null = disabled). */
     void setTelemetry(Telemetry* t) { telem_ = t; }

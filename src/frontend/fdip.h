@@ -58,7 +58,6 @@ class FdipEngine
     void tick(Cycle now);
 
     const FdipStats& stats() const { return stats_; }
-    void clearStats() { stats_ = FdipStats(); }
 
   private:
     void probe(const FtqEntry& e, Cycle now);

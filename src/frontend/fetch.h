@@ -95,7 +95,6 @@ class FetchStage
     void flushAll();
 
     const FetchStats& stats() const { return stats_; }
-    void clearStats() { stats_ = FetchStats(); }
 
     /** Telemetry attachment (null = disabled). */
     void setTelemetry(Telemetry* t) { telem_ = t; }

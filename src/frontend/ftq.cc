@@ -54,12 +54,6 @@ Ftq::flush()
     cursor = 0;
 }
 
-void
-Ftq::clearStats()
-{
-    stats_ = FtqStats();
-}
-
 std::string
 Ftq::checkInvariants(bool full) const
 {

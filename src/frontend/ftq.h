@@ -155,9 +155,7 @@ class Ftq
         ++stats_.occupancySamples;
     }
 
-    FtqStats& stats() { return stats_; }
     const FtqStats& stats() const { return stats_; }
-    void clearStats();
 
     /**
      * Invariant check (sim/invariants.h): size against the physical

@@ -5,8 +5,8 @@
  * Attributes the simulator's *own* wall-clock — where does a simulated
  * cycle's host time go? — to coarse pipeline phases: icache/memory,
  * backend, fetch, branch prediction, prefetcher, other. This is the
- * measurement layer ROADMAP item 1 needs before optimizing the loop:
- * every perf PR can show where time moved, not just how much.
+ * measurement layer behind ROADMAP.md's "Cycle loop: the next targets":
+ * every perf change can show where time moved, not just how much.
  *
  * Design: a phase-SWITCHING timer, not nested scoped timers. Cpu::cycle()
  * calls phase(p) at each section boundary; the elapsed time since the
@@ -112,7 +112,8 @@ class CycleProfiler
      *  cycle; without telemetry the window is one interval. */
     void closeInterval();
 
-    /** Resets the measurement window (Cpu::clearStats). */
+    /** Resets the measurement window (Cpu::clearStats): the profile
+     *  times only the window's cycles. */
     void clearStats();
 
     /** Copy of the window so far; a trailing partial interval is closed

@@ -58,7 +58,6 @@ class Eip
     std::uint64_t storageBits() const;
 
     const EipStats& stats() const { return stats_; }
-    void clearStats() { stats_ = EipStats(); }
 
   private:
     struct Entry

@@ -199,7 +199,7 @@ Cpu::cycle()
     }
 
     // --- hardening: forward-progress watchdog + invariant sweeps --------
-    std::uint64_t retired_now = backend_->retired();
+    std::uint64_t retired_now = retired();
     if (retired_now != lastRetiredSeen_) {
         lastRetiredSeen_ = retired_now;
         lastRetireCycle_ = now_;
@@ -239,7 +239,7 @@ Cpu::cycle()
 void
 Cpu::runUntilRetired(std::uint64_t retire_target)
 {
-    while (backend_->retired() < retire_target) {
+    while (retired() < retire_target) {
         cycle();
     }
 }
@@ -252,7 +252,7 @@ Cpu::dumpState() const
                   "[cpu] cycle=%llu retired=%llu last_retire_cycle=%llu "
                   "(%llu ago)\n",
                   static_cast<unsigned long long>(now_),
-                  static_cast<unsigned long long>(backend_->retired()),
+                  static_cast<unsigned long long>(retired()),
                   static_cast<unsigned long long>(lastRetireCycle_),
                   static_cast<unsigned long long>(now_ - lastRetireCycle_));
     std::string out = head;
@@ -270,7 +270,7 @@ Cpu::dumpState() const
     }
     out += ftq_->dumpState();
     out += fetch_->dumpState(now_);
-    out += backend_->dumpState(now_);
+    out += backend_->dumpState(now_, retired());
     out += mem_->dumpState(now_);
     if (uftq_) {
         char u[64];
@@ -287,29 +287,33 @@ Cpu::dumpState() const
     return out;
 }
 
+CpuCounters
+Cpu::counters() const
+{
+    CpuCounters c;
+    c.cycle = now_;
+    c.retired = backend_->retired();
+    c.mem = mem_->stats();
+    c.l1i = mem_->l1iStats();
+    c.fdip = fdip_->stats();
+    c.fetch = fetch_->stats();
+    c.frontend = fe_->stats();
+    c.bpu = bpu_->stats();
+    c.ftq = ftq_->stats();
+    if (udp_) {
+        c.udp = udp_->stats();
+        c.usefulSet = udp_->usefulSetStats();
+    }
+    return c;
+}
+
 void
 Cpu::clearStats()
 {
-    mem_->clearStats();
-    bpu_->clearStats();
-    bpu_->btb().clearStats();
-    bpu_->ibtb().clearStats();
-    ftq_->clearStats();
-    fe_->clearStats();
-    fetch_->clearStats();
-    fdip_->clearStats();
-    backend_->clearStats();
-    if (udp_) {
-        udp_->clearStats();
-    }
+    windowStart_ = counters();
     if (uftq_) {
-        uftq_->clearStats();
+        uftq_->restartEpoch(mem_->stats(), mem_->l1iStats());
     }
-    if (eip_) {
-        eip_->clearStats();
-    }
-    statsStartCycle_ = now_;
-    lastPfUnused = mem_->l1iStats().prefetchUnused;
     if (telemetry_) {
         telemetry_->clearStats();
         telemetry_->setBaseline(telemetryCounters());

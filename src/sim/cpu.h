@@ -17,6 +17,28 @@
 
 namespace udp {
 
+/**
+ * The cumulative counters a Report is derived from, read at one cycle.
+ * The model never resets them: a measurement window is the difference
+ * of two reads (counterDelta(), stats/stats.h), so every member must stay
+ * a std::uint64_t.
+ */
+struct CpuCounters
+{
+    Cycle cycle = 0;
+    std::uint64_t retired = 0;
+    MemSysStats mem;
+    CacheStats l1i;
+    FdipStats fdip;
+    FetchStats fetch;
+    FrontendStats frontend;
+    BpuStats bpu;
+    FtqStats ftq;
+    /** Zero when UDP is off, like the useful set's below. */
+    UdpStats udp;
+    UsefulSetStats usefulSet;
+};
+
 /** Cycle-level model of the whole system. */
 class Cpu
 {
@@ -31,7 +53,7 @@ class Cpu
      */
     void cycle();
 
-    /** Runs until @p retire_target instructions have retired. */
+    /** Runs until retired() reaches @p retire_target. */
     void runUntilRetired(std::uint64_t retire_target);
 
     /**
@@ -41,13 +63,27 @@ class Cpu
      */
     std::string dumpState() const;
 
-    /** Clears all statistics (start of the measurement window). */
+    /**
+     * Starts the measurement window: records counters() as its start.
+     * No model counter is reset. Telemetry and the profiler restart
+     * their own windows, and UFTQ restarts its epoch
+     * (UftqController::restartEpoch).
+     */
     void clearStats();
+
+    /** The cumulative counters as of now. */
+    CpuCounters counters() const;
+    /** counters() at the last clearStats() (all zero before it). */
+    const CpuCounters& windowStart() const { return windowStart_; }
 
     Cycle now() const { return now_; }
     /** Cycles elapsed since the last clearStats() (measurement window). */
-    Cycle cyclesSinceClear() const { return now_ - statsStartCycle_; }
-    std::uint64_t retired() const { return backend_->retired(); }
+    Cycle cyclesSinceClear() const { return now_ - windowStart_.cycle; }
+    /** Instructions retired since the last clearStats(). */
+    std::uint64_t retired() const
+    {
+        return backend_->retired() - windowStart_.retired;
+    }
 
     const MemSystem& mem() const { return *mem_; }
     const Bpu& bpu() const { return *bpu_; }
@@ -95,7 +131,7 @@ class Cpu
     std::unique_ptr<obs::CycleProfiler> profiler_;
 
     Cycle now_ = 0;
-    Cycle statsStartCycle_ = 0;
+    CpuCounters windowStart_;
     std::uint64_t lastPfUnused = 0; ///< for UDP clear-policy feedback
 
     // Watchdog / diagnostic tracking.

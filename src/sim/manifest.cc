@@ -1,6 +1,7 @@
 #include "sim/manifest.h"
 
 #include <cstdio>
+#include <set>
 
 #include "stats/sink.h"
 
@@ -50,9 +51,7 @@ hashDouble(std::uint64_t* h, double v)
     hashU64(h, bits);
 }
 
-// --- flat-JSON fields: hashes are 16 lowercase hex digits; the extractors
-// find the first "key": field of a single-line object (no nesting, no
-// whitespace around the colon) ----------------------------------------------
+// --- job hashes are 16 lowercase hex digits -------------------------------
 
 std::string
 hexOf(std::uint64_t v)
@@ -79,52 +78,6 @@ hexTo(const std::string& s, std::uint64_t* out)
         } else {
             return false;
         }
-    }
-    *out = v;
-    return true;
-}
-
-bool
-extractString(const std::string& line, const std::string& key,
-              std::string* out)
-{
-    std::string needle = "\"" + key + "\":\"";
-    std::size_t pos = line.find(needle);
-    if (pos == std::string::npos) {
-        return false;
-    }
-    pos += needle.size();
-    std::string raw;
-    while (pos < line.size() && line[pos] != '"') {
-        if (line[pos] == '\\' && pos + 1 < line.size()) {
-            raw += line[pos++];
-        }
-        raw += line[pos++];
-    }
-    if (pos >= line.size()) {
-        return false;
-    }
-    return jsonUnescape(raw, out);
-}
-
-bool
-extractU64(const std::string& line, const std::string& key,
-           std::uint64_t* out)
-{
-    std::string needle = "\"" + key + "\":";
-    std::size_t pos = line.find(needle);
-    if (pos == std::string::npos) {
-        return false;
-    }
-    pos += needle.size();
-    std::uint64_t v = 0;
-    bool any = false;
-    while (pos < line.size() && line[pos] >= '0' && line[pos] <= '9') {
-        v = v * 10 + static_cast<std::uint64_t>(line[pos++] - '0');
-        any = true;
-    }
-    if (!any) {
-        return false;
     }
     *out = v;
     return true;
@@ -191,9 +144,7 @@ manifestEntryToJsonLine(const ManifestEntry& e)
                       ",\"workload\":\"" + jsonEscape(e.workload) +
                       "\",\"config\":\"" + jsonEscape(e.label) + "\"";
     if (e.ok) {
-        // "report" is by construction the last key: the loader slices it
-        // from the first '{' after it to the line's final '}'.
-        out += ",\"status\":\"ok\",\"report\":" + e.reportJson;
+        out += ",\"status\":\"ok\",\"report\":" + reportToJsonLine(e.report);
     } else {
         out += ",\"status\":\"failed\",\"error_kind\":\"" +
                jsonEscape(e.errorKind) + "\"";
@@ -205,41 +156,57 @@ manifestEntryToJsonLine(const ManifestEntry& e)
 bool
 manifestEntryFromJsonLine(const std::string& line, ManifestEntry* out)
 {
-    if (line.empty() || line.front() != '{' || line.back() != '}') {
-        return false;
-    }
     ManifestEntry e;
     std::string hash_hex;
     std::string status;
-    std::uint64_t index = 0;
-    if (!extractString(line, "hash", &hash_hex) ||
-        !hexTo(hash_hex, &e.hash) || !extractU64(line, "index", &index) ||
-        !extractString(line, "workload", &e.workload) ||
-        !extractString(line, "config", &e.label) ||
-        !extractString(line, "status", &status)) {
+    std::string report;
+    std::set<std::string> seen;
+    auto field = [&](const std::string& key, const std::string& value,
+                     JsonKind kind) {
+        std::string* text = key == "hash"         ? &hash_hex
+                            : key == "workload"   ? &e.workload
+                            : key == "config"     ? &e.label
+                            : key == "status"     ? &status
+                            : key == "error_kind" ? &e.errorKind
+                                                  : nullptr;
+        if (text == nullptr && key != "index" && key != "report") {
+            return true; // unknown, such as the "worker" of older runs
+        }
+        // A line spliced from two records can repeat a key.
+        if (!seen.insert(key).second) {
+            return false;
+        }
+        if (text != nullptr) {
+            *text = value;
+            return kind == JsonKind::String;
+        }
+        if (key == "index") {
+            std::uint64_t index = 0;
+            if (kind != JsonKind::Number || !parseCount(value, &index)) {
+                return false;
+            }
+            e.index = static_cast<std::size_t>(index);
+            return true;
+        }
+        report = value;
+        return kind == JsonKind::Object;
+    };
+    if (!walkJsonObject(line, field) || !hexTo(hash_hex, &e.hash)) {
         return false;
     }
-    e.index = index;
+    for (const char* key : {"index", "workload", "config", "status"}) {
+        if (seen.count(key) == 0) {
+            return false;
+        }
+    }
     if (status == "ok") {
-        const std::string needle = "\"report\":";
-        std::size_t pos = line.find(needle);
-        if (pos == std::string::npos) {
-            return false;
-        }
-        pos += needle.size();
-        if (pos >= line.size() || line[pos] != '{') {
-            return false;
-        }
-        // The entry's own closing brace is the line's last byte.
-        e.reportJson = line.substr(pos, line.size() - 1 - pos);
-        if (e.reportJson.empty() || e.reportJson.back() != '}') {
+        // Only a Report's own serialization is accepted, byte for byte.
+        if (!reportFromJsonLine(report, &e.report) ||
+            reportToJsonLine(e.report) != report) {
             return false;
         }
         e.ok = true;
-    } else if (status == "failed") {
-        extractString(line, "error_kind", &e.errorKind);
-        e.ok = false;
-    } else {
+    } else if (status != "failed") {
         return false;
     }
     *out = std::move(e);
@@ -249,17 +216,8 @@ manifestEntryFromJsonLine(const std::string& line, ManifestEntry* out)
 bool
 manifestEntryIsConsistent(const ManifestEntry& e)
 {
-    if (!e.ok) {
-        return true;
-    }
-    Report r;
-    if (!reportFromJsonLine(e.reportJson, &r)) {
-        return false;
-    }
-    if (r.workload != e.workload || r.configName != e.label) {
-        return false;
-    }
-    return reportToJsonLine(r) == e.reportJson;
+    return !e.ok || (e.report.workload == e.workload &&
+                     e.report.configName == e.label);
 }
 
 bool

@@ -40,8 +40,8 @@ struct ManifestEntry
     bool ok = false;
     /** error_kind of a failed entry ("" when ok). */
     std::string errorKind;
-    /** reportToJsonLine() of a completed entry ("" when failed). */
-    std::string reportJson;
+    /** The Report of a completed entry (default when failed). */
+    Report report;
 };
 
 /**
@@ -92,19 +92,23 @@ class SweepManifest
 /** Serializes @p e as one manifest JSON line (no trailing newline). */
 std::string manifestEntryToJsonLine(const ManifestEntry& e);
 
-/** Parses one manifest line; returns false on malformed input. */
+/**
+ * Parses one manifest line with walkJsonObject() (stats/sink.h); returns
+ * false on malformed input. Each known key may appear once, wherever it
+ * stands; unknown keys are ignored. An ok entry's "report" must be a
+ * reportToJsonLine() line byte for byte; it is parsed into
+ * ManifestEntry::report.
+ */
 bool manifestEntryFromJsonLine(const std::string& line, ManifestEntry* out);
 
 /**
- * Deep consistency check for a parsed entry. Failed entries are always
- * consistent; an ok entry must hold a report that (a) round-trips
- * byte-exactly through reportFromJsonLine/reportToJsonLine and (b)
- * carries the entry's own workload and config label. This rejects the
- * one corruption a line-level parser cannot: two writers interleaving
- * on the same file can splice a line that *parses* — one record's
- * prefix (hash, workload) joined to another's report — and without this
- * check such a line would resurrect the wrong Report under a valid
- * hash on resume.
+ * Consistency check for a parsed entry. Failed entries are always
+ * consistent; an ok entry's report must carry the entry's own workload
+ * and config label. This rejects the one corruption a line-level parser
+ * cannot: two writers interleaving on the same file can splice a line
+ * that *parses* — one record's prefix (hash, workload) joined to
+ * another's report — and without this check such a line would
+ * resurrect the wrong Report under a valid hash on resume.
  */
 bool manifestEntryIsConsistent(const ManifestEntry& e);
 

@@ -54,21 +54,21 @@ cachedProgram(const Profile& p)
 } // namespace
 
 Report
-collectReport(const Cpu& cpu, std::string workload, std::string config_name)
+reportFromCounters(const CpuCounters& w, std::string workload,
+                   std::string config_name)
 {
     Report r;
     r.workload = std::move(workload);
     r.configName = std::move(config_name);
 
-    const MemSysStats& m = cpu.mem().stats();
-    const CacheStats& l1i = cpu.mem().l1iStats();
-    const FdipStats& fdip = cpu.fdip().stats();
-    const FetchStats& fs = cpu.fetch().stats();
-    const FrontendStats& fe = cpu.frontend().stats();
-    const BpuStats& bp = cpu.bpu().stats();
+    const MemSysStats& m = w.mem;
+    const CacheStats& l1i = w.l1i;
+    const FdipStats& fdip = w.fdip;
+    const FetchStats& fs = w.fetch;
+    const BpuStats& bp = w.bpu;
 
-    r.instructions = cpu.retired();
-    r.cycles = cpu.cyclesSinceClear();
+    r.instructions = w.retired;
+    r.cycles = w.cycle;
     r.ipc = ratio(static_cast<double>(r.instructions),
                   static_cast<double>(r.cycles));
 
@@ -103,20 +103,26 @@ collectReport(const Cpu& cpu, std::string workload, std::string config_name)
     double useless_hw = static_cast<double>(l1i.prefetchUnused);
     r.usefulnessHw = ratio(useful_hw, useful_hw + useless_hw);
 
-    r.avgFtqOccupancy = cpu.ftq().stats().meanOccupancy();
+    r.avgFtqOccupancy = w.ftq.meanOccupancy();
     r.branchMpki = ratio(static_cast<double>(bp.condMispredicts), kilo);
     r.condMispredictRate =
         ratio(static_cast<double>(bp.condMispredicts),
               static_cast<double>(bp.condPredictions));
-    r.resteers = fe.resteers;
+    r.resteers = w.frontend.resteers;
     r.decodeCorrections = fs.decodeBtbCorrections;
 
-    if (const UdpEngine* u = cpu.udp()) {
-        r.udpDropped = u->stats().droppedFiltered;
-        r.udpFilteredEmits = u->stats().emittedFiltered;
-        r.udpLearned = u->usefulSetStats().learns;
-    }
+    r.udpDropped = w.udp.droppedFiltered;
+    r.udpFilteredEmits = w.udp.emittedFiltered;
+    r.udpLearned = w.usefulSet.learns;
+    return r;
+}
 
+Report
+collectReport(const Cpu& cpu, std::string workload, std::string config_name)
+{
+    Report r =
+        reportFromCounters(counterDelta(cpu.counters(), cpu.windowStart()),
+                           std::move(workload), std::move(config_name));
     if (Telemetry* t = cpu.telemetry()) {
         // Classify still-live prefetches as Pending so the taxonomy
         // identity (timely+late+unused+polluting+pending == issued) holds.

@@ -163,7 +163,19 @@ std::string programKey(const Profile& profile);
  */
 void prewarmProgram(const Profile& profile);
 
-/** Collects a Report from an already-run Cpu measurement window. */
+/**
+ * The Report of the window whose counts are @p window: the difference
+ * of two Cpu::counters() reads (counterDelta(), stats/stats.h). Carries
+ * no telemetry or profile.
+ */
+Report reportFromCounters(const CpuCounters& window, std::string workload,
+                          std::string config_name);
+
+/**
+ * Collects the Report of @p cpu's measurement window: reportFromCounters()
+ * of the counters since the last Cpu::clearStats(), plus the window's
+ * telemetry and profile when those are enabled.
+ */
 Report collectReport(const Cpu& cpu, std::string workload,
                      std::string config_name);
 

@@ -30,8 +30,8 @@ struct WatchdogConfig
      *  SimHang (kind retire_stall). 0 disables the stall watchdog. */
     Cycle retireStallCycles = 100'000;
     /** Absolute cycle budget for the whole run; exceeding it throws
-     *  SimHang (kind cycle_budget). 0 = unlimited. Sweeps can set this
-     *  per job via SweepOptions::jobCycleBudget. */
+     *  SimHang (kind cycle_budget). 0 = unlimited. Each sweep job carries
+     *  its own in SweepJob::config. */
     Cycle maxCycles = 0;
     /** Cycles between always-on cheap invariant sweeps. 0 disables
      *  periodic sweeps (UDP_CHECK builds still run the full sweep). */

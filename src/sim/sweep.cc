@@ -96,17 +96,13 @@ class SignalGuard
 };
 
 /**
- * Runs one job to a JobResult under @p opts: the watchdog budget, the
- * retry loop, optional fork isolation and structured error capture.
+ * Runs one job to a JobResult under @p opts: the retry loop, optional
+ * fork isolation and structured error capture.
  */
 JobResult
-runJobChecked(const SweepJob& jobIn, const SweepOptions& opts)
+runJobChecked(const SweepJob& job, const SweepOptions& opts)
 {
     JobResult jr;
-    SweepJob job = jobIn; // local copy: the budget edit is per execution
-    if (opts.jobCycleBudget != 0 && job.config.watchdog.maxCycles == 0) {
-        job.config.watchdog.maxCycles = opts.jobCycleBudget;
-    }
     const unsigned maxAttempts = opts.maxAttempts == 0 ? 1 : opts.maxAttempts;
 
     for (unsigned attempt = 1; attempt <= maxAttempts && !jr.ok; ++attempt) {
@@ -211,11 +207,7 @@ runSweepChecked(const std::vector<SweepJob>& jobs, const SweepOptions& opts)
                     // record's fields; never replay it — re-run instead.
                     continue;
                 }
-                Report r;
-                if (!reportFromJsonLine(e->reportJson, &r)) {
-                    continue; // unreadable record: just re-run the job
-                }
-                results[i].report = std::move(r);
+                results[i].report = e->report;
                 results[i].ok = true;
                 results[i].resumed = true;
                 results[i].attempts = 0;
@@ -354,7 +346,7 @@ runSweepChecked(const std::vector<SweepJob>& jobs, const SweepOptions& opts)
             e.label = jobs[i].label;
             e.ok = jr.ok;
             if (jr.ok) {
-                e.reportJson = reportToJsonLine(jr.report);
+                e.report = jr.report;
             } else {
                 e.errorKind = jr.error.kind;
             }

@@ -129,10 +129,6 @@ struct SweepOptions
      *  times before its failure is recorded. Retries target transient
      *  host-level faults; a deterministic SimError will simply recur. */
     unsigned maxAttempts = 1;
-    /** Per-job cycle budget: installed as watchdog.maxCycles on every job
-     *  whose config leaves it 0, so one pathological sweep point cannot
-     *  hang the batch. 0 = leave each job's configuration alone. */
-    Cycle jobCycleBudget = 0;
 
     // --- process isolation (docs/ROBUSTNESS.md, "Isolated execution") ---
     /** Run every job in a forked child process (sim/procexec.h): a

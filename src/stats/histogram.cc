@@ -1,42 +1,6 @@
 #include "stats/histogram.h"
 
-#include <algorithm>
-#include <cstdio>
-
 namespace udp {
-
-void
-Distribution::merge(const Distribution& other)
-{
-    if (other.n_ == 0) {
-        return;
-    }
-    std::size_t common = std::min(buckets_.size(), other.buckets_.size());
-    for (std::size_t i = 0; i < common; ++i) {
-        buckets_[i] += other.buckets_[i];
-    }
-    // Geometry mismatch: spill the remainder into the overflow bucket so
-    // count() stays exact.
-    for (std::size_t i = common; i < other.buckets_.size(); ++i) {
-        buckets_.back() += other.buckets_[i];
-    }
-    if (n_ == 0 || other.min_ < min_) {
-        min_ = other.min_;
-    }
-    max_ = std::max(max_, other.max_);
-    sum_ += other.sum_;
-    n_ += other.n_;
-}
-
-void
-Distribution::clear()
-{
-    std::fill(buckets_.begin(), buckets_.end(), 0);
-    sum_ = 0;
-    n_ = 0;
-    min_ = 0;
-    max_ = 0;
-}
 
 std::vector<std::pair<std::string, double>>
 Distribution::summarize(const std::string& prefix) const
@@ -51,32 +15,6 @@ Distribution::summarize(const std::string& prefix) const
         {prefix + "_p90", static_cast<double>(percentile(0.90))},
         {prefix + "_p99", static_cast<double>(percentile(0.99))},
     };
-}
-
-std::string
-Distribution::toString(const std::string& name) const
-{
-    char head[160];
-    std::snprintf(head, sizeof(head),
-                  "%s: n=%llu mean=%.2f min=%llu max=%llu p50=%llu "
-                  "p99=%llu\n",
-                  name.c_str(), static_cast<unsigned long long>(n_), mean(),
-                  static_cast<unsigned long long>(min()),
-                  static_cast<unsigned long long>(max_),
-                  static_cast<unsigned long long>(percentile(0.5)),
-                  static_cast<unsigned long long>(percentile(0.99)));
-    std::string out = head;
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-        if (buckets_[i] == 0) {
-            continue;
-        }
-        char row[96];
-        std::snprintf(row, sizeof(row), "  [%llu..] %llu\n",
-                      static_cast<unsigned long long>(bucketLow(i)),
-                      static_cast<unsigned long long>(buckets_[i]));
-        out += row;
-    }
-    return out;
 }
 
 } // namespace udp

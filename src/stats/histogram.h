@@ -27,8 +27,8 @@ enum class BucketScale : std::uint8_t {
 
 /**
  * Histogram over unsigned sample values with either linear or logarithmic
- * buckets. Cheap to sample (one array increment plus running sum/min/max),
- * mergeable across instances, and summarizable into scalar stats.
+ * buckets. Cheap to sample (one array increment plus running sum/min/max)
+ * and summarizable into scalar stats.
  */
 class Distribution
 {
@@ -129,11 +129,6 @@ class Distribution
         return bucketLow(buckets_.size() - 1);
     }
 
-    /** Merges @p other (same scale/geometry expected) into this. */
-    void merge(const Distribution& other);
-
-    void clear();
-
     /**
      * Schema-stable scalar summary: "<prefix>_count", "_sum", "_mean",
      * "_min", "_max", "_p50", "_p90", "_p99" (docs/TELEMETRY.md). The
@@ -141,9 +136,6 @@ class Distribution
      */
     std::vector<std::pair<std::string, double>>
     summarize(const std::string& prefix) const;
-
-    /** Human-readable multi-line bucket rendering (debug prints). */
-    std::string toString(const std::string& name) const;
 
   private:
     BucketScale scale_;

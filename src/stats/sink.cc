@@ -246,15 +246,25 @@ setReportStat(Report* r, const std::string& key, double v)
     return true;
 }
 
-/** Scans a quoted JSON string starting at s[pos] == '"'; leaves pos one
- *  past the closing quote and returns the unescaped content. */
+/** Parses all of @p text as one number of type T. */
+template <class T>
 bool
-scanJsonString(const std::string& s, std::size_t* pos, std::string* out)
+parseNumber(const std::string& text, T* out)
+{
+    std::from_chars_result res =
+        std::from_chars(text.data(), text.data() + text.size(), *out);
+    return res.ec == std::errc{} && res.ptr == text.data() + text.size();
+}
+
+/** Moves @p pos from the opening quote at s[pos] to one past the
+ *  closing quote; false when the string does not close. */
+bool
+skipJsonString(const std::string& s, std::size_t* pos)
 {
     if (*pos >= s.size() || s[*pos] != '"') {
         return false;
     }
-    std::size_t start = ++*pos;
+    ++*pos;
     while (*pos < s.size() && s[*pos] != '"') {
         if (s[*pos] == '\\') {
             ++*pos; // skip the escaped character (covers \")
@@ -264,21 +274,50 @@ scanJsonString(const std::string& s, std::size_t* pos, std::string* out)
     if (*pos >= s.size()) {
         return false;
     }
-    std::string raw = s.substr(start, *pos - start);
     ++*pos; // closing quote
-    return jsonUnescape(raw, out);
+    return true;
 }
 
-/**
- * Walks the flat JSON object that is all of @p line: "{", then
- * "key":value pairs separated by commas, then "}" as the last byte. Each
- * pair goes to @p field(key, value, quoted): a string value unescaped
- * (quoted = true) or a number's text. False when the line is anything
- * else or @p field rejects a pair.
- */
-template <class Field>
+/** Scans a quoted JSON string starting at s[pos] == '"'; leaves pos one
+ *  past the closing quote and returns the unescaped content. */
 bool
-walkJsonObject(const std::string& line, Field&& field)
+scanJsonString(const std::string& s, std::size_t* pos, std::string* out)
+{
+    const std::size_t start = *pos + 1;
+    return skipJsonString(s, pos) &&
+           jsonUnescape(s.substr(start, *pos - 1 - start), out);
+}
+
+/** Scans the object starting at s[pos] == '{' to its matching '}',
+ *  skipping strings, so braces inside them do not count; leaves pos one
+ *  past it and returns its raw text. */
+bool
+scanJsonObject(const std::string& s, std::size_t* pos, std::string* out)
+{
+    const std::size_t start = *pos;
+    std::size_t depth = 0;
+    while (*pos < s.size()) {
+        if (s[*pos] == '"') {
+            if (!skipJsonString(s, pos)) {
+                return false;
+            }
+            continue;
+        }
+        const char c = s[(*pos)++];
+        if (c == '{') {
+            ++depth;
+        } else if (c == '}' && --depth == 0) {
+            *out = s.substr(start, *pos - start);
+            return true;
+        }
+    }
+    return false;
+}
+
+} // namespace
+
+bool
+walkJsonObject(const std::string& line, const JsonField& field)
 {
     if (line.size() < 2 || line[0] != '{') {
         return false;
@@ -295,9 +334,15 @@ walkJsonObject(const std::string& line, Field&& field)
         }
         ++pos;
         std::string value;
-        const bool quoted = pos < line.size() && line[pos] == '"';
-        if (quoted) {
+        JsonKind kind = JsonKind::Number;
+        if (pos < line.size() && line[pos] == '"') {
+            kind = JsonKind::String;
             if (!scanJsonString(line, &pos, &value)) {
+                return false;
+            }
+        } else if (pos < line.size() && line[pos] == '{') {
+            kind = JsonKind::Object;
+            if (!scanJsonObject(line, &pos, &value)) {
                 return false;
             }
         } else {
@@ -308,7 +353,7 @@ walkJsonObject(const std::string& line, Field&& field)
             value = line.substr(pos, end - pos);
             pos = end;
         }
-        if (!field(key, value, quoted) || pos >= line.size()) {
+        if (!field(key, value, kind) || pos >= line.size()) {
             return false;
         }
         if (line[pos] == '}') {
@@ -321,31 +366,20 @@ walkJsonObject(const std::string& line, Field&& field)
     }
 }
 
-/** Parses all of @p text as one number of type T. */
-template <class T>
-bool
-parseNumber(const std::string& text, T* out)
-{
-    std::from_chars_result res =
-        std::from_chars(text.data(), text.data() + text.size(), *out);
-    return res.ec == std::errc{} && res.ptr == text.data() + text.size();
-}
-
-} // namespace
-
 bool
 reportFromJsonLine(const std::string& line, Report* out)
 {
     Report r;
     auto field = [&r](const std::string& key, const std::string& value,
-                      bool quoted) {
+                      JsonKind kind) {
         if (key == "workload" || key == "config") {
             (key == "workload" ? r.workload : r.configName) = value;
-            return quoted;
+            return kind == JsonKind::String;
         }
         double v = 0.0;
         // An unknown key, or a failure row ("error_kind"), is rejected.
-        return !quoted && parseNumber(value, &v) && setReportStat(&r, key, v);
+        return kind == JsonKind::Number && parseNumber(value, &v) &&
+               setReportStat(&r, key, v);
     };
     if (!walkJsonObject(line, field)) {
         return false;
@@ -381,7 +415,7 @@ failureFromJsonLine(const std::string& line, std::string* workload,
     JobError e;
     bool tagged = false;
     auto field = [&](const std::string& key, const std::string& value,
-                     bool quoted) {
+                     JsonKind kind) {
         std::string* text = key == "workload"      ? workload
                             : key == "config"      ? config
                             : key == "error_kind"  ? &e.kind
@@ -394,9 +428,9 @@ failureFromJsonLine(const std::string& line, std::string* workload,
         if (text != nullptr) {
             tagged = tagged || key == "error_kind";
             *text = value;
-            return quoted;
+            return kind == JsonKind::String;
         }
-        if (quoted) {
+        if (kind != JsonKind::Number) {
             return false;
         }
         if (key == "attempts") {

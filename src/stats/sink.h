@@ -12,7 +12,9 @@
 #ifndef UDP_STATS_SINK_H
 #define UDP_STATS_SINK_H
 
+#include <cstdint>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -34,6 +36,28 @@ std::string jsonEscape(const std::string& s);
 
 /** Inverse of jsonEscape(); returns false on a malformed escape. */
 bool jsonUnescape(const std::string& s, std::string* out);
+
+/** What walkJsonObject() hands over as one pair's value. */
+enum class JsonKind : std::uint8_t {
+    Number, ///< the number's text
+    String, ///< the string, unescaped
+    Object, ///< a nested object's raw text, braces included
+};
+
+/** Receives one key/value pair of walkJsonObject(); false rejects it. */
+using JsonField = std::function<bool(const std::string& key,
+                                     const std::string& value,
+                                     JsonKind kind)>;
+
+/**
+ * Walks the JSON object that is all of @p line: "{", then "key":value
+ * pairs separated by commas, then "}" as the last byte, with no
+ * whitespace between tokens. Each pair goes to @p field. A nested
+ * object ends at its matching brace; braces inside its strings do not
+ * count. False when the line is anything else or @p field rejects a
+ * pair. The one JSON reader of the report, failure and manifest lines.
+ */
+bool walkJsonObject(const std::string& line, const JsonField& field);
 
 /**
  * The failure row of one sweep point (docs/ROBUSTNESS.md has the schema

@@ -22,12 +22,11 @@ StatSet::add(std::string name, double value)
 }
 
 void
-StatSet::addDistribution(std::string name, const Distribution& d)
+StatSet::addDistribution(const std::string& name, const Distribution& d)
 {
     for (auto& [key, value] : d.summarize(name)) {
         add(std::move(key), value);
     }
-    dists.emplace_back(std::move(name), d);
 }
 
 double
@@ -61,9 +60,6 @@ StatSet::toString() const
     std::ostringstream os;
     for (const auto& [n, v] : items) {
         os << n << " = " << v << '\n';
-    }
-    for (const auto& [n, d] : dists) {
-        os << d.toString(n);
     }
     return os.str();
 }

@@ -2,19 +2,22 @@
  * @file
  * Lightweight named-statistics support.
  *
- * Components keep plain uint64_t members for speed and export them into a
- * StatSet when a report is requested. StatSet supports dump/diff so benches
- * can measure post-warmup windows. Besides scalars, a StatSet can carry
- * Distribution stats (stats/histogram.h): addDistribution() flattens the
- * histogram into schema-stable scalar summary entries for the sinks while
- * keeping the full bucketed form accessible via distributions().
+ * Components keep plain uint64_t counters that only ever grow; a
+ * measurement window is the difference of two reads (counterDelta()).
+ * Results are exported into a StatSet when a report is requested. Besides
+ * scalars, a StatSet takes Distribution stats (stats/histogram.h):
+ * addDistribution() flattens the histogram into schema-stable scalar
+ * summary entries for the sinks.
  */
 
 #ifndef UDP_STATS_STATS_H
 #define UDP_STATS_STATS_H
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -37,9 +40,9 @@ class StatSet
     /**
      * Adds a Distribution stat: appends its scalar summary entries
      * ("<name>_count", "_sum", "_mean", "_min", "_max", "_p50", "_p90",
-     * "_p99") and retains the full histogram (see distributions()).
+     * "_p99").
      */
-    void addDistribution(std::string name, const Distribution& d);
+    void addDistribution(const std::string& name, const Distribution& d);
 
     /** Value lookup; returns 0 and sets @p found=false when missing. */
     double get(const std::string& name, bool* found = nullptr) const;
@@ -52,20 +55,34 @@ class StatSet
         return items;
     }
 
-    /** Full bucketed distributions added via addDistribution(). */
-    const std::vector<std::pair<std::string, Distribution>>&
-    distributions() const
-    {
-        return dists;
-    }
-
-    /** Renders "name = value" lines (plus distribution buckets). */
+    /** Renders "name = value" lines. */
     std::string toString() const;
 
   private:
     std::vector<std::pair<std::string, double>> items;
-    std::vector<std::pair<std::string, Distribution>> dists;
 };
+
+/**
+ * Field-wise @p a - @p b of a counter struct whose every member is a
+ * std::uint64_t (the components' *Stats structs, Cpu's CpuCounters): the
+ * counts of the window between two reads of the same cumulative counters.
+ */
+template <class Counters>
+Counters
+counterDelta(const Counters& a, const Counters& b)
+{
+    constexpr std::size_t n = sizeof(Counters) / sizeof(std::uint64_t);
+    static_assert(sizeof(Counters) == n * sizeof(std::uint64_t) &&
+                      std::has_unique_object_representations_v<Counters>,
+                  "a counter struct holds std::uint64_t members only");
+    using Words = std::array<std::uint64_t, n>;
+    Words diff = std::bit_cast<Words>(a);
+    const Words base = std::bit_cast<Words>(b);
+    for (std::size_t i = 0; i < n; ++i) {
+        diff[i] -= base[i];
+    }
+    return std::bit_cast<Counters>(diff);
+}
 
 /** Safe ratio helper: returns 0 when the denominator is 0. */
 inline double

@@ -75,24 +75,4 @@ Table::toAscii() const
     return os.str();
 }
 
-std::string
-Table::toCsv() const
-{
-    std::ostringstream os;
-    auto emit_row = [&](const std::vector<std::string>& row) {
-        for (std::size_t c = 0; c < row.size(); ++c) {
-            if (c) {
-                os << ',';
-            }
-            os << row[c];
-        }
-        os << '\n';
-    };
-    emit_row(head);
-    for (const auto& row : rows) {
-        emit_row(row);
-    }
-    return os.str();
-}
-
 } // namespace udp

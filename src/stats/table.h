@@ -1,6 +1,6 @@
 /**
  * @file
- * ASCII/CSV table rendering used by the benchmark harness to print
+ * ASCII table rendering used by the benchmark harness to print
  * paper-style rows and series.
  */
 
@@ -14,8 +14,7 @@ namespace udp {
 
 /**
  * A simple column-aligned table. Cells are strings; numeric helpers format
- * with fixed precision. Render as aligned ASCII (for humans) or CSV (for
- * scripted plotting).
+ * with fixed precision. Renders as aligned ASCII.
  */
 class Table
 {
@@ -35,13 +34,8 @@ class Table
     void cell(std::uint64_t v);
     void cell(int v);
 
-    std::size_t numRows() const { return rows.size(); }
-
     /** Aligned ASCII rendering including a header separator. */
     std::string toAscii() const;
-
-    /** Comma-separated rendering. */
-    std::string toCsv() const;
 
   private:
     std::vector<std::string> head;

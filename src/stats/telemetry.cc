@@ -315,7 +315,6 @@ Telemetry::clearStats()
 {
     acc_ = TelemetrySnapshot{};
     live_.clear();
-    windowStart_ = now_;
     intervalStart_ = now_;
     intervalIndex_ = 0;
     ftqOccSum_ = 0;

@@ -174,10 +174,10 @@ class Telemetry
     };
     void closeInterval(const IntervalCounters& c);
     /** Seeds the interval-delta baseline with the current cumulative
-     *  counters. Cpu::clearStats calls it right after the
-     *  measurement-window clear, which zeroes every counter here
-     *  (Backend::clearStats resets retired() too), so the first
-     *  interval's deltas start from the window's own counts. */
+     *  counters. Cpu::clearStats calls it right after clearStats() below
+     *  has dropped the baseline with the rest of the window state: the
+     *  model's counters keep counting across the window start, so the
+     *  first interval's deltas are taken from their values there. */
     void setBaseline(const IntervalCounters& c) { prev_ = c; }
 
     // ----- prefetch lifecycle hooks ---------------------------------------
@@ -236,7 +236,6 @@ class Telemetry
     std::unordered_map<Addr, PfRec> live_;
 
     Cycle now_ = 0;
-    Cycle windowStart_ = 0;
     Cycle intervalStart_ = 0;
     std::uint64_t intervalIndex_ = 0;
 

@@ -560,17 +560,5 @@ TEST(MemSystem, DramBandwidthSerializes)
     EXPECT_GE(r2, r1 + cfg.memCyclesPerLine - 1);
 }
 
-TEST(MemSystem, ClearStatsKeepsContent)
-{
-    MemSystem mem{MemSysConfig{}};
-    mem.ifetch(0x400000, 10, true);
-    for (Cycle t = 10; t < 600; ++t) {
-        mem.tick(t);
-    }
-    mem.clearStats();
-    EXPECT_EQ(mem.stats().ifetchAccesses, 0u);
-    EXPECT_TRUE(mem.icacheContains(0x400000));
-}
-
 } // namespace
 } // namespace udp

@@ -342,12 +342,13 @@ TEST(SweepChecked, StderrLinesAreWholeAndEndWithTheFinalProgress)
 
 TEST(SweepChecked, JobCycleBudgetBoundsAHangingJob)
 {
-    // The job's own watchdog is fully disabled: without the sweep-level
-    // budget this job would hang the batch forever.
+    // The stall watchdog and the invariant sweeps are off: without its
+    // cycle budget this job would hang the batch forever.
     RunOptions o = tinyOptions();
     SimConfig bad = presets::fdipBaseline();
     bad.watchdog.retireStallCycles = 0;
     bad.watchdog.invariantPeriod = 0;
+    bad.watchdog.maxCycles = 20'000;
     bad.fault.kind = FaultKind::FreezeRetire;
     bad.fault.triggerCycle = 500;
 
@@ -356,7 +357,6 @@ TEST(SweepChecked, JobCycleBudgetBoundsAHangingJob)
     SweepOptions opts;
     opts.numThreads = 1;
     opts.quiet = true;
-    opts.jobCycleBudget = 20'000;
     std::vector<JobResult> results = runSweepChecked(jobs, opts);
     ASSERT_FALSE(results[0].ok);
     EXPECT_EQ(results[0].error.kind, "cycle_budget");

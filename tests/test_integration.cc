@@ -207,9 +207,22 @@ TEST(Integration, StatsClearGivesCleanWindow)
     }();
     Cpu cpu(prog, presets::fdipBaseline());
     cpu.runUntilRetired(50'000);
+    const CpuCounters before = cpu.counters();
     cpu.clearStats();
     EXPECT_EQ(cpu.retired(), 0u);
     EXPECT_EQ(cpu.cyclesSinceClear(), 0u);
+    // The window starts at a snapshot: every component counter survives.
+    EXPECT_EQ(cpu.windowStart().cycle, cpu.now());
+    EXPECT_EQ(cpu.backend().stats().retired, before.retired);
+    EXPECT_GE(before.retired, 50'000u);
+    EXPECT_EQ(cpu.mem().stats().ifetchAccesses, before.mem.ifetchAccesses);
+    EXPECT_GT(before.mem.ifetchAccesses, 0u);
+    EXPECT_EQ(cpu.fdip().stats().emitted, before.fdip.emitted);
+    EXPECT_GT(before.fdip.emitted, 0u);
+    EXPECT_EQ(cpu.bpu().stats().condPredictions, before.bpu.condPredictions);
+    EXPECT_GT(before.bpu.condPredictions, 0u);
+    EXPECT_EQ(cpu.ftq().stats().occupancySamples, before.ftq.occupancySamples);
+    EXPECT_EQ(cpu.ftq().stats().occupancySamples, cpu.now());
     cpu.runUntilRetired(10'000);
     Report r = collectReport(cpu, "drupal", "window");
     EXPECT_GE(r.instructions, 10'000u);

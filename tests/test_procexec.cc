@@ -256,7 +256,7 @@ TEST(Manifest, EntryRoundTrips)
     ok.workload = "app";
     ok.label = "cfg \"quoted\"";
     ok.ok = true;
-    ok.reportJson = reportToJsonLine(r);
+    ok.report = r;
 
     ManifestEntry parsed;
     ASSERT_TRUE(
@@ -266,7 +266,7 @@ TEST(Manifest, EntryRoundTrips)
     EXPECT_EQ(parsed.workload, ok.workload);
     EXPECT_EQ(parsed.label, ok.label);
     EXPECT_TRUE(parsed.ok);
-    EXPECT_EQ(parsed.reportJson, ok.reportJson);
+    EXPECT_EQ(reportToJsonLine(parsed.report), reportToJsonLine(r));
 
     ManifestEntry failed;
     failed.hash = 42;
@@ -279,7 +279,7 @@ TEST(Manifest, EntryRoundTrips)
                                           &parsed));
     EXPECT_FALSE(parsed.ok);
     EXPECT_EQ(parsed.errorKind, "crash");
-    EXPECT_EQ(parsed.reportJson, "");
+    EXPECT_EQ(reportToJsonLine(parsed.report), reportToJsonLine(Report{}));
 
     // A line with the "worker" key that distributed workers used to
     // write still parses, so their manifests still resume.
@@ -292,8 +292,28 @@ TEST(Manifest, EntryRoundTrips)
     EXPECT_EQ(parsed.workload, ok.workload);
     EXPECT_EQ(parsed.label, ok.label);
     EXPECT_TRUE(parsed.ok);
-    EXPECT_EQ(parsed.reportJson, ok.reportJson);
+    EXPECT_EQ(reportToJsonLine(parsed.report), reportToJsonLine(r));
     EXPECT_TRUE(manifestEntryIsConsistent(parsed));
+
+    // Keys are read by position in the object, not by the first match in
+    // the text: with the report ahead of them, the entry's own workload
+    // and config still win over the report's.
+    ok.report.workload = "other";
+    ok.report.configName = "other cfg";
+    std::string reordered = "{\"report\":" + reportToJsonLine(ok.report) +
+                            ",\"hash\":\"0123456789abcdef\",\"index\":7,"
+                            "\"workload\":\"app\",\"config\":\"cfg\","
+                            "\"status\":\"ok\"}";
+    ASSERT_TRUE(manifestEntryFromJsonLine(reordered, &parsed)) << reordered;
+    EXPECT_EQ(parsed.workload, "app");
+    EXPECT_EQ(parsed.label, "cfg");
+    EXPECT_EQ(parsed.report.workload, "other");
+    EXPECT_FALSE(manifestEntryIsConsistent(parsed));
+
+    // A repeated key, as a splice of two records can leave, is malformed.
+    line = manifestEntryToJsonLine(failed);
+    line.insert(line.find(status), ",\"hash\":\"000000000000002a\"");
+    EXPECT_FALSE(manifestEntryFromJsonLine(line, &parsed)) << line;
 }
 
 TEST(Manifest, TruncatedFinalLineIsSkippedOnLoad)
@@ -309,7 +329,7 @@ TEST(Manifest, TruncatedFinalLineIsSkippedOnLoad)
     e.workload = "app";
     e.label = "cfg";
     e.ok = true;
-    e.reportJson = reportToJsonLine(r);
+    e.report = r;
 
     std::string full = manifestEntryToJsonLine(e);
     {
@@ -347,7 +367,7 @@ fuzzEntry(std::uint64_t hash, unsigned id)
     e.workload = r.workload;
     e.label = r.configName;
     e.ok = true;
-    e.reportJson = reportToJsonLine(r);
+    e.report = r;
     return e;
 }
 
@@ -373,7 +393,7 @@ TEST(Manifest, SplicedLineFromTwoWritersIsRejected)
     ASSERT_TRUE(manifestEntryFromJsonLine(spliced, &parsed))
         << "the splice is supposed to parse — that is the point";
     EXPECT_EQ(parsed.hash, a.hash);
-    EXPECT_EQ(parsed.reportJson, b.reportJson);
+    EXPECT_EQ(reportToJsonLine(parsed.report), reportToJsonLine(b.report));
     EXPECT_FALSE(manifestEntryIsConsistent(parsed));
 
     // Untampered entries pass.
@@ -465,9 +485,10 @@ TEST(Manifest, ConcurrentWriterFuzzReplaysExactlyTheCompletedSet)
             if (completed.count(h) != 0) {
                 ASSERT_NE(hit, nullptr) << "seed " << seed << " hash " << h;
                 // Replayed byte-exactly, not merely present.
-                EXPECT_EQ(hit->reportJson,
-                          entries[static_cast<std::size_t>(h - 1000)]
-                              .reportJson)
+                EXPECT_EQ(reportToJsonLine(hit->report),
+                          reportToJsonLine(
+                              entries[static_cast<std::size_t>(h - 1000)]
+                                  .report))
                     << "seed " << seed;
             } else {
                 EXPECT_EQ(hit, nullptr)

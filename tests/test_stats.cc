@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for the stats module (StatSet, Table, ratio helper).
+ * Unit tests for the stats module (StatSet, Table, ratio helper,
+ * counterDelta).
  */
 
 #include <gtest/gtest.h>
@@ -55,6 +56,22 @@ TEST(Ratio, HandlesZeroDenominator)
     EXPECT_DOUBLE_EQ(ratio(5, 10), 0.5);
 }
 
+TEST(CounterDelta, SubtractsEveryFieldAcrossAWrap)
+{
+    struct Counts
+    {
+        std::uint64_t a = 0;
+        std::uint64_t b = 0;
+        std::uint64_t c = 0;
+    };
+    Counts start{5, ~std::uint64_t{0}, 7};
+    Counts now{12, 3, 7};
+    Counts d = counterDelta(now, start);
+    EXPECT_EQ(d.a, 7u);
+    EXPECT_EQ(d.b, 4u); // unsigned wrap keeps the difference exact
+    EXPECT_EQ(d.c, 0u);
+}
+
 TEST(Table, AsciiRendering)
 {
     Table t({"name", "value"});
@@ -67,34 +84,13 @@ TEST(Table, AsciiRendering)
     EXPECT_NE(out.find("3.14"), std::string::npos);
 }
 
-TEST(Table, CsvRendering)
-{
-    Table t({"a", "b"});
-    t.beginRow();
-    t.cell(std::uint64_t{1});
-    t.cell(std::uint64_t{2});
-    EXPECT_EQ(t.toCsv(), "a,b\n1,2\n");
-}
-
-TEST(Table, NumRows)
-{
-    Table t({"x"});
-    EXPECT_EQ(t.numRows(), 0u);
-    t.beginRow();
-    t.cell(1);
-    t.beginRow();
-    t.cell(2);
-    EXPECT_EQ(t.numRows(), 2u);
-}
-
 TEST(Table, IntCells)
 {
     Table t({"i", "u"});
     t.beginRow();
     t.cell(-5);
     t.cell(std::uint64_t{99});
-    std::string csv = t.toCsv();
-    EXPECT_NE(csv.find("-5,99"), std::string::npos);
+    EXPECT_EQ(t.toAscii(), "i   u   \n--------\n-5  99  \n");
 }
 
 } // namespace
