@@ -6,6 +6,8 @@
  *                                    [--json out.jsonl] [--csv out.csv]
  *                                    [--isolate] [--wall-sec X] [--resume]
  *   app defaults to "clang"; any of the ten datacenter profiles works.
+ *   The window is 250K warmup + 400K measured instructions unless
+ *   UDP_BENCH_WARMUP / UDP_BENCH_INSTR or measure_instrs say otherwise.
  *
  * Demonstrates the preset configurations (no prefetch, FDIP, UDP, UFTQ,
  * EIP, perfect icache), the parallel sweep runner (UDP_JOBS workers), the
@@ -63,9 +65,9 @@ main(int argc, char** argv)
             positional.push_back(std::move(a));
         }
     }
-    RunOptions opts;
-    opts.warmupInstrs = 250'000;
-    opts.measureInstrs = 400'000;
+    // UDP_BENCH_WARMUP / UDP_BENCH_INSTR set the window, as for every
+    // bench; measure_instrs overrides the measured part.
+    RunOptions opts = envRunOptions({250'000, 400'000});
     if (!positional.empty()) {
         app = positional[0];
     }
@@ -158,8 +160,12 @@ main(int argc, char** argv)
         t.cell(r.usefulness, 2);
     }
 
-    std::printf("workload: %s (code %u KB)\n\n%s", prof.name.c_str(),
-                prof.codeFootprintKB, t.toAscii().c_str());
+    std::printf("workload: %s (code %u KB), window %llu warmup + %llu "
+                "measured instrs\n\n%s",
+                prof.name.c_str(), prof.codeFootprintKB,
+                static_cast<unsigned long long>(opts.warmupInstrs),
+                static_cast<unsigned long long>(opts.measureInstrs),
+                t.toAscii().c_str());
     std::printf("\n(speedup%% is relative to fdip-32; rows above it show 0)\n");
 
     ReportSink sink;

@@ -562,14 +562,14 @@ Backend::checkInvariants(bool full) const
 }
 
 std::string
-Backend::dumpState(Cycle now, std::uint64_t window_retired) const
+Backend::dumpState(Cycle now) const
 {
     char buf[256];
     if (robCount == 0) {
         std::snprintf(buf, sizeof(buf),
                       "[rob] occupancy=0/%u retired=%llu frozen=%d\n",
                       cfg.robSize,
-                      static_cast<unsigned long long>(window_retired),
+                      static_cast<unsigned long long>(stats_.retired),
                       retireFrozen ? 1 : 0);
         return buf;
     }
@@ -580,7 +580,7 @@ Backend::dumpState(Cycle now, std::uint64_t window_retired) const
         "oldest={pc=0x%llx age=%llu issued=%d completed=%d "
         "mispredicted=%d}\n",
         robCount, cfg.robSize,
-        static_cast<unsigned long long>(window_retired),
+        static_cast<unsigned long long>(stats_.retired),
         retireFrozen ? 1 : 0, loadsInFlight, cfg.lqSize, storesInFlight,
         cfg.sqSize, static_cast<unsigned long long>(head.di.pc),
         static_cast<unsigned long long>(now - head.dispatchedAt),

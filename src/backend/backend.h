@@ -121,10 +121,9 @@ class Backend
      */
     std::string checkInvariants(bool full) const;
 
-    /** ROB occupancy + oldest-entry summary for diagnostic reports. It
-     *  reports @p window_retired as the retired count: Cpu passes
-     *  Cpu::retired(), counted from the measurement window's start. */
-    std::string dumpState(Cycle now, std::uint64_t window_retired) const;
+    /** ROB occupancy + oldest-entry summary for diagnostic reports; its
+     *  retired= is retired(), counted from cycle 0. */
+    std::string dumpState(Cycle now) const;
 
   private:
     /**

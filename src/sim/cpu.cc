@@ -217,8 +217,11 @@ Cpu::cycle()
         throw SimHang(SimErrorKind::CycleBudget, "cpu", now_,
                       "cycle budget " +
                           std::to_string(cfg.watchdog.maxCycles) +
-                          " exhausted with " + std::to_string(retired_now) +
-                          " instructions retired",
+                          " exhausted with " +
+                          std::to_string(backend_->retired()) +
+                          " instructions retired, " +
+                          std::to_string(retired_now) +
+                          " of them in the measurement window",
                       dumpState());
     }
     if (cfg.watchdog.invariantPeriod != 0 &&
@@ -247,14 +250,18 @@ Cpu::runUntilRetired(std::uint64_t retire_target)
 std::string
 Cpu::dumpState() const
 {
-    char head[224];
+    // Every count runs from cycle 0; the window_* fields name the
+    // measurement window.
+    char head[256];
     std::snprintf(head, sizeof(head),
                   "[cpu] cycle=%llu retired=%llu last_retire_cycle=%llu "
-                  "(%llu ago)\n",
+                  "(%llu ago) window_start_cycle=%llu window_retired=%llu\n",
                   static_cast<unsigned long long>(now_),
-                  static_cast<unsigned long long>(retired()),
+                  static_cast<unsigned long long>(backend_->retired()),
                   static_cast<unsigned long long>(lastRetireCycle_),
-                  static_cast<unsigned long long>(now_ - lastRetireCycle_));
+                  static_cast<unsigned long long>(now_ - lastRetireCycle_),
+                  static_cast<unsigned long long>(windowStart_.cycle),
+                  static_cast<unsigned long long>(retired()));
     std::string out = head;
     if (lastResteerCycle_ != kInvalidCycle) {
         char rs[128];
@@ -270,7 +277,7 @@ Cpu::dumpState() const
     }
     out += ftq_->dumpState();
     out += fetch_->dumpState(now_);
-    out += backend_->dumpState(now_, retired());
+    out += backend_->dumpState(now_);
     out += mem_->dumpState(now_);
     if (uftq_) {
         char u[64];

@@ -27,20 +27,26 @@ writeLineAtomic(std::ofstream& out, std::string line)
 
 } // namespace
 
+char*
+formatNumber(char* out, double v)
+{
+    // Counters serialize as plain integers (not "4e+05"); everything else
+    // uses the shortest representation that round-trips. The range test
+    // comes first: converting NaN or a huge value is undefined.
+    if (std::abs(v) < 1e15 &&
+        v == static_cast<double>(static_cast<long long>(v))) {
+        return std::to_chars(out, out + kNumberChars,
+                             static_cast<long long>(v))
+            .ptr;
+    }
+    return std::to_chars(out, out + kNumberChars, v).ptr;
+}
+
 std::string
 formatNumber(double v)
 {
-    char buf[64];
-    // Counters serialize as plain integers (not "4e+05"); everything else
-    // uses the shortest representation that round-trips.
-    if (v == static_cast<double>(static_cast<long long>(v)) &&
-        std::abs(v) < 1e15) {
-        std::to_chars_result res = std::to_chars(
-            buf, buf + sizeof(buf), static_cast<long long>(v));
-        return std::string(buf, res.ptr);
-    }
-    std::to_chars_result res = std::to_chars(buf, buf + sizeof(buf), v);
-    return std::string(buf, res.ptr);
+    char buf[kNumberChars];
+    return std::string(buf, formatNumber(buf, v));
 }
 
 std::string

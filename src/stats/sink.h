@@ -12,6 +12,7 @@
 #ifndef UDP_STATS_SINK_H
 #define UDP_STATS_SINK_H
 
+#include <cstddef>
 #include <cstdint>
 #include <fstream>
 #include <functional>
@@ -29,6 +30,14 @@ struct Report;
 /** Shortest round-trip decimal rendering of @p v ("400000", "0.85");
  *  integers serialize plain, never in exponent notation. */
 std::string formatNumber(double v);
+
+/** Room formatNumber() needs: the longest shortest-round-trip double,
+ *  "-2.2250738585072014e-308", is 24 characters. */
+inline constexpr std::size_t kNumberChars = 32;
+
+/** formatNumber(@p v) written to @p out, which holds kNumberChars;
+ *  returns the end of the text. The one rendering of a number. */
+char* formatNumber(char* out, double v);
 
 /** JSON string escaping (quotes, backslash, control characters). Shared
  *  with the sweep manifest and the Chrome-trace writer. */

@@ -16,6 +16,13 @@
  *  - a SimError recorded in the snapshot -> a final "sim_error" instant
  *    whose args carry the error kind, component and Cpu::dumpState().
  * Timestamps are microseconds in the file; we map 1 cycle = 1 us.
+ *
+ * Layout: the first line opens the object and its "traceEvents" array,
+ * then comes one record per line, each but the last followed by a
+ * comma, and the last line closes the array. Records are job-ordered and
+ * hold no host timing but the self-profile's, so a rerun of the same
+ * jobs writes the same bytes. A reader may take the file one line at a
+ * time (tools/trace_summary.py does).
  */
 
 #ifndef UDP_STATS_TRACEFILE_H
@@ -41,12 +48,16 @@ struct TraceJob
     std::shared_ptr<const obs::ProfileSnapshot> prof;
 };
 
-/** Renders the jobs as a Trace Event Format JSON string. */
+/** The bytes writeChromeTrace() writes, rendered into memory by the same
+ *  code. For tests and small traces: the string holds the whole file. */
 std::string chromeTraceJson(const std::vector<TraceJob>& jobs);
 
 /**
- * Writes chromeTraceJson() to @p path (atomically via rename).
- * Returns false on I/O failure.
+ * Streams the trace to "@p path.tmp", one record at a time through a
+ * 64 KiB stdio buffer, then renames it to @p path. Memory holds the
+ * snapshots' event logs, never the file. Returns false on an I/O
+ * failure, after removing the .tmp file; an existing @p path is then
+ * left as it was.
  */
 bool writeChromeTrace(const std::string& path,
                       const std::vector<TraceJob>& jobs);

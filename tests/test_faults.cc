@@ -135,6 +135,96 @@ TEST(Watchdog, CycleBudgetTrips)
     EXPECT_NE(e.dump().find("[rob]"), std::string::npos);
 }
 
+/** The cycle at which a healthy run of @p prog finishes its warmup. */
+Cycle
+windowStartCycle(const Program& prog, const SimConfig& c)
+{
+    Cpu cpu(prog, c);
+    cpu.runUntilRetired(tinyOptions().warmupInstrs);
+    return cpu.now();
+}
+
+/** Runs a warmup, starts the window, and returns the SimHang it raises. */
+SimHang
+hangInWindow(Cpu& cpu)
+{
+    cpu.runUntilRetired(tinyOptions().warmupInstrs);
+    cpu.clearStats();
+    try {
+        cpu.runUntilRetired(tinyOptions().measureInstrs);
+    } catch (const SimHang& e) {
+        return e;
+    }
+    ADD_FAILURE() << "expected a SimHang, run completed";
+    throw std::runtime_error("expected SimHang");
+}
+
+std::uint64_t
+field(const std::smatch& m, std::size_t i)
+{
+    return std::stoull(m[i].str());
+}
+
+TEST(Watchdog, DumpCountsFromCycleZeroAndNamesTheWindow)
+{
+    Profile p = tinyProfile("dumpclock", 7);
+    Program prog = ProgramBuilder::build(p);
+    SimConfig c = hardenedConfig();
+    c.fault.triggerCycle = windowStartCycle(prog, c) + 2'000;
+    c.fault.kind = FaultKind::FreezeRetire;
+
+    Cpu cpu(prog, c);
+    SimHang e = hangInWindow(cpu);
+    ASSERT_EQ(e.kind(), SimErrorKind::RetireStall);
+    const std::uint64_t retired = cpu.backend().retired();
+    const CpuCounters& start = cpu.windowStart();
+    ASSERT_GT(start.retired, 0u);
+    ASSERT_GT(retired, start.retired);
+
+    std::smatch m;
+    const std::string dump = e.dump();
+    ASSERT_TRUE(std::regex_search(
+        dump, m,
+        std::regex("\\[cpu\\] cycle=(\\d+) retired=(\\d+) "
+                   "last_retire_cycle=(\\d+) \\((\\d+) ago\\) "
+                   "window_start_cycle=(\\d+) window_retired=(\\d+)\n")))
+        << dump;
+    EXPECT_EQ(field(m, 1), cpu.now());
+    EXPECT_EQ(field(m, 2), retired);
+    EXPECT_EQ(field(m, 3) + field(m, 4), cpu.now());
+    // The last retirement lies inside the window, before the freeze.
+    EXPECT_GT(field(m, 3), start.cycle);
+    EXPECT_LT(field(m, 3), c.fault.triggerCycle);
+    EXPECT_EQ(field(m, 5), start.cycle);
+    EXPECT_EQ(field(m, 6), cpu.retired());
+
+    ASSERT_TRUE(std::regex_search(
+        dump, m,
+        std::regex("\\[rob\\] occupancy=\\d+/\\d+ retired=(\\d+) frozen=1")))
+        << dump;
+    EXPECT_EQ(field(m, 1), retired);
+}
+
+TEST(Watchdog, CycleBudgetMessageCountsFromCycleZero)
+{
+    Profile p = tinyProfile("budgetclock", 7);
+    Program prog = ProgramBuilder::build(p);
+    SimConfig c = presets::fdipBaseline();
+    c.watchdog.maxCycles = windowStartCycle(prog, c) + 2'000;
+
+    Cpu cpu(prog, c);
+    SimHang e = hangInWindow(cpu);
+    ASSERT_EQ(e.kind(), SimErrorKind::CycleBudget);
+    const std::uint64_t retired = cpu.backend().retired();
+    const std::string expected =
+        "exhausted with " + std::to_string(retired) +
+        " instructions retired, " +
+        std::to_string(retired - cpu.windowStart().retired) +
+        " of them in the measurement window";
+    EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+        << e.what();
+}
+
 TEST(Watchdog, DelayFillWedgesFetchAndTripsRetireStall)
 {
     SimConfig c = hardenedConfig();

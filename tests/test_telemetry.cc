@@ -346,8 +346,16 @@ TEST(TraceFile, RendersLifecycleAndMetadata)
 
 TEST(TraceFile, EmptyJobListStillValid)
 {
-    std::string json = chromeTraceJson({});
-    EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
+    const char* const expected =
+        "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n]}\n";
+    EXPECT_EQ(chromeTraceJson({}), expected);
+    const std::string path = ::testing::TempDir() + "trace_empty.json";
+    ASSERT_TRUE(writeChromeTrace(path, {}));
+    std::ifstream in(path);
+    std::stringstream written;
+    written << in.rdbuf();
+    EXPECT_EQ(written.str(), expected);
+    std::remove(path.c_str());
 }
 
 // --- sink rows -------------------------------------------------------------

@@ -27,6 +27,7 @@ Only the standard library is used.
 """
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -36,11 +37,30 @@ SOURCES = ("fdip", "udp_extra", "eip", "stream")
 PHASES = ("fetch", "bpred", "icache", "prefetch", "backend", "other")
 
 
-def profiles_from_trace(doc):
+def trace_records(lines):
+    """The process_name and host_us_per_phase records of a Chrome trace.
+
+    The writer (src/stats/tracefile.h) puts one record per line, each but
+    the last followed by a comma, so the file is read a line at a time
+    and never held whole. Other records are skipped unparsed, and so is a
+    cut-off last line. A trace another tool saved on one line is read
+    whole.
+    """
+    for line in lines:
+        if '"process_name"' not in line and '"host_us_per_phase"' not in line:
+            continue
+        try:
+            record = json.loads(line.strip().rstrip(","))
+        except json.JSONDecodeError:
+            continue  # a trace cut off mid-record
+        yield from record.get("traceEvents", [record])
+
+
+def profiles_from_trace(events):
     """Per-job phase seconds from a Chrome trace's self_profile tracks."""
     names = {}
     phase_us = {}
-    for ev in doc.get("traceEvents", []):
+    for ev in events:
         pid = ev.get("pid")
         if ev.get("ph") == "M" and ev.get("name") == "process_name":
             names[pid] = ev.get("args", {}).get("name", f"pid{pid}")
@@ -59,40 +79,37 @@ def load_inputs(paths):
     perf_simspeed rows.
 
     Accepts telemetry/profile JSONL artifacts, --trace Chrome-trace files
-    and perf_simspeed JSONL in any order; tolerates a truncated final
-    JSONL line.
+    and perf_simspeed JSONL in any order, each read a line at a time;
+    tolerates a truncated final line.
     """
     telemetry, profiles, speed = [], [], []
     for path in paths:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        if '"traceEvents"' in text:
-            try:
-                profiles.extend(profiles_from_trace(json.loads(text)))
-            except json.JSONDecodeError:
-                print(f"warning: {path}: unparseable trace, skipped",
-                      file=sys.stderr)
-            continue
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
+            first = fh.readline()
+            lines = itertools.chain([first], fh)
+            if '"traceEvents"' in first:
+                profiles.extend(profiles_from_trace(trace_records(lines)))
                 continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # crash-safe artifacts may end mid-line
-            kind = row.get("row_type")
-            if row.get("bench") == "perf_simspeed":
-                speed.append(row)
-            elif kind == "telemetry_summary":
-                telemetry.append(row)
-            elif kind == "profile_summary":
-                name = (f"{row.get('workload', '?')}/"
-                        f"{row.get('config', '?')}")
-                sec = {p: float(row.get(f"phase_{p}_sec", 0.0))
-                       for p in PHASES}
-                profiles.append({"name": name, "phase_sec": sec,
-                                 "cycles": row.get("cycles")})
+            for line in lines:
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    row = json.loads(line)
+                except json.JSONDecodeError:
+                    continue  # crash-safe artifacts may end mid-line
+                kind = row.get("row_type")
+                if row.get("bench") == "perf_simspeed":
+                    speed.append(row)
+                elif kind == "telemetry_summary":
+                    telemetry.append(row)
+                elif kind == "profile_summary":
+                    name = (f"{row.get('workload', '?')}/"
+                            f"{row.get('config', '?')}")
+                    sec = {p: float(row.get(f"phase_{p}_sec", 0.0))
+                           for p in PHASES}
+                    profiles.append({"name": name, "phase_sec": sec,
+                                     "cycles": row.get("cycles")})
     return telemetry, profiles, speed
 
 
