@@ -85,6 +85,9 @@ class Cpu
         return backend_->retired() - windowStart_.retired;
     }
 
+    /** The architectural stream the frontend and backend are scored
+     *  against. */
+    const TrueStream& stream() const { return *stream_; }
     const MemSystem& mem() const { return *mem_; }
     const Bpu& bpu() const { return *bpu_; }
     const Ftq& ftq() const { return *ftq_; }

@@ -124,10 +124,9 @@ collectReport(const Cpu& cpu, std::string workload, std::string config_name)
         reportFromCounters(counterDelta(cpu.counters(), cpu.windowStart()),
                            std::move(workload), std::move(config_name));
     if (Telemetry* t = cpu.telemetry()) {
-        // Classify still-live prefetches as Pending so the taxonomy
-        // identity (timely+late+unused+polluting+pending == issued) holds.
-        t->finalize();
-        r.telemetry = t->snapshot();
+        // Still-live prefetches become Pending, so the taxonomy identity
+        // (timely+late+unused+polluting+pending == issued) holds.
+        r.telemetry = t->finish();
     }
     if (obs::CycleProfiler* p = cpu.profiler()) {
         r.profile = p->snapshot();
@@ -152,10 +151,9 @@ runSim(const Profile& profile, const SimConfig& cfg, const RunOptions& opts,
         Telemetry* t = cpu.telemetry();
         if (t && !cfg.telemetry.errorTracePath.empty()) {
             t->noteError(e.kindName(), e.component(), e.cycle(), e.dump());
-            t->finalize();
             TraceJob tj;
             tj.name = profile.name + "/" + config_name;
-            tj.snap = t->snapshot();
+            tj.snap = t->finish();
             if (obs::CycleProfiler* p = cpu.profiler()) {
                 tj.prof = p->snapshot();
             }

@@ -269,11 +269,19 @@ runSweepChecked(const std::vector<SweepJob>& jobs, const SweepOptions& opts)
     auto postProgress = [&](std::size_t jobIndex, const JobResult& jr) {
         // Caller holds mtx.
         if (!jr.ok && !jr.skipped && !opts.quiet) {
+            // An isolated child's rusage differs from run to run, so it is
+            // reported here and kept out of the failure row.
+            const JobError& e = jr.error;
+            const std::string rusage =
+                opts.isolate
+                    ? " max_rss_kb=" + std::to_string(e.maxRssKb) +
+                          " user_sec=" + formatNumber(e.userSec) +
+                          " sys_sec=" + formatNumber(e.sysSec)
+                    : "";
             sweepLine("warning: job_failed job=" + std::to_string(jobIndex) +
                       " label=" + jobs[jobIndex].label +
                       " attempts=" + std::to_string(jr.attempts) +
-                      " kind=" + jr.error.kind +
-                      " message=" + jr.error.message);
+                      " kind=" + e.kind + rusage + " message=" + e.message);
         }
         SweepProgress p;
         p.done = done;

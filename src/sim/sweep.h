@@ -65,7 +65,9 @@ struct JobError
     std::string signal;
     /** Captured tail of the child's stderr (bounded). */
     std::string stderrTail;
-    /** Child peak resident set (ru_maxrss, KiB). */
+    /** Child peak resident set (ru_maxrss, KiB). This and the CPU
+     *  seconds below differ from run to run: the sweep's job_failed
+     *  stderr line prints them, the failure row leaves them out. */
     std::uint64_t maxRssKb = 0;
     /** Child user/system CPU seconds (rusage). */
     double userSec = 0.0;

@@ -407,10 +407,7 @@ failureToJsonLine(const std::string& workload, const std::string& config,
            ",\"message\":\"" + jsonEscape(e.message) +
            "\",\"dump\":\"" + jsonEscape(e.dump) +
            "\",\"signal\":\"" + jsonEscape(e.signal) +
-           "\",\"max_rss_kb\":" + std::to_string(e.maxRssKb) +
-           ",\"user_sec\":" + formatNumber(e.userSec) +
-           ",\"sys_sec\":" + formatNumber(e.sysSec) +
-           ",\"stderr_tail\":\"" + jsonEscape(e.stderrTail) + "\"}";
+           "\",\"stderr_tail\":\"" + jsonEscape(e.stderrTail) + "\"}";
 }
 
 bool
@@ -442,16 +439,7 @@ failureFromJsonLine(const std::string& line, std::string* workload,
         if (key == "attempts") {
             return parseNumber(value, attempts);
         }
-        std::uint64_t* count = key == "cycle"        ? &e.cycle
-                               : key == "max_rss_kb" ? &e.maxRssKb
-                                                     : nullptr;
-        if (count != nullptr) {
-            return parseNumber(value, count);
-        }
-        double* sec = key == "user_sec"  ? &e.userSec
-                      : key == "sys_sec" ? &e.sysSec
-                                         : nullptr;
-        return sec != nullptr && parseNumber(value, sec);
+        return key == "cycle" && parseNumber(value, &e.cycle);
     };
     if (!walkJsonObject(line, field) || !tagged) {
         return false;

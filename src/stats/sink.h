@@ -71,10 +71,12 @@ bool walkJsonObject(const std::string& line, const JsonField& field);
 /**
  * The failure row of one sweep point (docs/ROBUSTNESS.md has the schema
  * table): one JSON object on a single line, with keys workload, config,
- * error_kind, component, cycle, attempts, message, dump, signal,
- * max_rss_kb, user_sec, sys_sec and stderr_tail, in that order. The
- * "error_kind" key tells it apart from report lines in the same stream.
- * It is also the isolated child's result-pipe message (sim/procexec.h).
+ * error_kind, component, cycle, attempts, message, dump, signal and
+ * stderr_tail, in that order. The "error_kind" key tells it apart from
+ * report lines in the same stream. It is also the isolated child's
+ * result-pipe message (sim/procexec.h). The child's rusage is left out:
+ * it differs from run to run, and the sweep prints it on its job_failed
+ * stderr line instead.
  */
 std::string failureToJsonLine(const std::string& workload,
                               const std::string& config, unsigned attempts,

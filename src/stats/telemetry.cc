@@ -1,21 +1,81 @@
 #include "stats/telemetry.h"
 
+#include <iterator>
+#include <utility>
+
 namespace udp {
+
+namespace {
+
+/** traceEventName()'s table, in TraceName order; the first four are the
+ *  PfSource names. */
+constexpr const char* kTraceNames[] = {
+    "fdip",
+    "udp_extra",
+    "eip",
+    "stream",
+    "ipc",
+    "icache_mpki",
+    "ftq_occupancy",
+    "pf_accuracy",
+    "ftq_depth",
+    "ftq_push",
+    "ftq_flush",
+    "decode_resteer",
+    "exec_resteer",
+    "icache_miss_stall",
+    "udp_drop",
+    "useful_set_clear",
+};
+static_assert(std::size(kTraceNames) ==
+              static_cast<std::size_t>(TraceName::UsefulSetClear) + 1);
+static_assert(static_cast<std::size_t>(TraceName::Stream) ==
+              static_cast<std::size_t>(PfSource::Stream));
+
+/** An event whose kind reads dur (Slice, Span). */
+TraceEvent
+timedEvent(TraceEvent::Kind kind, std::uint8_t track, TraceName name,
+           Cycle ts, Cycle dur, Addr addr,
+           std::uint8_t detail = TraceEvent::kNoDetail)
+{
+    TraceEvent ev;
+    ev.ts = ts;
+    ev.addr = addr;
+    ev.dur = dur;
+    ev.kind = kind;
+    ev.track = track;
+    ev.name = name;
+    ev.detail = detail;
+    return ev;
+}
+
+/** An event whose kind reads value (Instant, Counter). */
+TraceEvent
+valuedEvent(TraceEvent::Kind kind, std::uint8_t track, TraceName name,
+            Cycle ts, Addr addr, double value)
+{
+    TraceEvent ev;
+    ev.ts = ts;
+    ev.addr = addr;
+    ev.value = value;
+    ev.kind = kind;
+    ev.track = track;
+    ev.name = name;
+    return ev;
+}
+
+} // namespace
+
+const char*
+traceEventName(TraceName n)
+{
+    return kTraceNames[static_cast<std::size_t>(n)];
+}
 
 const char*
 pfSourceName(PfSource s)
 {
-    switch (s) {
-    case PfSource::Fdip:
-        return "fdip";
-    case PfSource::UdpExtra:
-        return "udp_extra";
-    case PfSource::Eip:
-        return "eip";
-    case PfSource::Stream:
-        return "stream";
-    }
-    return "unknown";
+    return traceEventName(static_cast<TraceName>(s));
 }
 
 const char*
@@ -135,14 +195,16 @@ Telemetry::closeInterval(const IntervalCounters& c)
     acc_.intervals.push_back(row);
 
     if (cfg_.trace) {
-        pushEvent({TraceEvent::Kind::Counter, kTrackCounters, "ipc", now_, 0,
-                   0, row.ipc, nullptr});
-        pushEvent({TraceEvent::Kind::Counter, kTrackCounters, "icache_mpki",
-                   now_, 0, 0, row.icacheMpki, nullptr});
-        pushEvent({TraceEvent::Kind::Counter, kTrackCounters,
-                   "ftq_occupancy", now_, 0, 0, row.ftqOccupancy, nullptr});
-        pushEvent({TraceEvent::Kind::Counter, kTrackCounters, "pf_accuracy",
-                   now_, 0, 0, row.pfAccuracy, nullptr});
+        using K = TraceEvent::Kind;
+        pushEvent(valuedEvent(K::Counter, kTrackCounters, TraceName::Ipc,
+                              now_, 0, row.ipc));
+        pushEvent(valuedEvent(K::Counter, kTrackCounters,
+                              TraceName::IcacheMpki, now_, 0, row.icacheMpki));
+        pushEvent(valuedEvent(K::Counter, kTrackCounters,
+                              TraceName::FtqOccupancy, now_, 0,
+                              row.ftqOccupancy));
+        pushEvent(valuedEvent(K::Counter, kTrackCounters,
+                              TraceName::PfAccuracy, now_, 0, row.pfAccuracy));
     }
 
     prev_ = c;
@@ -163,8 +225,8 @@ Telemetry::onPrefetchIssued(Addr line, PfSource src)
     // (the prior one must already have been classified to be evictable).
     live_[line] = PfRec{src, now_, kInvalidCycle, false};
     if (cfg_.trace) {
-        pushEvent({TraceEvent::Kind::Span, kTrackPrefetch, pfSourceName(src),
-                   now_, 0, line, 0.0, nullptr});
+        pushEvent(timedEvent(TraceEvent::Kind::Span, kTrackPrefetch,
+                             static_cast<TraceName>(src), now_, 0, line));
     }
 }
 
@@ -229,9 +291,9 @@ Telemetry::classify(Addr line, const PfRec& rec, PfOutcome outcome)
                    [static_cast<std::size_t>(outcome)];
     acc_.taxonomy.sample(static_cast<std::uint64_t>(outcome));
     if (cfg_.trace) {
-        pushEvent({TraceEvent::Kind::Span, kTrackPrefetch,
-                   pfSourceName(rec.src), now_, 1, line, 0.0,
-                   pfOutcomeName(outcome)});
+        pushEvent(timedEvent(TraceEvent::Kind::Span, kTrackPrefetch,
+                             static_cast<TraceName>(rec.src), now_, 1, line,
+                             static_cast<std::uint8_t>(outcome)));
     }
 }
 
@@ -239,8 +301,8 @@ void
 Telemetry::onFtqPush(Addr start_pc)
 {
     if (cfg_.trace) {
-        pushEvent({TraceEvent::Kind::Instant, kTrackPipeline, "ftq_push",
-                   now_, 0, start_pc, 0.0, nullptr});
+        pushEvent(valuedEvent(TraceEvent::Kind::Instant, kTrackPipeline,
+                              TraceName::FtqPush, now_, start_pc, 0.0));
     }
 }
 
@@ -248,8 +310,9 @@ void
 Telemetry::onFtqFlush(std::size_t dropped)
 {
     if (cfg_.trace) {
-        pushEvent({TraceEvent::Kind::Instant, kTrackPipeline, "ftq_flush",
-                   now_, 0, 0, static_cast<double>(dropped), nullptr});
+        pushEvent(valuedEvent(TraceEvent::Kind::Instant, kTrackPipeline,
+                              TraceName::FtqFlush, now_, 0,
+                              static_cast<double>(dropped)));
     }
 }
 
@@ -257,9 +320,10 @@ void
 Telemetry::onResteer(Addr new_pc, bool from_decode)
 {
     if (cfg_.trace) {
-        pushEvent({TraceEvent::Kind::Instant, kTrackPipeline,
-                   from_decode ? "decode_resteer" : "exec_resteer", now_, 0,
-                   new_pc, 0.0, nullptr});
+        pushEvent(valuedEvent(TraceEvent::Kind::Instant, kTrackPipeline,
+                              from_decode ? TraceName::DecodeResteer
+                                          : TraceName::ExecResteer,
+                              now_, new_pc, 0.0));
     }
 }
 
@@ -267,9 +331,9 @@ void
 Telemetry::onFetchStall(Addr line, Cycle start, Cycle end)
 {
     if (cfg_.trace && end > start) {
-        pushEvent({TraceEvent::Kind::Slice, kTrackPipeline,
-                   "icache_miss_stall", start, end - start, line, 0.0,
-                   nullptr});
+        pushEvent(timedEvent(TraceEvent::Kind::Slice, kTrackPipeline,
+                             TraceName::IcacheMissStall, start, end - start,
+                             line));
     }
 }
 
@@ -277,8 +341,8 @@ void
 Telemetry::onUdpDrop(Addr line)
 {
     if (cfg_.trace) {
-        pushEvent({TraceEvent::Kind::Instant, kTrackUdp, "udp_drop", now_, 0,
-                   line, 0.0, nullptr});
+        pushEvent(valuedEvent(TraceEvent::Kind::Instant, kTrackUdp,
+                              TraceName::UdpDrop, now_, line, 0.0));
     }
 }
 
@@ -286,8 +350,8 @@ void
 Telemetry::onUsefulSetClear()
 {
     if (cfg_.trace) {
-        pushEvent({TraceEvent::Kind::Instant, kTrackUdp, "useful_set_clear",
-                   now_, 0, 0, 0.0, nullptr});
+        pushEvent(valuedEvent(TraceEvent::Kind::Instant, kTrackUdp,
+                              TraceName::UsefulSetClear, now_, 0, 0.0));
     }
 }
 
@@ -295,8 +359,9 @@ void
 Telemetry::onFtqDepthChange(std::size_t depth)
 {
     if (cfg_.trace) {
-        pushEvent({TraceEvent::Kind::Counter, kTrackCounters, "ftq_depth",
-                   now_, 0, 0, static_cast<double>(depth), nullptr});
+        pushEvent(valuedEvent(TraceEvent::Kind::Counter, kTrackCounters,
+                              TraceName::FtqDepth, now_, 0,
+                              static_cast<double>(depth)));
     }
 }
 
@@ -325,19 +390,16 @@ Telemetry::clearStats()
     prevUnused_ = 0;
 }
 
-void
-Telemetry::finalize()
+std::shared_ptr<const TelemetrySnapshot>
+Telemetry::finish()
 {
     for (const auto& [line, rec] : live_) {
         classify(line, rec, PfOutcome::Pending);
     }
     live_.clear();
-}
-
-std::shared_ptr<const TelemetrySnapshot>
-Telemetry::snapshot() const
-{
-    return std::make_shared<TelemetrySnapshot>(acc_);
+    auto snap = std::make_shared<TelemetrySnapshot>(std::move(acc_));
+    acc_ = TelemetrySnapshot{};
+    return snap;
 }
 
 void

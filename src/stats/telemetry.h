@@ -71,7 +71,41 @@ enum class PfOutcome : std::uint8_t {
 inline constexpr std::size_t kNumPfOutcomes = 5;
 const char* pfOutcomeName(PfOutcome o);
 
-/** One bounded-log trace event (consumed by stats/tracefile.*). */
+inline constexpr std::uint8_t kTrackPipeline = 0;
+inline constexpr std::uint8_t kTrackPrefetch = 1;
+inline constexpr std::uint8_t kTrackUdp = 2;
+inline constexpr std::uint8_t kTrackCounters = 3;
+
+/**
+ * Name of a trace event: an index into traceEventName()'s static table.
+ * The prefetch sources come first, in PfSource order, because a prefetch
+ * span is named after its source.
+ */
+enum class TraceName : std::uint8_t {
+    Fdip,
+    UdpExtra,
+    Eip,
+    Stream,
+    Ipc,
+    IcacheMpki,
+    FtqOccupancy,
+    PfAccuracy,
+    FtqDepth,
+    FtqPush,
+    FtqFlush,
+    DecodeResteer,
+    ExecResteer,
+    IcacheMissStall,
+    UdpDrop,
+    UsefulSetClear,
+};
+const char* traceEventName(TraceName n);
+
+/**
+ * One bounded-log trace event (consumed by stats/tracefile.*). It takes
+ * 32 bytes: a traced run holds up to TelemetryConfig::maxTraceEvents of
+ * them until its trace is written.
+ */
 struct TraceEvent {
     enum class Kind : std::uint8_t {
         Slice,   ///< duration [ts, ts+dur] on a track (Chrome ph "X")
@@ -79,20 +113,26 @@ struct TraceEvent {
         Counter, ///< sampled counter value (Chrome ph "C")
         Span,    ///< async begin/end pair keyed by addr (Chrome ph "b"/"e")
     };
-    Kind kind;
-    std::uint8_t track;      ///< kTrack* constant below
-    const char* name;        ///< static string; never owned
+    /** The detail of an event without one. */
+    static constexpr std::uint8_t kNoDetail = 0xff;
+
     Cycle ts = 0;
-    Cycle dur = 0;           ///< Slice duration / Span end (0 = begin)
     Addr addr = 0;           ///< line address / async-span id
-    double value = 0.0;      ///< Counter payload
-    const char* detail = nullptr; ///< optional static annotation
+    /** Slices and spans read dur, instants and counters value: no kind
+     *  uses both. */
+    union {
+        Cycle dur = 0;       ///< Slice duration / Span end (0 = begin)
+        double value;        ///< Instant and Counter payload
+    };
+    Kind kind = Kind::Instant;
+    std::uint8_t track = kTrackPipeline; ///< kTrack* constant above
+    TraceName name = TraceName::FtqPush;
+    /** Span ends only: the PfOutcome shown as the span's outcome, or
+     *  kNoDetail. */
+    std::uint8_t detail = kNoDetail;
 };
 
-inline constexpr std::uint8_t kTrackPipeline = 0;
-inline constexpr std::uint8_t kTrackPrefetch = 1;
-inline constexpr std::uint8_t kTrackUdp = 2;
-inline constexpr std::uint8_t kTrackCounters = 3;
+static_assert(sizeof(TraceEvent) == 32, "keep traced event logs compact");
 
 /** One periodic interval snapshot row (sink schema in stats/sink.h). */
 struct IntervalRow {
@@ -211,11 +251,13 @@ class Telemetry
      *  timely+late+unused+polluting+pending == issued holds exactly. */
     void clearStats();
 
-    /** Classifies still-live records as Pending. Call once at run end. */
-    void finalize();
-
-    /** Copies the accumulated state into an immutable snapshot. */
-    std::shared_ptr<const TelemetrySnapshot> snapshot() const;
+    /**
+     * Ends the run: classifies still-live records as Pending, then moves
+     * the accumulated state, event log included, into the returned
+     * snapshot without copying it. Call once; the collector is left
+     * empty.
+     */
+    std::shared_ptr<const TelemetrySnapshot> finish();
 
     Cycle now() const { return now_; }
     const TelemetryConfig& config() const { return cfg_; }

@@ -162,9 +162,10 @@ writeEvent(std::FILE* f, bool& first, const TraceEvent& ev, unsigned pid)
 {
     char buf[kRecordChars];
     char* p = beginRecord(buf, first);
+    const char* name = traceEventName(ev.name);
     switch (ev.kind) {
     case TraceEvent::Kind::Slice:
-        p = putCommon(p, ev.name, "X", pid, ev.track, ev.ts);
+        p = putCommon(p, name, "X", pid, ev.track, ev.ts);
         p = put(p, ",\"dur\":");
         p = putUint(p, ev.dur);
         p = put(p, ",\"args\":{\"line\":\"");
@@ -172,7 +173,7 @@ writeEvent(std::FILE* f, bool& first, const TraceEvent& ev, unsigned pid)
         p = put(p, "\"}}");
         break;
     case TraceEvent::Kind::Instant:
-        p = putCommon(p, ev.name, "i", pid, ev.track, ev.ts);
+        p = putCommon(p, name, "i", pid, ev.track, ev.ts);
         p = put(p, ",\"s\":\"t\",\"args\":{");
         if (ev.addr != 0) {
             p = put(p, "\"addr\":\"");
@@ -186,9 +187,9 @@ writeEvent(std::FILE* f, bool& first, const TraceEvent& ev, unsigned pid)
         p = put(p, "}}");
         break;
     case TraceEvent::Kind::Counter:
-        p = putCommon(p, ev.name, "C", pid, ev.track, ev.ts);
+        p = putCommon(p, name, "C", pid, ev.track, ev.ts);
         p = put(p, ",\"args\":{\"");
-        p = put(p, ev.name);
+        p = put(p, name);
         p = put(p, "\":");
         p = formatNumber(p, ev.value);
         p = put(p, "}}");
@@ -196,14 +197,14 @@ writeEvent(std::FILE* f, bool& first, const TraceEvent& ev, unsigned pid)
     case TraceEvent::Kind::Span:
         // Async begin (dur == 0) / end (dur != 0) pair keyed by the line
         // address, so overlapping in-flight prefetches render separately.
-        p = putCommon(p, ev.name, ev.dur == 0 ? "b" : "e", pid, ev.track,
+        p = putCommon(p, name, ev.dur == 0 ? "b" : "e", pid, ev.track,
                       ev.ts);
         p = put(p, ",\"cat\":\"pf\",\"id\":\"");
         p = putHex(p, ev.addr);
         p = put(p, "\"");
-        if (ev.dur != 0 && ev.detail) {
+        if (ev.dur != 0 && ev.detail != TraceEvent::kNoDetail) {
             p = put(p, ",\"args\":{\"outcome\":\"");
-            p = put(p, ev.detail);
+            p = put(p, pfOutcomeName(static_cast<PfOutcome>(ev.detail)));
             p = put(p, "\"}");
         }
         p = put(p, "}");

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <iterator>
 #include <stdexcept>
+#include <string>
 
 #include "common/intmath.h"
 
@@ -17,6 +18,26 @@ ProgramBuilder::ProgramBuilder(const Profile& p)
 Program
 ProgramBuilder::build(const Profile& profile)
 {
+    // An Instr's fields are narrow (workload/isa.h): a Profile whose code
+    // or dependence distances do not fit is rejected before generation,
+    // which would otherwise truncate them.
+    const std::uint64_t code_instrs =
+        std::uint64_t{profile.codeFootprintKB} * 1024 / kInstrBytes;
+    if (code_instrs >= kMaxProgramInstrs) {
+        throw std::invalid_argument(
+            "profile " + profile.name + ": codeFootprintKB=" +
+            std::to_string(profile.codeFootprintKB) + " asks for " +
+            std::to_string(code_instrs) +
+            " instructions; an Instr's 23-bit indices hold fewer than " +
+            std::to_string(kMaxProgramInstrs));
+    }
+    if (profile.maxDepDist > kMaxDepDist) {
+        throw std::invalid_argument(
+            "profile " + profile.name + ": maxDepDist=" +
+            std::to_string(profile.maxDepDist) +
+            " exceeds the largest dependence distance an Instr holds (" +
+            std::to_string(kMaxDepDist) + ")");
+    }
     ProgramBuilder b(profile);
     Program prog = b.run();
     std::string err = prog.validate();
@@ -106,10 +127,10 @@ ProgramBuilder::emitSimple()
         in.execLat = lu < 0.8 ? 1 : (lu < 0.95 ? 3 : 4);
     }
     if (rng.chance(prof.depChance1)) {
-        in.dep1 = static_cast<std::uint8_t>(rng.range(1, prof.maxDepDist));
+        in.dep1 = rng.range(1, prof.maxDepDist);
     }
     if (rng.chance(prof.depChance2)) {
-        in.dep2 = static_cast<std::uint8_t>(rng.range(1, prof.maxDepDist));
+        in.dep2 = rng.range(1, prof.maxDepDist);
     }
     instrs.push_back(in);
 }

@@ -58,17 +58,35 @@ isIndirect(BranchKind k)
     return k == BranchKind::IndirectJump || k == BranchKind::IndirectCall;
 }
 
-/** Sentinel for "no behaviour/pattern table entry". */
-inline constexpr std::uint32_t kNoBehavior = 0xffffffffu;
+/**
+ * Width of an Instr's target and behaviour fields. A Program holds at most
+ * kMaxProgramInstrs instructions, so every instruction index fits, and each
+ * behaviour table holds at most kNoBehavior entries, so every index stays
+ * below the sentinel. ProgramBuilder::build() rejects a Profile whose code
+ * would not fit before it generates anything; Program::validate() checks
+ * the counts of every image. The ten datacenter profiles peak at 1,030,599
+ * instructions (verilator) and 67,621 conditional behaviours, an eighth of
+ * the limit.
+ */
+inline constexpr unsigned kInstrIndexBits = 23;
+inline constexpr std::uint32_t kMaxProgramInstrs =
+    std::uint32_t{1} << kInstrIndexBits;
+
+/** Sentinel for "no behaviour/pattern table entry": the all-ones index. */
+inline constexpr std::uint32_t kNoBehavior = kMaxProgramInstrs - 1;
+
+/** Largest dependence distance a 5-bit dep field holds. The ten
+ *  datacenter profiles use at most 12. */
+inline constexpr std::uint32_t kMaxDepDist = 31;
 
 /**
  * One static instruction. Program stores these in a flat array; the pc of
  * instruction i is codeBase + i * kInstrBytes.
  *
- * The class, kind and latency share one byte of bit-fields, so an Instr
- * takes 12 bytes: the ten catalog Programs hold 3.2M of them, and a
- * sweep keeps them all resident while its workers simulate. A 3-bit kind
- * can hold a value past Return; Program::validate() rejects it.
+ * The fields share one 64-bit word: the ten catalog Programs hold 3.2M
+ * instructions, and a sweep keeps them all resident while its workers
+ * simulate. A 3-bit kind can hold a value past Return; Program::validate()
+ * rejects it.
  */
 struct Instr
 {
@@ -78,20 +96,21 @@ struct Instr
     std::uint8_t execLat : 3 = 1;
     /**
      * Dataflow: distances (in dynamic instructions) to up to two producer
-     * instructions; 0 means no dependence through that slot.
+     * instructions, at most kMaxDepDist; 0 means no dependence through
+     * that slot.
      */
-    std::uint8_t dep1 = 0;
-    std::uint8_t dep2 = 0;
+    std::uint64_t dep1 : 5 = 0;
+    std::uint64_t dep2 : 5 = 0;
     /** Taken target as instruction index (direct branches/calls). */
-    InstIdx target = 0;
+    std::uint64_t target : kInstrIndexBits = 0;
     /**
      * Behaviour index: BranchBehavior for CondDirect, IndirectBehavior for
      * indirect kinds, MemPattern for Load/Store; kNoBehavior otherwise.
      */
-    std::uint32_t behavior = kNoBehavior;
+    std::uint64_t behavior : kInstrIndexBits = kNoBehavior;
 };
 
-static_assert(sizeof(Instr) == 12, "keep the static image compact");
+static_assert(sizeof(Instr) == 8, "keep the static image compact");
 
 } // namespace udp
 

@@ -23,21 +23,24 @@ enum class BranchClass : std::uint8_t {
     Loop,    ///< taken (trip-1) times then not-taken, repeating
 };
 
-/** Static behaviour of one conditional branch. */
+/** Static behaviour of one conditional branch. The seed comes first, so
+ *  the struct packs into 24 bytes. */
 struct BranchBehavior
 {
-    BranchClass cls = BranchClass::Biased;
+    /** Per-branch seed. */
+    std::uint64_t seed = 0;
     /** Probability of taken for Biased. */
     float takenProb = 0.5f;
     /** Probability the base outcome is flipped (unpredictable noise). */
     float noise = 0.0f;
-    /** Number of recent history bits feeding a Pattern function. */
-    std::uint8_t historyBits = 4;
     /** Loop trip count for Loop. */
     std::uint32_t trip = 2;
-    /** Per-branch seed. */
-    std::uint64_t seed = 0;
+    BranchClass cls = BranchClass::Biased;
+    /** Number of recent history bits feeding a Pattern function. */
+    std::uint8_t historyBits = 4;
 };
+
+static_assert(sizeof(BranchBehavior) == 24, "keep the cond table compact");
 
 /** Static behaviour of one indirect branch. */
 struct IndirectBehavior

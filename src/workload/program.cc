@@ -1,6 +1,7 @@
 #include "workload/program.h"
 
 #include <sstream>
+#include <utility>
 
 namespace udp {
 
@@ -42,6 +43,25 @@ Program::validate() const
     }
     if (entry_ >= instrs_.size()) {
         return "entry out of range";
+    }
+    // Past these counts an Instr's 23-bit target or behaviour index would
+    // have been truncated (workload/isa.h).
+    if (instrs_.size() > kMaxProgramInstrs) {
+        err << instrs_.size() << " instructions exceed the "
+            << kMaxProgramInstrs << " an instruction index holds";
+        return err.str();
+    }
+    const std::pair<const char*, std::size_t> tables[] = {
+        {"cond behaviour", condBehaviors_.size()},
+        {"indirect behaviour", indirectBehaviors_.size()},
+        {"mem pattern", memPatterns_.size()},
+    };
+    for (const auto& [table, entries] : tables) {
+        if (entries > kNoBehavior) {
+            err << table << " table of " << entries << " entries exceeds the "
+                << kNoBehavior << " a behaviour index holds";
+            return err.str();
+        }
     }
     for (std::size_t i = 0; i < instrs_.size(); ++i) {
         const Instr& in = instrs_[i];

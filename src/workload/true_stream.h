@@ -23,7 +23,7 @@ namespace udp {
 class TrueStream
 {
   public:
-    explicit TrueStream(const Program& prog) : walker(prog), buf(64) {}
+    explicit TrueStream(const Program& prog) : walker_(prog), buf(64) {}
 
     /**
      * The instruction at absolute position @p i (extends on demand). The
@@ -34,7 +34,7 @@ class TrueStream
     {
         assert(i >= base && "position already retired");
         while (base + buf.size() <= i) {
-            buf.pushBack(walker.step());
+            buf.pushBack(walker_.step());
         }
         return buf[static_cast<std::size_t>(i - base)];
     }
@@ -52,8 +52,11 @@ class TrueStream
     std::uint64_t firstLive() const { return base; }
     std::size_t windowSize() const { return buf.size(); }
 
+    /** The Walker that extends the window. */
+    const Walker& walker() const { return walker_; }
+
   private:
-    Walker walker;
+    Walker walker_;
     /** Grows to the in-flight window during warm-up, then stays put. */
     Ring<ArchInstr> buf;
     std::uint64_t base = 0;

@@ -1,16 +1,49 @@
 #include "workload/walker.h"
 
+#include <sys/mman.h>
+
+#include <algorithm>
 #include <cassert>
+#include <new>
 
 namespace udp {
 
 namespace {
 /** Bound on modelled call depth; deeper calls behave like jumps. */
 constexpr std::size_t kMaxCallDepth = 128;
+
+/** Size of @p prog's count mapping; mmap() rejects an empty one. */
+std::size_t
+countBytes(const Program& prog)
+{
+    return std::max<std::size_t>(prog.numInstrs(), 1) *
+           sizeof(std::uint32_t);
+}
+
+/** Maps @p bytes of zero pages that become resident only when written. */
+std::uint32_t*
+mapZeroed(std::size_t bytes)
+{
+    void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (p == MAP_FAILED) {
+        throw std::bad_alloc();
+    }
+    // A huge page would make the first step fault in 2 MiB of counts.
+    ::madvise(p, bytes, MADV_NOHUGEPAGE);
+    return static_cast<std::uint32_t*>(p);
+}
 } // namespace
 
+void
+Walker::Unmap::operator()(std::uint32_t* p) const
+{
+    ::munmap(p, bytes);
+}
+
 Walker::Walker(const Program& prog)
-    : program(prog), cur(prog.entry()), counts(prog.numInstrs(), 0)
+    : program(prog), cur(prog.entry()),
+      counts(mapZeroed(countBytes(prog)), Unmap{countBytes(prog)})
 {
     callStack.reserve(kMaxCallDepth);
 }

@@ -8,7 +8,10 @@
 #ifndef UDP_WORKLOAD_WALKER_H
 #define UDP_WORKLOAD_WALKER_H
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "common/types.h"
@@ -39,10 +42,16 @@ struct ArchInstr
  * call stack. When execution falls off the call stack (return with an empty
  * stack) it restarts at the program entry, modelling a steady-state region
  * that loops forever.
+ *
+ * The instance counts live in one anonymous private mapping of 4 bytes per
+ * static instruction. The kernel zero-fills a page of it on the first step
+ * into its 1,024 instructions, so a Walker holds resident only the pages of
+ * code its run reached, and constructing one touches none of them.
  */
 class Walker
 {
   public:
+    /** Throws std::bad_alloc when the counts cannot be mapped. */
     explicit Walker(const Program& prog);
 
     /** Executes and returns the next architectural instruction. */
@@ -60,12 +69,27 @@ class Walker
     /** Current call-stack depth. */
     std::size_t callDepth() const { return callStack.size(); }
 
+    /** Executions so far of each static instruction, by index: the
+     *  mapping itself, one entry per instruction of the Program. */
+    std::span<const std::uint32_t>
+    instanceCounts() const
+    {
+        return {counts.get(), program.numInstrs()};
+    }
+
   private:
+    /** Unmaps the counts when the Walker dies. */
+    struct Unmap
+    {
+        std::size_t bytes = 0;
+        void operator()(std::uint32_t* p) const;
+    };
+
     const Program& program;
     InstIdx cur;
     std::uint64_t hist = 0;
     std::uint64_t steps = 0;
-    std::vector<std::uint32_t> counts;
+    std::unique_ptr<std::uint32_t[], Unmap> counts;
     std::vector<InstIdx> callStack;
 };
 

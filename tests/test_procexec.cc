@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <fstream>
 #include <random>
+#include <regex>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -145,6 +146,31 @@ TEST(Procexec, CrashingJobDoesNotPoisonTheBatch)
         r[0].report);
 }
 
+TEST(Procexec, IsolatedFailureLinePrintsTheChildRusage)
+{
+    if (procUnderSanitizer()) {
+        GTEST_SKIP() << "sanitizers intercept SIGSEGV";
+    }
+    SweepOptions o;
+    o.numThreads = 1;
+    o.isolate = true;
+    testing::internal::CaptureStderr();
+    std::vector<JobResult> r = runSweepChecked({crashingJob("rusage")}, o);
+    const std::string err = testing::internal::GetCapturedStderr();
+    ASSERT_EQ(r.size(), 1u);
+    ASSERT_FALSE(r[0].ok);
+    EXPECT_GT(r[0].error.maxRssKb, 0u);
+    // The stderr line carries the rusage the failure row leaves out.
+    const std::regex line(
+        R"((^|\n)\[sweep\] warning: job_failed job=0 label=segv attempts=1 )"
+        R"(kind=crash max_rss_kb=[1-9][0-9]* user_sec=[0-9.e+-]+ )"
+        R"(sys_sec=[0-9.e+-]+ message=[^\n]*SIGSEGV)");
+    EXPECT_TRUE(std::regex_search(err, line)) << err;
+    EXPECT_EQ(failureToJsonLine("rusage", "segv", 1, r[0].error)
+                  .find("max_rss_kb"),
+              std::string::npos);
+}
+
 TEST(Procexec, MemLimitTurnsRunawayAllocationIntoMemLimit)
 {
     if (procUnderSanitizer()) {
@@ -205,13 +231,10 @@ TEST(Procexec, SimErrorCrossesThePipeVerbatim)
     ASSERT_FALSE(jr.ok);
     EXPECT_TRUE(jr.error.signal.empty());
     EXPECT_GT(jr.error.maxRssKb, 0u);
-    // Apart from the diagnostics the parent attaches (rusage and the
-    // stderr tail), the record is the in-process one field for field.
+    // Apart from the stderr tail the parent attaches, the row is the
+    // in-process one byte for byte (the rusage is not part of it).
     JobError relayed = jr.error;
     relayed.stderrTail.clear();
-    relayed.maxRssKb = 0;
-    relayed.userSec = 0.0;
-    relayed.sysSec = 0.0;
     EXPECT_EQ(failureToJsonLine(j.profile.name, j.label, 1, relayed),
               failureToJsonLine(j.profile.name, j.label, 1, expect.error));
     EXPECT_FALSE(relayed.dump.empty());

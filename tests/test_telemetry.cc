@@ -152,8 +152,7 @@ TEST(TelemetryLifecycle, TimelyPath)
     t.onPrefetchFill(0x1000, false);
     t.beginCycle(29, 0);
     t.onPrefetchFirstUse(0x1000);
-    t.finalize();
-    auto s = t.snapshot();
+    auto s = t.finish();
     EXPECT_EQ(s->issuedTotal(), 1u);
     EXPECT_EQ(s->outcomes[0][0], 1u); // Fdip x Timely
     EXPECT_EQ(s->outcomeTotal(PfOutcome::Timely), 1u);
@@ -170,8 +169,7 @@ TEST(TelemetryLifecycle, LatePath)
     t.onPrefetchIssued(0x2000, PfSource::Eip);
     t.beginCycle(5, 0);
     t.onPrefetchLateMerge(0x2000, 37);
-    t.finalize();
-    auto s = t.snapshot();
+    auto s = t.finish();
     EXPECT_EQ(s->outcomes[2][1], 1u); // Eip x Late
     EXPECT_EQ(s->lateBy.count(), 1u);
     EXPECT_EQ(s->lateBy.sum(), 37u);
@@ -191,8 +189,7 @@ TEST(TelemetryLifecycle, UnusedAndPollutingPaths)
     t.beginCycle(50, 0);
     t.onPrefetchEvicted(0x3000);
     t.onPrefetchEvicted(0x4000);
-    t.finalize();
-    auto s = t.snapshot();
+    auto s = t.finish();
     EXPECT_EQ(s->outcomes[0][2], 1u); // Fdip x Unused
     EXPECT_EQ(s->outcomes[1][3], 1u); // UdpExtra x Polluting
     EXPECT_EQ(s->unusedLifetime.count(), 2u);
@@ -213,8 +210,7 @@ TEST(TelemetryLifecycle, PendingAndIdentity)
     t.onPrefetchFirstUse(0x1000);
     t.onPrefetchLateMerge(0x2000, 9);
     t.onPrefetchEvicted(0x3000);
-    t.finalize();
-    auto s = t.snapshot();
+    auto s = t.finish();
     EXPECT_EQ(s->issuedTotal(), 4u);
     EXPECT_EQ(s->outcomeTotal(PfOutcome::Pending), 1u);
     std::uint64_t classified = 0;
@@ -233,8 +229,7 @@ TEST(TelemetryLifecycle, ClearStatsDropsLiveRecords)
     t.clearStats(); // measurement window starts: warmup issue is dropped
     t.beginCycle(2, 0);
     t.onPrefetchFill(0x5000, false); // stale fill: must be a no-op
-    t.finalize();
-    auto s = t.snapshot();
+    auto s = t.finish();
     EXPECT_EQ(s->issuedTotal(), 0u);
     EXPECT_EQ(s->taxonomy.count(), 0u);
 }
@@ -262,8 +257,7 @@ TEST(TelemetryIntervals, RowsCarryDeltas)
             t.closeInterval(cum);
         }
     }
-    t.finalize();
-    auto s = t.snapshot();
+    auto s = t.finish();
     ASSERT_EQ(s->intervals.size(), 2u);
     const IntervalRow& r0 = s->intervals[0];
     EXPECT_EQ(r0.index, 0u);
@@ -290,10 +284,29 @@ TEST(TelemetryTrace, BoundedEventLog)
     for (int i = 0; i < 10; ++i) {
         t.onResteer(0x100 + static_cast<Addr>(i), false);
     }
-    t.finalize();
-    auto s = t.snapshot();
+    auto s = t.finish();
     EXPECT_EQ(s->events.size(), 3u);
     EXPECT_TRUE(s->traceTruncated);
+}
+
+TEST(TelemetryTrace, FinishMovesTheEventLogOut)
+{
+    TelemetryConfig cfg = onConfig();
+    cfg.trace = true;
+    Telemetry t(cfg);
+    t.beginCycle(1, 0);
+    t.onPrefetchIssued(0x1000, PfSource::Fdip);
+    t.onResteer(0x100, true);
+    // The still-live prefetch ends as a Pending span: three events.
+    auto s = t.finish();
+    ASSERT_EQ(s->events.size(), 3u);
+    EXPECT_EQ(s->events[2].detail,
+              static_cast<std::uint8_t>(PfOutcome::Pending));
+    // The log moved: the collector holds nothing a second call could
+    // return.
+    auto again = t.finish();
+    EXPECT_TRUE(again->events.empty());
+    EXPECT_EQ(again->issuedTotal(), 0u);
 }
 
 TEST(TelemetryTrace, DisabledTraceRecordsNothing)
@@ -302,7 +315,7 @@ TEST(TelemetryTrace, DisabledTraceRecordsNothing)
     t.beginCycle(1, 0);
     t.onResteer(0x100, true);
     t.onUdpDrop(0x200);
-    auto s = t.snapshot();
+    auto s = t.finish();
     EXPECT_TRUE(s->events.empty());
     EXPECT_FALSE(s->traceTruncated);
 }
@@ -320,10 +333,9 @@ TEST(TraceFile, RendersLifecycleAndMetadata)
     t.beginCycle(20, 0);
     t.onPrefetchFill(0xabc0, false);
     t.onPrefetchFirstUse(0xabc0);
-    t.finalize();
 
     std::string json =
-        chromeTraceJson({{"mysql/udp8k", t.snapshot(), nullptr}});
+        chromeTraceJson({{"mysql/udp8k", t.finish(), nullptr}});
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(json.find("process_name"), std::string::npos);
     EXPECT_NE(json.find("mysql/udp8k"), std::string::npos);
@@ -389,9 +401,8 @@ TEST(TelemetrySinkRows, SummaryRowCarriesTaxonomy)
     Telemetry t(onConfig());
     t.beginCycle(1, 0);
     t.onPrefetchIssued(0x1000, PfSource::Fdip);
-    t.finalize();
     std::string json = telemetrySummaryToJsonLine("mysql", "udp8k",
-                                                  *t.snapshot());
+                                                  *t.finish());
     EXPECT_NE(json.find("\"row_type\":\"telemetry_summary\""),
               std::string::npos);
     EXPECT_NE(json.find("\"pf_issued_total\":1"), std::string::npos);

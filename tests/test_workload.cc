@@ -5,9 +5,16 @@
  */
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <numeric>
+#include <stdexcept>
 #include <unordered_set>
 
+#include "common/rng.h"
+#include "sim/cpu.h"
 #include "workload/builder.h"
 #include "workload/profile.h"
 #include "workload/true_stream.h"
@@ -243,6 +250,39 @@ TEST(Builder, MemPatternPoolBounded)
     EXPECT_LE(prog.numMemPatterns(), 24u);
 }
 
+TEST(ProgramBuilder, RejectsUnencodableProfiles)
+{
+    // Both limits are checked before generation: a 32 MiB footprint would
+    // take seconds to generate, and a distance of 32 would wrap to 0 in
+    // the 5-bit field without validate() seeing it.
+    Profile big = profileByName("mysql");
+    big.codeFootprintKB = 32768;
+    Profile far = profileByName("mysql");
+    far.maxDepDist = 32;
+    for (const auto& [p, field] : {std::pair{big, "codeFootprintKB=32768"},
+                                   std::pair{far, "maxDepDist=32"}}) {
+        try {
+            ProgramBuilder::build(p);
+            ADD_FAILURE() << field << " was accepted";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+                << e.what();
+        }
+    }
+
+    // The largest distance that fits is generated and kept.
+    far.maxDepDist = kMaxDepDist;
+    far.codeFootprintKB = 64;
+    const Program prog = ProgramBuilder::build(far);
+    std::uint32_t longest = 0;
+    for (InstIdx i = 0; i < prog.numInstrs(); ++i) {
+        longest = std::max<std::uint32_t>(
+            {longest, static_cast<std::uint32_t>(prog.instrAt(i).dep1),
+             static_cast<std::uint32_t>(prog.instrAt(i).dep2)});
+    }
+    EXPECT_EQ(longest, kMaxDepDist);
+}
+
 // ---------------------------------------------------------------- walker
 
 TEST(Walker, FollowsStaticSemantics)
@@ -332,6 +372,82 @@ TEST(Walker, DeterministicReplay)
         ASSERT_EQ(x.nextPc, y.nextPc);
         ASSERT_EQ(x.memAddr, y.memAddr);
     }
+}
+
+/** hashCombine() over every field of @p w's next @p steps instructions. */
+std::uint64_t
+streamHash(Walker& w, std::uint64_t steps)
+{
+    std::uint64_t h = 0;
+    for (std::uint64_t i = 0; i < steps; ++i) {
+        const ArchInstr a = w.step();
+        for (std::uint64_t v : {std::uint64_t{a.idx}, a.pc, a.nextPc,
+                                std::uint64_t{a.taken}, a.takenTarget,
+                                a.memAddr}) {
+            h = hashCombine(h, v);
+        }
+    }
+    return h;
+}
+
+TEST(Walker, StreamMatchesPinnedHashPastTheGoldenWindow)
+{
+    // 500K steps, ten times the golden Reports' warmup, on the largest
+    // image and on the one that loops most. The hashes and counts were
+    // taken from a Walker with a dense count array, so they hold however
+    // the counts are stored.
+    struct Pinned
+    {
+        const char* app;
+        std::uint64_t hash;
+        std::uint32_t entryVisits;
+        std::uint32_t maxCount;
+    };
+    const Pinned pinned[] = {
+        {"verilator", 0x80a4e7d83ee1e3e6ull, 39, 110},
+        {"xgboost", 0x0678fccbb030700bull, 758, 758},
+    };
+    for (const Pinned& pin : pinned) {
+        const Program prog = ProgramBuilder::build(profileByName(pin.app));
+        Walker w(prog);
+        EXPECT_EQ(streamHash(w, 500'000), pin.hash) << pin.app;
+        // Every step is counted once; the dispatcher loop wrapped to the
+        // entry pin.entryVisits times.
+        const std::span<const std::uint32_t> counts = w.instanceCounts();
+        ASSERT_EQ(counts.size(), prog.numInstrs());
+        EXPECT_EQ(std::accumulate(counts.begin(), counts.end(),
+                                  std::uint64_t{0}),
+                  500'000u)
+            << pin.app;
+        EXPECT_EQ(counts[prog.entry()], pin.entryVisits) << pin.app;
+        EXPECT_EQ(*std::max_element(counts.begin(), counts.end()),
+                  pin.maxCount)
+            << pin.app;
+    }
+}
+
+TEST(Walker, CpuRunLeavesUnreachedCountPagesUntouched)
+{
+    // verilator's 1,030,599 counts span 1,007 pages of 4 KiB. A dense array
+    // would make all of them resident when the Cpu is built; the mapping
+    // holds only the pages of code the first 20K instructions reached.
+    const Program prog = ProgramBuilder::build(profileByName("verilator"));
+    Cpu cpu(prog, presets::fdipBaseline());
+    cpu.runUntilRetired(20'000);
+    const std::span<const std::uint32_t> counts =
+        cpu.stream().walker().instanceCounts();
+    const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+    ASSERT_EQ(reinterpret_cast<std::uintptr_t>(counts.data()) % page, 0u);
+    const std::size_t pages = (counts.size_bytes() + page - 1) / page;
+    std::vector<unsigned char> resident(pages);
+    ASSERT_EQ(::mincore(const_cast<std::uint32_t*>(counts.data()),
+                        counts.size_bytes(), resident.data()),
+              0);
+    const auto touched = static_cast<std::size_t>(
+        std::count_if(resident.begin(), resident.end(),
+                      [](unsigned char r) { return (r & 1) != 0; }));
+    EXPECT_GT(touched, 0u);
+    EXPECT_LT(touched, pages / 4) << touched << " of " << pages;
 }
 
 // ------------------------------------------------------------ true stream
