@@ -50,7 +50,8 @@ Backend::forEachRobSlot(const std::uint64_t* bits, F&& f) const
 std::uint64_t
 Backend::producerPos(const RobEntry& e, unsigned k) const
 {
-    unsigned dep = k == 0 ? e.di.dep1 : e.di.dep2;
+    const Instr& sin = instrOf(e);
+    unsigned dep = k == 0 ? sin.dep1 : sin.dep2;
     if (dep == 0 || e.pos < robBasePos + dep) {
         return kNoPos; // no operand, or its producer already retired
     }
@@ -58,7 +59,7 @@ Backend::producerPos(const RobEntry& e, unsigned k) const
 }
 
 bool
-Backend::canDispatch(const DecodedInstr& di) const
+Backend::canDispatch(const FtqInstr& fi) const
 {
     if (robCount >= cfg.robSize) {
         return false;
@@ -66,23 +67,24 @@ Backend::canDispatch(const DecodedInstr& di) const
     if (unissuedCount >= cfg.rsSize) {
         return false;
     }
-    if (di.type == InstrType::Load && loadsInFlight >= cfg.lqSize) {
+    const InstrType type = program.instrAt(fi.idx).type;
+    if (type == InstrType::Load && loadsInFlight >= cfg.lqSize) {
         return false;
     }
-    if (di.type == InstrType::Store && storesInFlight >= cfg.sqSize) {
+    if (type == InstrType::Store && storesInFlight >= cfg.sqSize) {
         return false;
     }
     return true;
 }
 
 void
-Backend::dispatch(const DecodedInstr& di, Cycle now)
+Backend::dispatch(const FtqInstr& fi, Cycle now)
 {
-    assert(canDispatch(di));
+    assert(canDispatch(fi));
     std::uint64_t pos = robBasePos + robCount;
     RobEntry& e = slot(pos);
     e = RobEntry();
-    e.di = di;
+    e.fi = fi;
     e.pos = pos;
     e.dispatchedAt = now;
     ++robCount;
@@ -102,9 +104,10 @@ Backend::dispatch(const DecodedInstr& di, Cycle now)
     if (e.waiting == 0) {
         setBit(readyBits.data(), pos & robMask);
     }
-    if (di.type == InstrType::Load) {
+    const InstrType type = instrOf(e).type;
+    if (type == InstrType::Load) {
         ++loadsInFlight;
-    } else if (di.type == InstrType::Store) {
+    } else if (type == InstrType::Store) {
         ++storesInFlight;
     }
     ++stats_.dispatched;
@@ -113,37 +116,37 @@ Backend::dispatch(const DecodedInstr& di, Cycle now)
 void
 Backend::resolveBranch(RobEntry& e)
 {
-    const DecodedInstr& di = e.di;
+    const FtqInstr& fi = e.fi;
+    const Instr& sin = instrOf(e);
     e.resolved = true;
     ++stats_.branchesResolved;
 
-    Addr pred_next = di.predTaken ? di.predTarget : di.pc + kInstrBytes;
+    Addr pred_next = fi.predTaken ? fi.predTarget : fi.pc + kInstrBytes;
 
-    if (di.onPath) {
-        const ArchInstr& truth = stream.at(di.streamIdx);
-        e.actualTaken = di.kind == BranchKind::CondDirect ? truth.taken
-                                                          : true;
+    if (fi.onPath) {
+        const ArchInstr& truth = stream.at(fi.streamIdx);
+        e.actualTaken = sin.branch == BranchKind::CondDirect ? truth.taken
+                                                             : true;
         e.actualNext = truth.nextPc;
     } else {
         // Wrong-path branch: resolve against the stateless wrong-path
         // oracle so consequent mispredictions re-resteer the wrong path.
-        const Instr& sin = program.instrAt(di.idx);
-        const BranchRecord* rec = records.find(di.record, di.dynId);
+        const BranchRecord* rec = records.find(fi.record, fi.dynId);
         std::uint64_t spec_hist = rec ? rec->ckpt.hist64 : 0;
-        switch (di.kind) {
+        switch (sin.branch) {
           case BranchKind::CondDirect: {
             const BranchBehavior& b = program.condBehavior(sin);
             e.actualTaken =
-                condOutcomeWrongPath(b, spec_hist, di.dynId);
+                condOutcomeWrongPath(b, spec_hist, fi.dynId);
             e.actualNext = e.actualTaken ? program.pcOf(sin.target)
-                                         : di.pc + kInstrBytes;
+                                         : fi.pc + kInstrBytes;
             break;
           }
           case BranchKind::IndirectJump:
           case BranchKind::IndirectCall: {
             const IndirectBehavior& b = program.indirectBehavior(sin);
             std::uint32_t choice =
-                indirectChoiceWrongPath(b, spec_hist, di.dynId);
+                indirectChoiceWrongPath(b, spec_hist, fi.dynId);
             e.actualTaken = true;
             e.actualNext = program.pcOf(program.indirectTarget(b, choice));
             break;
@@ -180,7 +183,7 @@ Backend::complete(RobEntry& e)
         }
     }
     e.consumers = kNoLink;
-    if (e.di.kind != BranchKind::None && !e.resolved) {
+    if (instrOf(e).branch != BranchKind::None && !e.resolved) {
         resolveBranch(e);
         if (e.mispredicted) {
             pendingRecovery.push_back(e.pos);
@@ -230,10 +233,11 @@ Backend::squashAfter(std::uint64_t pos)
         if (!victim.issued) {
             --unissuedCount;
         }
-        records.erase(victim.di.record, victim.di.dynId);
-        if (victim.di.type == InstrType::Load) {
+        records.erase(victim.fi.record, victim.fi.dynId);
+        const InstrType type = instrOf(victim).type;
+        if (type == InstrType::Load) {
             --loadsInFlight;
-        } else if (victim.di.type == InstrType::Store) {
+        } else if (type == InstrType::Store) {
             --storesInFlight;
         }
         clearBit(readyBits.data(), victim.pos & robMask);
@@ -256,7 +260,7 @@ Backend::handleRecovery(Cycle now)
         pendingRecovery.erase(min_it);
 
         RobEntry* e = entryAt(pos);
-        if (!e || e->di.kind == BranchKind::None || !e->resolved ||
+        if (!e || instrOf(*e).branch == BranchKind::None || !e->resolved ||
             !e->mispredicted || e->resteerHandled) {
             continue; // squashed or stale
         }
@@ -269,19 +273,20 @@ Backend::handleRecovery(Cycle now)
                            [p = e->pos](std::uint64_t q) { return q > p; }),
             pendingRecovery.end());
 
-        const BranchRecord* rec = records.find(e->di.record, e->di.dynId);
+        const FtqInstr& fi = e->fi;
+        const BranchRecord* rec = records.find(fi.record, fi.dynId);
         if (rec) {
-            bpu.recoverTo(rec->ckpt, e->di.pc,
-                          e->di.kind == BranchKind::CondDirect,
+            bpu.recoverTo(rec->ckpt, fi.pc,
+                          instrOf(*e).branch == BranchKind::CondDirect,
                           e->actualTaken);
         }
 
         req.valid = true;
         req.newPc = e->actualNext;
-        req.aligned = e->di.onPath;
-        req.nextStreamIdx = e->di.onPath ? e->di.streamIdx + 1 : 0;
-        req.squashAfterDynId = e->di.dynId;
-        req.fromOnPath = e->di.onPath;
+        req.aligned = fi.onPath;
+        req.nextStreamIdx = fi.onPath ? fi.streamIdx + 1 : 0;
+        req.squashAfterDynId = fi.dynId;
+        req.fromOnPath = fi.onPath;
         return req;
     }
     return req;
@@ -298,40 +303,42 @@ Backend::retire(Cycle now)
     unsigned budget = cfg.retireWidth;
     while (budget > 0 && robCount > 0 && slot(robBasePos).completed) {
         RobEntry& e = slot(robBasePos);
-        if (e.di.kind != BranchKind::None && e.mispredicted &&
+        const FtqInstr& fi = e.fi;
+        const Instr& sin = instrOf(e);
+        if (sin.branch != BranchKind::None && e.mispredicted &&
             !e.resteerHandled) {
             break; // recovery must run before this branch retires
         }
-        assert(e.di.onPath && "only architectural-path instructions retire");
+        assert(fi.onPath && "only architectural-path instructions retire");
 
         // Train the predictors with the architectural outcome.
-        const BranchRecord* rec = records.find(e.di.record, e.di.dynId);
+        const BranchRecord* rec = records.find(fi.record, fi.dynId);
         if (rec) {
-            switch (e.di.kind) {
+            switch (sin.branch) {
               case BranchKind::CondDirect:
-                bpu.trainCond(e.di.pc, rec->cond, e.actualTaken);
+                bpu.trainCond(fi.pc, rec->cond, e.actualTaken);
                 break;
               case BranchKind::IndirectJump:
               case BranchKind::IndirectCall:
-                bpu.trainIndirect(e.di.pc, rec->indirect, e.actualNext);
+                bpu.trainIndirect(fi.pc, rec->indirect, e.actualNext);
                 // Refresh the BTB's last-target hint.
-                bpu.btb().insert(e.di.pc, e.di.kind, e.actualNext);
+                bpu.btb().insert(fi.pc, sin.branch, e.actualNext);
                 break;
               default:
                 break;
             }
-            records.erase(e.di.record, e.di.dynId);
+            records.erase(fi.record, fi.dynId);
         }
 
-        retiredPcs_.push_back(e.di.pc);
+        retiredPcs_.push_back(fi.pc);
 
-        if (e.di.type == InstrType::Load) {
+        if (sin.type == InstrType::Load) {
             --loadsInFlight;
-        } else if (e.di.type == InstrType::Store) {
+        } else if (sin.type == InstrType::Store) {
             --storesInFlight;
         }
 
-        stream.retireBelow(e.di.streamIdx + 1);
+        stream.retireBelow(fi.streamIdx + 1);
         ++robBasePos;
         --robCount;
         ++stats_.retired;
@@ -350,10 +357,12 @@ Backend::issue(Cycle now)
     // Oldest ready first; an entry whose port is taken waits in place.
     forEachRobSlot(readyBits.data(), [&](std::size_t s) {
         RobEntry* e = &rob[s];
+        const FtqInstr& fi = e->fi;
+        const Instr& sin = instrOf(*e);
 
         // Functional unit availability.
         unsigned* fu = nullptr;
-        switch (e->di.type) {
+        switch (sin.type) {
           case InstrType::Alu:
           case InstrType::Branch:
             fu = &alu;
@@ -378,27 +387,24 @@ Backend::issue(Cycle now)
         ++stats_.issued;
 
         Cycle done;
-        switch (e->di.type) {
+        switch (sin.type) {
           case InstrType::Load: {
             Addr addr;
-            if (e->di.onPath) {
-                addr = stream.at(e->di.streamIdx).memAddr;
+            if (fi.onPath) {
+                addr = stream.at(fi.streamIdx).memAddr;
             } else {
-                const Instr& sin = program.instrAt(e->di.idx);
-                addr = memAddress(program.memPattern(sin),
-                                  mix64(e->di.dynId));
+                addr = memAddress(program.memPattern(sin), mix64(fi.dynId));
             }
-            done = mem.dload(addr, now, e->di.onPath);
+            done = mem.dload(addr, now, fi.onPath);
             break;
           }
           case InstrType::Store: {
             Addr addr;
-            if (e->di.onPath) {
-                addr = stream.at(e->di.streamIdx).memAddr;
+            if (fi.onPath) {
+                addr = stream.at(fi.streamIdx).memAddr;
             } else {
-                const Instr& sin = program.instrAt(e->di.idx);
                 addr = memAddress(program.memPattern(sin),
-                                  mix64(e->di.dynId ^ 0x5151));
+                                  mix64(fi.dynId ^ 0x5151));
             }
             mem.dstore(addr, now);
             done = now + 1;
@@ -409,7 +415,7 @@ Backend::issue(Cycle now)
             break;
           case InstrType::Alu:
           default:
-            done = now + e->di.execLat;
+            done = now + sin.execLat;
             break;
         }
         // This cycle's completions have run: a zero latency lands next
@@ -469,9 +475,10 @@ Backend::checkInvariants(bool full) const
     const std::uint64_t endPos = robBasePos + robCount;
     for (std::uint64_t pos = robBasePos; pos < endPos; ++pos) {
         const RobEntry& e = slot(pos);
-        if (e.di.type == InstrType::Load) {
+        const InstrType type = instrOf(e).type;
+        if (type == InstrType::Load) {
             ++loads;
-        } else if (e.di.type == InstrType::Store) {
+        } else if (type == InstrType::Store) {
             ++stores;
         }
         for (unsigned k = 0; k < 2; ++k) {
@@ -582,7 +589,7 @@ Backend::dumpState(Cycle now) const
         robCount, cfg.robSize,
         static_cast<unsigned long long>(stats_.retired),
         retireFrozen ? 1 : 0, loadsInFlight, cfg.lqSize, storesInFlight,
-        cfg.sqSize, static_cast<unsigned long long>(head.di.pc),
+        cfg.sqSize, static_cast<unsigned long long>(head.fi.pc),
         static_cast<unsigned long long>(now - head.dispatchedAt),
         head.issued ? 1 : 0, head.completed ? 1 : 0,
         head.mispredicted ? 1 : 0);

@@ -19,7 +19,7 @@
 #include "bpred/bpu.h"
 #include "cache/memsys.h"
 #include "common/types.h"
-#include "frontend/fetch.h"
+#include "frontend/ftq.h"
 #include "frontend/records.h"
 #include "workload/program.h"
 #include "workload/true_stream.h"
@@ -75,11 +75,11 @@ class Backend
     Backend(const Program& prog, TrueStream& stream, MemSystem& mem,
             Bpu& bpu, BranchRecordPool& records, const BackendConfig& cfg);
 
-    /** Room for one more instruction of this type? */
-    bool canDispatch(const DecodedInstr& di) const;
+    /** Room for one more instruction of @p fi's type? */
+    bool canDispatch(const FtqInstr& fi) const;
 
-    /** Accepts an instruction from the decode queue. */
-    void dispatch(const DecodedInstr& di, Cycle now);
+    /** Accepts an instruction (its FTQ slot) from the decode queue. */
+    void dispatch(const FtqInstr& fi, Cycle now);
 
     /**
      * One backend cycle: completion/resolution, recovery selection,
@@ -95,9 +95,9 @@ class Backend
     std::size_t robOccupancy() const { return robCount; }
 
     /** The instruction in ROB entry @p i, oldest (0) to youngest. */
-    const DecodedInstr& robInstr(std::size_t i) const
+    const FtqInstr& robInstr(std::size_t i) const
     {
-        return slot(robBasePos + i).di;
+        return slot(robBasePos + i).fi;
     }
 
     const BackendStats& stats() const { return stats_; }
@@ -108,7 +108,6 @@ class Backend
      * backs up behind the full ROB).
      */
     void setRetireFrozen(bool frozen) { retireFrozen = frozen; }
-    bool retireFrozenForFault() const { return retireFrozen; }
 
     /**
      * Invariant check (sim/invariants.h): ROB/RS/LSQ occupancy bounds.
@@ -136,7 +135,9 @@ class Backend
 
     struct RobEntry
     {
-        DecodedInstr di;
+        /** The instruction's FTQ slot; its static fields are
+         *  program.instrAt(fi.idx) (see instrOf()). */
+        FtqInstr fi;
         std::uint64_t pos = 0; ///< dense dispatch position
         bool issued = false;
         bool completed = false;
@@ -152,6 +153,15 @@ class Backend
         Link consumers = kNoLink; ///< head of this producer's list
         Link next[2] = {kNoLink, kNoLink}; ///< per-operand list successor
     };
+
+    static_assert(sizeof(RobEntry) == 112, "keep dispatch's fill small");
+
+    /** The static instruction of @p e: type, branch kind, latency and
+     *  dependence distances. */
+    const Instr& instrOf(const RobEntry& e) const
+    {
+        return program.instrAt(e.fi.idx);
+    }
 
     /** The ROB slot of @p pos (valid only while @p pos is in the ROB). */
     RobEntry& slot(std::uint64_t pos) { return rob[pos & robMask]; }

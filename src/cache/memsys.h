@@ -149,7 +149,6 @@ class MemSystem
 
     const MemSysStats& stats() const { return stats_; }
     const CacheStats& l1iStats() const { return l1i.stats(); }
-    const MshrStats& l1iMshrStats() const { return l1iMshr.stats(); }
 
     SetAssocCache& icache() { return l1i; }
     const SetAssocCache& icache() const { return l1i; }

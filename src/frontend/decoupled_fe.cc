@@ -82,7 +82,6 @@ DecoupledFrontend::buildBlock(Cycle now)
         // Hardware view: the BTB tells the frontend where branches are.
         const BtbEntry* be = bpu.btb().lookup(cur);
         if (be && be->kind != BranchKind::None) {
-            fi.predictedBranch = true;
             fi.record = records.alloc(fi.dynId);
             Prediction p =
                 predict(be->kind, cur, be->target, records.at(fi.record));
@@ -124,7 +123,6 @@ Prediction
 DecoupledFrontend::predict(BranchKind kind, Addr pc, Addr known_target,
                            BranchRecord& rec)
 {
-    rec.kind = kind;
     rec.ckpt = bpu.checkpoint();
     const Addr fall_through = pc + kInstrBytes;
     Prediction p{true, known_target};

@@ -25,10 +25,10 @@ FetchStage::flushAll()
 }
 
 bool
-FetchStage::postFetchCorrect(DecodedInstr& di, Cycle now)
+FetchStage::postFetchCorrect(FtqInstr& fi, Cycle now)
 {
-    const Instr& sin = program.instrAt(di.idx);
-    if (sin.branch == BranchKind::None || di.predictedBranch) {
+    const Instr& sin = program.instrAt(fi.idx);
+    if (sin.branch == BranchKind::None || fi.record != kNoRecord) {
         return false;
     }
 
@@ -40,15 +40,13 @@ FetchStage::postFetchCorrect(DecodedInstr& di, Cycle now)
         sin.branch == BranchKind::Jump || sin.branch == BranchKind::Call) {
         direct_target = program.pcOf(sin.target);
     }
-    bpu.btb().insert(di.pc, sin.branch, direct_target);
+    bpu.btb().insert(fi.pc, sin.branch, direct_target);
 
-    di.record = records.alloc(di.dynId);
-    BranchRecord& rec = records.at(di.record);
-    rec.fromDecode = true;
-    Prediction p = frontend.predict(sin.branch, di.pc, direct_target, rec);
-    di.predictedBranch = true;
-    di.predTaken = p.taken;
-    di.predTarget = p.taken ? p.target : kInvalidAddr;
+    fi.record = records.alloc(fi.dynId);
+    Prediction p = frontend.predict(sin.branch, fi.pc, direct_target,
+                                    records.at(fi.record));
+    fi.predTaken = p.taken;
+    fi.predTarget = p.taken ? p.target : kInvalidAddr;
 
     if (!p.taken) {
         // Sequential continuation was correct from the frontend's point of
@@ -60,8 +58,7 @@ FetchStage::postFetchCorrect(DecodedInstr& di, Cycle now)
     // the decode-corrected direction. Flush FTQ + younger decode state and
     // resteer; the frontend raises UDP's BTB-miss bump (the paper's
     // assume-off-path signal).
-    ++stats_.decodeResteers;
-
+    //
     // Drop the not-yet-delivered remainder of the head block.
     headAccessed = false;
     headReady = 0;
@@ -75,8 +72,8 @@ FetchStage::postFetchCorrect(DecodedInstr& di, Cycle now)
     }
     ftq.flush();
 
-    frontend.resteer(now + 1, p.target, /*aligned=*/di.onPath,
-                     di.streamIdx + 1, /*from_decode=*/true);
+    frontend.resteer(now + 1, p.target, /*aligned=*/fi.onPath,
+                     fi.streamIdx + 1, /*from_decode=*/true);
     return true;
 }
 
@@ -122,33 +119,13 @@ FetchStage::tick(Cycle now)
         }
 
         // Deliver instructions from the ready block.
-        bool resteered = false;
         while (budget > 0 && headConsumed < head.numInstrs) {
-            const FtqInstr& fi = head.instrs[headConsumed];
-            const Instr& sin = program.instrAt(fi.idx);
-
-            DecodedInstr di;
-            di.dynId = fi.dynId;
-            di.idx = fi.idx;
-            di.record = fi.record;
-            di.pc = fi.pc;
-            di.type = sin.type;
-            di.kind = sin.branch;
-            di.execLat = sin.execLat;
-            di.dep1 = sin.dep1;
-            di.dep2 = sin.dep2;
-            di.behavior = sin.behavior;
-            di.onPath = fi.onPath;
-            di.streamIdx = fi.streamIdx;
-            di.predictedBranch = fi.predictedBranch;
-            di.predTaken = fi.predTaken;
-            di.predTarget = fi.predTarget;
-            di.readyAt = now + cfg.decodePipeLat;
-
+            DecodedInstr di{head.instrs[headConsumed],
+                            now + cfg.decodePipeLat};
             ++headConsumed;
             --budget;
 
-            resteered = postFetchCorrect(di, now);
+            const bool resteered = postFetchCorrect(di.fi, now);
             decodeQ.pushBack(di);
             if (resteered) {
                 return; // younger state flushed

@@ -26,29 +26,19 @@ namespace udp {
 
 class Eip;
 
-/** A decoded dynamic instruction ready for dispatch. */
+/**
+ * A decode-queue entry: the instruction's FTQ slot, as block building
+ * filled it (decode correction may add a prediction), and the cycle its
+ * decode completes.
+ */
 struct DecodedInstr
 {
-    std::uint64_t dynId = 0;
-    InstIdx idx = 0;
-    /** Pool slot of this branch's prediction record (predicted branches;
-     *  sits in what would otherwise be padding). */
-    RecordHandle record = kNoRecord;
-    Addr pc = kInvalidAddr;
-    InstrType type = InstrType::Alu;
-    BranchKind kind = BranchKind::None;
-    std::uint8_t execLat = 1;
-    std::uint8_t dep1 = 0;
-    std::uint8_t dep2 = 0;
-    std::uint32_t behavior = kNoBehavior;
-    bool onPath = false;
-    std::uint64_t streamIdx = 0;
-    bool predictedBranch = false;
-    bool predTaken = false;
-    Addr predTarget = kInvalidAddr;
+    FtqInstr fi;
     /** Cycle at which decode/rename completes (dispatchable). */
     Cycle readyAt = 0;
 };
+
+static_assert(sizeof(DecodedInstr) == 56, "keep the decode queue compact");
 
 /** Fetch configuration. */
 struct FetchConfig
@@ -66,7 +56,6 @@ struct FetchStats
     /** Delivery slots lost while stalled on an icache miss (Fig. 15). */
     std::uint64_t lostSlotsIcacheMiss = 0;
     std::uint64_t decodeBtbCorrections = 0;
-    std::uint64_t decodeResteers = 0;
 };
 
 /** The fetch + decode pipeline front. */
@@ -111,7 +100,7 @@ class FetchStage
      * Post-fetch correction for one delivered instruction. Returns true
      * when a decode resteer happened (stop delivering younger).
      */
-    bool postFetchCorrect(DecodedInstr& di, Cycle now);
+    bool postFetchCorrect(FtqInstr& fi, Cycle now);
 
     const Program& program;
     Bpu& bpu;

@@ -21,25 +21,31 @@ namespace udp {
 
 class Telemetry;
 
-/** One instruction slot inside a fetch block. */
+/**
+ * One instruction slot inside a fetch block: the one record an
+ * instruction carries from block building through the decode queue into
+ * the ROB. Static fields (type, branch kind, latency, dependences) are
+ * not copied in; readers look them up with Program::instrAt(idx).
+ */
 struct FtqInstr
 {
     InstIdx idx = 0;
-    /** Pool slot of this branch's prediction record (predicted branches;
-     *  sits in what would otherwise be padding). */
+    /** Pool slot of this branch's prediction record; set exactly when
+     *  the frontend predicted the instruction as a branch (a BTB hit, or
+     *  decode's post-fetch correction), kNoRecord otherwise. */
     RecordHandle record = kNoRecord;
     Addr pc = kInvalidAddr;
     /** Unique dynamic id assigned by the frontend (key for records). */
     std::uint64_t dynId = 0;
-    /** Ground truth: lies on the architectural path. */
-    bool onPath = false;
     /** Absolute TrueStream position (valid only when onPath). */
     std::uint64_t streamIdx = 0;
-    /** The frontend recognised this as a branch (BTB hit). */
-    bool predictedBranch = false;
-    bool predTaken = false;
     Addr predTarget = kInvalidAddr;
+    /** Ground truth: lies on the architectural path. */
+    bool onPath = false;
+    bool predTaken = false;
 };
+
+static_assert(sizeof(FtqInstr) == 48, "keep the in-flight record compact");
 
 /**
  * One fetch block (32 B aligned region, terminated early by taken CTI).

@@ -13,7 +13,6 @@
 
 #include "bpred/bpu.h"
 #include "common/types.h"
-#include "workload/isa.h"
 
 namespace udp {
 
@@ -26,9 +25,6 @@ struct BranchRecord
     CondPredRecord cond;
     /** Target prediction (indirect kinds only). */
     IbtbPrediction indirect;
-    BranchKind kind = BranchKind::None;
-    /** Created by post-fetch correction (decode-detected BTB miss). */
-    bool fromDecode = false;
 };
 
 /**

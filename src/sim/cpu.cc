@@ -103,8 +103,9 @@ Cpu::applyResteer(const ResteerRequest& req)
     }
     const Ring<DecodedInstr>& dq = fetch_->decodeQueue();
     for (std::size_t i = 0; i < dq.size(); ++i) {
-        if (dq[i].dynId > req.squashAfterDynId) {
-            records_.erase(dq[i].record, dq[i].dynId);
+        const FtqInstr& fi = dq[i].fi;
+        if (fi.dynId > req.squashAfterDynId) {
+            records_.erase(fi.record, fi.dynId);
         }
     }
 
@@ -163,8 +164,8 @@ Cpu::cycle()
     auto& dq = fetch_->decodeQueue();
     unsigned budget = cfg.backend.dispatchWidth;
     while (budget > 0 && !dq.empty() && dq.front().readyAt <= now_ &&
-           backend_->canDispatch(dq.front())) {
-        backend_->dispatch(dq.front(), now_);
+           backend_->canDispatch(dq.front().fi)) {
+        backend_->dispatch(dq.front().fi, now_);
         dq.popFront();
         --budget;
     }

@@ -60,7 +60,7 @@ checkRecords(const Cpu& cpu, bool full)
     }
     const Ring<DecodedInstr>& dq = cpu.fetch().decodeQueue();
     for (std::size_t i = 0; i < dq.size(); ++i) {
-        carry(dq[i].record, dq[i].dynId);
+        carry(dq[i].fi.record, dq[i].fi.dynId);
     }
     const Backend& be = cpu.backend();
     for (std::size_t i = 0; i < be.robOccupancy(); ++i) {

@@ -9,6 +9,7 @@
 #ifndef UDP_STATS_HISTOGRAM_H
 #define UDP_STATS_HISTOGRAM_H
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -68,7 +69,6 @@ class Distribution
     }
 
     BucketScale scale() const { return scale_; }
-    std::size_t numBuckets() const { return buckets_.size(); }
     std::uint64_t bucketCount(std::size_t i) const { return buckets_.at(i); }
 
     /** Index of the bucket @p v falls into. */
@@ -100,7 +100,8 @@ class Distribution
 
     /**
      * Smallest bucket lower bound b such that at least fraction @p q of
-     * samples fall into buckets at or below b's bucket. Bucket-resolution
+     * samples fall into buckets at or below b's bucket: the bucket of the
+     * nearest-rank sample, the ceil(q * n)-th smallest. Bucket-resolution
      * (exact for linear width 1); 0 when empty.
      */
     std::uint64_t
@@ -115,7 +116,8 @@ class Distribution
         if (q > 1.0) {
             q = 1.0;
         }
-        auto need = static_cast<std::uint64_t>(q * static_cast<double>(n_));
+        auto need = static_cast<std::uint64_t>(
+            std::ceil(q * static_cast<double>(n_)));
         if (need == 0) {
             need = 1;
         }

@@ -1,7 +1,8 @@
 #include "stats/stats.h"
 
 #include <cassert>
-#include <sstream>
+
+#include "stats/sink.h"
 
 namespace udp {
 
@@ -57,11 +58,11 @@ StatSet::has(const std::string& name) const
 std::string
 StatSet::toString() const
 {
-    std::ostringstream os;
+    std::string out;
     for (const auto& [n, v] : items) {
-        os << n << " = " << v << '\n';
+        out += n + " = " + formatNumber(v) + '\n';
     }
-    return os.str();
+    return out;
 }
 
 } // namespace udp

@@ -55,7 +55,8 @@ class StatSet
         return items;
     }
 
-    /** Renders "name = value" lines. */
+    /** Renders "name = value" lines, each value in formatNumber()'s
+     *  rendering (stats/sink.h). */
     std::string toString() const;
 
   private:

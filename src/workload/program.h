@@ -63,7 +63,6 @@ class Program
     }
 
     const Instr& instrAt(InstIdx i) const { return instrs_[i]; }
-    const Instr& instrAtPc(Addr pc) const { return instrs_[indexOf(pc)]; }
 
     const BranchBehavior&
     condBehavior(const Instr& in) const
@@ -90,8 +89,6 @@ class Program
         return targetPool_[b.firstTarget + k];
     }
 
-    std::size_t numCondBehaviors() const { return condBehaviors_.size(); }
-    std::size_t numIndirectBehaviors() const { return indirectBehaviors_.size(); }
     std::size_t numMemPatterns() const { return memPatterns_.size(); }
 
     /** Count of static branch instructions (any kind). */

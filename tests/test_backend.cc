@@ -9,20 +9,26 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <functional>
 
 #include "backend/backend.h"
+#include "common/rng.h"
 
 namespace udp {
 namespace {
 
+/** A test's edits to backendProgram()'s instructions before assembly:
+ *  the static types, latencies and dependences the test needs. */
+using ProgramEdit = std::function<void(std::vector<Instr>&)>;
+
 /**
- * Program used by backend tests:
- *   0..7   alu
+ * Program used by backend tests, before @p edit:
+ *   0..7   alu, except 4: load; no dependences, latency 1
  *   8      cond branch (Loop trip 1000 -> effectively always taken) -> 0
  *   9..15  alu (sequential tail)
  */
 Program
-backendProgram()
+backendProgram(const ProgramEdit& edit)
 {
     std::vector<Instr> ins(16);
     ins[8].type = InstrType::Branch;
@@ -38,6 +44,9 @@ backendProgram()
     mp.base = Program::kDataBase;
     mp.size = 4096;
     mp.stride = 64;
+    if (edit) {
+        edit(ins);
+    }
     Program p = Program::assemble("be", std::move(ins), 0, {loop}, {}, {},
                                   {mp});
     EXPECT_EQ(p.validate(), "");
@@ -46,7 +55,7 @@ backendProgram()
 
 struct BackendHarness
 {
-    Program prog = backendProgram();
+    Program prog;
     TrueStream stream{prog};
     MemSystem mem{MemSysConfig{}};
     Bpu bpu{BpuConfig{}};
@@ -54,8 +63,9 @@ struct BackendHarness
     BackendConfig cfg;
     std::unique_ptr<Backend> be;
 
-    explicit BackendHarness(const BackendConfig& c = BackendConfig())
-        : cfg(c)
+    explicit BackendHarness(const ProgramEdit& edit = {},
+                            const BackendConfig& c = BackendConfig())
+        : prog(backendProgram(edit)), cfg(c)
     {
         be = std::make_unique<Backend>(prog, stream, mem, bpu, records,
                                        cfg);
@@ -70,36 +80,33 @@ struct BackendHarness
         return r;
     }
 
-    /** Builds the DecodedInstr for true-stream position @p i. */
-    DecodedInstr
-    decoded(std::uint64_t i, Cycle ready = 0)
+    /** Builds the FTQ slot for true-stream position @p i. */
+    FtqInstr
+    slot(std::uint64_t i)
     {
         const ArchInstr& a = stream.at(i);
         const Instr& sin = prog.instrAt(a.idx);
-        DecodedInstr di;
-        di.dynId = i + 1;
-        di.idx = a.idx;
-        di.pc = a.pc;
-        di.type = sin.type;
-        di.kind = sin.branch;
-        di.execLat = sin.execLat;
-        di.dep1 = sin.dep1;
-        di.dep2 = sin.dep2;
-        di.behavior = sin.behavior;
-        di.onPath = true;
-        di.streamIdx = i;
-        di.readyAt = ready;
+        FtqInstr fi;
+        fi.dynId = i + 1;
+        fi.idx = a.idx;
+        fi.pc = a.pc;
+        fi.onPath = true;
+        fi.streamIdx = i;
         if (sin.branch == BranchKind::CondDirect) {
-            di.predictedBranch = true;
-            di.record = records.alloc(di.dynId);
-            BranchRecord& rec = records.at(di.record);
-            rec.kind = sin.branch;
+            fi.record = records.alloc(fi.dynId);
+            BranchRecord& rec = records.at(fi.record);
             rec.ckpt = bpu.checkpoint();
-            rec.cond = bpu.predictCond(di.pc);
-            di.predTaken = rec.cond.taken;
-            di.predTarget = prog.pcOf(sin.target);
+            rec.cond = bpu.predictCond(fi.pc);
+            fi.predTaken = rec.cond.taken;
+            fi.predTarget = prog.pcOf(sin.target);
         }
-        return di;
+        return fi;
+    }
+
+    /** The static instruction of @p fi. */
+    const Instr& instrOf(const FtqInstr& fi) const
+    {
+        return prog.instrAt(fi.idx);
     }
 };
 
@@ -111,15 +118,15 @@ TEST(Backend, DispatchAdmissionLimits)
     unsigned dispatched = 0;
     Cycle now = 1;
     while (true) {
-        DecodedInstr di = h.decoded(i);
-        if (di.kind != BranchKind::None) {
+        FtqInstr fi = h.slot(i);
+        if (h.instrOf(fi).branch != BranchKind::None) {
             ++i;
             continue; // keep it branch-free: no retirement progress needed
         }
-        if (!h.be->canDispatch(di)) {
+        if (!h.be->canDispatch(fi)) {
             break;
         }
-        h.be->dispatch(di, now);
+        h.be->dispatch(fi, now);
         ++dispatched;
         ++i;
         if (dispatched > 500) {
@@ -135,7 +142,7 @@ TEST(Backend, RetiresInOrderAndCounts)
     BackendHarness h;
     Cycle now = 1;
     for (std::uint64_t i = 0; i < 6; ++i) {
-        h.be->dispatch(h.decoded(i), now);
+        h.be->dispatch(h.slot(i), now);
     }
     std::uint64_t before = h.be->retired();
     for (now = 2; now < 600 && h.be->retired() < before + 6; ++now) {
@@ -163,9 +170,9 @@ TEST(Backend, RetiredPcsListEveryPc)
     std::vector<Addr> expected;
     Cycle now = 1;
     for (std::uint64_t i = 0; i < 4; ++i) {
-        DecodedInstr di = h.decoded(i);
-        expected.push_back(di.pc);
-        h.be->dispatch(di, now);
+        FtqInstr fi = h.slot(i);
+        expected.push_back(fi.pc);
+        h.be->dispatch(fi, now);
     }
 
     // A tick with retirement frozen lists nothing, even once the oldest
@@ -189,15 +196,14 @@ TEST(Backend, IssueWidthBoundsThroughput)
     BackendHarness h;
     Cycle now = 1;
     unsigned count = 0;
+    // backendProgram()'s ALU ops depend on nothing.
     for (std::uint64_t i = 0; count < 60; ++i) {
-        DecodedInstr di = h.decoded(i);
-        if (di.kind != BranchKind::None || di.type != InstrType::Alu) {
+        FtqInstr fi = h.slot(i);
+        if (h.instrOf(fi).type != InstrType::Alu) {
             continue;
         }
-        di.dep1 = 0;
-        di.dep2 = 0;
-        if (h.be->canDispatch(di)) {
-            h.be->dispatch(di, now);
+        if (h.be->canDispatch(fi)) {
+            h.be->dispatch(fi, now);
             ++count;
         }
     }
@@ -208,18 +214,13 @@ TEST(Backend, IssueWidthBoundsThroughput)
 
 TEST(Backend, DependenceDelaysIssue)
 {
-    BackendHarness h;
-    Cycle now = 1;
     // Producer: a load (long latency). Consumer: depends on it.
-    DecodedInstr ld = h.decoded(4); // the load at index 4
-    ASSERT_EQ(ld.type, InstrType::Load);
-    ld.dep1 = 0;
-    ld.dep2 = 0;
+    BackendHarness h([](std::vector<Instr>& ins) { ins[5].dep1 = 1; });
+    Cycle now = 1;
+    FtqInstr ld = h.slot(4); // the load at index 4
+    ASSERT_EQ(h.instrOf(ld).type, InstrType::Load);
     h.be->dispatch(ld, now);
-    DecodedInstr use = h.decoded(5);
-    use.dep1 = 1; // depends on the load
-    use.dep2 = 0;
-    h.be->dispatch(use, now);
+    h.be->dispatch(h.slot(5), now);
 
     h.be->tick(now); // load issues; consumer must wait
     EXPECT_EQ(h.be->stats().issued, 1u);
@@ -236,7 +237,7 @@ TEST(Backend, CorrectPredictionNoResteer)
     Cycle now = 1;
     // Warm the direction so TAGE predicts taken (loop trip 1000).
     for (std::uint64_t i = 0; i < 9; ++i) {
-        h.be->dispatch(h.decoded(i), now);
+        h.be->dispatch(h.slot(i), now);
     }
     bool resteer_seen = false;
     for (now = 2; now < 600; ++now) {
@@ -260,15 +261,15 @@ TEST(Backend, MispredictSquashesYounger)
     Cycle now = 1;
     // Dispatch the on-path branch but force a wrong prediction.
     for (std::uint64_t i = 0; i < 8; ++i) {
-        h.be->dispatch(h.decoded(i), now);
+        h.be->dispatch(h.slot(i), now);
     }
-    DecodedInstr br = h.decoded(8);
+    FtqInstr br = h.slot(8);
     br.predTaken = false; // truth: taken (trip-1000 loop)
     br.predTarget = kInvalidAddr;
     h.be->dispatch(br, now);
     // "Wrong path" youngsters that must be squashed.
     for (std::uint64_t fake = 100; fake < 110; ++fake) {
-        DecodedInstr wp = h.decoded(9); // any instruction
+        FtqInstr wp = h.slot(9); // any instruction
         wp.dynId = fake + 1000;
         wp.onPath = false;
         if (h.be->canDispatch(wp)) {
@@ -295,10 +296,8 @@ TEST(Backend, LoadStoreQueueLimits)
     unsigned loads = 0;
     // Dispatch loads only until refused.
     while (true) {
-        DecodedInstr ld = h.decoded(4);
+        FtqInstr ld = h.slot(4);
         ld.dynId = 10'000 + loads;
-        ld.dep1 = 0;
-        ld.dep2 = 0;
         if (!h.be->canDispatch(ld)) {
             break;
         }
@@ -318,19 +317,17 @@ TEST(Backend, IssuesOldestReadyFirstUnderPortLimits)
     // and the third another. The first access to a line misses and
     // installs it, so one L1 hit in the first cycle means the two oldest
     // issued together. A younger ALU op still takes its own port.
-    DecodedInstr ld0 = h.decoded(4);
-    DecodedInstr ld1 = ld0;
+    FtqInstr ld0 = h.slot(4);
+    FtqInstr ld1 = ld0;
     ld1.dynId = 1000;
-    DecodedInstr ld2 = h.decoded(13);
-    ASSERT_EQ(ld2.type, InstrType::Load);
+    FtqInstr ld2 = h.slot(13);
+    ASSERT_EQ(h.instrOf(ld2).type, InstrType::Load);
     ASSERT_NE(lineAddr(h.stream.at(4).memAddr),
               lineAddr(h.stream.at(13).memAddr));
-    DecodedInstr alu = h.decoded(14);
-    ASSERT_EQ(alu.type, InstrType::Alu);
-    for (DecodedInstr* di : {&ld0, &ld1, &ld2, &alu}) {
-        di->dep1 = 0;
-        di->dep2 = 0;
-        h.be->dispatch(*di, 1);
+    FtqInstr alu = h.slot(14);
+    ASSERT_EQ(h.instrOf(alu).type, InstrType::Alu);
+    for (const FtqInstr& fi : {ld0, ld1, ld2, alu}) {
+        h.be->dispatch(fi, 1);
     }
 
     h.tick(1);
@@ -346,40 +343,37 @@ TEST(Backend, IssuesOldestReadyFirstUnderPortLimits)
 
 TEST(Backend, RefilledSlotWaitsOnItsOwnProducer)
 {
-    BackendHarness h;
-    auto wrongPath = [](DecodedInstr di, std::uint64_t dyn_id,
-                        std::uint8_t dep1, std::uint8_t dep2) {
-        di.dynId = dyn_id;
-        di.onPath = false;
-        di.dep1 = dep1;
-        di.dep2 = dep2;
-        return di;
+    BackendHarness h([](std::vector<Instr>& ins) {
+        ins[5].dep1 = ins[5].dep2 = 1;
+        ins[6].dep1 = ins[6].dep2 = 4;
+        ins[0].execLat = 5;
+        ins[1].dep1 = 1;
+    });
+    auto wrongPath = [](FtqInstr fi, std::uint64_t dyn_id) {
+        fi.dynId = dyn_id;
+        fi.onPath = false;
+        return fi;
     };
     // Position 0: an on-path load that misses to memory. Position 1: the
     // loop branch, forced to predict not-taken (truth: taken).
-    DecodedInstr ld = h.decoded(4);
-    ld.dep1 = ld.dep2 = 0;
-    DecodedInstr br = h.decoded(8);
-    br.dep1 = br.dep2 = 0;
+    FtqInstr ld = h.slot(4);
+    FtqInstr br = h.slot(8);
     br.predTaken = false;
     br.predTarget = kInvalidAddr;
-    // Positions 2-4, wrong path: a load that misses, a consumer naming it
-    // in both operands, and a consumer naming position 0 in both.
-    DecodedInstr wp_ld = wrongPath(h.decoded(4), 2000, 0, 0);
-    DecodedInstr wp_use = wrongPath(h.decoded(5), 2001, 1, 1);
-    DecodedInstr wp_use0 = wrongPath(h.decoded(6), 2002, 4, 4);
-    // Refill of positions 2-3 after recovery: a 5-cycle ALU op and its
-    // consumer.
-    DecodedInstr slow = h.decoded(9);
-    ASSERT_EQ(slow.type, InstrType::Alu);
-    slow.execLat = 5;
-    slow.dep1 = slow.dep2 = 0;
-    DecodedInstr use = h.decoded(10);
-    use.dep1 = 1;
-    use.dep2 = 0;
+    // Positions 2-4, wrong path: a load that misses (instruction 4), a
+    // consumer naming it in both operands (5), and a consumer naming
+    // position 0 in both (6).
+    FtqInstr wp_ld = wrongPath(h.slot(4), 2000);
+    FtqInstr wp_use = wrongPath(h.slot(5), 2001);
+    FtqInstr wp_use0 = wrongPath(h.slot(6), 2002);
+    // Refill of positions 2-3 after recovery: a 5-cycle ALU op
+    // (instruction 0) and its consumer (1).
+    FtqInstr slow = h.slot(9);
+    ASSERT_EQ(h.instrOf(slow).type, InstrType::Alu);
+    FtqInstr use = h.slot(10);
 
-    for (const DecodedInstr& di : {ld, br, wp_ld, wp_use, wp_use0}) {
-        h.be->dispatch(di, 1);
+    for (const FtqInstr& fi : {ld, br, wp_ld, wp_use, wp_use0}) {
+        h.be->dispatch(fi, 1);
     }
     h.tick(1); // both loads and the branch issue; the consumers wait
     EXPECT_EQ(h.be->stats().issued, 3u);
@@ -410,15 +404,13 @@ TEST(Backend, RefilledSlotWaitsOnItsOwnProducer)
 
 TEST(Backend, SharedProducerOperandsIssueOnce)
 {
-    BackendHarness h;
-    DecodedInstr prod = h.decoded(0);
-    prod.execLat = 3;
-    prod.dep1 = prod.dep2 = 0;
-    DecodedInstr use = h.decoded(1);
-    use.dep1 = 1;
-    use.dep2 = 1;
-    h.be->dispatch(prod, 1);
-    h.be->dispatch(use, 1);
+    // A 3-cycle producer, and a consumer naming it in both operands.
+    BackendHarness h([](std::vector<Instr>& ins) {
+        ins[0].execLat = 3;
+        ins[1].dep1 = ins[1].dep2 = 1;
+    });
+    h.be->dispatch(h.slot(0), 1);
+    h.be->dispatch(h.slot(1), 1);
 
     h.tick(1); // producer issues, completes at cycle 4
     EXPECT_EQ(h.be->stats().issued, 1u);
@@ -439,7 +431,8 @@ constexpr Cycle kWheelSpan = 64;
 
 TEST(Backend, LoadBeyondTheWheelCompletesOnTime)
 {
-    BackendHarness h;
+    // The consumer (instruction 5) waits for the load at 4.
+    BackendHarness h([](std::vector<Instr>& ins) { ins[5].dep1 = 1; });
     // A DRAM backlog: cold data lines ahead of the load in the channel.
     // The twin memory system replays the same accesses to predict the
     // load's completion cycle.
@@ -449,17 +442,13 @@ TEST(Backend, LoadBeyondTheWheelCompletesOnTime)
         h.mem.dload(addr, 1, true);
         twin.dload(addr, 1, true);
     }
-    DecodedInstr ld = h.decoded(4);
-    ASSERT_EQ(ld.type, InstrType::Load);
-    ld.dep1 = ld.dep2 = 0;
-    DecodedInstr use = h.decoded(5);
-    use.dep1 = 1; // waits for the load
-    use.dep2 = 0;
+    FtqInstr ld = h.slot(4);
+    ASSERT_EQ(h.instrOf(ld).type, InstrType::Load);
     const Cycle done = twin.dload(h.stream.at(4).memAddr, 1, true);
     ASSERT_GT(done, 1 + 4 * kWheelSpan);
 
     h.be->dispatch(ld, 1);
-    h.be->dispatch(use, 1);
+    h.be->dispatch(h.slot(5), 1);
     for (Cycle now = 1; now < done; ++now) {
         h.tick(now);
         ASSERT_EQ(h.be->stats().issued, 1u) << "cycle " << now;
@@ -470,48 +459,66 @@ TEST(Backend, LoadBeyondTheWheelCompletesOnTime)
 
 TEST(Backend, RedispatchedSlotIgnoresItsSquashedCompletion)
 {
-    // The squashed wrong-path op completes at cycle 131. The refill of
-    // its slot issues at cycle 4 and is due either in a later rotation of
-    // the same wheel bucket (131 + 64) or in another bucket; its consumer
-    // must issue exactly then, not at 131. The consumer's slot held a
-    // squashed op that was ready but not issued.
-    for (std::uint8_t lat : {std::uint8_t{191}, std::uint8_t{150}}) {
-        SCOPED_TRACE(testing::Message() << "refill latency " << int(lat));
-        BackendHarness h;
-        DecodedInstr br = h.decoded(8); // position 0, forced wrong
-        br.dep1 = br.dep2 = 0;
+    // Position 1 holds a wrong-path load that misses to DRAM, squashed
+    // before it completes. The refill of its slot, an on-path load, is
+    // due either in a later rotation of the squashed load's wheel bucket
+    // (it issues one wheel span after it) or in another bucket; its
+    // consumer must issue exactly then, not when the squashed load was
+    // due. The consumer's slot held a squashed op that was ready but not
+    // issued. A twin memory system replays both loads to time them.
+    struct Case
+    {
+        Cycle refillIssue;
+        bool sameBucket;
+    };
+    for (Case c : {Case{1 + kWheelSpan, true}, Case{4, false}}) {
+        SCOPED_TRACE(testing::Message() << "refill issues at cycle "
+                                        << c.refillIssue);
+        // Instruction 0 becomes a load: the squashed op and the refill.
+        // Instruction 1 is its consumer.
+        BackendHarness h([](std::vector<Instr>& ins) {
+            ins[0].type = InstrType::Load;
+            ins[0].behavior = 0;
+            ins[1].dep1 = 1;
+        });
+        FtqInstr br = h.slot(8); // position 0, forced wrong
         br.predTaken = false; // truth: taken (trip-1000 loop)
         br.predTarget = kInvalidAddr;
-        DecodedInstr wp = h.decoded(9); // position 1, wrong path
-        ASSERT_EQ(wp.type, InstrType::Alu);
+        FtqInstr wp = h.slot(9); // position 1, wrong path
         wp.dynId = 5000;
         wp.onPath = false;
-        wp.dep1 = wp.dep2 = 0;
-        wp.execLat = 130;
-        DecodedInstr wp_ready = wp; // position 2, wrong path
+        FtqInstr wp_ready = wp; // position 2, wrong path
         wp_ready.dynId = 5001;
-        wp_ready.execLat = 1;
-        DecodedInstr refill = h.decoded(9); // position 1 again
-        refill.dep1 = refill.dep2 = 0;
-        refill.execLat = lat;
-        DecodedInstr use = h.decoded(10); // position 2
-        ASSERT_EQ(use.type, InstrType::Alu);
-        use.dep1 = 1;
-        use.dep2 = 0;
+        FtqInstr refill = h.slot(9); // position 1 again
+        FtqInstr use = h.slot(10); // position 2
+
+        // The wrong-path load reads the address the backend's wrong-path
+        // oracle gives it (Backend::issue).
+        const Addr wp_addr =
+            memAddress(h.prog.memPattern(h.instrOf(wp)), mix64(wp.dynId));
+        const Addr refill_addr = h.stream.at(9).memAddr;
+        ASSERT_NE(lineAddr(wp_addr), lineAddr(refill_addr));
+        MemSystem twin{MemSysConfig{}};
+        const Cycle squashed_due = twin.dload(wp_addr, 1, false);
+        const Cycle due = twin.dload(refill_addr, c.refillIssue, true);
+        ASSERT_GT(due, squashed_due);
+        ASSERT_EQ((due - squashed_due) % kWheelSpan == 0, c.sameBucket);
 
         h.be->dispatch(br, 1);
         h.be->dispatch(wp, 1);
-        h.tick(1); // both issue: the wrong-path op is due at 131
+        h.tick(1); // both issue: the wrong-path load is due at squashed_due
         h.tick(2);
         h.be->dispatch(wp_ready, 2);
         // The branch resolves, squashes positions 1-2 and retires.
         ASSERT_TRUE(h.tick(3).valid);
         ASSERT_EQ(h.be->robOccupancy(), 0u);
         ASSERT_EQ(h.be->retired(), 1u);
-        h.be->dispatch(refill, 3);
-        h.be->dispatch(use, 3);
-        const Cycle due = 4 + lat;
-        for (Cycle now = 4; now < due; ++now) {
+        for (Cycle now = 4; now < c.refillIssue; ++now) {
+            h.tick(now);
+        }
+        h.be->dispatch(refill, c.refillIssue - 1);
+        h.be->dispatch(use, c.refillIssue - 1);
+        for (Cycle now = c.refillIssue; now < due; ++now) {
             h.tick(now);
             ASSERT_EQ(h.be->stats().issued, 3u) << "cycle " << now;
         }
@@ -524,21 +531,27 @@ TEST(Backend, RetiresThroughTheRingManyTimes)
 {
     BackendConfig cfg;
     cfg.robSize = 5;
-    BackendHarness h(cfg);
+    // Branch-free instructions with short dependences, some reaching
+    // producers that have already retired: the eight non-branches of the
+    // loop body, dispatched without the branch, so a distance counts
+    // dispatched instructions.
+    BackendHarness h(
+        [](std::vector<Instr>& ins) {
+            for (unsigned k = 0; k < 8; ++k) {
+                ins[k].dep1 = k % 3;
+                ins[k].dep2 = k % 4 == 1 ? 6 : 0;
+            }
+        },
+        cfg);
     const std::size_t ring = std::bit_ceil(cfg.robSize);
 
-    // Branch-free instructions with short dependences, some reaching
-    // producers that have already retired. Decoded up front because
-    // retirement releases stream positions.
-    std::vector<DecodedInstr> instrs;
+    // Built up front because retirement releases stream positions.
+    std::vector<FtqInstr> instrs;
     for (std::uint64_t i = 0; instrs.size() < 3 * ring + 7; ++i) {
-        DecodedInstr di = h.decoded(i);
-        if (di.kind != BranchKind::None) {
-            continue;
+        FtqInstr fi = h.slot(i);
+        if (h.instrOf(fi).branch == BranchKind::None) {
+            instrs.push_back(fi);
         }
-        di.dep1 = static_cast<std::uint8_t>(instrs.size() % 3);
-        di.dep2 = static_cast<std::uint8_t>(instrs.size() % 4 == 1 ? 6 : 0);
-        instrs.push_back(di);
     }
     std::vector<Addr> retired_pcs;
 

@@ -253,8 +253,7 @@ TEST(BranchRecordPool, RecycledSlotBelongsToNewOwnerOnly)
 {
     BranchRecordPool pool;
     RecordHandle old_h = pool.alloc(5);
-    pool.at(old_h).kind = BranchKind::Return;
-    pool.at(old_h).fromDecode = true;
+    pool.at(old_h).indirect.target = 0x400040;
     pool.erase(old_h, 5);
 
     RecordHandle new_h = pool.alloc(9);
@@ -267,8 +266,7 @@ TEST(BranchRecordPool, RecycledSlotBelongsToNewOwnerOnly)
     // The new owner finds a fresh record, not the old contents.
     BranchRecord* rec = pool.find(new_h, 9);
     ASSERT_NE(rec, nullptr);
-    EXPECT_EQ(rec->kind, BranchKind::None);
-    EXPECT_FALSE(rec->fromDecode);
+    EXPECT_EQ(rec->indirect.target, kInvalidAddr);
 }
 
 TEST(BranchRecordPool, SizeCountsLiveRecordsOnly)
@@ -351,7 +349,7 @@ TEST(DecoupledFrontend, ColdStartGoesSequential)
     EXPECT_EQ(e.startPc, h.prog.entryPc());
     // Cold BTB: the frontend sees no branches and fills the whole block.
     EXPECT_EQ(e.numInstrs, kInstrsPerFetchBlock);
-    EXPECT_FALSE(e.instrs[1].predictedBranch);
+    EXPECT_EQ(e.instrs[1].record, kNoRecord);
 }
 
 TEST(DecoupledFrontend, DivergenceTaggedOnBtbMiss)
@@ -381,7 +379,7 @@ TEST(DecoupledFrontend, PredictsThroughWarmBtb)
     ASSERT_GE(h.ftq.size(), 1u);
     const FtqEntry& e = h.ftq.at(0);
     // The cond branch is now recognised.
-    EXPECT_TRUE(e.instrs[1].predictedBranch);
+    EXPECT_NE(e.instrs[1].record, kNoRecord);
     // A prediction record exists for it.
     EXPECT_NE(h.records.find(e.instrs[1].record, e.instrs[1].dynId),
               nullptr);
@@ -434,7 +432,6 @@ TEST(FrontendPredict, CondDirectTakesKnownTargetAndFeedsUdp)
     const Addr ras_top = h.bpu.ras().top();
     Prediction p = h.fe.predict(BranchKind::CondDirect, pc, h.prog.pcOf(5),
                                 rec);
-    EXPECT_EQ(rec.kind, BranchKind::CondDirect);
     EXPECT_EQ(p.taken, rec.cond.taken);
     EXPECT_EQ(p.target, h.prog.pcOf(5)); // taken or not
     EXPECT_EQ(h.bpu.stats().condPredictions, 1u);
@@ -449,7 +446,6 @@ TEST(FrontendPredict, JumpTakesKnownTarget)
     const Addr ras_top = h.bpu.ras().top();
     Prediction p = h.fe.predict(BranchKind::Jump, h.prog.pcOf(3),
                                 h.prog.pcOf(0), rec);
-    EXPECT_EQ(rec.kind, BranchKind::Jump);
     EXPECT_TRUE(p.taken);
     EXPECT_EQ(p.target, h.prog.pcOf(0));
     EXPECT_EQ(h.bpu.ras().top(), ras_top);
@@ -462,7 +458,6 @@ TEST(FrontendPredict, CallTakesKnownTargetAndPushesReturn)
     BranchRecord rec;
     const Addr pc = h.prog.pcOf(2);
     Prediction p = h.fe.predict(BranchKind::Call, pc, h.prog.pcOf(5), rec);
-    EXPECT_EQ(rec.kind, BranchKind::Call);
     EXPECT_TRUE(p.taken);
     EXPECT_EQ(p.target, h.prog.pcOf(5));
     EXPECT_EQ(h.bpu.ras().top(), pc + kInstrBytes);
@@ -478,7 +473,6 @@ TEST(FrontendPredict, IndirectJumpFallsBackFromIttageToKnownTargetToNext)
     BranchRecord cold;
     Prediction p = h.fe.predict(BranchKind::IndirectJump, pc, kInvalidAddr,
                                 cold);
-    EXPECT_EQ(cold.kind, BranchKind::IndirectJump);
     EXPECT_EQ(cold.indirect.target, kInvalidAddr);
     EXPECT_TRUE(p.taken);
     EXPECT_EQ(p.target, pc + kInstrBytes);
@@ -511,7 +505,6 @@ TEST(FrontendPredict, IndirectCallUsesIttageAndPushesReturn)
     h.bpu.trainIndirect(pc, first.indirect, h.prog.pcOf(5));
     BranchRecord rec;
     p = h.fe.predict(BranchKind::IndirectCall, pc, kInvalidAddr, rec);
-    EXPECT_EQ(rec.kind, BranchKind::IndirectCall);
     EXPECT_TRUE(p.taken);
     EXPECT_EQ(p.target, h.prog.pcOf(5));
     EXPECT_EQ(h.bpu.ras().top(), pc + kInstrBytes);
@@ -526,7 +519,6 @@ TEST(FrontendPredict, ReturnPopsRasElseFallsThrough)
     BranchRecord cold;
     Prediction p = h.fe.predict(BranchKind::Return, ret_pc, h.prog.pcOf(0),
                                 cold);
-    EXPECT_EQ(cold.kind, BranchKind::Return);
     EXPECT_TRUE(p.taken);
     EXPECT_EQ(p.target, ret_pc + kInstrBytes);
 
@@ -681,13 +673,25 @@ TEST(FetchStage, DecodeCorrectedTakenBranchFlushesAndBumpsUdpOnce)
     udp.onCondPredicted(Confidence::Low);
 
     // Decode finds the jump, predicts it taken and resteers.
+    const FtqInstr slot0 = ftq.at(0).instrs[0];
     fetch.tick(2);
     EXPECT_EQ(fetch.stats().decodeBtbCorrections, 1u);
-    EXPECT_EQ(fetch.stats().decodeResteers, 1u);
     EXPECT_EQ(fe.stats().decodeResteers, 1u);
     ASSERT_EQ(fetch.decodeQueue().size(), 2u); // instruction 0, the jump
-    const DecodedInstr& jump = fetch.decodeQueue()[1];
-    EXPECT_TRUE(jump.predictedBranch);
+    // Instruction 0 is delivered as its FTQ slot, field for field.
+    const DecodedInstr& first = fetch.decodeQueue()[0];
+    EXPECT_EQ(first.fi.idx, slot0.idx);
+    EXPECT_EQ(first.fi.record, slot0.record);
+    EXPECT_EQ(first.fi.pc, slot0.pc);
+    EXPECT_EQ(first.fi.dynId, slot0.dynId);
+    EXPECT_EQ(first.fi.streamIdx, slot0.streamIdx);
+    EXPECT_EQ(first.fi.predTarget, slot0.predTarget);
+    EXPECT_EQ(first.fi.onPath, slot0.onPath);
+    EXPECT_EQ(first.fi.predTaken, slot0.predTaken);
+    EXPECT_EQ(first.readyAt, 2 + FetchConfig{}.decodePipeLat);
+    // Decode correction gave the jump a prediction.
+    const FtqInstr& jump = fetch.decodeQueue()[1].fi;
+    EXPECT_NE(jump.record, kNoRecord);
     EXPECT_TRUE(jump.predTaken);
     EXPECT_EQ(jump.predTarget, prog.pcOf(8));
     EXPECT_NE(records.find(jump.record, jump.dynId), nullptr);

@@ -46,8 +46,11 @@ TEST(StatSet, ToStringContainsEntries)
 {
     StatSet s;
     s.add("x", 7);
+    s.add("instructions", 1e6);
     std::string str = s.toString();
     EXPECT_NE(str.find("x = 7"), std::string::npos);
+    // Numbers render as in the sinks: a count in full, not "1e+06".
+    EXPECT_NE(str.find("instructions = 1000000\n"), std::string::npos);
 }
 
 TEST(Ratio, HandlesZeroDenominator)

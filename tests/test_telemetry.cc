@@ -70,14 +70,23 @@ TEST(Distribution, Moments)
 
 TEST(Distribution, PercentileExactForUnitLinear)
 {
-    Distribution d(BucketScale::Linear, 128, 1);
-    for (std::uint64_t v = 1; v <= 100; ++v) {
-        d.sample(v);
-    }
+    // Samples 1..n in unit buckets: the q-th percentile is the nearest
+    // rank, the ceil(q * n)-th smallest sample.
+    auto upTo = [](std::uint64_t n) {
+        Distribution d(BucketScale::Linear, 128, 1);
+        for (std::uint64_t v = 1; v <= n; ++v) {
+            d.sample(v);
+        }
+        return d;
+    };
+    const Distribution d = upTo(100);
     EXPECT_EQ(d.percentile(0.50), 50u);
     EXPECT_EQ(d.percentile(0.90), 90u);
     EXPECT_EQ(d.percentile(0.99), 99u);
     EXPECT_EQ(d.percentile(1.00), 100u);
+    // A truncated rank (1 of 3, 49 of 50) would fall short here.
+    EXPECT_EQ(upTo(3).percentile(0.50), 2u);
+    EXPECT_EQ(upTo(50).percentile(0.99), 50u);
 }
 
 TEST(Distribution, SummarizeKeys)
@@ -105,8 +114,10 @@ TEST(StatSet, AddDistributionAppendsSummaryAndKeepsBuckets)
     EXPECT_DOUBLE_EQ(s.get("x_count"), 2.0);
     EXPECT_DOUBLE_EQ(s.get("x_sum"), 8.0);
     // The buckets reach the set as percentiles at bucket resolution: the
-    // median sample, 3, lies in the log2 bucket [2, 4).
+    // median sample, 3, lies in the log2 bucket [2, 4), and the 90th
+    // percentile's, 5, in [4, 8).
     EXPECT_DOUBLE_EQ(s.get("x_p50"), 2.0);
+    EXPECT_DOUBLE_EQ(s.get("x_p90"), 4.0);
 }
 
 TEST(StatSet, DuplicateNameRegression)

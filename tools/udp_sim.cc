@@ -19,6 +19,7 @@
 
 #include "common/intmath.h"
 #include "sim/runner.h"
+#include "stats/sink.h"
 #include "workload/builder.h"
 
 namespace {
@@ -186,7 +187,7 @@ main(int argc, char** argv)
         const StatSet stats = r.toStatSet();
         if (csv) {
             for (const auto& [k, v] : stats.entries()) {
-                std::printf("%s,%g\n", k.c_str(), v);
+                std::printf("%s,%s\n", k.c_str(), formatNumber(v).c_str());
             }
         } else {
             std::printf("workload=%s technique=%s ftq=%u btb=%u\n",
