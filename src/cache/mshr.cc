@@ -34,11 +34,9 @@ MshrFile::allocate(Addr line, Cycle ready, bool is_prefetch, Cycle now)
             e.isPrefetch = is_prefetch;
             e.demandMerged = false;
             e.onPathDemandMerged = false;
-            ++stats_.allocations;
             return &e;
         }
     }
-    ++stats_.fullRejects;
     return nullptr;
 }
 
@@ -75,7 +73,6 @@ MshrFile::noteDemandMerge(MshrEntry& e, bool on_path)
 {
     e.demandMerged = true;
     e.onPathDemandMerged = e.onPathDemandMerged || on_path;
-    ++stats_.demandMerges;
 }
 
 std::string

@@ -9,7 +9,6 @@
 #ifndef UDP_CACHE_MSHR_H
 #define UDP_CACHE_MSHR_H
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -31,14 +30,6 @@ struct MshrEntry
     bool demandMerged = false;
     /** Ground truth: the merging demand access was on the correct path. */
     bool onPathDemandMerged = false;
-};
-
-/** Statistics. */
-struct MshrStats
-{
-    std::uint64_t allocations = 0;
-    std::uint64_t demandMerges = 0;
-    std::uint64_t fullRejects = 0;
 };
 
 /** Fixed-size MSHR file keyed by line address. */
@@ -96,9 +87,7 @@ class MshrFile
     unsigned capacity() const { return static_cast<unsigned>(entries.size()); }
     bool full() const { return numFree() == 0; }
 
-    const MshrStats& stats() const { return stats_; }
-
-    /** Records a demand merge on @p e (statistics + flags). */
+    /** Records a demand merge on @p e (sets its merge flags). */
     void noteDemandMerge(MshrEntry& e, bool on_path);
 
     /**
@@ -122,7 +111,6 @@ class MshrFile
     /** At most the earliest ready of the valid entries (kInvalidCycle
      *  when none can drain); exact after each scanning drainReady(). */
     Cycle earliestReady = kInvalidCycle;
-    MshrStats stats_;
 };
 
 } // namespace udp

@@ -1,7 +1,7 @@
 #include "sim/manifest.h"
 
 #include <cstdio>
-#include <set>
+#include <utility>
 
 #include "stats/sink.h"
 
@@ -92,8 +92,8 @@ sweepJobHash(const SweepJob& job, std::size_t index)
     hashU64(&h, index);
     hashStr(&h, job.label);
 
-    // Workload identity: matches the Program cache key plus the outcome
-    // seed inputs that shape the instruction stream.
+    // Workload identity: the Profile fields that name a workload; jobs
+    // whose Profiles differ elsewhere carry distinct labels (see header).
     const Profile& p = job.profile;
     hashStr(&h, p.name);
     hashU64(&h, p.seed);
@@ -136,110 +136,54 @@ sweepJobHash(const SweepJob& job, std::size_t index)
     return h;
 }
 
-std::string
-manifestEntryToJsonLine(const ManifestEntry& e)
-{
-    std::string out = "{\"hash\":\"" + hexOf(e.hash) +
-                      "\",\"index\":" + std::to_string(e.index) +
-                      ",\"workload\":\"" + jsonEscape(e.workload) +
-                      "\",\"config\":\"" + jsonEscape(e.label) + "\"";
-    if (e.ok) {
-        out += ",\"status\":\"ok\",\"report\":" + reportToJsonLine(e.report);
-    } else {
-        out += ",\"status\":\"failed\",\"error_kind\":\"" +
-               jsonEscape(e.errorKind) + "\"";
-    }
-    out += '}';
-    return out;
-}
+namespace {
 
+/**
+ * Reads one journal line into its @p hash and @p report. False unless
+ * the line is one object with exactly one "hash" (16 hex digits) and
+ * exactly one "report", the latter a reportToJsonLine() line byte for
+ * byte; other keys are ignored.
+ */
 bool
-manifestEntryFromJsonLine(const std::string& line, ManifestEntry* out)
+parseJournalLine(const std::string& line, std::uint64_t* hash,
+                 Report* report)
 {
-    ManifestEntry e;
-    std::string hash_hex;
-    std::string status;
-    std::string report;
-    std::set<std::string> seen;
+    std::string hashHex;
+    std::string row;
+    bool seenHash = false;
+    bool seenReport = false;
     auto field = [&](const std::string& key, const std::string& value,
                      JsonKind kind) {
-        std::string* text = key == "hash"         ? &hash_hex
-                            : key == "workload"   ? &e.workload
-                            : key == "config"     ? &e.label
-                            : key == "status"     ? &status
-                            : key == "error_kind" ? &e.errorKind
-                                                  : nullptr;
-        if (text == nullptr && key != "index" && key != "report") {
-            return true; // unknown, such as the "worker" of older runs
+        const bool isHash = key == "hash";
+        if (!isHash && key != "report") {
+            return true; // "failure", or an older line's envelope keys
         }
         // A line spliced from two records can repeat a key.
-        if (!seen.insert(key).second) {
+        if (std::exchange(isHash ? seenHash : seenReport, true)) {
             return false;
         }
-        if (text != nullptr) {
-            *text = value;
-            return kind == JsonKind::String;
-        }
-        if (key == "index") {
-            std::uint64_t index = 0;
-            if (kind != JsonKind::Number || !parseCount(value, &index)) {
-                return false;
-            }
-            e.index = static_cast<std::size_t>(index);
-            return true;
-        }
-        report = value;
-        return kind == JsonKind::Object;
+        (isHash ? hashHex : row) = value;
+        return kind == (isHash ? JsonKind::String : JsonKind::Object);
     };
-    if (!walkJsonObject(line, field) || !hexTo(hash_hex, &e.hash)) {
-        return false;
-    }
-    for (const char* key : {"index", "workload", "config", "status"}) {
-        if (seen.count(key) == 0) {
-            return false;
-        }
-    }
-    if (status == "ok") {
-        // Only a Report's own serialization is accepted, byte for byte.
-        if (!reportFromJsonLine(report, &e.report) ||
-            reportToJsonLine(e.report) != report) {
-            return false;
-        }
-        e.ok = true;
-    } else if (status != "failed") {
-        return false;
-    }
-    *out = std::move(e);
-    return true;
+    return walkJsonObject(line, field) && hexTo(hashHex, hash) &&
+           reportFromJsonLine(row, report) &&
+           reportToJsonLine(*report) == row;
 }
 
-bool
-manifestEntryIsConsistent(const ManifestEntry& e)
-{
-    return !e.ok || (e.report.workload == e.workload &&
-                     e.report.configName == e.label);
-}
+} // namespace
 
 bool
 SweepManifest::open(const std::string& path, bool resume)
 {
-    entries.clear();
-    completedLoaded = 0;
+    reports.clear();
     if (resume) {
         std::ifstream in(path);
         std::string line;
         while (in.is_open() && std::getline(in, line)) {
-            ManifestEntry e;
-            if (!manifestEntryFromJsonLine(line, &e) ||
-                !manifestEntryIsConsistent(e)) {
-                continue; // malformed, truncated, or spliced line
-            }
-            entries[e.hash] = std::move(e); // latest record wins
-        }
-        for (const auto& [hash, e] : entries) {
-            (void)hash;
-            if (e.ok) {
-                ++completedLoaded;
+            std::uint64_t hash = 0;
+            Report r;
+            if (parseJournalLine(line, &hash, &r)) {
+                reports[{hash, r.workload, r.configName}] = std::move(r);
             }
         }
     }
@@ -253,24 +197,28 @@ SweepManifest::open(const std::string& path, bool resume)
     return true;
 }
 
-const ManifestEntry*
-SweepManifest::findCompleted(std::uint64_t hash) const
+const Report*
+SweepManifest::replay(const SweepJob& job, std::size_t index) const
 {
-    auto it = entries.find(hash);
-    if (it == entries.end() || !it->second.ok) {
-        return nullptr;
-    }
-    return &it->second;
+    auto it =
+        reports.find({sweepJobHash(job, index), job.profile.name, job.label});
+    return it == reports.end() ? nullptr : &it->second;
 }
 
 void
-SweepManifest::record(const ManifestEntry& e)
+SweepManifest::record(const SweepJob& job, std::size_t index,
+                      const JobResult& result)
 {
     if (!out.is_open()) {
         return;
     }
-    std::string line = manifestEntryToJsonLine(e);
-    line += '\n';
+    std::string line = "{\"hash\":\"" + hexOf(sweepJobHash(job, index)) +
+                       "\",";
+    line += result.ok ? "\"report\":" + reportToJsonLine(result.report)
+                      : "\"failure\":" +
+                            failureToJsonLine(job.profile.name, job.label,
+                                              result.attempts, result.error);
+    line += "}\n";
     out.write(line.data(), static_cast<std::streamsize>(line.size()));
     out.flush();
 }

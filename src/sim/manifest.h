@@ -4,14 +4,17 @@
  * keyed by a deterministic job hash, that makes an interrupted campaign
  * resumable (SweepOptions::manifestPath / resume, docs/ROBUSTNESS.md).
  *
+ * A line is the job's hash plus its row (stats/sink.h):
+ * {"hash":"<16 hex>","report":<reportToJsonLine>} for a completed job,
+ * {"hash":"<16 hex>","failure":<failureToJsonLine>} for a failed one.
  * Each line is appended line-atomically and flushed the moment its job
  * finishes, so even a SIGKILLed sweep leaves a manifest whose complete
- * lines all parse; a truncated final line is skipped on load. Completed
- * jobs store their full serialized Report, so a resumed sweep replays
- * them without re-running and the merged artifacts are byte-identical
- * to an uninterrupted run. One runSweepChecked call writes each
- * manifest; keys it does not know (such as the "worker" of older
- * distributed runs) are ignored on load, so such files still resume.
+ * lines all parse; a truncated final line is skipped on load. A resumed
+ * sweep replays the journaled Reports without re-running them, so the
+ * merged artifacts are byte-identical to an uninterrupted run. One
+ * runSweepChecked call writes each manifest; keys the loader does not
+ * know (the envelope keys and "worker" of older files) are ignored, so
+ * such files still resume.
  */
 
 #ifndef UDP_SIM_MANIFEST_H
@@ -20,29 +23,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <fstream>
+#include <map>
 #include <string>
-#include <unordered_map>
+#include <tuple>
 
 #include "sim/sweep.h"
 
 namespace udp {
-
-/** One manifest line: the durable record of one finished job. */
-struct ManifestEntry
-{
-    /** sweepJobHash() of the job this entry records. */
-    std::uint64_t hash = 0;
-    /** Job index within its batch (part of the hash; informational). */
-    std::size_t index = 0;
-    std::string workload;
-    std::string label;
-    /** Completed successfully; failed entries are re-run on resume. */
-    bool ok = false;
-    /** error_kind of a failed entry ("" when ok). */
-    std::string errorKind;
-    /** The Report of a completed entry (default when failed). */
-    Report report;
-};
 
 /**
  * Deterministic identity hash of one sweep job (FNV-1a 64). Covers the
@@ -64,53 +51,37 @@ class SweepManifest
     SweepManifest() = default;
 
     /**
-     * Opens @p path for appending. When @p resume is set, existing
-     * entries are loaded first (malformed or truncated lines are
-     * skipped); otherwise the file is truncated. Returns success.
+     * Opens @p path for appending. When @p resume is set, the journaled
+     * Reports are loaded first; a line is skipped when it is malformed or
+     * truncated, repeats its "hash" or "report" key, holds no Report
+     * (a failed job), or holds a "report" that is not a reportToJsonLine()
+     * line byte for byte. Otherwise the file is truncated. Returns
+     * success.
      */
     bool open(const std::string& path, bool resume);
 
-    /** The loaded completed (ok) entry for @p hash, or nullptr. */
-    const ManifestEntry* findCompleted(std::uint64_t hash) const;
+    /**
+     * The Report journaled under sweepJobHash(@p job, @p index), or
+     * nullptr. Only a Report whose own workload and config are the job's
+     * replays: two writers interleaving on one file can splice a line
+     * that parses, one record's hash joined to another's Report, and
+     * such a line must never stand in for the job.
+     */
+    const Report* replay(const SweepJob& job, std::size_t index) const;
 
-    /** Appends @p e as one flushed line. */
-    void record(const ManifestEntry& e);
-
-    /** Completed (ok) entries loaded by open(). */
-    std::size_t loadedCompleted() const { return completedLoaded; }
-
-    bool isOpen() const { return out.is_open(); }
+    /** Appends the outcome @p result of job @p index, @p job, as one
+     *  flushed line: its Report, or its failure row. */
+    void record(const SweepJob& job, std::size_t index,
+                const JobResult& result);
 
     void close();
 
   private:
-    std::unordered_map<std::uint64_t, ManifestEntry> entries;
-    std::size_t completedLoaded = 0;
+    /** Loaded Reports by (hash, workload, config); the latest line wins. */
+    std::map<std::tuple<std::uint64_t, std::string, std::string>, Report>
+        reports;
     std::ofstream out;
 };
-
-/** Serializes @p e as one manifest JSON line (no trailing newline). */
-std::string manifestEntryToJsonLine(const ManifestEntry& e);
-
-/**
- * Parses one manifest line with walkJsonObject() (stats/sink.h); returns
- * false on malformed input. Each known key may appear once, wherever it
- * stands; unknown keys are ignored. An ok entry's "report" must be a
- * reportToJsonLine() line byte for byte; it is parsed into
- * ManifestEntry::report.
- */
-bool manifestEntryFromJsonLine(const std::string& line, ManifestEntry* out);
-
-/**
- * Consistency check for a parsed entry. Failed entries are always
- * consistent; an ok entry's report must carry the entry's own workload
- * and config label. This rejects the one corruption a line-level parser
- * cannot: two writers interleaving on the same file can splice a line
- * that *parses* — one record's prefix (hash, workload) joined to
- * another's report — and without this check such a line would
- * resurrect the wrong Report under a valid hash on resume.
- */
-bool manifestEntryIsConsistent(const ManifestEntry& e);
 
 } // namespace udp
 

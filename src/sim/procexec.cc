@@ -38,6 +38,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/** Bytes of an isolated child's stderr kept as JobError::stderrTail. */
+constexpr std::size_t kStderrTailBytes = 4096;
+
 // --- pipe protocol ---------------------------------------------------------
 //
 // The child writes exactly one line to its result pipe: the Report's
@@ -77,26 +80,26 @@ writeAll(int fd, const char* data, std::size_t n)
 // --- child side ------------------------------------------------------------
 
 void
-applyChildLimits(const ProcLimits& limits)
+applyChildLimits(const SweepOptions& opts)
 {
     // A crashing child is expected here; don't litter core files.
     struct rlimit core = {0, 0};
     ::setrlimit(RLIMIT_CORE, &core);
 
 #if !UDP_UNDER_SANITIZER
-    if (limits.memLimitBytes != 0) {
+    if (opts.memLimitBytes != 0) {
         struct rlimit rl;
-        rl.rlim_cur = static_cast<rlim_t>(limits.memLimitBytes);
-        rl.rlim_max = static_cast<rlim_t>(limits.memLimitBytes);
+        rl.rlim_cur = static_cast<rlim_t>(opts.memLimitBytes);
+        rl.rlim_max = static_cast<rlim_t>(opts.memLimitBytes);
         ::setrlimit(RLIMIT_AS, &rl);
     }
 #endif
-    if (limits.cpuLimitSec != 0) {
+    if (opts.cpuLimitSec != 0) {
         struct rlimit rl;
         // Soft limit raises SIGXCPU (classified "cpu_limit"); the hard
         // limit is the SIGKILL backstop should the child ignore it.
-        rl.rlim_cur = static_cast<rlim_t>(limits.cpuLimitSec);
-        rl.rlim_max = static_cast<rlim_t>(limits.cpuLimitSec + 5);
+        rl.rlim_cur = static_cast<rlim_t>(opts.cpuLimitSec);
+        rl.rlim_max = static_cast<rlim_t>(opts.cpuLimitSec + 5);
         ::setrlimit(RLIMIT_CPU, &rl);
     }
 }
@@ -169,7 +172,7 @@ readResultLine(const std::string& payload, JobResult* jr)
 } // namespace
 
 JobResult
-runJobIsolated(const SweepJob& job, const ProcLimits& limits)
+runJobIsolated(const SweepJob& job, const SweepOptions& opts)
 {
     ignoreSigpipe();
     JobResult jr;
@@ -223,7 +226,7 @@ runJobIsolated(const SweepJob& job, const ProcLimits& limits)
         // EPIPE (classified "exit") instead of SIGPIPE killing us with
         // no classification at all.
         ignoreSigpipe();
-        applyChildLimits(limits);
+        applyChildLimits(opts);
         childRun(job, res_pipe[1]); // noreturn
     }
 
@@ -235,11 +238,11 @@ runJobIsolated(const SweepJob& job, const ProcLimits& limits)
     std::string payload;
     std::string tail;
     bool timed_out = false;
-    const bool has_deadline = limits.wallLimitSec > 0.0;
+    const bool has_deadline = opts.wallLimitSec > 0.0;
     const Clock::time_point deadline =
         Clock::now() + std::chrono::duration_cast<Clock::duration>(
                            std::chrono::duration<double>(
-                               has_deadline ? limits.wallLimitSec : 0.0));
+                               has_deadline ? opts.wallLimitSec : 0.0));
 
     struct pollfd pfd[2];
     pfd[0] = {res_pipe[0], POLLIN, 0};
@@ -278,8 +281,8 @@ runJobIsolated(const SweepJob& job, const ProcLimits& limits)
             if (n > 0) {
                 std::string& dst = i == 0 ? payload : tail;
                 dst.append(buf, static_cast<std::size_t>(n));
-                if (i == 1 && tail.size() > limits.stderrTailBytes) {
-                    tail.erase(0, tail.size() - limits.stderrTailBytes);
+                if (i == 1 && tail.size() > kStderrTailBytes) {
+                    tail.erase(0, tail.size() - kStderrTailBytes);
                 }
             } else if (n == 0 || (errno != EINTR && errno != EAGAIN)) {
                 ::close(pfd[i].fd);
@@ -317,7 +320,7 @@ runJobIsolated(const SweepJob& job, const ProcLimits& limits)
         char msg[96];
         std::snprintf(msg, sizeof(msg),
                       "wall-clock limit of %.1fs exceeded; child killed",
-                      limits.wallLimitSec);
+                      opts.wallLimitSec);
         jr.error.message = msg;
         attachDiagnostics(&jr.error);
         return jr;

@@ -17,32 +17,14 @@
 #ifndef UDP_SIM_PROCEXEC_H
 #define UDP_SIM_PROCEXEC_H
 
-#include <cstddef>
-#include <cstdint>
-
 #include "sim/sweep.h"
 
 namespace udp {
 
-/** Resource limits applied to one isolated child. */
-struct ProcLimits
-{
-    /** RLIMIT_AS cap in bytes; 0 = unlimited. Not applied under
-     *  ASan/TSan builds (sanitizers reserve terabytes of shadow VA). */
-    std::uint64_t memLimitBytes = 0;
-    /** RLIMIT_CPU soft cap in seconds (SIGXCPU → error kind
-     *  "cpu_limit"); 0 = unlimited. The hard cap is soft+5s (SIGKILL). */
-    std::uint64_t cpuLimitSec = 0;
-    /** Parent-enforced wall-clock deadline in seconds; on expiry the
-     *  child is SIGKILLed and the job reports kind "timeout". 0 = none. */
-    double wallLimitSec = 0.0;
-    /** Bytes of the child's stderr retained (most recent first-in). */
-    std::size_t stderrTailBytes = 4096;
-};
-
 /**
- * Runs @p job to completion in a forked child under @p limits and
- * returns its JobResult. Never throws for child-side failures; the
+ * Runs @p job to completion in a forked child under the limits of
+ * @p opts (memLimitBytes, cpuLimitSec, wallLimitSec) and returns its
+ * JobResult. Never throws for child-side failures; the
  * returned result's `error` classifies them:
  *
  * | error.kind  | Cause                                                  |
@@ -57,15 +39,15 @@ struct ProcLimits
  * | "protocol"  | child exited zero but did not write exactly one line   |
  *
  * Every failure also carries the terminating signal name (when any),
- * the child's rusage (peak RSS, user/system CPU), and the captured
- * stderr tail. JobResult::attempts is left 0 for the caller to fill.
+ * the child's rusage (peak RSS, user/system CPU), and the last 4 KB of
+ * its stderr. JobResult::attempts is left 0 for the caller to fill.
  *
  * The child inherits the parent's built Programs via copy-on-write;
  * runSweepChecked builds every Program of its sweep before it forks, and
  * any other caller should prewarmProgram(job.profile) first, or the child
  * rebuilds it.
  */
-JobResult runJobIsolated(const SweepJob& job, const ProcLimits& limits);
+JobResult runJobIsolated(const SweepJob& job, const SweepOptions& opts);
 
 /** True when this binary was built under ASan/TSan — RLIMIT_AS is then
  *  skipped and memory-cap tests should be skipped too. */

@@ -1,10 +1,11 @@
 #include "sim/runner.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
+#include <list>
 #include <memory>
 #include <mutex>
 
@@ -17,18 +18,21 @@ namespace udp {
 namespace {
 
 /**
- * Program construction is expensive for MB-scale footprints: cache by
- * (profile name, seed, footprint).
+ * Program construction is expensive for MB-scale footprints: cache one
+ * Program per Profile. The key is the whole Profile (Profile::operator==):
+ * two Profiles that differ in any field build different Programs.
  *
- * Concurrency: the map mutex only guards entry lookup/creation; the build
- * itself runs under a per-entry once_flag, so the first caller of a key
- * builds exactly once while builds for *different* keys proceed in
- * parallel. std::map nodes are address-stable, entries are never erased,
- * and the built Program is immutable, so the returned reference stays
- * valid and race-free for the process lifetime.
+ * Concurrency: the mutex only guards entry lookup/creation; the build
+ * itself runs under a per-entry once_flag, so the first caller of a
+ * Profile builds exactly once while builds for *different* Profiles
+ * proceed in parallel. std::list nodes are address-stable, entries are
+ * never erased, and the built Program is immutable, so the returned
+ * reference stays valid and race-free for the process lifetime. Lookup
+ * is linear: a process holds a few dozen distinct Profiles at most.
  */
 struct ProgramCacheEntry
 {
+    Profile profile;
     std::once_flag once;
     std::unique_ptr<const Program> prog;
 };
@@ -36,13 +40,15 @@ struct ProgramCacheEntry
 const Program&
 cachedProgram(const Profile& p)
 {
-    static std::map<std::string, ProgramCacheEntry> cache;
+    static std::list<ProgramCacheEntry> cache;
     static std::mutex mtx;
-    std::string key = programKey(p);
     ProgramCacheEntry* entry;
     {
         std::lock_guard<std::mutex> lock(mtx);
-        entry = &cache[key];
+        auto it = std::find_if(
+            cache.begin(), cache.end(),
+            [&p](const ProgramCacheEntry& e) { return e.profile == p; });
+        entry = it != cache.end() ? &*it : &cache.emplace_back(p);
     }
     std::call_once(entry->once, [&] {
         entry->prog =
@@ -164,13 +170,6 @@ runSim(const Profile& profile, const SimConfig& cfg, const RunOptions& opts,
     return collectReport(cpu, profile.name, std::move(config_name));
 }
 
-std::string
-programKey(const Profile& profile)
-{
-    return profile.name + "#" + std::to_string(profile.seed) + "#" +
-           std::to_string(profile.codeFootprintKB);
-}
-
 void
 prewarmProgram(const Profile& profile)
 {
@@ -282,26 +281,10 @@ StatSet
 Report::toStatSet() const
 {
     StatSet s;
-    s.add("instructions", static_cast<double>(instructions));
-    s.add("cycles", static_cast<double>(cycles));
-    s.add("ipc", ipc);
-    s.add("icache_mpki", icacheMpki);
-    s.add("mshr_hits_pki", mshrHitsPki);
-    s.add("timeliness", timeliness);
-    s.add("l1_hit_ratio", l1HitRatio);
-    s.add("lost_instr_per_kilo", lostInstrPerKilo);
-    s.add("prefetches_emitted", static_cast<double>(prefetchesEmitted));
-    s.add("onpath_ratio", onPathRatio);
-    s.add("usefulness", usefulness);
-    s.add("usefulness_hw", usefulnessHw);
-    s.add("avg_ftq_occupancy", avgFtqOccupancy);
-    s.add("branch_mpki", branchMpki);
-    s.add("cond_mispredict_rate", condMispredictRate);
-    s.add("resteers", static_cast<double>(resteers));
-    s.add("decode_corrections", static_cast<double>(decodeCorrections));
-    s.add("udp_dropped", static_cast<double>(udpDropped));
-    s.add("udp_filtered_emits", static_cast<double>(udpFilteredEmits));
-    s.add("udp_learned", static_cast<double>(udpLearned));
+    for (const ReportField& f : kReportFields) {
+        s.add(f.key, f.count != nullptr ? static_cast<double>(this->*f.count)
+                                        : this->*f.ratio);
+    }
     return s;
 }
 

@@ -26,9 +26,9 @@ namespace udp {
 /**
  * Derived results of one simulation window.
  *
- * Every numeric field is exported under a schema-stable snake_case key by
- * toStatSet() and the JSON/CSV sinks (stats/sink.h); the full key table
- * with paper-figure provenance lives in docs/EXPERIMENT_GUIDE.md.
+ * Every numeric field is exported under the schema-stable snake_case key
+ * that kReportFields below gives it; the full key table with
+ * paper-figure provenance lives in docs/EXPERIMENT_GUIDE.md.
  */
 struct Report
 {
@@ -37,74 +37,61 @@ struct Report
     /** Free-form configuration label passed to runSim; sink key "config". */
     std::string configName;
 
-    /** Instructions retired in the measurement window ("instructions"). */
+    /** Instructions retired in the measurement window. */
     std::uint64_t instructions = 0;
-    /** Cycles elapsed in the measurement window ("cycles"). */
+    /** Cycles elapsed in the measurement window. */
     std::uint64_t cycles = 0;
     /** instructions / cycles — the speedup numerator of Figs. 1, 3, 11,
-     *  13, 16, 17 ("ipc"). */
+     *  13, 16, 17. */
     double ipc = 0.0;
 
     // Instruction cache behaviour.
-    /** L1I demand misses per kilo-instruction (Figs. 12, 14;
-     *  "icache_mpki"). */
+    /** L1I demand misses per kilo-instruction (Figs. 12, 14). */
     double icacheMpki = 0.0;
     /** Demand fetches that merged with an in-flight fill per
-     *  kilo-instruction ("mshr_hits_pki"). */
+     *  kilo-instruction. */
     double mshrHitsPki = 0.0;
     /** Timeliness over prefetched lines: resident hits /
-     *  (resident hits + fill-buffer merges) (Fig. 4, Table III;
-     *  "timeliness"). */
+     *  (resident hits + fill-buffer merges) (Fig. 4, Table III). */
     double timeliness = 0.0;
-    /** Overall demand ratio L1I hits / (L1I hits + fill-buffer hits)
-     *  ("l1_hit_ratio"). */
+    /** Overall demand ratio L1I hits / (L1I hits + fill-buffer hits). */
     double l1HitRatio = 0.0;
-    /** Instructions lost to icache-miss stalls per kilo-instr (Fig. 15;
-     *  "lost_instr_per_kilo"). */
+    /** Instructions lost to icache-miss stalls per kilo-instr
+     *  (Fig. 15). */
     double lostInstrPerKilo = 0.0;
 
     // Prefetch behaviour.
-    /** Prefetches issued by the active prefetcher
-     *  ("prefetches_emitted"). */
+    /** Prefetches issued by the active prefetcher. */
     std::uint64_t prefetchesEmitted = 0;
-    /** On-path / (on+off) emitted prefetch ratio (Fig. 5;
-     *  "onpath_ratio"). */
+    /** On-path / (on+off) emitted prefetch ratio (Fig. 5). */
     double onPathRatio = 0.0;
-    /** Ground-truth useful / (useful+useless) ratio (Fig. 6;
-     *  "usefulness"). */
+    /** Ground-truth useful / (useful+useless) ratio (Fig. 6). */
     double usefulness = 0.0;
-    /** Hardware-visible utility ratio (what UFTQ measures; Table III;
-     *  "usefulness_hw"). */
+    /** Hardware-visible utility ratio (what UFTQ measures; Table III). */
     double usefulnessHw = 0.0;
 
     // Frontend behaviour.
-    /** Mean FTQ occupancy over the window (Fig. 8;
-     *  "avg_ftq_occupancy"). */
+    /** Mean FTQ occupancy over the window (Fig. 8). */
     double avgFtqOccupancy = 0.0;
-    /** Conditional mispredicts per kilo-instruction ("branch_mpki"). */
+    /** Conditional mispredicts per kilo-instruction. */
     double branchMpki = 0.0;
-    /** Conditional mispredicts / predictions
-     *  ("cond_mispredict_rate"). */
+    /** Conditional mispredicts / predictions. */
     double condMispredictRate = 0.0;
     /** Frontend resteers (mispredict + decode corrections) applied in the
-     *  window ("resteers"). */
+     *  window. */
     std::uint64_t resteers = 0;
-    /** BTB-miss corrections discovered at decode
-     *  ("decode_corrections"). */
+    /** BTB-miss corrections discovered at decode. */
     std::uint64_t decodeCorrections = 0;
 
     // UDP internals (zero when UDP is off).
-    /** Candidates dropped by the utility filter ("udp_dropped"). */
+    /** Candidates dropped by the utility filter. */
     std::uint64_t udpDropped = 0;
-    /** Candidates that passed the utility filter and were emitted
-     *  ("udp_filtered_emits"). */
+    /** Candidates that passed the utility filter and were emitted. */
     std::uint64_t udpFilteredEmits = 0;
-    /** Retirement-verified lines learned into the useful set
-     *  ("udp_learned"). */
+    /** Retirement-verified lines learned into the useful set. */
     std::uint64_t udpLearned = 0;
 
-    /** Flattened view for generic printing; same keys as the sinks minus
-     *  the two string fields. */
+    /** The numeric fields in kReportFields order, under their keys. */
     StatSet toStatSet() const;
 
     /**
@@ -127,6 +114,43 @@ struct Report
     std::shared_ptr<const obs::ProfileSnapshot> profile;
 };
 
+/** One numeric Report field: its sink key and its member, which is a
+ *  count or a ratio (the other pointer is null). */
+struct ReportField
+{
+    const char* key;
+    std::uint64_t Report::*count;
+    double Report::*ratio;
+};
+
+/**
+ * Report's numeric fields in schema order, after "workload" and
+ * "config": the one key-to-member map. Report::toStatSet() and
+ * reportFromJsonLine() (stats/sink.h) both walk it.
+ */
+inline constexpr ReportField kReportFields[] = {
+    {"instructions", &Report::instructions, nullptr},
+    {"cycles", &Report::cycles, nullptr},
+    {"ipc", nullptr, &Report::ipc},
+    {"icache_mpki", nullptr, &Report::icacheMpki},
+    {"mshr_hits_pki", nullptr, &Report::mshrHitsPki},
+    {"timeliness", nullptr, &Report::timeliness},
+    {"l1_hit_ratio", nullptr, &Report::l1HitRatio},
+    {"lost_instr_per_kilo", nullptr, &Report::lostInstrPerKilo},
+    {"prefetches_emitted", &Report::prefetchesEmitted, nullptr},
+    {"onpath_ratio", nullptr, &Report::onPathRatio},
+    {"usefulness", nullptr, &Report::usefulness},
+    {"usefulness_hw", nullptr, &Report::usefulnessHw},
+    {"avg_ftq_occupancy", nullptr, &Report::avgFtqOccupancy},
+    {"branch_mpki", nullptr, &Report::branchMpki},
+    {"cond_mispredict_rate", nullptr, &Report::condMispredictRate},
+    {"resteers", &Report::resteers, nullptr},
+    {"decode_corrections", &Report::decodeCorrections, nullptr},
+    {"udp_dropped", &Report::udpDropped, nullptr},
+    {"udp_filtered_emits", &Report::udpFilteredEmits, nullptr},
+    {"udp_learned", &Report::udpLearned, nullptr},
+};
+
 /** Run options. */
 struct RunOptions
 {
@@ -140,19 +164,13 @@ struct RunOptions
  * Builds the Program for @p profile (cached across calls), runs a Cpu with
  * @p cfg and returns the measurement-window Report.
  *
- * Thread-safe: concurrent callers share one const Program per
- * (name, seed, footprint) key — the first caller builds it exactly once,
- * distinct keys build in parallel — and each call owns its Cpu, so
- * results are independent of the calling thread count.
+ * Thread-safe: concurrent callers share one const Program per equal
+ * Profile (every field compared) — the first caller builds it exactly
+ * once, distinct Profiles build in parallel — and each call owns its
+ * Cpu, so results are independent of the calling thread count.
  */
 Report runSim(const Profile& profile, const SimConfig& cfg,
               const RunOptions& opts, std::string config_name = "");
-
-/**
- * The Program cache key of @p profile: "name#seed#footprint". Profiles
- * with equal keys share one built Program.
- */
-std::string programKey(const Profile& profile);
 
 /**
  * Builds (and caches) the Program for @p profile without running anything.

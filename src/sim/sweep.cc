@@ -9,7 +9,6 @@
 #include <mutex>
 #include <new>
 #include <thread>
-#include <unordered_set>
 
 #include "sim/manifest.h"
 #include "sim/pool.h"
@@ -108,11 +107,7 @@ runJobChecked(const SweepJob& job, const SweepOptions& opts)
     for (unsigned attempt = 1; attempt <= maxAttempts && !jr.ok; ++attempt) {
         jr.attempts = attempt;
         if (opts.isolate) {
-            ProcLimits limits;
-            limits.memLimitBytes = opts.memLimitBytes;
-            limits.cpuLimitSec = opts.cpuLimitSec;
-            limits.wallLimitSec = opts.wallLimitSec;
-            JobResult sub = runJobIsolated(job, limits);
+            JobResult sub = runJobIsolated(job, opts);
             jr.ok = sub.ok;
             jr.report = std::move(sub.report);
             jr.error = std::move(sub.error);
@@ -185,58 +180,42 @@ runSweepChecked(const std::vector<SweepJob>& jobs, const SweepOptions& opts)
         return results;
     }
 
-    // Checkpoint manifest: hash every job up front; on resume, satisfy
-    // already-completed jobs by replaying their recorded Reports.
+    // Checkpoint manifest: on resume, satisfy already-completed jobs by
+    // replaying their journaled Reports.
     SweepManifest manifest;
-    std::vector<std::uint64_t> hashes;
     std::size_t resumedCount = 0;
-    if (!opts.manifestPath.empty()) {
-        hashes.resize(jobs.size());
+    if (!opts.manifestPath.empty() &&
+        manifest.open(opts.manifestPath, opts.resume) && opts.resume) {
         for (std::size_t i = 0; i < jobs.size(); ++i) {
-            hashes[i] = sweepJobHash(jobs[i], i);
-        }
-        if (manifest.open(opts.manifestPath, opts.resume) && opts.resume) {
-            for (std::size_t i = 0; i < jobs.size(); ++i) {
-                const ManifestEntry* e = manifest.findCompleted(hashes[i]);
-                if (e == nullptr) {
-                    continue;
-                }
-                if (e->workload != jobs[i].profile.name ||
-                    e->label != jobs[i].label) {
-                    // A spliced line can bind a valid hash to another
-                    // record's fields; never replay it — re-run instead.
-                    continue;
-                }
-                results[i].report = e->report;
+            if (const Report* r = manifest.replay(jobs[i], i)) {
+                results[i].report = *r;
                 results[i].ok = true;
                 results[i].resumed = true;
-                results[i].attempts = 0;
                 ++resumedCount;
             }
-            if (!opts.quiet && resumedCount != 0) {
-                sweepLine("resumed resumed=" + std::to_string(resumedCount) +
-                          " total=" + std::to_string(jobs.size()) +
-                          " manifest=" + opts.manifestPath);
-            }
+        }
+        if (!opts.quiet && resumedCount != 0) {
+            sweepLine("resumed resumed=" + std::to_string(resumedCount) +
+                      " total=" + std::to_string(jobs.size()) +
+                      " manifest=" + opts.manifestPath);
         }
     }
 
-    // The distinct Programs the points to run need, largest footprint
-    // (longest build) first.
+    // The distinct Programs (equal Profiles share one) the points to run
+    // need, largest footprint (longest build) first.
     std::vector<const Profile*> programs;
-    {
-        std::unordered_set<std::string> seen;
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-            if (!results[i].resumed &&
-                seen.insert(programKey(jobs[i].profile)).second) {
-                programs.push_back(&jobs[i].profile);
-            }
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const Profile& p = jobs[i].profile;
+        if (!results[i].resumed &&
+            std::none_of(programs.begin(), programs.end(),
+                         [&p](const Profile* q) { return *q == p; })) {
+            programs.push_back(&p);
         }
-        std::stable_sort(programs.begin(), programs.end(),
-                         [](const Profile* a, const Profile* b) {
-                             return a->codeFootprintKB > b->codeFootprintKB;
-                         });
     }
+    std::stable_sort(programs.begin(), programs.end(),
+                     [](const Profile* a, const Profile* b) {
+                         return a->codeFootprintKB > b->codeFootprintKB;
+                     });
 
     SignalGuard guard(opts.handleSignals);
 
@@ -346,20 +325,7 @@ runSweepChecked(const std::vector<SweepJob>& jobs, const SweepOptions& opts)
         if (!jr.ok) {
             ++failed;
         }
-        if (manifest.isOpen()) {
-            ManifestEntry e;
-            e.hash = hashes[i];
-            e.index = i;
-            e.workload = jobs[i].profile.name;
-            e.label = jobs[i].label;
-            e.ok = jr.ok;
-            if (jr.ok) {
-                e.report = jr.report;
-            } else {
-                e.errorKind = jr.error.kind;
-            }
-            manifest.record(e);
-        }
+        manifest.record(jobs[i], i, jr);
         postProgress(i, jr);
     };
 

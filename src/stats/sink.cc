@@ -9,24 +9,6 @@
 
 namespace udp {
 
-namespace {
-
-/**
- * Crash-safe row append: the complete line (terminator included) goes to
- * the stream in one buffered write and is flushed before returning, so a
- * killed process can lose at most a partial *final* line — every earlier
- * line is intact and parseable (docs/ROBUSTNESS.md).
- */
-void
-writeLineAtomic(std::ofstream& out, std::string line)
-{
-    line += '\n';
-    out.write(line.data(), static_cast<std::streamsize>(line.size()));
-    out.flush();
-}
-
-} // namespace
-
 char*
 formatNumber(char* out, double v)
 {
@@ -144,28 +126,20 @@ csvEscape(const std::string& s)
     return out;
 }
 
-} // namespace
-
-std::vector<std::string>
-reportSchemaKeys()
-{
-    std::vector<std::string> keys = {"workload", "config"};
-    // Bind the StatSet before iterating: entries() references its
-    // internals, and a temporary would die before the loop body.
-    StatSet stats = Report{}.toStatSet();
-    for (const auto& [name, value] : stats.entries()) {
-        (void)value;
-        keys.push_back(name);
-    }
-    return keys;
-}
-
+/**
+ * The one JSON row: "row_type" (unless @p rowType is empty, as for a
+ * Report), "workload", "config", then every entry of @p stats in order.
+ */
 std::string
-reportToJsonLine(const Report& r)
+jsonRow(const std::string& rowType, const std::string& workload,
+        const std::string& config, const StatSet& stats)
 {
-    std::string out = "{\"workload\":\"" + jsonEscape(r.workload) +
-                      "\",\"config\":\"" + jsonEscape(r.configName) + "\"";
-    StatSet stats = r.toStatSet();
+    std::string out = "{";
+    if (!rowType.empty()) {
+        out += "\"row_type\":\"" + rowType + "\",";
+    }
+    out += "\"workload\":\"" + jsonEscape(workload) + "\",\"config\":\"" +
+           jsonEscape(config) + "\"";
     for (const auto& [name, value] : stats.entries()) {
         out += ",\"" + name + "\":" + formatNumber(value);
     }
@@ -173,83 +147,29 @@ reportToJsonLine(const Report& r)
     return out;
 }
 
+/** The one CSV header: workload, config, then the keys of @p stats. */
 std::string
-reportCsvHeader()
+csvHeader(const StatSet& stats)
 {
-    std::string out;
-    for (const std::string& key : reportSchemaKeys()) {
-        if (!out.empty()) {
-            out += ',';
-        }
-        out += key;
+    std::string out = "workload,config";
+    for (const auto& [name, value] : stats.entries()) {
+        (void)value;
+        out += ',' + name;
     }
     return out;
 }
 
+/** The one CSV row, in csvHeader()'s column order. */
 std::string
-reportToCsvRow(const Report& r)
+csvRow(const std::string& workload, const std::string& config,
+       const StatSet& stats)
 {
-    std::string out = csvEscape(r.workload) + ',' + csvEscape(r.configName);
-    StatSet stats = r.toStatSet();
+    std::string out = csvEscape(workload) + ',' + csvEscape(config);
     for (const auto& [name, value] : stats.entries()) {
         (void)name;
         out += ',' + formatNumber(value);
     }
     return out;
-}
-
-namespace {
-
-/** Assigns one parsed numeric stat to its Report field; the key table
- *  mirrors Report::toStatSet() (tested by Sink.ReportJsonRoundTrip). */
-bool
-setReportStat(Report* r, const std::string& key, double v)
-{
-    auto u64 = [v] { return static_cast<std::uint64_t>(v); };
-    if (key == "instructions") {
-        r->instructions = u64();
-    } else if (key == "cycles") {
-        r->cycles = u64();
-    } else if (key == "ipc") {
-        r->ipc = v;
-    } else if (key == "icache_mpki") {
-        r->icacheMpki = v;
-    } else if (key == "mshr_hits_pki") {
-        r->mshrHitsPki = v;
-    } else if (key == "timeliness") {
-        r->timeliness = v;
-    } else if (key == "l1_hit_ratio") {
-        r->l1HitRatio = v;
-    } else if (key == "lost_instr_per_kilo") {
-        r->lostInstrPerKilo = v;
-    } else if (key == "prefetches_emitted") {
-        r->prefetchesEmitted = u64();
-    } else if (key == "onpath_ratio") {
-        r->onPathRatio = v;
-    } else if (key == "usefulness") {
-        r->usefulness = v;
-    } else if (key == "usefulness_hw") {
-        r->usefulnessHw = v;
-    } else if (key == "avg_ftq_occupancy") {
-        r->avgFtqOccupancy = v;
-    } else if (key == "branch_mpki") {
-        r->branchMpki = v;
-    } else if (key == "cond_mispredict_rate") {
-        r->condMispredictRate = v;
-    } else if (key == "resteers") {
-        r->resteers = u64();
-    } else if (key == "decode_corrections") {
-        r->decodeCorrections = u64();
-    } else if (key == "udp_dropped") {
-        r->udpDropped = u64();
-    } else if (key == "udp_filtered_emits") {
-        r->udpFilteredEmits = u64();
-    } else if (key == "udp_learned") {
-        r->udpLearned = u64();
-    } else {
-        return false;
-    }
-    return true;
 }
 
 /** Parses all of @p text as one number of type T. */
@@ -383,15 +303,44 @@ reportFromJsonLine(const std::string& line, Report* out)
             return kind == JsonKind::String;
         }
         double v = 0.0;
-        // An unknown key, or a failure row ("error_kind"), is rejected.
-        return kind == JsonKind::Number && parseNumber(value, &v) &&
-               setReportStat(&r, key, v);
+        if (kind != JsonKind::Number || !parseNumber(value, &v)) {
+            return false;
+        }
+        for (const ReportField& f : kReportFields) {
+            if (key == f.key) {
+                if (f.count != nullptr) {
+                    r.*f.count = static_cast<std::uint64_t>(v);
+                } else {
+                    r.*f.ratio = v;
+                }
+                return true;
+            }
+        }
+        return false; // an unknown key, or a failure row's "error_kind"
     };
     if (!walkJsonObject(line, field)) {
         return false;
     }
     *out = std::move(r);
     return true;
+}
+
+std::string
+reportToJsonLine(const Report& r)
+{
+    return jsonRow("", r.workload, r.configName, r.toStatSet());
+}
+
+std::string
+reportCsvHeader()
+{
+    return csvHeader(Report{}.toStatSet());
+}
+
+std::string
+reportToCsvRow(const Report& r)
+{
+    return csvRow(r.workload, r.configName, r.toStatSet());
 }
 
 std::string
@@ -448,28 +397,130 @@ failureFromJsonLine(const std::string& line, std::string* workload,
     return true;
 }
 
-bool
-ReportSink::openJson(const std::string& path)
+// ----- telemetry rows ---------------------------------------------------
+
+namespace {
+
+/** One interval row's numeric fields, in schema order. */
+StatSet
+intervalStats(const IntervalRow& row)
 {
-    json.open(path, std::ios::out | std::ios::trunc);
-    if (!json.is_open()) {
-        std::fprintf(stderr, "[udp] cannot open JSON sink \"%s\"\n",
+    StatSet s;
+    s.add("interval", static_cast<double>(row.index));
+    s.add("cycle_start", static_cast<double>(row.cycleStart));
+    s.add("cycle_end", static_cast<double>(row.cycleEnd));
+    s.add("instructions", static_cast<double>(row.instructions));
+    s.add("ipc", row.ipc);
+    s.add("icache_mpki", row.icacheMpki);
+    s.add("ftq_occupancy", row.ftqOccupancy);
+    s.add("prefetches_issued", static_cast<double>(row.prefetchesIssued));
+    s.add("pf_accuracy", row.pfAccuracy);
+    s.add("pf_timely", static_cast<double>(row.pfTimely));
+    s.add("pf_late", static_cast<double>(row.pfLate));
+    s.add("pf_unused", static_cast<double>(row.pfUnused));
+    return s;
+}
+
+} // namespace
+
+std::string
+intervalToJsonLine(const std::string& workload, const std::string& config,
+                   const IntervalRow& row)
+{
+    return jsonRow("interval", workload, config, intervalStats(row));
+}
+
+std::string
+intervalCsvHeader()
+{
+    return csvHeader(intervalStats(IntervalRow{}));
+}
+
+std::string
+intervalToCsvRow(const std::string& workload, const std::string& config,
+                 const IntervalRow& row)
+{
+    return csvRow(workload, config, intervalStats(row));
+}
+
+std::string
+telemetrySummaryToJsonLine(const std::string& workload,
+                           const std::string& config,
+                           const TelemetrySnapshot& snap)
+{
+    return jsonRow("telemetry_summary", workload, config, snap.toStatSet());
+}
+
+std::string
+profileSummaryToJsonLine(const std::string& workload,
+                         const std::string& config,
+                         const obs::ProfileSnapshot& prof)
+{
+    StatSet s;
+    s.add("cycles", static_cast<double>(prof.cycles));
+    s.add("total_sec", prof.totalSec);
+    for (std::size_t i = 0; i < obs::kNumProfPhases; ++i) {
+        obs::ProfPhase p = static_cast<obs::ProfPhase>(i);
+        std::string name = obs::profPhaseName(p);
+        s.add("phase_" + name + "_sec", prof.phaseSec[i]);
+        s.add("phase_" + name + "_pct", prof.phaseFrac(p) * 100.0);
+    }
+    return jsonRow("profile_summary", workload, config, s);
+}
+
+// ----- the two line files -----------------------------------------------
+
+bool
+LineFiles::open(std::ofstream& file, const std::string& path,
+                const char* what)
+{
+    file.open(path, std::ios::out | std::ios::trunc);
+    if (!file.is_open()) {
+        std::fprintf(stderr, "[udp] cannot open %s \"%s\"\n", what,
                      path.c_str());
         return false;
     }
     return true;
 }
 
+void
+LineFiles::writeLine(std::ofstream& file, std::string line)
+{
+    if (!file.is_open()) {
+        return;
+    }
+    // The complete line, terminator included, goes out in one buffered
+    // write and is flushed before returning, so a killed process can
+    // lose at most a partial final line (docs/ROBUSTNESS.md).
+    line += '\n';
+    file.write(line.data(), static_cast<std::streamsize>(line.size()));
+    file.flush();
+}
+
+void
+LineFiles::close()
+{
+    if (json.is_open()) {
+        json.close();
+    }
+    if (csv.is_open()) {
+        csv.close();
+    }
+}
+
+bool
+ReportSink::openJson(const std::string& path)
+{
+    return open(json, path, "JSON sink");
+}
+
 bool
 ReportSink::openCsv(const std::string& path)
 {
-    csv.open(path, std::ios::out | std::ios::trunc);
-    if (!csv.is_open()) {
-        std::fprintf(stderr, "[udp] cannot open CSV sink \"%s\"\n",
-                     path.c_str());
+    if (!open(csv, path, "CSV sink")) {
         return false;
     }
-    writeLineAtomic(csv, reportCsvHeader());
+    writeLine(csv, reportCsvHeader());
     return true;
 }
 
@@ -477,10 +528,10 @@ void
 ReportSink::write(const Report& r)
 {
     if (json.is_open()) {
-        writeLineAtomic(json, reportToJsonLine(r));
+        writeLine(json, reportToJsonLine(r));
     }
     if (csv.is_open()) {
-        writeLineAtomic(csv, reportToCsvRow(r));
+        writeLine(csv, reportToCsvRow(r));
     }
 }
 
@@ -495,158 +546,22 @@ ReportSink::writeAll(const std::vector<Report>& reports)
 void
 ReportSink::writeFailure(const std::string& row)
 {
-    if (json.is_open()) {
-        writeLineAtomic(json, row);
-    }
-}
-
-void
-ReportSink::close()
-{
-    if (json.is_open()) {
-        json.close();
-    }
-    if (csv.is_open()) {
-        csv.close();
-    }
-}
-
-// ----- telemetry rows ---------------------------------------------------
-
-namespace {
-
-/** Ordered (key, value) pairs of one interval row's numeric fields. */
-std::vector<std::pair<std::string, double>>
-intervalEntries(const IntervalRow& row)
-{
-    return {
-        {"interval", static_cast<double>(row.index)},
-        {"cycle_start", static_cast<double>(row.cycleStart)},
-        {"cycle_end", static_cast<double>(row.cycleEnd)},
-        {"instructions", static_cast<double>(row.instructions)},
-        {"ipc", row.ipc},
-        {"icache_mpki", row.icacheMpki},
-        {"ftq_occupancy", row.ftqOccupancy},
-        {"prefetches_issued", static_cast<double>(row.prefetchesIssued)},
-        {"pf_accuracy", row.pfAccuracy},
-        {"pf_timely", static_cast<double>(row.pfTimely)},
-        {"pf_late", static_cast<double>(row.pfLate)},
-        {"pf_unused", static_cast<double>(row.pfUnused)},
-    };
-}
-
-} // namespace
-
-std::vector<std::string>
-intervalSchemaKeys()
-{
-    std::vector<std::string> keys = {"workload", "config"};
-    for (const auto& [name, value] : intervalEntries(IntervalRow{})) {
-        (void)value;
-        keys.push_back(name);
-    }
-    return keys;
-}
-
-std::string
-intervalToJsonLine(const std::string& workload, const std::string& config,
-                   const IntervalRow& row)
-{
-    std::string out = "{\"row_type\":\"interval\",\"workload\":\"" +
-                      jsonEscape(workload) + "\",\"config\":\"" +
-                      jsonEscape(config) + "\"";
-    for (const auto& [name, value] : intervalEntries(row)) {
-        out += ",\"" + name + "\":" + formatNumber(value);
-    }
-    out += "}";
-    return out;
-}
-
-std::string
-intervalCsvHeader()
-{
-    std::string out;
-    for (const std::string& key : intervalSchemaKeys()) {
-        if (!out.empty()) {
-            out += ',';
-        }
-        out += key;
-    }
-    return out;
-}
-
-std::string
-intervalToCsvRow(const std::string& workload, const std::string& config,
-                 const IntervalRow& row)
-{
-    std::string out = csvEscape(workload) + ',' + csvEscape(config);
-    for (const auto& [name, value] : intervalEntries(row)) {
-        (void)name;
-        out += ',' + formatNumber(value);
-    }
-    return out;
-}
-
-std::string
-telemetrySummaryToJsonLine(const std::string& workload,
-                           const std::string& config,
-                           const TelemetrySnapshot& snap)
-{
-    std::string out = "{\"row_type\":\"telemetry_summary\",\"workload\":\"" +
-                      jsonEscape(workload) + "\",\"config\":\"" +
-                      jsonEscape(config) + "\"";
-    StatSet stats = snap.toStatSet();
-    for (const auto& [name, value] : stats.entries()) {
-        out += ",\"" + name + "\":" + formatNumber(value);
-    }
-    out += "}";
-    return out;
-}
-
-std::string
-profileSummaryToJsonLine(const std::string& workload,
-                         const std::string& config,
-                         const obs::ProfileSnapshot& prof)
-{
-    std::string out = "{\"row_type\":\"profile_summary\",\"workload\":\"" +
-                      jsonEscape(workload) + "\",\"config\":\"" +
-                      jsonEscape(config) +
-                      "\",\"cycles\":" + std::to_string(prof.cycles) +
-                      ",\"total_sec\":" + formatNumber(prof.totalSec);
-    for (std::size_t i = 0; i < obs::kNumProfPhases; ++i) {
-        obs::ProfPhase p = static_cast<obs::ProfPhase>(i);
-        std::string name = obs::profPhaseName(p);
-        out += ",\"phase_" + name +
-               "_sec\":" + formatNumber(prof.phaseSec[i]);
-        out += ",\"phase_" + name +
-               "_pct\":" + formatNumber(prof.phaseFrac(p) * 100.0);
-    }
-    out += "}";
-    return out;
+    writeLine(json, row);
 }
 
 bool
 TelemetrySink::openJson(const std::string& path)
 {
-    json.open(path, std::ios::out | std::ios::trunc);
-    if (!json.is_open()) {
-        std::fprintf(stderr, "[udp] cannot open telemetry JSON \"%s\"\n",
-                     path.c_str());
-        return false;
-    }
-    return true;
+    return open(json, path, "telemetry JSON");
 }
 
 bool
 TelemetrySink::openCsv(const std::string& path)
 {
-    csv.open(path, std::ios::out | std::ios::trunc);
-    if (!csv.is_open()) {
-        std::fprintf(stderr, "[udp] cannot open telemetry CSV \"%s\"\n",
-                     path.c_str());
+    if (!open(csv, path, "telemetry CSV")) {
         return false;
     }
-    writeLineAtomic(csv, intervalCsvHeader());
+    writeLine(csv, intervalCsvHeader());
     return true;
 }
 
@@ -657,26 +572,14 @@ TelemetrySink::writeRun(const std::string& workload,
 {
     for (const IntervalRow& row : snap.intervals) {
         if (json.is_open()) {
-            writeLineAtomic(json, intervalToJsonLine(workload, config, row));
+            writeLine(json, intervalToJsonLine(workload, config, row));
         }
         if (csv.is_open()) {
-            writeLineAtomic(csv, intervalToCsvRow(workload, config, row));
+            writeLine(csv, intervalToCsvRow(workload, config, row));
         }
     }
     if (json.is_open()) {
-        writeLineAtomic(json,
-                        telemetrySummaryToJsonLine(workload, config, snap));
-    }
-}
-
-void
-TelemetrySink::close()
-{
-    if (json.is_open()) {
-        json.close();
-    }
-    if (csv.is_open()) {
-        csv.close();
+        writeLine(json, telemetrySummaryToJsonLine(workload, config, snap));
     }
 }
 

@@ -3,10 +3,11 @@
  * Structured result sinks: serialize Reports as JSON lines and CSV so
  * benches emit machine-readable artifacts next to their printed tables.
  *
- * The serialized schema is stable: "workload" and "config" (strings)
- * followed by every Report::toStatSet() key in declaration order. The
- * authoritative key table, with each key's paper-figure provenance, is in
- * docs/EXPERIMENT_GUIDE.md.
+ * One row format, rendered in one place (sink.cc): "workload" and
+ * "config" (strings), then every StatSet entry of the row in order; a
+ * telemetry or profile row puts "row_type" first. A Report's schema
+ * order is its field table, kReportFields (sim/runner.h). The key table
+ * with each key's paper-figure provenance is in docs/EXPERIMENT_GUIDE.md.
  */
 
 #ifndef UDP_STATS_SINK_H
@@ -92,10 +93,6 @@ bool failureFromJsonLine(const std::string& line, std::string* workload,
                          std::string* config, unsigned* attempts,
                          JobError* error);
 
-/** Ordered list of schema keys: "workload", "config", then every numeric
- *  StatSet key of Report. */
-std::vector<std::string> reportSchemaKeys();
-
 /** One JSON object (single line, no trailing newline) for @p r. */
 std::string reportToJsonLine(const Report& r);
 
@@ -106,21 +103,18 @@ std::string reportCsvHeader();
 std::string reportToCsvRow(const Report& r);
 
 /**
- * Parses one reportToJsonLine() line back into @p out. The round trip is
- * exact: numbers use shortest round-trip rendering, so re-serializing the
- * parsed Report reproduces the input byte for byte. Used by the
- * checkpoint manifest (sim/manifest.h) and the isolated-execution pipe
- * protocol (sim/procexec.h). Returns false (leaving @p out unspecified)
- * on malformed input, trailing bytes, unknown keys, or a failure row
- * (key "error_kind").
+ * Parses one reportToJsonLine() line back into @p out, assigning each
+ * key through kReportFields. The round trip is exact: numbers use
+ * shortest round-trip rendering, so re-serializing the parsed Report
+ * reproduces the input byte for byte. Used by the checkpoint manifest
+ * (sim/manifest.h) and the isolated-execution pipe protocol
+ * (sim/procexec.h). Returns false (leaving @p out unspecified) on
+ * malformed input, trailing bytes, unknown keys, or a failure row (key
+ * "error_kind").
  */
 bool reportFromJsonLine(const std::string& line, Report* out);
 
 // ----- telemetry rows (docs/TELEMETRY.md has the schema tables) ---------
-
-/** Ordered interval-row schema keys: "workload", "config", then every
- *  numeric IntervalRow field. */
-std::vector<std::string> intervalSchemaKeys();
 
 /** One JSON object (single line) for an interval row. Distinguishable in
  *  a mixed stream by "row_type":"interval". */
@@ -154,15 +148,45 @@ std::string profileSummaryToJsonLine(const std::string& workload,
                                      const obs::ProfileSnapshot& prof);
 
 /**
- * Writes telemetry interval rows (JSONL and/or CSV) and per-run summary
- * rows (JSONL only). Same crash-safe line-atomic discipline as
- * ReportSink. Opening no sink makes the writers no-ops.
+ * What ReportSink and TelemetrySink share: an optional JSON-lines file
+ * and an optional CSV file.
+ *
+ * Crash-safe: every row is written as one complete line in a single
+ * buffered write and flushed immediately, so a sweep killed mid-run
+ * (SIGKILL, OOM, power loss) leaves artifacts whose complete lines all
+ * parse — at worst the final line is truncated and must be dropped by
+ * the reader (docs/ROBUSTNESS.md, "Crash-safe artifacts").
  */
-class TelemetrySink
+class LineFiles
 {
   public:
-    TelemetrySink() = default;
+    /** True when at least one file is open. */
+    bool active() const { return json.is_open() || csv.is_open(); }
 
+    /** Flushes and closes both files (also done on destruction). */
+    void close();
+
+  protected:
+    /** Opens (truncates) @p path into @p file; on failure prints one
+     *  error line naming @p what and returns false. */
+    static bool open(std::ofstream& file, const std::string& path,
+                     const char* what);
+
+    /** Appends @p line and its newline to @p file, when open, and
+     *  flushes. */
+    static void writeLine(std::ofstream& file, std::string line);
+
+    std::ofstream json;
+    std::ofstream csv;
+};
+
+/**
+ * Writes telemetry interval rows (JSONL and/or CSV) and per-run summary
+ * rows (JSONL only). Opening no file makes the writers no-ops.
+ */
+class TelemetrySink : public LineFiles
+{
+  public:
     /** Opens (truncates) @p path for interval + summary JSON lines. */
     bool openJson(const std::string& path);
 
@@ -172,34 +196,16 @@ class TelemetrySink
     /** Appends every interval row of @p snap, then its summary row. */
     void writeRun(const std::string& workload, const std::string& config,
                   const TelemetrySnapshot& snap);
-
-    /** True when at least one sink is open. */
-    bool active() const { return json.is_open() || csv.is_open(); }
-
-    /** Flushes and closes all sinks (also done on destruction). */
-    void close();
-
-  private:
-    std::ofstream json;
-    std::ofstream csv;
 };
 
 /**
  * Writes Reports to an optional JSON-lines file and/or an optional CSV
- * file (with header). Opening no sink makes write() a no-op, so benches
+ * file (with header). Opening no file makes write() a no-op, so benches
  * can call it unconditionally.
- *
- * Crash-safe: every row is written as one complete line in a single
- * buffered write and flushed immediately, so a sweep killed mid-run
- * (SIGKILL, OOM, power loss) leaves artifacts whose complete lines all
- * parse — at worst the final line is truncated and must be dropped by
- * the reader (docs/ROBUSTNESS.md, "Crash-safe artifacts").
  */
-class ReportSink
+class ReportSink : public LineFiles
 {
   public:
-    ReportSink() = default;
-
     /** Opens (truncates) @p path for JSON lines; returns success. */
     bool openJson(const std::string& path);
 
@@ -207,25 +213,15 @@ class ReportSink
      *  returns success. */
     bool openCsv(const std::string& path);
 
-    /** Appends @p r to every open sink. */
+    /** Appends @p r to every open file. */
     void write(const Report& r);
 
-    /** Appends each report in order to every open sink. */
+    /** Appends each report in order to every open file. */
     void writeAll(const std::vector<Report>& reports);
 
     /** Appends the failure row @p row (failureToJsonLine) to the
      *  JSON-lines file, when open; the CSV holds Reports only. */
     void writeFailure(const std::string& row);
-
-    /** True when at least one sink is open. */
-    bool active() const { return json.is_open() || csv.is_open(); }
-
-    /** Flushes and closes all sinks (also done on destruction). */
-    void close();
-
-  private:
-    std::ofstream json;
-    std::ofstream csv;
 };
 
 } // namespace udp

@@ -95,7 +95,7 @@ TEST(Procexec, IsolatedReportMatchesInProcess)
     Report in_process =
         runSim(job.profile, job.config, job.opts, job.label);
 
-    JobResult isolated = runJobIsolated(job, ProcLimits{});
+    JobResult isolated = runJobIsolated(job, SweepOptions{});
     ASSERT_TRUE(isolated.ok) << isolated.error.message;
     expectIdenticalReports(in_process, isolated.report);
     // Bit-exact serialization too: the pipe payload IS the JSON line.
@@ -108,7 +108,7 @@ TEST(Procexec, ContainsRealSegv)
     if (procUnderSanitizer()) {
         GTEST_SKIP() << "sanitizers intercept SIGSEGV";
     }
-    JobResult jr = runJobIsolated(crashingJob("segvtest"), ProcLimits{});
+    JobResult jr = runJobIsolated(crashingJob("segvtest"), SweepOptions{});
     ASSERT_FALSE(jr.ok);
     EXPECT_EQ(jr.error.kind, "crash");
     EXPECT_EQ(jr.error.signal, "SIGSEGV");
@@ -181,7 +181,7 @@ TEST(Procexec, MemLimitTurnsRunawayAllocationIntoMemLimit)
     j.config.fault.triggerCycle = 1'000;
     j.label = "oom";
 
-    ProcLimits limits;
+    SweepOptions limits;
     limits.memLimitBytes = std::uint64_t{512} << 20;
     JobResult jr = runJobIsolated(j, limits);
     ASSERT_FALSE(jr.ok);
@@ -203,7 +203,7 @@ TEST(Procexec, WallDeadlineKillsAHungChild)
     j.config.fault.triggerCycle = 500;
     j.label = "hung";
 
-    ProcLimits limits;
+    SweepOptions limits;
     limits.wallLimitSec = 1.0;
     JobResult jr = runJobIsolated(j, limits);
     ASSERT_FALSE(jr.ok);
@@ -227,7 +227,7 @@ TEST(Procexec, SimErrorCrossesThePipeVerbatim)
     JobResult expect = runSweepChecked({j}, in_proc).front();
     ASSERT_FALSE(expect.ok);
 
-    JobResult jr = runJobIsolated(j, ProcLimits{});
+    JobResult jr = runJobIsolated(j, SweepOptions{});
     ASSERT_FALSE(jr.ok);
     EXPECT_TRUE(jr.error.signal.empty());
     EXPECT_GT(jr.error.maxRssKb, 0u);
@@ -266,174 +266,205 @@ TEST(Manifest, JobHashIsStableAndDiscriminating)
     EXPECT_NE(sweepJobHash(a, 0), sweepJobHash(e, 0));
 }
 
+/** Job @p id of the manifest tests: app<id> under label cfg<id>. */
+SweepJob
+manifestJob(unsigned id)
+{
+    SweepJob j = cleanJob("app" + std::to_string(id), id);
+    j.label = "cfg" + std::to_string(id);
+    return j;
+}
+
+/** A completed result for @p job whose Report carries the job's own
+ *  workload and config, distinct per profile seed. */
+JobResult
+completedResult(const SweepJob& job)
+{
+    JobResult jr;
+    jr.ok = true;
+    jr.report.workload = job.profile.name;
+    jr.report.configName = job.label;
+    jr.report.ipc = 1.0 + 0.001 * static_cast<double>(job.profile.seed);
+    return jr;
+}
+
+/** The "hash" pair of job @p index, @p job, as a manifest line holds it. */
+std::string
+hashPair(const SweepJob& job, std::size_t index)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "\"hash\":\"%016llx\"",
+                  static_cast<unsigned long long>(sweepJobHash(job, index)));
+    return buf;
+}
+
+/** A scratch file of the running test's own: ctest runs the cases of
+ *  this file as parallel processes that share TempDir(). */
+std::string
+scratchPath(const std::string& name)
+{
+    return ::testing::TempDir() +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+           "_" + name;
+}
+
+/** The line SweepManifest::record() appends for @p result of job
+ *  @p index, @p job. */
+std::string
+journalLine(const SweepJob& job, std::size_t index, const JobResult& result)
+{
+    const std::string path = scratchPath("line.jsonl");
+    SweepManifest m;
+    EXPECT_TRUE(m.open(path, /*resume=*/false));
+    m.record(job, index, result);
+    m.close();
+    std::ifstream in(path);
+    std::string line;
+    std::getline(in, line);
+    std::remove(path.c_str());
+    return line;
+}
+
+/** A manifest loaded for resume from a file holding @p text. */
+SweepManifest
+loadManifest(const std::string& text)
+{
+    const std::string path = scratchPath("load.jsonl");
+    {
+        std::ofstream out(path, std::ios::trunc | std::ios::binary);
+        out << text;
+    }
+    SweepManifest m;
+    EXPECT_TRUE(m.open(path, /*resume=*/true));
+    m.close();
+    std::remove(path.c_str());
+    return m;
+}
+
+/** The replayed Report of job @p index, @p job, as its JSON line; "" when
+ *  @p m does not replay it. */
+std::string
+replayed(const SweepManifest& m, const SweepJob& job, std::size_t index)
+{
+    const Report* r = m.replay(job, index);
+    return r == nullptr ? "" : reportToJsonLine(*r);
+}
+
 TEST(Manifest, EntryRoundTrips)
 {
-    Report r;
-    r.workload = "app";
-    r.configName = "cfg \"quoted\"";
-    r.ipc = 1.25;
+    // A line is the job's hash plus its row, byte for byte as the sinks
+    // write it: the Report of a completed job, the failure row of a
+    // failed one.
+    SweepJob job = manifestJob(7);
+    job.label = "cfg \"quoted\"";
+    const JobResult ok = completedResult(job);
+    JobResult failed;
+    failed.attempts = 2;
+    failed.error.kind = "crash";
+    failed.error.signal = "SIGSEGV";
+    const std::string okLine = journalLine(job, 0, ok);
+    const std::string failedLine = journalLine(job, 1, failed);
+    const std::string report = reportToJsonLine(ok.report);
+    EXPECT_EQ(okLine, "{" + hashPair(job, 0) + ",\"report\":" + report + "}");
+    EXPECT_EQ(failedLine,
+              "{" + hashPair(job, 1) + ",\"failure\":" +
+                  failureToJsonLine(job.profile.name, job.label, 2,
+                                    failed.error) +
+                  "}");
 
-    ManifestEntry ok;
-    ok.hash = 0x0123456789ABCDEFull;
-    ok.index = 7;
-    ok.workload = "app";
-    ok.label = "cfg \"quoted\"";
-    ok.ok = true;
-    ok.report = r;
+    // Loaded back, the completed job replays its Report; the failed one,
+    // another index and another job do not.
+    SweepManifest m = loadManifest(okLine + "\n" + failedLine + "\n");
+    EXPECT_EQ(replayed(m, job, 0), report);
+    EXPECT_EQ(m.replay(job, 1), nullptr);
+    EXPECT_EQ(m.replay(job, 2), nullptr);
+    EXPECT_EQ(m.replay(manifestJob(7), 0), nullptr);
 
-    ManifestEntry parsed;
-    ASSERT_TRUE(
-        manifestEntryFromJsonLine(manifestEntryToJsonLine(ok), &parsed));
-    EXPECT_EQ(parsed.hash, ok.hash);
-    EXPECT_EQ(parsed.index, ok.index);
-    EXPECT_EQ(parsed.workload, ok.workload);
-    EXPECT_EQ(parsed.label, ok.label);
-    EXPECT_TRUE(parsed.ok);
-    EXPECT_EQ(reportToJsonLine(parsed.report), reportToJsonLine(r));
+    // Keys the loader does not know are ignored, wherever they stand: a
+    // line in the older envelope format, with the "worker" key that
+    // distributed workers used to write, still replays.
+    const std::string older =
+        "{" + hashPair(job, 0) + ",\"index\":0,\"workload\":\"app7\"," +
+        "\"config\":\"" + jsonEscape(job.label) +
+        "\",\"worker\":\"w1\",\"status\":\"ok\",\"report\":" + report + "}";
+    EXPECT_EQ(replayed(loadManifest(older + "\n"), job, 0), report) << older;
+    // Keys are read by position in the object: the report may come first.
+    EXPECT_EQ(replayed(loadManifest("{\"report\":" + report + "," +
+                                    hashPair(job, 0) + "}\n"),
+                       job, 0),
+              report);
 
-    ManifestEntry failed;
-    failed.hash = 42;
-    failed.index = 1;
-    failed.workload = "app";
-    failed.label = "cfg";
-    failed.ok = false;
-    failed.errorKind = "crash";
-    ASSERT_TRUE(manifestEntryFromJsonLine(manifestEntryToJsonLine(failed),
-                                          &parsed));
-    EXPECT_FALSE(parsed.ok);
-    EXPECT_EQ(parsed.errorKind, "crash");
-    EXPECT_EQ(reportToJsonLine(parsed.report), reportToJsonLine(Report{}));
-
-    // A line with the "worker" key that distributed workers used to
-    // write still parses, so their manifests still resume.
-    std::string line = manifestEntryToJsonLine(ok);
-    const std::string status = ",\"status\":";
-    line.insert(line.find(status), ",\"worker\":\"w1\"");
-    ASSERT_TRUE(manifestEntryFromJsonLine(line, &parsed)) << line;
-    EXPECT_EQ(parsed.hash, ok.hash);
-    EXPECT_EQ(parsed.index, ok.index);
-    EXPECT_EQ(parsed.workload, ok.workload);
-    EXPECT_EQ(parsed.label, ok.label);
-    EXPECT_TRUE(parsed.ok);
-    EXPECT_EQ(reportToJsonLine(parsed.report), reportToJsonLine(r));
-    EXPECT_TRUE(manifestEntryIsConsistent(parsed));
-
-    // Keys are read by position in the object, not by the first match in
-    // the text: with the report ahead of them, the entry's own workload
-    // and config still win over the report's.
-    ok.report.workload = "other";
-    ok.report.configName = "other cfg";
-    std::string reordered = "{\"report\":" + reportToJsonLine(ok.report) +
-                            ",\"hash\":\"0123456789abcdef\",\"index\":7,"
-                            "\"workload\":\"app\",\"config\":\"cfg\","
-                            "\"status\":\"ok\"}";
-    ASSERT_TRUE(manifestEntryFromJsonLine(reordered, &parsed)) << reordered;
-    EXPECT_EQ(parsed.workload, "app");
-    EXPECT_EQ(parsed.label, "cfg");
-    EXPECT_EQ(parsed.report.workload, "other");
-    EXPECT_FALSE(manifestEntryIsConsistent(parsed));
-
-    // A repeated key, as a splice of two records can leave, is malformed.
-    line = manifestEntryToJsonLine(failed);
-    line.insert(line.find(status), ",\"hash\":\"000000000000002a\"");
-    EXPECT_FALSE(manifestEntryFromJsonLine(line, &parsed)) << line;
+    // A repeated key, as a splice of two records can leave, is malformed,
+    // and so is a report that is not a Report line byte for byte.
+    for (const std::string& bad :
+         {"{" + hashPair(job, 0) + "," + hashPair(job, 0) +
+              ",\"report\":" + report + "}",
+          "{" + hashPair(job, 0) + ",\"report\":" + report +
+              ",\"report\":" + report + "}",
+          "{" + hashPair(job, 0) + ",\"report\":{\"workload\":\"app7\"," +
+              "\"config\":\"" + jsonEscape(job.label) + "\"}}"}) {
+        EXPECT_EQ(loadManifest(bad + "\n").replay(job, 0), nullptr) << bad;
+    }
 }
 
 TEST(Manifest, TruncatedFinalLineIsSkippedOnLoad)
 {
-    std::string path = ::testing::TempDir() + "manifest_trunc.jsonl";
-
-    Report r;
-    r.workload = "app";
-    r.configName = "cfg";
-    ManifestEntry e;
-    e.hash = 1;
-    e.index = 0;
-    e.workload = "app";
-    e.label = "cfg";
-    e.ok = true;
-    e.report = r;
-
-    std::string full = manifestEntryToJsonLine(e);
-    {
-        std::ofstream out(path, std::ios::trunc);
-        out << full << '\n';
-        e.hash = 2;
-        out << manifestEntryToJsonLine(e) << '\n';
-        // A crash mid-append leaves a torn line at the tail.
-        e.hash = 3;
-        out << manifestEntryToJsonLine(e).substr(0, full.size() / 2);
+    const std::vector<SweepJob> jobs = {manifestJob(1), manifestJob(2),
+                                        manifestJob(3)};
+    std::string text;
+    for (std::size_t i = 0; i < 2; ++i) {
+        text += journalLine(jobs[i], i, completedResult(jobs[i])) + "\n";
     }
+    // A crash mid-append leaves a torn line at the tail.
+    const std::string last = journalLine(jobs[2], 2, completedResult(jobs[2]));
+    text += last.substr(0, last.size() / 2);
 
-    SweepManifest m;
-    ASSERT_TRUE(m.open(path, /*resume=*/true));
-    EXPECT_EQ(m.loadedCompleted(), 2u);
-    EXPECT_NE(m.findCompleted(1), nullptr);
-    EXPECT_NE(m.findCompleted(2), nullptr);
-    EXPECT_EQ(m.findCompleted(3), nullptr);
-    m.close();
-    std::remove(path.c_str());
-}
-
-/** A distinct, internally consistent ok entry for torn-line tests. */
-ManifestEntry
-fuzzEntry(std::uint64_t hash, unsigned id)
-{
-    Report r;
-    r.workload = "app" + std::to_string(id);
-    r.configName = "cfg" + std::to_string(id);
-    r.ipc = 1.0 + 0.001 * static_cast<double>(id);
-
-    ManifestEntry e;
-    e.hash = hash;
-    e.index = id;
-    e.workload = r.workload;
-    e.label = r.configName;
-    e.ok = true;
-    e.report = r;
-    return e;
+    SweepManifest m = loadManifest(text);
+    EXPECT_EQ(replayed(m, jobs[0], 0),
+              reportToJsonLine(completedResult(jobs[0]).report));
+    EXPECT_EQ(replayed(m, jobs[1], 1),
+              reportToJsonLine(completedResult(jobs[1]).report));
+    EXPECT_EQ(m.replay(jobs[2], 2), nullptr);
 }
 
 TEST(Manifest, SplicedLineFromTwoWritersIsRejected)
 {
     // The corruption a line-level parser cannot catch: two writers
     // interleaving on one file splice a line that PARSES — writer A's
-    // prefix (hash, workload, label) joined to writer B's report value.
-    // Without the deep consistency check, resume would resurrect B's
+    // hash joined to writer B's report. Without replay's check of the
+    // Report's own workload and config, resume would resurrect B's
     // Report under A's job hash.
-    ManifestEntry a = fuzzEntry(0xAAAA, 1);
-    ManifestEntry b = fuzzEntry(0xBBBB, 2);
-    std::string la = manifestEntryToJsonLine(a);
-    std::string lb = manifestEntryToJsonLine(b);
+    const SweepJob a = manifestJob(1);
+    const SweepJob b = manifestJob(2);
+    const std::string la = journalLine(a, 0, completedResult(a));
+    const std::string lb = journalLine(b, 1, completedResult(b));
     const std::string key = "\"report\":";
     std::size_t ca = la.find(key);
     std::size_t cb = lb.find(key);
     ASSERT_NE(ca, std::string::npos);
     ASSERT_NE(cb, std::string::npos);
-    std::string spliced = la.substr(0, ca) + lb.substr(cb);
+    const std::string spliced = la.substr(0, ca) + lb.substr(cb);
 
-    ManifestEntry parsed;
-    ASSERT_TRUE(manifestEntryFromJsonLine(spliced, &parsed))
-        << "the splice is supposed to parse — that is the point";
-    EXPECT_EQ(parsed.hash, a.hash);
-    EXPECT_EQ(reportToJsonLine(parsed.report), reportToJsonLine(b.report));
-    EXPECT_FALSE(manifestEntryIsConsistent(parsed));
+    // The splice is supposed to parse — that is the point.
+    std::string report;
+    ASSERT_TRUE(walkJsonObject(spliced, [&report](const std::string& k,
+                                                  const std::string& v,
+                                                  JsonKind) {
+        report = k == "report" ? v : report;
+        return true;
+    }));
+    Report parsed;
+    ASSERT_TRUE(reportFromJsonLine(report, &parsed));
+    EXPECT_EQ(parsed.workload, b.profile.name);
 
-    // Untampered entries pass.
-    EXPECT_TRUE(manifestEntryIsConsistent(a));
-    EXPECT_TRUE(manifestEntryIsConsistent(b));
-
-    std::string path = ::testing::TempDir() + "manifest_splice.jsonl";
-    {
-        std::ofstream out(path, std::ios::trunc);
-        out << la << '\n' << spliced << '\n';
-    }
-    SweepManifest m;
-    ASSERT_TRUE(m.open(path, /*resume=*/true));
-    EXPECT_EQ(m.loadedCompleted(), 1u);
-    EXPECT_NE(m.findCompleted(a.hash), nullptr);
-    m.close();
-    std::remove(path.c_str());
+    // Neither job replays it, and an intact line of A's still replays.
+    SweepManifest alone = loadManifest(spliced + "\n");
+    EXPECT_EQ(alone.replay(a, 0), nullptr);
+    EXPECT_EQ(alone.replay(b, 1), nullptr);
+    SweepManifest m = loadManifest(la + "\n" + spliced + "\n");
+    EXPECT_EQ(replayed(m, a, 0),
+              reportToJsonLine(completedResult(a).report));
+    EXPECT_EQ(m.replay(b, 1), nullptr);
 }
 
 TEST(Manifest, ConcurrentWriterFuzzReplaysExactlyTheCompletedSet)
@@ -442,47 +473,40 @@ TEST(Manifest, ConcurrentWriterFuzzReplaysExactlyTheCompletedSet)
     // land atomically, interleave mid-line, or truncate at a crash. On
     // every schedule, resume must replay exactly the records that were
     // written intact — never a spliced or truncated one.
-    std::string path = ::testing::TempDir() + "manifest_fuzz.jsonl";
     constexpr unsigned kRecordsPerWriter = 6;
+    std::vector<SweepJob> jobs;
+    std::vector<std::string> lines;
+    for (unsigned id = 0; id < 2 * kRecordsPerWriter; ++id) {
+        jobs.push_back(manifestJob(id));
+        lines.push_back(journalLine(jobs[id], id, completedResult(jobs[id])));
+    }
 
     for (unsigned seed = 0; seed < 25; ++seed) {
         std::mt19937 rng(seed);
-        std::vector<std::string> pending[2];
-        std::unordered_set<std::uint64_t> allHashes;
-        std::vector<ManifestEntry> entries;
-        for (unsigned w = 0; w < 2; ++w) {
-            for (unsigned i = 0; i < kRecordsPerWriter; ++i) {
-                unsigned id = w * kRecordsPerWriter + i;
-                ManifestEntry e = fuzzEntry(1000 + id, id);
-                entries.push_back(e);
-                pending[w].push_back(manifestEntryToJsonLine(e));
-                allHashes.insert(e.hash);
-            }
-        }
-
-        std::unordered_set<std::uint64_t> completed;
+        std::unordered_set<unsigned> completed;
         std::string file;
         bool crashed = false;
         std::size_t next[2] = {0, 0};
-        while (!crashed && (next[0] < pending[0].size() ||
-                            next[1] < pending[1].size())) {
+        while (!crashed && (next[0] < kRecordsPerWriter ||
+                            next[1] < kRecordsPerWriter)) {
             unsigned w = rng() % 2;
-            if (next[w] >= pending[w].size()) {
+            if (next[w] >= kRecordsPerWriter) {
                 w ^= 1;
             }
-            const std::string& line = pending[w][next[w]];
-            std::uint64_t hash = entries[w * kRecordsPerWriter +
-                                         next[w]].hash;
+            const unsigned id =
+                w * kRecordsPerWriter + static_cast<unsigned>(next[w]);
+            const std::string& line = lines[id];
             unsigned roll = rng() % 10;
             if (roll < 6) {
                 // Atomic append: the only way a record completes.
                 file += line + '\n';
-                completed.insert(hash);
+                completed.insert(id);
                 ++next[w];
-            } else if (roll < 9 && next[w ^ 1] < pending[w ^ 1].size()) {
+            } else if (roll < 9 && next[w ^ 1] < kRecordsPerWriter) {
                 // Torn interleave: both writers' bytes splice into one
                 // line; both records are lost.
-                const std::string& other = pending[w ^ 1][next[w ^ 1]];
+                const std::string& other =
+                    lines[(w ^ 1) * kRecordsPerWriter + next[w ^ 1]];
                 std::size_t cutA = 1 + rng() % (line.size() - 1);
                 std::size_t cutB = rng() % other.size();
                 file += line.substr(0, cutA) + other.substr(cutB) + '\n';
@@ -494,33 +518,20 @@ TEST(Manifest, ConcurrentWriterFuzzReplaysExactlyTheCompletedSet)
                 crashed = true;
             }
         }
-        {
-            std::ofstream out(path, std::ios::trunc | std::ios::binary);
-            out << file;
-        }
 
-        SweepManifest m;
-        ASSERT_TRUE(m.open(path, /*resume=*/true));
-        EXPECT_EQ(m.loadedCompleted(), completed.size())
-            << "seed " << seed;
-        for (std::uint64_t h : allHashes) {
-            const ManifestEntry* hit = m.findCompleted(h);
-            if (completed.count(h) != 0) {
-                ASSERT_NE(hit, nullptr) << "seed " << seed << " hash " << h;
+        SweepManifest m = loadManifest(file);
+        for (unsigned id = 0; id < jobs.size(); ++id) {
+            if (completed.count(id) != 0) {
                 // Replayed byte-exactly, not merely present.
-                EXPECT_EQ(reportToJsonLine(hit->report),
-                          reportToJsonLine(
-                              entries[static_cast<std::size_t>(h - 1000)]
-                                  .report))
-                    << "seed " << seed;
+                EXPECT_EQ(replayed(m, jobs[id], id),
+                          reportToJsonLine(completedResult(jobs[id]).report))
+                    << "seed " << seed << " job " << id;
             } else {
-                EXPECT_EQ(hit, nullptr)
-                    << "seed " << seed << " resurrected torn hash " << h;
+                EXPECT_EQ(m.replay(jobs[id], id), nullptr)
+                    << "seed " << seed << " resurrected torn job " << id;
             }
         }
-        m.close();
     }
-    std::remove(path.c_str());
 }
 
 // --- resume determinism -----------------------------------------------------
@@ -590,18 +601,19 @@ TEST(Sweep, ResumedSweepReplaysByteIdenticalReports)
 
 TEST(Sweep, FailedManifestEntriesAreRerun)
 {
+    // Both line formats of a failed job: the failure row, and the older
+    // envelope with "status":"failed". Neither holds a Report to replay.
     SweepJob job = cleanJob("failrerun", 40);
+    JobResult failed;
+    failed.attempts = 1;
+    failed.error.kind = "crash";
     std::string path = ::testing::TempDir() + "manifest_failed.jsonl";
     {
-        ManifestEntry e;
-        e.hash = sweepJobHash(job, 0);
-        e.index = 0;
-        e.workload = job.profile.name;
-        e.label = job.label;
-        e.ok = false;
-        e.errorKind = "crash";
         std::ofstream out(path, std::ios::trunc);
-        out << manifestEntryToJsonLine(e) << '\n';
+        out << journalLine(job, 0, failed) << '\n'
+            << "{" << hashPair(job, 0)
+            << ",\"index\":0,\"workload\":\"failrerun\",\"config\":\"fdip32\","
+               "\"status\":\"failed\",\"error_kind\":\"crash\"}\n";
     }
     SweepOptions o;
     o.numThreads = 1;

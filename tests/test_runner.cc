@@ -9,6 +9,8 @@
 #include <cstdlib>
 
 #include "sim/runner.h"
+#include "stats/sink.h"
+#include "workload/builder.h"
 
 namespace udp {
 namespace {
@@ -130,17 +132,29 @@ TEST(Presets, VariantsDiffer)
 
 TEST(Runner, ProgramCacheGivesSameWorkload)
 {
-    // Two runs of the same profile must simulate the identical program
-    // (the cache keys on name+seed+footprint).
+    // Every runSim of a Profile simulates the Program built from that
+    // Profile. The cache keys on the whole Profile, so a second run hits
+    // the first's Program, and one that differs only in outcome noise
+    // gets its own.
     Profile p = profileByName("mediawiki");
     p.codeFootprintKB = 96;
     p.name = "mediawiki-cache-test";
+    Profile noisy = p;
+    noisy.noise = 0.2;
     RunOptions o;
     o.warmupInstrs = 20'000;
     o.measureInstrs = 30'000;
-    Report a = runSim(p, presets::fdipBaseline(), o, "");
-    Report b = runSim(p, presets::fdipBaseline(), o, "");
-    EXPECT_EQ(a.cycles, b.cycles);
+    const SimConfig cfg = presets::fdipBaseline();
+    for (const Profile* q : {&p, &p, &noisy}) {
+        const Program prog = ProgramBuilder::build(*q);
+        Cpu cpu(prog, cfg);
+        cpu.runUntilRetired(o.warmupInstrs);
+        cpu.clearStats();
+        cpu.runUntilRetired(o.measureInstrs);
+        EXPECT_EQ(reportToJsonLine(runSim(*q, cfg, o, "")),
+                  reportToJsonLine(collectReport(cpu, q->name, "")))
+            << "noise " << q->noise;
+    }
 }
 
 } // namespace

@@ -218,16 +218,31 @@ TEST(Sweep, DefaultJobsHonoursEnv)
 
 TEST(Sink, SchemaKeysMatchStatSetOrder)
 {
-    std::vector<std::string> keys = reportSchemaKeys();
-    ASSERT_GE(keys.size(), 2u);
-    EXPECT_EQ(keys[0], "workload");
-    EXPECT_EQ(keys[1], "config");
+    // Both sinks carry "workload", "config", then every toStatSet() key in
+    // order, and toStatSet() walks kReportFields.
     const StatSet stats = Report{}.toStatSet();
     const auto& entries = stats.entries();
-    ASSERT_EQ(keys.size(), entries.size() + 2);
+    ASSERT_EQ(entries.size(), std::size(kReportFields));
+    std::vector<std::string> keys = {"workload", "config"};
     for (std::size_t i = 0; i < entries.size(); ++i) {
-        EXPECT_EQ(keys[i + 2], entries[i].first);
+        EXPECT_EQ(entries[i].first, kReportFields[i].key);
+        keys.push_back(entries[i].first);
     }
+
+    std::string header;
+    for (const std::string& key : keys) {
+        header += (header.empty() ? "" : ",") + key;
+    }
+    EXPECT_EQ(reportCsvHeader(), header);
+
+    std::vector<std::string> jsonKeys;
+    ASSERT_TRUE(walkJsonObject(
+        reportToJsonLine(Report{}),
+        [&jsonKeys](const std::string& key, const std::string&, JsonKind) {
+            jsonKeys.push_back(key);
+            return true;
+        }));
+    EXPECT_EQ(jsonKeys, keys);
 }
 
 TEST(Sink, JsonLineAndCsvRowCarryTheValues)

@@ -20,7 +20,6 @@
 #include "common/intmath.h"
 #include "sim/runner.h"
 #include "stats/sink.h"
-#include "workload/builder.h"
 
 namespace {
 
@@ -174,13 +173,7 @@ main(int argc, char** argv)
         if (seed_override) {
             p.seed = seed_override;
         }
-        const Program prog = ProgramBuilder::build(p);
-
-        Cpu cpu(prog, *cfg);
-        cpu.runUntilRetired(warmup);
-        cpu.clearStats();
-        cpu.runUntilRetired(instrs);
-        Report r = collectReport(cpu, prog.name(), technique);
+        const Report r = runSim(p, *cfg, {warmup, instrs}, technique);
 
         // Named, so the range-for below does not iterate a destroyed
         // temporary.
@@ -191,7 +184,7 @@ main(int argc, char** argv)
             }
         } else {
             std::printf("workload=%s technique=%s ftq=%u btb=%u\n",
-                        prog.name().c_str(), technique.c_str(), ftq, btb);
+                        p.name.c_str(), technique.c_str(), ftq, btb);
             std::printf("%s", stats.toString().c_str());
         }
         return 0;
