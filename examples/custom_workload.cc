@@ -38,9 +38,9 @@ main()
     prof.noise = 0.025;
     prof.dataFootprintKB = 32 * 1024;
 
-    RunOptions opts;
-    opts.warmupInstrs = 250'000;
-    opts.measureInstrs = 400'000;
+    // UDP_BENCH_WARMUP / UDP_BENCH_INSTR set the window, as for every
+    // bench.
+    RunOptions opts = envRunOptions({250'000, 400'000});
 
     Table t({"ftq_depth", "ipc", "mpki", "onpath", "useful", "timely",
              "avg_occupancy"});
@@ -55,8 +55,12 @@ main()
         t.cell(r.timeliness, 2);
         t.cell(r.avgFtqOccupancy, 1);
     }
-    std::printf("custom workload '%s': FTQ depth sweep\n\n%s",
-                prof.name.c_str(), t.toAscii().c_str());
+    std::printf("custom workload '%s': FTQ depth sweep, window %llu "
+                "warmup + %llu measured instrs\n\n%s",
+                prof.name.c_str(),
+                static_cast<unsigned long long>(opts.warmupInstrs),
+                static_cast<unsigned long long>(opts.measureInstrs),
+                t.toAscii().c_str());
 
     // And how do the paper's techniques do on it?
     Report base = runSim(prof, presets::fdipBaseline(), opts, "fdip");

@@ -37,6 +37,33 @@ hashCombine(std::uint64_t a, std::uint64_t b, std::uint64_t c)
     return hashCombine(hashCombine(a, b), c);
 }
 
+/** Number of distinct Rng::uniform() values: a draw keeps the top 53 bits
+ *  of Rng::next(). */
+inline constexpr std::uint64_t kUniformSteps = std::uint64_t{1} << 53;
+
+/**
+ * The integer form of a Bernoulli probability: uniform() < p holds exactly
+ * when (next() >> 11) < chanceThreshold(p). Both compare one 53-bit draw k
+ * with p, and k * 2^-53 < p is k < p * 2^53, which for an integer k is
+ * k < ceil(p * 2^53). NaN and p <= 0 never pass (0); p >= 1 always passes
+ * (2^53). Comparing integers lets a caller turn a coin into a mask instead
+ * of a branch on random data.
+ */
+constexpr std::uint64_t
+chanceThreshold(double p)
+{
+    if (!(p > 0.0)) {
+        return 0;
+    }
+    if (p >= 1.0) {
+        return kUniformSteps;
+    }
+    // Scaling by a power of two is exact, and x < 2^53 converts exactly.
+    const double x = p * 0x1.0p53;
+    const auto t = static_cast<std::uint64_t>(x);
+    return t + (static_cast<double>(t) < x);
+}
+
 /**
  * Small, fast deterministic PRNG (xoshiro-style splitmix stream).
  *
@@ -52,9 +79,25 @@ class Rng
     /** Next raw 64-bit value. */
     std::uint64_t next()
     {
-        state += 0x9e3779b97f4a7c15ULL;
+        state += kGamma;
         return mix64(state);
     }
+
+    /**
+     * next() when @p take, without a branch; otherwise the stream stays
+     * where it is and the value returned means nothing. So a draw that only
+     * some outcomes need leaves the stream exactly as `if (take) next()`.
+     */
+    std::uint64_t
+    nextIf(bool take)
+    {
+        state += kGamma & (0 - std::uint64_t{take});
+        return mix64(state);
+    }
+
+    /** The 53-bit draw that uniform() scales to [0, 1); compare it with
+     *  chanceThreshold(p) for chance(p). */
+    std::uint64_t next53() { return next() >> 11; }
 
     /** Uniform integer in [0, bound). @p bound must be non-zero. */
     std::uint64_t below(std::uint64_t bound) { return next() % bound; }
@@ -67,7 +110,7 @@ class Rng
     }
 
     /** Uniform double in [0, 1). */
-    double uniform() { return static_cast<double>(next() >> 11) * 0x1.0p-53; }
+    double uniform() { return static_cast<double>(next53()) * 0x1.0p-53; }
 
     /** Bernoulli draw with probability @p p. */
     bool chance(double p) { return uniform() < p; }
@@ -89,6 +132,8 @@ class Rng
     }
 
   private:
+    static constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ULL;
+
     std::uint64_t state;
 };
 

@@ -5,39 +5,120 @@
 #include <iterator>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "common/intmath.h"
 
 namespace udp {
 
+namespace {
+
+[[noreturn]] void
+reject(const Profile& p, const std::string& why)
+{
+    throw std::invalid_argument("profile " + p.name + ": " + why);
+}
+
+std::string
+field(const char* name, std::uint64_t value)
+{
+    return std::string(name) + "=" + std::to_string(value);
+}
+
+/**
+ * Throws std::invalid_argument naming the first field of @p p that cannot
+ * be generated. An Instr's fields and the behaviours are narrow: a code
+ * size, dependence distance, fanout or history length that does not fit
+ * would be truncated. The other rules keep every budget and draw range
+ * non-empty and every divisor non-zero; without them an empty footprint
+ * generates until memory runs out, and the rest die of SIGFPE in the
+ * build (or, for loopTripMin, in the run).
+ */
+void
+checkProfile(const Profile& p)
+{
+    const struct
+    {
+        const char* name;
+        std::uint32_t value;
+        std::uint32_t max;
+        const char* holder;
+    } caps[] = {
+        {"codeFootprintKB", p.codeFootprintKB,
+         (kMaxProgramInstrs - 1) * kInstrBytes / 1024,
+         "an Instr's 23-bit instruction indices address"},
+        {"maxDepDist", p.maxDepDist, kMaxDepDist,
+         "an Instr's dependence field holds"},
+        {"switchFanoutMax", p.switchFanoutMax, 0xffff,
+         "an indirect behaviour's target count holds"},
+        {"indirectHistBits", p.indirectHistBits, 63,
+         "a target choice's history mask shifts"},
+        {"patternBitsMax", p.patternBitsMax, 255,
+         "a cond behaviour's history length holds"},
+    };
+    for (const auto& c : caps) {
+        if (c.value > c.max) {
+            reject(p, field(c.name, c.value) + " exceeds " +
+                          std::to_string(c.max) + ", the most " + c.holder);
+        }
+    }
+    const std::pair<const char*, std::uint32_t> nonzero[] = {
+        {"codeFootprintKB", p.codeFootprintKB},
+        {"memPatternPool", p.memPatternPool}, // the dispatcher always loads
+        {"switchFanoutMin", p.switchFanoutMin},
+        {"loopTripMin", p.loopTripMin},
+    };
+    for (const auto& [name, value] : nonzero) {
+        if (value == 0) {
+            reject(p, field(name, value) + " must be at least 1");
+        }
+    }
+    if (p.maxDepDist == 0 && (p.depChance1 > 0 || p.depChance2 > 0)) {
+        reject(p, "maxDepDist=0 leaves no distance for depChance1 or "
+                  "depChance2 to draw");
+    }
+    const struct
+    {
+        const char* min;
+        std::uint32_t lo;
+        const char* max;
+        std::uint32_t hi;
+    } ranges[] = {
+        {"runLenMin", p.runLenMin, "runLenMax", p.runLenMax},
+        {"funcSizeMinInstrs", p.funcSizeMinInstrs, "funcSizeMaxInstrs",
+         p.funcSizeMaxInstrs},
+        {"switchFanoutMin", p.switchFanoutMin, "switchFanoutMax",
+         p.switchFanoutMax},
+        {"patternBitsMin", p.patternBitsMin, "patternBitsMax",
+         p.patternBitsMax},
+        {"loopTripMin", p.loopTripMin, "loopTripMax", p.loopTripMax},
+    };
+    for (const auto& r : ranges) {
+        if (r.lo > r.hi) {
+            reject(p, field(r.min, r.lo) + " exceeds " + field(r.max, r.hi));
+        }
+    }
+}
+
+} // namespace
+
 ProgramBuilder::ProgramBuilder(const Profile& p)
-    : prof(p), rng(p.seed)
+    : prof(p),
+      coins{chanceThreshold(p.loadFrac + p.storeFrac),
+            chanceThreshold(p.loadFrac),
+            chanceThreshold(0.8),
+            chanceThreshold(0.95),
+            chanceThreshold(p.depChance1),
+            chanceThreshold(p.depChance2),
+            std::max<std::uint64_t>(p.maxDepDist, 1)},
+      rng(p.seed)
 {
 }
 
 Program
 ProgramBuilder::build(const Profile& profile)
 {
-    // An Instr's fields are narrow (workload/isa.h): a Profile whose code
-    // or dependence distances do not fit is rejected before generation,
-    // which would otherwise truncate them.
-    const std::uint64_t code_instrs =
-        std::uint64_t{profile.codeFootprintKB} * 1024 / kInstrBytes;
-    if (code_instrs >= kMaxProgramInstrs) {
-        throw std::invalid_argument(
-            "profile " + profile.name + ": codeFootprintKB=" +
-            std::to_string(profile.codeFootprintKB) + " asks for " +
-            std::to_string(code_instrs) +
-            " instructions; an Instr's 23-bit indices hold fewer than " +
-            std::to_string(kMaxProgramInstrs));
-    }
-    if (profile.maxDepDist > kMaxDepDist) {
-        throw std::invalid_argument(
-            "profile " + profile.name + ": maxDepDist=" +
-            std::to_string(profile.maxDepDist) +
-            " exceeds the largest dependence distance an Instr holds (" +
-            std::to_string(kMaxDepDist) + ")");
-    }
+    checkProfile(profile);
     ProgramBuilder b(profile);
     Program prog = b.run();
     std::string err = prog.validate();
@@ -107,32 +188,48 @@ ProgramBuilder::makeMemPattern(bool strided)
 void
 ProgramBuilder::emitSimple()
 {
+    // Each coin is an integer compare on a 53-bit draw and each choice a
+    // mask or a sum, so past the pool-filling phase nothing branches on a
+    // random value; the draws are exactly those of a branch per coin.
+    static_assert(static_cast<unsigned>(InstrType::Alu) == 0 &&
+                      static_cast<unsigned>(InstrType::Load) == 1 &&
+                      static_cast<unsigned>(InstrType::Store) == 2,
+                  "the type is computed as mem * (2 - load)");
+    const std::uint64_t k = rng.next53();
+    const std::uint64_t mem = k < coins.mem;
+    const std::uint64_t load = k < coins.load;
     Instr in;
-    double u = rng.uniform();
-    if (u < prof.loadFrac + prof.storeFrac) {
-        in.type = u < prof.loadFrac ? InstrType::Load : InstrType::Store;
-        // Patterns come from a bounded shared pool: data locality in real
-        // applications comes from many instructions touching the same hot
-        // structures, not from per-instruction private regions.
-        if (memPatterns.size() < prof.memPatternPool) {
-            in.behavior = makeMemPattern(rng.chance(prof.strideFrac));
-        } else {
-            in.behavior = static_cast<std::uint32_t>(
-                rng.below(memPatterns.size()));
-        }
+    in.type = static_cast<InstrType>(mem * (2 - load));
+    // Patterns come from a bounded shared pool: data locality in real
+    // applications comes from many instructions touching the same hot
+    // structures, not from per-instruction private regions. The pool's
+    // size is tested first: once it is full, this branch always goes on.
+    if (memPatterns.size() < prof.memPatternPool && mem) {
+        in.behavior = makeMemPattern(rng.chance(prof.strideFrac));
     } else {
-        in.type = InstrType::Alu;
-        // Latency classes: mostly 1-cycle, some 3 (mul) and 4 (fp).
-        double lu = rng.uniform();
-        in.execLat = lu < 0.8 ? 1 : (lu < 0.95 ? 3 : 4);
+        // One draw picks a load or store's pattern, or an ALU op's latency
+        // class: mostly 1-cycle, some 3 (mul) and 4 (fp).
+        const std::uint64_t v = rng.next();
+        const std::uint64_t alu = mem - 1; // all ones for an ALU op
+        const std::uint64_t lk = v >> 11;
+        const std::uint64_t lat =
+            4 - (lk < coins.lat3) - 2 * (lk < coins.lat1);
+        in.execLat = static_cast<std::uint8_t>(1 + ((lat - 1) & alu));
+        const std::uint64_t pattern =
+            v % std::max<std::size_t>(memPatterns.size(), 1);
+        in.behavior = (pattern & ~alu) | (kNoBehavior & alu);
     }
-    if (rng.chance(prof.depChance1)) {
-        in.dep1 = rng.range(1, prof.maxDepDist);
-    }
-    if (rng.chance(prof.depChance2)) {
-        in.dep2 = rng.range(1, prof.maxDepDist);
-    }
+    in.dep1 = depDistance(coins.dep1);
+    in.dep2 = depDistance(coins.dep2);
     instrs.push_back(in);
+}
+
+std::uint64_t
+ProgramBuilder::depDistance(std::uint64_t coin)
+{
+    const bool take = rng.next53() < coin;
+    const std::uint64_t d = rng.nextIf(take);
+    return (1 + d % coins.depSpan) & (0 - std::uint64_t{take});
 }
 
 void

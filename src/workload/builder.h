@@ -47,6 +47,9 @@ class ProgramBuilder
 
     /** Emits one non-branch instruction. */
     void emitSimple();
+    /** rng.range(1, maxDepDist) when a coin with threshold @p coin comes
+     *  up, else 0; the distance is drawn only when the coin comes up. */
+    std::uint64_t depDistance(std::uint64_t coin);
     /** Emits a load that the immediately following branch depends on. */
     void emitLoadForDep();
     /** Emits a branch instruction; returns its index for target patching. */
@@ -55,7 +58,22 @@ class ProgramBuilder
     std::uint32_t makeCondBehavior(bool is_loop_backedge, std::uint32_t trip);
     std::uint32_t makeMemPattern(bool strided);
 
+    /** emitSimple()'s coins as chanceThreshold()s, computed once per
+     *  Profile, and its dependence distances' divisor. */
+    struct Coins
+    {
+        std::uint64_t mem;  ///< load or store: loadFrac + storeFrac
+        std::uint64_t load; ///< loadFrac
+        std::uint64_t lat1; ///< an ALU op takes 1 cycle: 0.8
+        std::uint64_t lat3; ///< else 3 cycles (mul), else 4 (fp): 0.95
+        std::uint64_t dep1; ///< depChance1
+        std::uint64_t dep2; ///< depChance2
+        /** maxDepDist, or 1 where no dependence is ever drawn. */
+        std::uint64_t depSpan;
+    };
+
     const Profile& prof;
+    const Coins coins;
     Rng rng;
     std::vector<Instr> instrs;
     std::vector<BranchBehavior> condBehaviors;

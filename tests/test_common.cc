@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "common/intmath.h"
@@ -104,6 +105,52 @@ TEST(Rng, ChanceMatchesProbability)
         hits += r.chance(0.3);
     }
     EXPECT_NEAR(hits / 20000.0, 0.3, 0.02);
+}
+
+TEST(Rng, NextIfConsumesOnlyWhenTaken)
+{
+    // Any mix of taken and skipped draws, a run of 50 skips first, leaves
+    // the stream where next() on the taken ones alone leaves it.
+    Rng coins(5);
+    Rng gated(13);
+    Rng plain(13);
+    for (int i = 0; i < 1000; ++i) {
+        const bool take = i >= 50 && (coins.next() & 1) != 0;
+        const std::uint64_t v = gated.nextIf(take);
+        if (take) {
+            EXPECT_EQ(v, plain.next()) << i;
+        }
+    }
+    EXPECT_EQ(gated.next(), plain.next());
+}
+
+TEST(Rng, ChanceThresholdAgreesWithUniform)
+{
+    // chance(p) compares k * 2^-53 with p for a 53-bit draw k; its integer
+    // form compares k with chanceThreshold(p). Both must agree on each side
+    // of the threshold and at both ends of the draw's range.
+    static_assert(chanceThreshold(0.5) == kUniformSteps / 2);
+    static_assert(chanceThreshold(1.0) == kUniformSteps);
+    static_assert(chanceThreshold(0.0) == 0);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double load_or_store = 0.25 + 0.10; // Profile's defaults
+    for (double p :
+         {0.0, 0.25, 0.5, 0.8, 0.95, load_or_store, 1.0, 1.5, -0.1, nan}) {
+        const std::uint64_t t = chanceThreshold(p);
+        for (std::uint64_t k : {t - 1, t, t + 1, std::uint64_t{0},
+                                kUniformSteps - 1}) {
+            if (k >= kUniformSteps) {
+                continue; // t - 1 wrapped, or t + 1 is past every draw
+            }
+            EXPECT_EQ(k < t, static_cast<double>(k) * 0x1.0p-53 < p)
+                << "p=" << p << " k=" << k;
+        }
+    }
+    Rng a(21);
+    Rng b(21);
+    for (int i = 0; i < 10000; ++i) {
+        ASSERT_EQ(a.chance(0.7), b.next53() < chanceThreshold(0.7)) << i;
+    }
 }
 
 TEST(Rng, ZeroSeedIsValid)

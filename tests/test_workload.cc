@@ -9,6 +9,8 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
+#include <initializer_list>
 #include <numeric>
 #include <stdexcept>
 #include <unordered_set>
@@ -245,32 +247,85 @@ TEST(Builder, MemPatternPoolBounded)
     p.codeFootprintKB = 128;
     p.memPatternPool = 16;
     Program prog = ProgramBuilder::build(p);
-    // Diamond load-dep emission may add a handful above the pool bound
-    // before the pool fills; it must stay in the same order of magnitude.
-    EXPECT_LE(prog.numMemPatterns(), 24u);
+    // Simple ops and the loads a branch waits on both stop adding patterns
+    // once the pool is full.
+    EXPECT_EQ(prog.numMemPatterns(), 16u);
 }
 
 TEST(ProgramBuilder, RejectsUnencodableProfiles)
 {
-    // Both limits are checked before generation: a 32 MiB footprint would
-    // take seconds to generate, and a distance of 32 would wrap to 0 in
-    // the 5-bit field without validate() seeing it.
-    Profile big = profileByName("mysql");
-    big.codeFootprintKB = 32768;
-    Profile far = profileByName("mysql");
-    far.maxDepDist = 32;
-    for (const auto& [p, field] : {std::pair{big, "codeFootprintKB=32768"},
-                                   std::pair{far, "maxDepDist=32"}}) {
+    // Every rule is checked before generation: a 32 MiB footprint would
+    // take seconds to generate, an empty one wraps the function budget
+    // below zero and generates until memory runs out, a distance of 32
+    // would wrap to 0 in the 5-bit field without validate() seeing it, a
+    // zero divisor or a reversed range kills the build with SIGFPE
+    // (loopTripMin=0 kills the run instead), and a fanout past 16 bits or
+    // a pattern history past 8 truncates silently.
+    struct Case
+    {
+        const char* field;
+        void (*edit)(Profile&);
+    };
+    const Case cases[] = {
+        {"codeFootprintKB=32768",
+         [](Profile& p) { p.codeFootprintKB = 32768; }},
+        {"codeFootprintKB=0", [](Profile& p) { p.codeFootprintKB = 0; }},
+        {"maxDepDist=32", [](Profile& p) { p.maxDepDist = 32; }},
+        {"maxDepDist=0", [](Profile& p) { p.maxDepDist = 0; }},
+        {"maxDepDist=0",
+         [](Profile& p) {
+             p.maxDepDist = 0;
+             p.depChance1 = 0;
+         }},
+        {"memPatternPool=0", [](Profile& p) { p.memPatternPool = 0; }},
+        {"switchFanoutMin=0", [](Profile& p) { p.switchFanoutMin = 0; }},
+        {"loopTripMin=0", [](Profile& p) { p.loopTripMin = 0; }},
+        {"runLenMin=9 exceeds runLenMax=8",
+         [](Profile& p) {
+             p.runLenMin = 9;
+             p.runLenMax = 8;
+         }},
+        {"funcSizeMinInstrs=201 exceeds funcSizeMaxInstrs=200",
+         [](Profile& p) {
+             p.funcSizeMinInstrs = 201;
+             p.funcSizeMaxInstrs = 200;
+         }},
+        {"switchFanoutMin=5 exceeds switchFanoutMax=4",
+         [](Profile& p) {
+             p.switchFanoutMin = 5;
+             p.switchFanoutMax = 4;
+         }},
+        {"patternBitsMin=7 exceeds patternBitsMax=6",
+         [](Profile& p) {
+             p.patternBitsMin = 7;
+             p.patternBitsMax = 6;
+         }},
+        {"loopTripMin=17 exceeds loopTripMax=16",
+         [](Profile& p) {
+             p.loopTripMin = 17;
+             p.loopTripMax = 16;
+         }},
+        {"switchFanoutMax=70000",
+         [](Profile& p) { p.switchFanoutMax = 70000; }},
+        {"indirectHistBits=64",
+         [](Profile& p) { p.indirectHistBits = 64; }},
+        {"patternBitsMax=300",
+         [](Profile& p) { p.patternBitsMin = p.patternBitsMax = 300; }},
+    };
+    for (const Case& c : cases) {
+        Profile p = profileByName("mysql");
+        c.edit(p);
         try {
             ProgramBuilder::build(p);
-            ADD_FAILURE() << field << " was accepted";
+            ADD_FAILURE() << c.field << " was accepted";
         } catch (const std::invalid_argument& e) {
-            EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+            EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)
                 << e.what();
         }
     }
 
     // The largest distance that fits is generated and kept.
+    Profile far = profileByName("mysql");
     far.maxDepDist = kMaxDepDist;
     far.codeFootprintKB = 64;
     const Program prog = ProgramBuilder::build(far);
@@ -281,6 +336,98 @@ TEST(ProgramBuilder, RejectsUnencodableProfiles)
              static_cast<std::uint32_t>(prog.instrAt(i).dep2)});
     }
     EXPECT_EQ(longest, kMaxDepDist);
+
+    // With no dependence drawn, maxDepDist=0 is legal: the only producers
+    // left are the loads that a branch waits on, one instruction back.
+    far.maxDepDist = 0;
+    far.depChance1 = far.depChance2 = 0;
+    const Program flat = ProgramBuilder::build(far);
+    for (InstIdx i = 0; i < flat.numInstrs(); ++i) {
+        const Instr& in = flat.instrAt(i);
+        ASSERT_EQ(in.dep2, 0u) << i;
+        ASSERT_TRUE(in.dep1 == 0 ||
+                    (in.branch != BranchKind::None && in.dep1 == 1))
+            << i;
+    }
+}
+
+/**
+ * hashCombine() over the whole image of @p prog: the entry, the counts,
+ * every instruction word, the behaviour entry each instruction references
+ * and each pooled target of an indirect one.
+ */
+std::uint64_t
+imageHash(const Program& prog)
+{
+    std::uint64_t h = hashCombine(prog.entry(), prog.numInstrs(),
+                                  prog.numMemPatterns());
+    auto mix = [&h](std::initializer_list<std::uint64_t> values) {
+        for (std::uint64_t v : values) {
+            h = hashCombine(h, v);
+        }
+    };
+    auto bits = [](float f) {
+        return std::uint64_t{std::bit_cast<std::uint32_t>(f)};
+    };
+    for (InstIdx i = 0; i < prog.numInstrs(); ++i) {
+        const Instr& in = prog.instrAt(i);
+        // The word in a fixed layout, whatever the bit-fields' order.
+        mix({static_cast<std::uint64_t>(in.type) |
+             static_cast<std::uint64_t>(in.branch) << 2 |
+             std::uint64_t{in.execLat} << 5 | std::uint64_t{in.dep1} << 8 |
+             std::uint64_t{in.dep2} << 13 | std::uint64_t{in.target} << 18 |
+             std::uint64_t{in.behavior} << 41});
+        if (in.branch == BranchKind::CondDirect) {
+            const BranchBehavior& b = prog.condBehavior(in);
+            mix({b.seed, bits(b.takenProb), bits(b.noise), b.trip,
+                 static_cast<std::uint64_t>(b.cls), b.historyBits});
+        } else if (isIndirect(in.branch)) {
+            const IndirectBehavior& b = prog.indirectBehavior(in);
+            mix({b.firstTarget, b.numTargets, b.historyBits, bits(b.noise),
+                 b.seed});
+            for (std::uint32_t k = 0; k < b.numTargets; ++k) {
+                mix({prog.indirectTarget(b, k)});
+            }
+        } else if (in.type == InstrType::Load ||
+                   in.type == InstrType::Store) {
+            const MemPattern& m = prog.memPattern(in);
+            mix({m.base, m.size, m.stride, m.seed});
+        }
+    }
+    return h;
+}
+
+TEST(Builder, EveryCatalogImageMatchesItsPinnedHash)
+{
+    // Generation is a pure function of the Profile: the builder's draw
+    // order is the contract. A run reads only the code it reaches, so the
+    // Reports and the walker's stream cannot watch the rest of the image;
+    // these hashes do, at the seed offsets 0 and 7 perfbench builds.
+    struct Pinned
+    {
+        const char* app;
+        std::uint64_t seed0;
+        std::uint64_t seed7;
+    };
+    const Pinned pinned[] = {
+        {"mysql", 0xa6778b0cd8e28c52ull, 0x4958b3382cdc1609ull},
+        {"postgres", 0x3b761be7396f5361ull, 0x213d698914074c77ull},
+        {"clang", 0xb7e4b2a744c92999ull, 0xb8c0723948300751ull},
+        {"gcc", 0x7424f59cc0af1080ull, 0x3b7f61c56c62d600ull},
+        {"drupal", 0x10236a5cb4ead1ccull, 0xb4f37cf7b9092894ull},
+        {"verilator", 0x9e683954d5e82c54ull, 0xe1e015e7ccc8d253ull},
+        {"mongodb", 0x1dd35d4627bbbae2ull, 0x04fa796c12937018ull},
+        {"tomcat", 0x8cb3e6198264f86eull, 0xf43ce4d2d1801635ull},
+        {"xgboost", 0x544aa4120ae4b032ull, 0x3c12e5591e667ee0ull},
+        {"mediawiki", 0x1c5f394a047b83feull, 0xe0bff3795b4c28beull},
+    };
+    ASSERT_EQ(std::size(pinned), datacenterProfiles().size());
+    for (const Pinned& pin : pinned) {
+        Profile p = profileByName(pin.app);
+        EXPECT_EQ(imageHash(ProgramBuilder::build(p)), pin.seed0) << pin.app;
+        p.seed += 7;
+        EXPECT_EQ(imageHash(ProgramBuilder::build(p)), pin.seed7) << pin.app;
+    }
 }
 
 // ---------------------------------------------------------------- walker
@@ -550,7 +697,7 @@ TEST(Program, ValidateCatchesBadTarget)
     instrs[0].target = 1000; // out of range
     Program prog = Program::assemble("bad", std::move(instrs), 0, {}, {},
                                      {}, {});
-    EXPECT_NE(prog.validate(), "");
+    EXPECT_EQ(prog.validate(), "instr 0: target out of range");
 }
 
 TEST(Program, ValidateCatchesKindMismatch)
@@ -561,21 +708,89 @@ TEST(Program, ValidateCatchesKindMismatch)
     instrs[0].target = 1;
     Program prog = Program::assemble("bad", std::move(instrs), 0, {}, {},
                                      {}, {});
-    EXPECT_NE(prog.validate(), "");
+    EXPECT_EQ(prog.validate(), "instr 0: branch kind/type mismatch");
 }
 
 TEST(Program, ValidateCatchesUnknownBranchKind)
 {
-    // An image read from disk can carry any value the 3-bit kind holds.
+    // The 3-bit kind field holds values past Return.
     std::vector<Instr> instrs(2);
     instrs[0].type = InstrType::Branch;
     instrs[0].branch = static_cast<BranchKind>(7);
     instrs[0].target = 1;
     Program prog = Program::assemble("bad", std::move(instrs), 0, {}, {},
                                      {}, {});
-    EXPECT_NE(prog.validate().find("unknown branch kind 7"),
-              std::string::npos)
-        << prog.validate();
+    EXPECT_EQ(prog.validate(), "instr 0: unknown branch kind 7");
+}
+
+TEST(Program, ValidateReportsEveryRule)
+{
+    // One input per remaining rule and per order of report, on an image
+    // that is legal until edited: an Alu op, a load, a conditional branch
+    // and a two-way switch. Where an instruction breaks several rules, the
+    // kind/type rule is reported first, then the behaviour index, then the
+    // target. The three tests above hold the plain mismatch, unknown-kind
+    // and bad-target inputs.
+    struct Image
+    {
+        std::vector<Instr> instrs = std::vector<Instr>(4);
+        InstIdx entry = 0;
+        std::vector<BranchBehavior> cond = std::vector<BranchBehavior>(1);
+        std::vector<IndirectBehavior> indirect = {{0, 2}};
+        std::vector<InstIdx> pool = {1, 2};
+        std::vector<MemPattern> mem = std::vector<MemPattern>(1);
+    };
+    struct Case
+    {
+        void (*edit)(Image&);
+        const char* message;
+    };
+    const Case cases[] = {
+        {[](Image&) {}, ""},
+        {[](Image& m) { m.instrs.clear(); }, "empty program"},
+        {[](Image& m) { m.entry = 4; }, "entry out of range"},
+        {[](Image& m) { m.instrs[3].branch = BranchKind::None; },
+         "instr 3: branch kind/type mismatch"},
+        {[](Image& m) { m.instrs[0].branch = static_cast<BranchKind>(7); },
+         "instr 0: branch kind/type mismatch"},
+        {[](Image& m) { m.instrs[1].behavior = 1; },
+         "instr 1: mem pattern out of range"},
+        {[](Image& m) { m.instrs[0].type = InstrType::Store; },
+         "instr 0: mem pattern out of range"},
+        {[](Image& m) { m.instrs[2].behavior = 1; },
+         "instr 2: cond behavior out of range"},
+        {[](Image& m) {
+             m.instrs[2].behavior = 1;
+             m.instrs[2].target = 4;
+         },
+         "instr 2: cond behavior out of range"},
+        {[](Image& m) { m.instrs[2].target = 4; },
+         "instr 2: target out of range"},
+        {[](Image& m) { m.instrs[3].behavior = 1; },
+         "instr 3: indirect behavior out of range"},
+        {[](Image& m) { m.indirect[0].numTargets = 0; },
+         "instr 3: indirect target pool out of range"},
+        {[](Image& m) { m.indirect[0].firstTarget = 1; },
+         "instr 3: indirect target pool out of range"},
+        {[](Image& m) { m.pool[1] = 4; },
+         "instr 3: pooled target out of range"},
+    };
+    for (const Case& c : cases) {
+        Image m;
+        m.instrs[1].type = InstrType::Load;
+        m.instrs[1].behavior = 0;
+        m.instrs[2].type = InstrType::Branch;
+        m.instrs[2].branch = BranchKind::CondDirect;
+        m.instrs[2].behavior = 0;
+        m.instrs[3].type = InstrType::Branch;
+        m.instrs[3].branch = BranchKind::IndirectJump;
+        m.instrs[3].behavior = 0;
+        c.edit(m);
+        const Program prog = Program::assemble(
+            "rules", std::move(m.instrs), m.entry, std::move(m.cond),
+            std::move(m.indirect), std::move(m.pool), std::move(m.mem));
+        EXPECT_EQ(prog.validate(), c.message);
+    }
 }
 
 TEST(Profiles, AllTenPresent)
