@@ -609,7 +609,7 @@ figuresMain(int argc, char** argv)
             } else if (!rs[k].ok) {
                 failures.push_back(failureToJsonLine(
                     f.points[k].profile.name, f.points[k].label,
-                    rs[k].attempts, rs[k].error));
+                    rs[k].error));
             }
         }
         const std::string text =

@@ -136,10 +136,8 @@ main(int argc, char** argv)
         } else if (results[i].skipped) {
             ++skipped;
         } else {
-            failures.push_back(failureToJsonLine(jobs[i].profile.name,
-                                                 jobs[i].label,
-                                                 results[i].attempts,
-                                                 results[i].error));
+            failures.push_back(failureToJsonLine(
+                jobs[i].profile.name, jobs[i].label, results[i].error));
         }
     }
 

@@ -217,7 +217,7 @@ SweepManifest::record(const SweepJob& job, std::size_t index,
     line += result.ok ? "\"report\":" + reportToJsonLine(result.report)
                       : "\"failure\":" +
                             failureToJsonLine(job.profile.name, job.label,
-                                              result.attempts, result.error);
+                                              result.error);
     line += "}\n";
     out.write(line.data(), static_cast<std::streamsize>(line.size()));
     out.flush();

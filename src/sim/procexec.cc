@@ -113,7 +113,7 @@ childRun(const SweepJob& job, int result_fd)
         JobError e;
         line = runJobInProcess(job, &r, &e)
                    ? reportToJsonLine(r)
-                   : failureToJsonLine(job.profile.name, job.label, 0, e);
+                   : failureToJsonLine(job.profile.name, job.label, e);
         line += '\n';
     } catch (...) {
         // Even building the line failed (e.g. bad_alloc while copying a
@@ -163,10 +163,8 @@ readResultLine(const std::string& payload, JobResult* jr)
     }
     std::string workload;
     std::string config;
-    unsigned attempts = 0;
     jr->ok = false;
-    return failureFromJsonLine(line, &workload, &config, &attempts,
-                               &jr->error);
+    return failureFromJsonLine(line, &workload, &config, &jr->error);
 }
 
 } // namespace

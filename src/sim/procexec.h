@@ -40,7 +40,7 @@ namespace udp {
  *
  * Every failure also carries the terminating signal name (when any),
  * the child's rusage (peak RSS, user/system CPU), and the last 4 KB of
- * its stderr. JobResult::attempts is left 0 for the caller to fill.
+ * its stderr.
  *
  * The child inherits the parent's built Programs via copy-on-write;
  * runSweepChecked builds every Program of its sweep before it forks, and

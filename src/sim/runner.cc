@@ -9,8 +9,6 @@
 #include <memory>
 #include <mutex>
 
-#include "sim/simerror.h"
-#include "stats/tracefile.h"
 #include "workload/builder.h"
 
 namespace udp {
@@ -146,27 +144,9 @@ runSim(const Profile& profile, const SimConfig& cfg, const RunOptions& opts,
 {
     const Program& prog = cachedProgram(profile);
     Cpu cpu(prog, cfg);
-    try {
-        cpu.runUntilRetired(opts.warmupInstrs);
-        cpu.clearStats();
-        cpu.runUntilRetired(opts.measureInstrs);
-    } catch (const SimError& e) {
-        // Post-mortem trace: annotate the telemetry snapshot with the
-        // error (kind, component, Cpu::dumpState()) and drop a final
-        // Chrome-trace slice before propagating the failure.
-        Telemetry* t = cpu.telemetry();
-        if (t && !cfg.telemetry.errorTracePath.empty()) {
-            t->noteError(e.kindName(), e.component(), e.cycle(), e.dump());
-            TraceJob tj;
-            tj.name = profile.name + "/" + config_name;
-            tj.snap = t->finish();
-            if (obs::CycleProfiler* p = cpu.profiler()) {
-                tj.prof = p->snapshot();
-            }
-            writeChromeTrace(cfg.telemetry.errorTracePath, {tj});
-        }
-        throw;
-    }
+    cpu.runUntilRetired(opts.warmupInstrs);
+    cpu.clearStats();
+    cpu.runUntilRetired(opts.measureInstrs);
     return collectReport(cpu, profile.name, std::move(config_name));
 }
 

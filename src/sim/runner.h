@@ -5,7 +5,7 @@
  * every derived metric the paper's figures need.
  *
  * runSim() is thread-safe: the sweep runner (sim/sweep.h) calls it
- * concurrently from a worker pool, and all workers share one immutable
+ * concurrently from several threads, and all of them share one immutable
  * Program per profile through an internal cache.
  */
 
@@ -174,8 +174,8 @@ Report runSim(const Profile& profile, const SimConfig& cfg,
 
 /**
  * Builds (and caches) the Program for @p profile without running anything.
- * runSweepChecked (sim/sweep.h) queues one call per distinct Program ahead
- * of its points, so the builds run on every worker at once; an isolated
+ * runSweepChecked (sim/sweep.h) starts one call per distinct Program ahead
+ * of its points, so the builds run on every thread at once; an isolated
  * sweep waits for them before forking, so every child inherits the built
  * images via copy-on-write instead of rebuilding them per process.
  */

@@ -1,6 +1,7 @@
 #include "sim/sweep.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -11,7 +12,6 @@
 #include <thread>
 
 #include "sim/manifest.h"
-#include "sim/pool.h"
 #include "sim/procexec.h"
 #include "sim/simerror.h"
 #include "stats/sink.h"
@@ -30,8 +30,7 @@ secondsSince(Clock::time_point start)
 
 /**
  * Writes "[sweep] <body>" and a newline to stderr. The whole line goes
- * out in one fwrite, so lines from concurrent pool workers never
- * interleave.
+ * out in one fwrite, so lines from concurrent threads never interleave.
  */
 void
 sweepLine(const std::string& body)
@@ -95,28 +94,27 @@ class SignalGuard
 };
 
 /**
- * Runs one job to a JobResult under @p opts: the retry loop, optional
- * fork isolation and structured error capture.
+ * Runs task(i) for every i in [0, @p n): the calling thread and at most
+ * min(@p threads, @p n) - 1 helper threads take indices from one counter,
+ * so tasks start in index order. Returns when every task has finished;
+ * joining the helpers publishes what their tasks wrote to the caller.
+ * Tasks must not throw.
  */
-JobResult
-runJobChecked(const SweepJob& job, const SweepOptions& opts)
+template <typename Task>
+void
+forEachIndex(unsigned threads, std::size_t n, const Task& task)
 {
-    JobResult jr;
-    const unsigned maxAttempts = opts.maxAttempts == 0 ? 1 : opts.maxAttempts;
-
-    for (unsigned attempt = 1; attempt <= maxAttempts && !jr.ok; ++attempt) {
-        jr.attempts = attempt;
-        if (opts.isolate) {
-            JobResult sub = runJobIsolated(job, opts);
-            jr.ok = sub.ok;
-            jr.report = std::move(sub.report);
-            jr.error = std::move(sub.error);
-        } else {
-            jr.error = JobError{};
-            jr.ok = runJobInProcess(job, &jr.report, &jr.error);
+    std::atomic<std::size_t> next{0};
+    auto drain = [&] {
+        for (std::size_t i = next++; i < n; i = next++) {
+            task(i);
         }
+    };
+    std::vector<std::jthread> helpers;
+    for (std::size_t h = 1; h < std::min<std::size_t>(threads, n); ++h) {
+        helpers.emplace_back(drain);
     }
-    return jr;
+    drain();
 }
 
 } // namespace
@@ -201,13 +199,17 @@ runSweepChecked(const std::vector<SweepJob>& jobs, const SweepOptions& opts)
         }
     }
 
-    // The distinct Programs (equal Profiles share one) the points to run
-    // need, largest footprint (longest build) first.
+    // The points to run, and the distinct Programs (equal Profiles share
+    // one) they need, largest footprint (longest build) first.
+    std::vector<std::size_t> points;
     std::vector<const Profile*> programs;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         const Profile& p = jobs[i].profile;
-        if (!results[i].resumed &&
-            std::none_of(programs.begin(), programs.end(),
+        if (results[i].resumed) {
+            continue;
+        }
+        points.push_back(i);
+        if (std::none_of(programs.begin(), programs.end(),
                          [&p](const Profile* q) { return *q == p; })) {
             programs.push_back(&p);
         }
@@ -221,19 +223,19 @@ runSweepChecked(const std::vector<SweepJob>& jobs, const SweepOptions& opts)
 
     // Builds one Program into the cache; after a stop request the points
     // are skipped, so their builds are too.
-    auto build = [&opts](const Profile* p) {
+    auto build = [&opts](const Profile& p) {
         if (opts.handleSignals && sweepStopRequested()) {
             return;
         }
         try {
-            prewarmProgram(*p);
+            prewarmProgram(p);
         } catch (...) {
             // Nothing is cached: each point that needs this Program
             // builds it again and records the error as its own JobError.
         }
     };
 
-    // Progress state shared by the workers.
+    // Progress state shared by the threads.
     std::mutex mtx;
     std::size_t done = resumedCount;
     std::size_t failed = 0;
@@ -258,9 +260,8 @@ runSweepChecked(const std::vector<SweepJob>& jobs, const SweepOptions& opts)
                           " sys_sec=" + formatNumber(e.sysSec)
                     : "";
             sweepLine("warning: job_failed job=" + std::to_string(jobIndex) +
-                      " label=" + jobs[jobIndex].label +
-                      " attempts=" + std::to_string(jr.attempts) +
-                      " kind=" + e.kind + rusage + " message=" + e.message);
+                      " label=" + jobs[jobIndex].label + " kind=" + e.kind +
+                      rusage + " message=" + e.message);
         }
         SweepProgress p;
         p.done = done;
@@ -289,18 +290,12 @@ runSweepChecked(const std::vector<SweepJob>& jobs, const SweepOptions& opts)
 
     auto runOne = [&](std::size_t i) {
         JobResult& jr = results[i];
-        if (jr.resumed) {
-            return;
-        }
 
         // Graceful shutdown: a queued job observed after the stop signal
         // never starts. It gets neither a Report nor a failure row, and
         // is not recorded in the manifest, so --resume re-runs it.
         if (opts.handleSignals && sweepStopRequested()) {
             jr.skipped = true;
-            jr.ok = false;
-            jr.attempts = 0;
-            jr.error = JobError{};
             jr.error.kind = "skipped";
             jr.error.message = "graceful shutdown requested before start";
             std::lock_guard<std::mutex> lock(mtx);
@@ -316,7 +311,11 @@ runSweepChecked(const std::vector<SweepJob>& jobs, const SweepOptions& opts)
             return;
         }
 
-        jr = runJobChecked(jobs[i], opts);
+        if (opts.isolate) {
+            jr = runJobIsolated(jobs[i], opts);
+        } else {
+            jr.ok = runJobInProcess(jobs[i], &jr.report, &jr.error);
+        }
 
         // A failed job still counts as done: progress always reaches
         // total and the ETA is computed from every finished job.
@@ -329,35 +328,25 @@ runSweepChecked(const std::vector<SweepJob>& jobs, const SweepOptions& opts)
         postProgress(i, jr);
     };
 
-    if (threads <= 1) {
-        // Serial reference path: same code, no pool. Each point builds its
-        // own Program, except that forked children must inherit them.
-        if (opts.isolate) {
-            for (const Profile* p : programs) {
-                build(p);
-            }
+    // Indices below programs.size() build, the rest run points, so every
+    // build starts before any point: a point only ever waits on a build
+    // that another thread is already running. Forked children must
+    // inherit every Program, so an isolated sweep ends its builds before
+    // it starts a point.
+    auto step = [&](std::size_t k) {
+        if (k < programs.size()) {
+            build(*programs[k]);
+        } else {
+            runOne(points[k - programs.size()]);
         }
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-            runOne(i);
-        }
+    };
+    if (opts.isolate) {
+        forEachIndex(threads, programs.size(), step);
+        forEachIndex(threads, points.size(), [&](std::size_t k) {
+            step(programs.size() + k);
+        });
     } else {
-        // The builds go ahead of every point: a point only ever waits on
-        // a build that a worker is already running, while the other
-        // workers build the rest. Forked children must inherit them all.
-        ThreadPool pool(threads);
-        for (const Profile* p : programs) {
-            pool.submit([&build, p] { build(p); });
-        }
-        if (opts.isolate) {
-            pool.wait();
-        }
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-            if (results[i].resumed) {
-                continue;
-            }
-            pool.submit([&, i] { runOne(i); });
-        }
-        pool.wait();
+        forEachIndex(threads, programs.size() + points.size(), step);
     }
 
     manifest.close();

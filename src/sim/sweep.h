@@ -1,8 +1,9 @@
 /**
  * @file
  * The sweep engine: run a batch of independent simulations (one Report
- * each) on a worker pool, with deterministic result ordering. It is the
- * only way sweeps run, on one host: fork isolation per job
+ * each) on the calling thread and up to SweepOptions::numThreads - 1
+ * helper threads, with deterministic result ordering. It is the only
+ * way sweeps run, on one host: fork isolation per job
  * (SweepOptions::isolate, sim/procexec.h), the checkpoint manifest
  * behind --resume (sim/manifest.h) and graceful SIGINT/SIGTERM shutdown
  * are options of the same runner.
@@ -53,7 +54,7 @@ struct JobError
     std::string kind;
     /** Failing component for SimErrors ("backend", "mshr", ...), else "". */
     std::string component;
-    /** what() of the final attempt's exception. */
+    /** what() of the exception. */
     std::string message;
     /** Multi-component diagnostic dump (SimError only, possibly ""). */
     std::string dump;
@@ -79,9 +80,6 @@ struct JobResult
 {
     Report report; ///< valid only when ok
     bool ok = false;
-    /** Attempts consumed (1..SweepOptions::maxAttempts); 0 when the job
-     *  was resumed from the manifest or skipped. */
-    unsigned attempts = 0;
     JobError error; ///< valid only when !ok
     /** Satisfied from the checkpoint manifest without running (ok). */
     bool resumed = false;
@@ -105,7 +103,7 @@ struct SweepProgress
      *  always reaches total and the ETA stays honest. */
     std::size_t done = 0;
     std::size_t total = 0;
-    /** Jobs that exhausted their attempts without a Report. */
+    /** Jobs that ran and failed, without a Report. */
     std::size_t failed = 0;
     /** Jobs satisfied from the checkpoint manifest (count toward done). */
     std::size_t resumed = 0;
@@ -119,18 +117,15 @@ struct SweepProgress
 /** Sweep execution options. */
 struct SweepOptions
 {
-    /** Worker count; 0 means defaultJobs() (UDP_JOBS env or
-     *  std::thread::hardware_concurrency()). */
+    /** Threads that run the batch, the calling thread included; 0 means
+     *  defaultJobs() (UDP_JOBS env or std::thread::hardware_concurrency()).
+     *  No more threads start than the batch has builds and points. */
     unsigned numThreads = 0;
     /** Called after each completed job (from the completing thread, under
      *  the runner's progress lock). Replaces the stderr progress line. */
     std::function<void(const SweepProgress&)> onProgress;
     /** Suppresses the sweep's "[sweep] ..." stderr lines. */
     bool quiet = false;
-    /** Attempts per job (>= 1): a failing job is retried maxAttempts-1
-     *  times before its failure is recorded. Retries target transient
-     *  host-level faults; a deterministic SimError will simply recur. */
-    unsigned maxAttempts = 1;
 
     // --- process isolation (docs/ROBUSTNESS.md, "Isolated execution") ---
     /** Run every job in a forked child process (sim/procexec.h): a
@@ -172,18 +167,19 @@ bool sweepStopRequested();
 int sweepStopSignal();
 
 /**
- * Default worker count: the UDP_JOBS environment variable when it parses
+ * Default thread count: the UDP_JOBS environment variable when it parses
  * as a positive integer (malformed values warn on stderr and are
  * ignored), otherwise std::thread::hardware_concurrency(), otherwise 1.
  */
 unsigned defaultJobs();
 
 /**
- * Runs every job of @p jobs on a pool of SweepOptions::numThreads workers
- * and returns one JobResult per job, in job order regardless of
- * completion order, bit-identical to a serial run of the same batch. A
- * crashing or hanging job never takes the batch down: its structured
- * error is recorded and every other job still produces its Report.
+ * Runs every job of @p jobs on up to SweepOptions::numThreads threads,
+ * the calling one included, and returns one JobResult per job, in job
+ * order regardless of completion order, bit-identical to a serial run
+ * of the same batch. A crashing or hanging job never takes the batch
+ * down: its structured error is recorded and every other job still
+ * produces its Report.
  */
 std::vector<JobResult> runSweepChecked(const std::vector<SweepJob>& jobs,
                                        const SweepOptions& opts = {});

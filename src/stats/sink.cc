@@ -345,14 +345,13 @@ reportToCsvRow(const Report& r)
 
 std::string
 failureToJsonLine(const std::string& workload, const std::string& config,
-                  unsigned attempts, const JobError& e)
+                  const JobError& e)
 {
     return "{\"workload\":\"" + jsonEscape(workload) +
            "\",\"config\":\"" + jsonEscape(config) +
            "\",\"error_kind\":\"" + jsonEscape(e.kind) +
            "\",\"component\":\"" + jsonEscape(e.component) +
            "\",\"cycle\":" + std::to_string(e.cycle) +
-           ",\"attempts\":" + std::to_string(attempts) +
            ",\"message\":\"" + jsonEscape(e.message) +
            "\",\"dump\":\"" + jsonEscape(e.dump) +
            "\",\"signal\":\"" + jsonEscape(e.signal) +
@@ -361,8 +360,7 @@ failureToJsonLine(const std::string& workload, const std::string& config,
 
 bool
 failureFromJsonLine(const std::string& line, std::string* workload,
-                    std::string* config, unsigned* attempts,
-                    JobError* error)
+                    std::string* config, JobError* error)
 {
     JobError e;
     bool tagged = false;
@@ -382,13 +380,8 @@ failureFromJsonLine(const std::string& line, std::string* workload,
             *text = value;
             return kind == JsonKind::String;
         }
-        if (kind != JsonKind::Number) {
-            return false;
-        }
-        if (key == "attempts") {
-            return parseNumber(value, attempts);
-        }
-        return key == "cycle" && parseNumber(value, &e.cycle);
+        return key == "cycle" && kind == JsonKind::Number &&
+               parseNumber(value, &e.cycle);
     };
     if (!walkJsonObject(line, field) || !tagged) {
         return false;

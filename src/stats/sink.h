@@ -72,15 +72,15 @@ bool walkJsonObject(const std::string& line, const JsonField& field);
 /**
  * The failure row of one sweep point (docs/ROBUSTNESS.md has the schema
  * table): one JSON object on a single line, with keys workload, config,
- * error_kind, component, cycle, attempts, message, dump, signal and
- * stderr_tail, in that order. The "error_kind" key tells it apart from
+ * error_kind, component, cycle, message, dump, signal and stderr_tail,
+ * in that order. The "error_kind" key tells it apart from
  * report lines in the same stream. It is also the isolated child's
  * result-pipe message (sim/procexec.h). The child's rusage is left out:
  * it differs from run to run, and the sweep prints it on its job_failed
  * stderr line instead.
  */
 std::string failureToJsonLine(const std::string& workload,
-                              const std::string& config, unsigned attempts,
+                              const std::string& config,
                               const JobError& error);
 
 /**
@@ -90,8 +90,7 @@ std::string failureToJsonLine(const std::string& workload,
  * an unknown key or a report line (no "error_kind") are rejected.
  */
 bool failureFromJsonLine(const std::string& line, std::string* workload,
-                         std::string* config, unsigned* attempts,
-                         JobError* error);
+                         std::string* config, JobError* error);
 
 /** One JSON object (single line, no trailing newline) for @p r. */
 std::string reportToJsonLine(const Report& r);

@@ -136,7 +136,6 @@ TelemetrySnapshot::toStatSet() const
                   static_cast<double>(outcomes[src][o]));
         }
     }
-    s.addDistribution("pf_taxonomy", taxonomy);
     s.addDistribution("pf_late_by", lateBy);
     s.addDistribution("pf_fill_latency", fillLatency);
     s.addDistribution("pf_use_distance", useDistance);
@@ -289,7 +288,6 @@ Telemetry::classify(Addr line, const PfRec& rec, PfOutcome outcome)
 {
     ++acc_.outcomes[static_cast<std::size_t>(rec.src)]
                    [static_cast<std::size_t>(outcome)];
-    acc_.taxonomy.sample(static_cast<std::uint64_t>(outcome));
     if (cfg_.trace) {
         pushEvent(timedEvent(TraceEvent::Kind::Span, kTrackPrefetch,
                              static_cast<TraceName>(rec.src), now_, 1, line,
@@ -363,16 +361,6 @@ Telemetry::onFtqDepthChange(std::size_t depth)
                               TraceName::FtqDepth, now_, 0,
                               static_cast<double>(depth)));
     }
-}
-
-void
-Telemetry::noteError(const std::string& kind, const std::string& component,
-                     Cycle cycle, const std::string& dump)
-{
-    acc_.errorKind = kind;
-    acc_.errorComponent = component;
-    acc_.errorCycle = cycle;
-    acc_.errorDump = dump;
 }
 
 void

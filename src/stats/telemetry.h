@@ -23,7 +23,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -43,9 +42,6 @@ struct TelemetryConfig {
     bool trace = false;
     /** Trace-event cap per run; excess events are dropped (and flagged). */
     std::size_t maxTraceEvents = 200'000;
-    /** If non-empty, runSim writes a Chrome trace here when a SimError
-     *  aborts the run (post-mortem slice with the dumpState() payload). */
-    std::string errorTracePath;
 
     bool operator==(const TelemetryConfig&) const = default;
 };
@@ -162,8 +158,6 @@ struct TelemetrySnapshot {
     /** Outcome counts per source x outcome. */
     std::uint64_t outcomes[kNumPfSources][kNumPfOutcomes] = {};
 
-    /** Linear histogram, one bucket per PfOutcome; sum == issued total. */
-    Distribution taxonomy{BucketScale::Linear, kNumPfOutcomes, 1};
     /** Cycles a demand fetch waited on a late prefetch fill (log2). */
     Distribution lateBy{BucketScale::Log2, 24};
     /** Issue -> fill latency of completed prefetches (log2). */
@@ -177,15 +171,10 @@ struct TelemetrySnapshot {
     std::vector<TraceEvent> events;
     bool traceTruncated = false;
 
-    /** SimError post-mortem annotation (empty when the run completed). */
-    std::string errorKind;
-    std::string errorComponent;
-    Cycle errorCycle = 0;
-    std::string errorDump;
-
     std::uint64_t issuedTotal() const;
     std::uint64_t outcomeTotal(PfOutcome o) const;
-    /** Flattens the taxonomy + latency distributions into summary stats. */
+    /** Flattens the outcome counts and latency distributions into
+     *  summary stats. */
     StatSet toStatSet() const;
 };
 
@@ -240,10 +229,6 @@ class Telemetry
     void onUdpDrop(Addr line);
     void onUsefulSetClear();
     void onFtqDepthChange(std::size_t depth);
-
-    /** SimError post-mortem: record the error + dumpState() payload. */
-    void noteError(const std::string& kind, const std::string& component,
-                   Cycle cycle, const std::string& dump);
 
     /** Resets all window state (start of the measurement window). Live
      *  in-flight records are dropped: only prefetches issued inside the

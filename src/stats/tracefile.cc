@@ -17,8 +17,7 @@ namespace {
  * Room for one record without a job string: its fixed text (under 200
  * bytes), at most nine numbers of at most kNumberChars each, and the
  * model's static event, track and phase names, which are short literals.
- * Job names and sim_error strings have no bound and go to the file past
- * it.
+ * Job names have no bound and go to the file past it.
  */
 constexpr std::size_t kRecordChars = 1024;
 
@@ -213,24 +212,6 @@ writeEvent(std::FILE* f, bool& first, const TraceEvent& ev, unsigned pid)
     emit(f, buf, p);
 }
 
-/** SimError post-mortem: a final instant carrying the error's kind,
- *  component and multi-component Cpu::dumpState() payload. */
-void
-writeError(std::FILE* f, bool& first, unsigned pid,
-           const TelemetrySnapshot& snap)
-{
-    char buf[kRecordChars];
-    char* p = beginRecord(buf, first);
-    p = putCommon(p, "sim_error", "i", pid, kTrackPipeline, snap.errorCycle);
-    emit(f, buf, put(p, ",\"s\":\"p\",\"args\":{\"kind\":\""));
-    writeEscaped(f, snap.errorKind);
-    std::fputs("\",\"component\":\"", f);
-    writeEscaped(f, snap.errorComponent);
-    std::fputs("\",\"dump\":\"", f);
-    writeEscaped(f, snap.errorDump);
-    std::fputs("\"}}", f);
-}
-
 /** Releases the text open_memstream() allocated. */
 struct FreeChars
 {
@@ -263,9 +244,6 @@ writeTrace(std::FILE* f, const std::vector<TraceJob>& jobs)
         }
         for (const TraceEvent& ev : job.snap->events) {
             writeEvent(f, first, ev, pid);
-        }
-        if (!job.snap->errorKind.empty()) {
-            writeError(f, first, pid, *job.snap);
         }
     }
     std::fputs(first ? "]}\n" : "\n]}\n", f);

@@ -2,8 +2,8 @@
  * @file
  * Chrome-trace (Trace Event Format) exporter: renders the telemetry
  * layer's bounded event log — pipeline stalls, resteers, prefetch
- * lifecycles, UDP events, interval counters and SimError post-mortems —
- * as a JSON file loadable in chrome://tracing or https://ui.perfetto.dev.
+ * lifecycles, UDP events and interval counters — as a JSON file
+ * loadable in chrome://tracing or https://ui.perfetto.dev.
  *
  * Mapping (docs/TELEMETRY.md):
  *  - one Chrome "process" per job (pid = job index + 1, named after the
@@ -12,9 +12,7 @@
  *  - TraceEvent::Instant-> ph "i" thread-scoped instants (resteers, ...);
  *  - TraceEvent::Counter-> ph "C" counter samples (IPC, MPKI, FTQ depth);
  *  - prefetch lifecycles -> ph "b"/"e" async spans keyed by line address,
- *    so overlapping in-flight prefetches render as separate arrows;
- *  - a SimError recorded in the snapshot -> a final "sim_error" instant
- *    whose args carry the error kind, component and Cpu::dumpState().
+ *    so overlapping in-flight prefetches render as separate arrows.
  * Timestamps are microseconds in the file; we map 1 cycle = 1 us.
  *
  * Layout: the first line opens the object and its "traceEvents" array,

@@ -403,7 +403,7 @@ TEST(SweepChecked, StderrLinesAreWholeAndEndWithTheFinalProgress)
         R"(\[sweep\] progress done=[1-4] total=4 failed=[01] )"
         R"(elapsed_sec=[0-9.e+-]+ eta_sec=[0-9.e+-]+)");
     const std::string failed =
-        "[sweep] warning: job_failed job=1 label=frozen attempts=1 "
+        "[sweep] warning: job_failed job=1 label=frozen "
         "kind=retire_stall message=" +
         results[1].error.message;
     std::vector<std::string> lines;
@@ -453,20 +453,6 @@ TEST(SweepChecked, JobCycleBudgetBoundsAHangingJob)
     EXPECT_EQ(results[0].error.cycle, 20'000u);
 }
 
-TEST(SweepChecked, RetriesAreBoundedAndCounted)
-{
-    std::vector<SweepJob> jobs = mixedJobs();
-    SweepOptions opts;
-    opts.numThreads = 2;
-    opts.quiet = true;
-    opts.maxAttempts = 2;
-    std::vector<JobResult> results = runSweepChecked(jobs, opts);
-    ASSERT_EQ(results.size(), jobs.size());
-    EXPECT_EQ(results[0].attempts, 1u); // success on the first try
-    ASSERT_FALSE(results[1].ok);        // deterministic fault: still fails
-    EXPECT_EQ(results[1].attempts, 2u); // ...but consumed both attempts
-}
-
 TEST(SweepChecked, FailedRowCarriesTheDump)
 {
     std::vector<SweepJob> jobs = mixedJobs();
@@ -475,14 +461,12 @@ TEST(SweepChecked, FailedRowCarriesTheDump)
     opts.quiet = true;
     std::vector<JobResult> results = runSweepChecked(jobs, opts);
     ASSERT_FALSE(results[1].ok);
-    const std::string row =
-        failureToJsonLine(jobs[1].profile.name, jobs[1].label,
-                          results[1].attempts, results[1].error);
+    const std::string row = failureToJsonLine(
+        jobs[1].profile.name, jobs[1].label, results[1].error);
     std::string workload;
     std::string config;
-    unsigned attempts = 0;
     JobError e;
-    ASSERT_TRUE(failureFromJsonLine(row, &workload, &config, &attempts, &e));
+    ASSERT_TRUE(failureFromJsonLine(row, &workload, &config, &e));
     // The row carries the watchdog's message and the component dump.
     EXPECT_EQ(e.kind, "retire_stall");
     EXPECT_NE(e.message.find("retire_stall"), std::string::npos);
@@ -511,11 +495,11 @@ sampleFailure()
 
 TEST(Sink, FailureRowSerialization)
 {
-    std::string json = failureToJsonLine("mysql", "udp8k", 2, sampleFailure());
+    std::string json = failureToJsonLine("mysql", "udp8k", sampleFailure());
     EXPECT_EQ(json.rfind("{\"workload\":\"mysql\",\"config\":\"udp8k\","
                          "\"error_kind\":\"retire_stall\","
                          "\"component\":\"backend\",\"cycle\":12345,"
-                         "\"attempts\":2,",
+                         "\"message\":",
                          0),
               0u)
         << json;
@@ -532,7 +516,7 @@ TEST(Sink, FailureRowSerialization)
     rerun.maxRssKb = 70'212;
     rerun.userSec = 0.31;
     rerun.sysSec = 0.02;
-    EXPECT_EQ(failureToJsonLine("mysql", "udp8k", 2, rerun), json);
+    EXPECT_EQ(failureToJsonLine("mysql", "udp8k", rerun), json);
     EXPECT_EQ(json.find("max_rss_kb"), std::string::npos);
     // Report lines never carry "error_kind": the discriminator key.
     EXPECT_EQ(reportToJsonLine(Report{}).find("error_kind"),
@@ -542,16 +526,13 @@ TEST(Sink, FailureRowSerialization)
 TEST(Sink, FailureJsonLineRoundTripsEveryField)
 {
     const JobError in = sampleFailure();
-    const std::string line = failureToJsonLine("my\"sql", "udp\\8k", 3, in);
+    const std::string line = failureToJsonLine("my\"sql", "udp\\8k", in);
     std::string workload;
     std::string config;
-    unsigned attempts = 0;
     JobError out;
-    ASSERT_TRUE(
-        failureFromJsonLine(line, &workload, &config, &attempts, &out));
+    ASSERT_TRUE(failureFromJsonLine(line, &workload, &config, &out));
     EXPECT_EQ(workload, "my\"sql");
     EXPECT_EQ(config, "udp\\8k");
-    EXPECT_EQ(attempts, 3u);
     EXPECT_EQ(out.kind, in.kind);
     EXPECT_EQ(out.component, in.component);
     EXPECT_EQ(out.message, in.message);
@@ -559,19 +540,18 @@ TEST(Sink, FailureJsonLineRoundTripsEveryField)
     EXPECT_EQ(out.cycle, in.cycle);
     EXPECT_EQ(out.signal, in.signal);
     EXPECT_EQ(out.stderrTail, in.stderrTail);
-    EXPECT_EQ(failureToJsonLine(workload, config, attempts, out), line);
+    EXPECT_EQ(failureToJsonLine(workload, config, out), line);
 }
 
 TEST(Sink, FailureParserRejectsTruncatedJunkAndReportLines)
 {
-    const std::string line = failureToJsonLine("mysql", "udp8k", 1,
-                                               sampleFailure());
+    const std::string line =
+        failureToJsonLine("mysql", "udp8k", sampleFailure());
     std::string workload;
     std::string config;
-    unsigned attempts = 0;
     JobError out;
     auto parses = [&](const std::string& l) {
-        return failureFromJsonLine(l, &workload, &config, &attempts, &out);
+        return failureFromJsonLine(l, &workload, &config, &out);
     };
     ASSERT_TRUE(parses(line));
     for (std::size_t cut : {std::size_t{0}, std::size_t{1}, line.size() / 2,
@@ -598,8 +578,7 @@ TEST(Sink, WriteFailureAppendsATaggedJsonLineOnly)
     Report r;
     r.workload = "app";
     r.configName = "cfg";
-    const std::string row = failureToJsonLine("app", "cfg", 1,
-                                              sampleFailure());
+    const std::string row = failureToJsonLine("app", "cfg", sampleFailure());
 
     ReportSink sink;
     ASSERT_TRUE(sink.openJson(json_path));

@@ -162,13 +162,13 @@ TEST(Procexec, IsolatedFailureLinePrintsTheChildRusage)
     EXPECT_GT(r[0].error.maxRssKb, 0u);
     // The stderr line carries the rusage the failure row leaves out.
     const std::regex line(
-        R"((^|\n)\[sweep\] warning: job_failed job=0 label=segv attempts=1 )"
+        R"((^|\n)\[sweep\] warning: job_failed job=0 label=segv )"
         R"(kind=crash max_rss_kb=[1-9][0-9]* user_sec=[0-9.e+-]+ )"
         R"(sys_sec=[0-9.e+-]+ message=[^\n]*SIGSEGV)");
     EXPECT_TRUE(std::regex_search(err, line)) << err;
-    EXPECT_EQ(failureToJsonLine("rusage", "segv", 1, r[0].error)
-                  .find("max_rss_kb"),
-              std::string::npos);
+    EXPECT_EQ(
+        failureToJsonLine("rusage", "segv", r[0].error).find("max_rss_kb"),
+        std::string::npos);
 }
 
 TEST(Procexec, MemLimitTurnsRunawayAllocationIntoMemLimit)
@@ -235,8 +235,8 @@ TEST(Procexec, SimErrorCrossesThePipeVerbatim)
     // in-process one byte for byte (the rusage is not part of it).
     JobError relayed = jr.error;
     relayed.stderrTail.clear();
-    EXPECT_EQ(failureToJsonLine(j.profile.name, j.label, 1, relayed),
-              failureToJsonLine(j.profile.name, j.label, 1, expect.error));
+    EXPECT_EQ(failureToJsonLine(j.profile.name, j.label, relayed),
+              failureToJsonLine(j.profile.name, j.label, expect.error));
     EXPECT_FALSE(relayed.dump.empty());
 }
 
@@ -359,7 +359,6 @@ TEST(Manifest, EntryRoundTrips)
     job.label = "cfg \"quoted\"";
     const JobResult ok = completedResult(job);
     JobResult failed;
-    failed.attempts = 2;
     failed.error.kind = "crash";
     failed.error.signal = "SIGSEGV";
     const std::string okLine = journalLine(job, 0, ok);
@@ -368,7 +367,7 @@ TEST(Manifest, EntryRoundTrips)
     EXPECT_EQ(okLine, "{" + hashPair(job, 0) + ",\"report\":" + report + "}");
     EXPECT_EQ(failedLine,
               "{" + hashPair(job, 1) + ",\"failure\":" +
-                  failureToJsonLine(job.profile.name, job.label, 2,
+                  failureToJsonLine(job.profile.name, job.label,
                                     failed.error) +
                   "}");
 
@@ -580,7 +579,6 @@ TEST(Sweep, ResumedSweepReplaysByteIdenticalReports)
         ASSERT_TRUE(second[i].ok);
         if (second[i].resumed) {
             ++replayed;
-            EXPECT_EQ(second[i].attempts, 0u);
         }
         // Byte-identical whether replayed from the manifest or re-run.
         EXPECT_EQ(reportToJsonLine(first[i].report),
@@ -605,7 +603,6 @@ TEST(Sweep, FailedManifestEntriesAreRerun)
     // envelope with "status":"failed". Neither holds a Report to replay.
     SweepJob job = cleanJob("failrerun", 40);
     JobResult failed;
-    failed.attempts = 1;
     failed.error.kind = "crash";
     std::string path = ::testing::TempDir() + "manifest_failed.jsonl";
     {
@@ -623,7 +620,6 @@ TEST(Sweep, FailedManifestEntriesAreRerun)
     std::vector<JobResult> r = runSweepChecked({job}, o);
     ASSERT_TRUE(r[0].ok);
     EXPECT_FALSE(r[0].resumed); // actually ran
-    EXPECT_EQ(r[0].attempts, 1u);
     std::remove(path.c_str());
 }
 
@@ -655,7 +651,6 @@ TEST(Sweep, GracefulShutdownDrainsInFlightAndSkipsQueued)
     for (std::size_t i = 1; i < r.size(); ++i) {
         EXPECT_FALSE(r[i].ok);
         EXPECT_TRUE(r[i].skipped);
-        EXPECT_EQ(r[i].attempts, 0u);
     }
 }
 

@@ -1,21 +1,21 @@
 /**
  * @file
- * Tests for the parallel experiment engine (sim/sweep.h, sim/pool.h) and
- * the structured report sinks (stats/sink.h): serial-vs-parallel
- * determinism, result ordering, progress reporting, program-cache stress
- * (ThreadSanitizer-friendly) and schema stability.
+ * Tests for the parallel experiment engine (sim/sweep.h) and the
+ * structured report sinks (stats/sink.h): serial-vs-parallel
+ * determinism, result ordering, progress reporting, the thread count,
+ * program-cache stress (ThreadSanitizer-friendly) and schema stability.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
-#include "sim/pool.h"
 #include "sim/sweep.h"
 #include "stats/sink.h"
 
@@ -92,21 +92,6 @@ eightJobs(const std::string& stem = "sweeptest")
     return jobs;
 }
 
-TEST(ThreadPool, RunsEveryTask)
-{
-    ThreadPool pool(4);
-    std::atomic<int> count{0};
-    for (int i = 0; i < 100; ++i) {
-        pool.submit([&count] { count.fetch_add(1); });
-    }
-    pool.wait();
-    EXPECT_EQ(count.load(), 100);
-    // wait() must be re-usable after more submissions.
-    pool.submit([&count] { count.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(count.load(), 101);
-}
-
 TEST(Sweep, SerialAndParallelReportsAreIdentical)
 {
     SweepOptions serial;
@@ -176,6 +161,37 @@ TEST(Sweep, ProgressCallbackSeesEveryCompletion)
     }
     EXPECT_EQ(seen.back().done, seen.back().total);
     EXPECT_DOUBLE_EQ(seen.back().etaSec, 0.0);
+}
+
+/** Threads of this process, or 0 without /proc/self/task. */
+std::size_t
+threadCount()
+{
+    std::error_code ec;
+    std::filesystem::directory_iterator it("/proc/self/task", ec);
+    return ec ? 0
+              : static_cast<std::size_t>(std::distance(
+                    it, std::filesystem::directory_iterator{}));
+}
+
+TEST(Sweep, StartsNoMoreThreadsThanItHasTasks)
+{
+    const std::size_t before = threadCount();
+    if (before == 0) {
+        GTEST_SKIP() << "no /proc/self/task to count threads in";
+    }
+    // One build and two points: the caller and at most two helpers.
+    std::vector<SweepJob> jobs = eightJobs();
+    jobs.resize(2);
+    SweepOptions opts;
+    opts.numThreads = 8;
+    std::size_t most = 0;
+    opts.onProgress = [&most](const SweepProgress&) {
+        most = std::max(most, threadCount());
+    };
+    reportsOf(jobs, opts);
+    EXPECT_GT(most, 0u);
+    EXPECT_LE(most, before + 2);
 }
 
 TEST(Sweep, SharedProgramCacheStress)
@@ -296,7 +312,7 @@ TEST(Sink, ReportParserRejectsMalformedAndForeignLines)
     // Failure rows share the stream but must not parse as Reports.
     JobError e;
     e.kind = "crash";
-    EXPECT_FALSE(reportFromJsonLine(failureToJsonLine("app", "cfg", 1, e),
+    EXPECT_FALSE(reportFromJsonLine(failureToJsonLine("app", "cfg", e),
                                     &out));
     // Exactly one object: trailing bytes are rejected.
     Report r;

@@ -59,9 +59,9 @@ profileRow(Cycle start, Cycle end, double scale)
 
 /**
  * Four jobs that reach every branch of the writer: a snapshot holding
- * each event shape plus a profile; a job with neither (skipped, but its
- * pid still counts); a snapshot ending in a sim_error whose strings
- * need escaping; and a profile alone.
+ * each event shape plus a profile, under a name that needs escaping; a
+ * job with neither (skipped, but its pid still counts); a snapshot
+ * alone; and a profile alone.
  */
 std::vector<TraceJob>
 pinnedJobs()
@@ -88,14 +88,9 @@ pinnedJobs()
     auto prof = std::make_shared<obs::ProfileSnapshot>();
     prof->intervals = {profileRow(0, 100, 0.5), profileRow(100, 200, 1e-7)};
 
-    auto failed = std::make_shared<TelemetrySnapshot>();
-    failed->events = {event(K::Instant, kTrackPipeline,
-                            TraceName::DecodeResteer, 30, 0, 0x800, 0.0)};
-    failed->errorKind = "retire_stall";
-    failed->errorComponent = "back\\end";
-    failed->errorCycle = 5000;
-    failed->errorDump = "[rob] occupancy=3/224 \"stalled\"\n"
-                        "[mshr] C:\\path\ttab\x01 end\n";
+    auto snapOnly = std::make_shared<TelemetrySnapshot>();
+    snapOnly->events = {event(K::Instant, kTrackPipeline,
+                              TraceName::DecodeResteer, 30, 0, 0x800, 0.0)};
 
     auto profOnly = std::make_shared<obs::ProfileSnapshot>();
     profOnly->intervals = {profileRow(50, 60, 0.25)};
@@ -103,7 +98,7 @@ pinnedJobs()
     return {
         {"mysql/udp8k \"v2\"", snap, prof},
         {"skipped/none", nullptr, nullptr},
-        {"clang/fdip32", failed, nullptr},
+        {"clang/fdip32", snapOnly, nullptr},
         {"verilator/uftq", nullptr, profOnly},
     };
 }
@@ -135,7 +130,6 @@ const char* const kPinnedTrace = R"json({"displayTimeUnit":"ms","traceEvents":[
 {"name":"thread_name","ph":"M","pid":3,"tid":2,"args":{"name":"udp"}},
 {"name":"thread_name","ph":"M","pid":3,"tid":3,"args":{"name":"counters"}},
 {"name":"decode_resteer","ph":"i","pid":3,"tid":0,"ts":30,"s":"t","args":{"addr":"0x800"}},
-{"name":"sim_error","ph":"i","pid":3,"tid":0,"ts":5000,"s":"p","args":{"kind":"retire_stall","component":"back\\end","dump":"[rob] occupancy=3/224 \"stalled\"\n[mshr] C:\\path\ttab\u0001 end\n"}},
 {"name":"process_name","ph":"M","pid":4,"tid":0,"args":{"name":"verilator/uftq"}},
 {"name":"thread_name","ph":"M","pid":4,"tid":0,"args":{"name":"pipeline"}},
 {"name":"thread_name","ph":"M","pid":4,"tid":1,"args":{"name":"prefetch"}},
