@@ -59,7 +59,8 @@ sweepDepths()
  *                               written next to it; docs/TELEMETRY.md)
  *   --trace-out PATH            Chrome-trace JSON of every job (open in
  *                               chrome://tracing or ui.perfetto.dev)
- *   --telemetry-interval N      interval-row period in cycles
+ *   --telemetry-interval N      interval-row period in cycles (at
+ *                               least 1; default TelemetryConfig's)
  */
 struct SinkArgs
 {
@@ -72,7 +73,7 @@ struct SinkArgs
 
     std::string intervalPath;      ///< --interval-stats CSV destination
     std::string tracePath;         ///< --trace-out Chrome-trace destination
-    std::uint64_t telemetryInterval = 0; ///< 0 = TelemetryConfig default
+    std::uint64_t telemetryInterval = TelemetryConfig{}.intervalCycles;
 
     /** --profile: enable the cycle-loop self-profiler on every job and
      *  emit per-component host-time attribution (stdout summary + a
@@ -98,8 +99,9 @@ struct SinkArgs
  * Parses argv into @p s; arguments that are not flags go to
  * @p positional. Returns false with @p error set on an unknown flag, a
  * flag missing its value (at the end, or followed by another "--" flag)
- * or a malformed number (non-numeric, trailing junk, negative, or a
- * --mem-mb too large to express in bytes).
+ * or a malformed number (non-numeric, trailing junk, negative, a
+ * --mem-mb too large to express in bytes, or a --telemetry-interval of
+ * 0).
  */
 inline bool
 parseSinkArgs(int argc, char** argv, SinkArgs* s,
@@ -160,6 +162,10 @@ parseSinkArgs(int argc, char** argv, SinkArgs* s,
     if (s->memLimitMb > (UINT64_MAX >> 20)) {
         *error = "--mem-mb " + std::to_string(s->memLimitMb) +
                  " does not fit in bytes";
+        return false;
+    }
+    if (s->telemetryInterval == 0) {
+        *error = "--telemetry-interval must be at least 1 cycle";
         return false;
     }
     return true;
@@ -244,9 +250,7 @@ applyTelemetry(std::vector<SweepJob>* jobs, const SinkArgs& args)
     for (SweepJob& job : *jobs) {
         job.config.telemetry.enabled = true;
         job.config.telemetry.trace = !args.tracePath.empty();
-        if (args.telemetryInterval != 0) {
-            job.config.telemetry.intervalCycles = args.telemetryInterval;
-        }
+        job.config.telemetry.intervalCycles = args.telemetryInterval;
     }
 }
 
@@ -357,22 +361,25 @@ telemetryJsonlPath(const std::string& csvPath)
  * Writes the telemetry artifacts requested in @p args from the snapshots
  * carried by successful results: interval CSV at --interval-stats (plus a
  * sibling ".jsonl" with interval AND per-run summary rows), and one
- * Chrome-trace JSON at --trace-out covering every traced job. No-op when
- * no telemetry artifact was requested or no snapshot exists (e.g. the
- * sweep ran with --isolate).
+ * Chrome-trace JSON at --trace-out covering every traced job. Writes no
+ * trace when no snapshot exists (e.g. the sweep ran with --isolate).
+ * Returns false, after one line per file, when a requested file could
+ * not be written.
  */
-inline void
+inline bool
 writeTelemetryArtifacts(const SinkArgs& args,
                         const std::vector<SweepJob>& jobs,
                         const std::vector<JobResult>& results)
 {
     if (!args.telemetryEnabled()) {
-        return;
+        return true;
     }
     TelemetrySink sink;
+    bool written = true;
     if (!args.intervalPath.empty()) {
-        sink.openCsv(args.intervalPath);
-        sink.openJson(telemetryJsonlPath(args.intervalPath));
+        written = sink.openCsv(args.intervalPath);
+        written = sink.openJson(telemetryJsonlPath(args.intervalPath)) &&
+                  written;
     }
     std::vector<TraceJob> traceJobs;
     for (std::size_t i = 0; i < results.size(); ++i) {
@@ -397,12 +404,14 @@ writeTelemetryArtifacts(const SinkArgs& args,
         if (!writeChromeTrace(args.tracePath, traceJobs)) {
             std::fprintf(stderr, "[bench] failed to write trace %s\n",
                          args.tracePath.c_str());
+            written = false;
         } else {
             std::printf("Chrome trace written to %s (load in "
                         "chrome://tracing or ui.perfetto.dev)\n",
                         args.tracePath.c_str());
         }
     }
+    return written;
 }
 
 /**
@@ -410,21 +419,26 @@ writeTelemetryArtifacts(const SinkArgs& args,
  * --out-dir, writes one profile_summary row per successful job to the
  * "figures.profile.jsonl" sidecar there. Profile rows never go into the
  * report artifacts, so those stay byte-identical whether or not the
- * profiler ran.
+ * profiler ran. Returns false, after one line, when the sidecar could
+ * not be written.
  */
-inline void
+inline bool
 writeProfileArtifacts(const SinkArgs& args,
                       const std::vector<SweepJob>& jobs,
                       const std::vector<JobResult>& results)
 {
     if (!args.profile) {
-        return;
+        return true;
     }
-    std::string path =
-        args.outDir.empty() ? "" : args.outDir + "/figures.profile.jsonl";
+    const std::string path = args.outDir + "/figures.profile.jsonl";
     std::FILE* f =
-        path.empty() ? nullptr : std::fopen(path.c_str(), "w");
-    bool wroteAny = false;
+        args.outDir.empty() ? nullptr : std::fopen(path.c_str(), "w");
+    bool written = args.outDir.empty() || f != nullptr;
+    if (!written) {
+        std::fprintf(stderr, "[bench] cannot open profile rows %s\n",
+                     path.c_str());
+    }
+    std::size_t rows = 0;
     for (std::size_t i = 0; i < results.size(); ++i) {
         if (!results[i].ok || !results[i].report.profile) {
             continue;
@@ -446,20 +460,25 @@ writeProfileArtifacts(const SinkArgs& args,
             std::string row = profileSummaryToJsonLine(
                 jobs[i].profile.name, jobs[i].label, p);
             row += '\n';
-            wroteAny =
-                std::fwrite(row.data(), 1, row.size(), f) == row.size() ||
-                wroteAny;
+            written =
+                std::fwrite(row.data(), 1, row.size(), f) == row.size() &&
+                written;
+            ++rows;
         }
     }
     if (f != nullptr) {
-        std::fclose(f);
-        if (wroteAny) {
+        written = std::fclose(f) == 0 && written;
+        if (rows == 0) {
+            std::remove(path.c_str());
+        } else if (written) {
             std::printf("Profile summary rows written to %s\n",
                         path.c_str());
         } else {
-            std::remove(path.c_str());
+            std::fprintf(stderr, "[bench] failed to write %s\n",
+                         path.c_str());
         }
     }
+    return written;
 }
 
 } // namespace udp::bench

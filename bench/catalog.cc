@@ -652,8 +652,8 @@ figuresMain(int argc, char** argv)
         }
         std::fflush(progress);
     }
-    writeTelemetryArtifacts(args, u.jobs, results);
-    writeProfileArtifacts(args, u.jobs, results);
+    allWritten = writeTelemetryArtifacts(args, u.jobs, results) && allWritten;
+    allWritten = writeProfileArtifacts(args, u.jobs, results) && allWritten;
 
     std::size_t failed = 0;
     std::size_t skipped = 0;

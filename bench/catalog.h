@@ -76,9 +76,9 @@ std::vector<JobResult> figureResults(const Figure& figure,
 
 /**
  * The `figures` command: `figures [FIGURE...] [flags]` (see SinkArgs).
- * Returns the process exit code: 0, 1 when a point failed or an artifact
- * could not be written, 130 when interrupted, 2 on a malformed command
- * line.
+ * Returns the process exit code: 0, 1 when a point failed or a requested
+ * file (table, Report, telemetry or profile artifact) could not be
+ * written, 130 when interrupted, 2 on a malformed command line.
  */
 int figuresMain(int argc, char** argv);
 

@@ -15,11 +15,12 @@
  * between beginCycle() and endCycle() lands in exactly one phase — so
  * per-phase attribution sums to the measured loop time by construction.
  *
- * Compiled in unconditionally; gated at runtime by a raw-pointer null
- * check in Cpu::cycle() exactly like Telemetry, so the disabled cost is
- * one predictable branch per call site. Results ride on the Report as a
- * shared_ptr side-channel (outside the serialized stat schema), keeping
- * all artifacts byte-identical whether profiling is on or off.
+ * Cpu::cycle() tests for a profiler once per cycle and runs one of two
+ * instantiations of Cpu::step(): with a profiler, the one that calls it;
+ * without, the one that holds no profiler call at all. Results ride on
+ * the Report as a shared_ptr side-channel (outside the serialized stat
+ * schema), keeping all artifacts byte-identical whether profiling is on
+ * or off.
  */
 
 #ifndef UDP_OBS_PROFILER_H

@@ -5,25 +5,6 @@
 #include "sim/invariants.h"
 #include "sim/simerror.h"
 
-/**
- * Self-profiler hook: a predictable null check when compiled in (the
- * default) and nothing at all under -DUDP_NO_SELF_PROFILER — CI builds
- * that baseline to measure the off-mode cost of the compiled-in hooks
- * (docs/OBSERVABILITY.md).
- */
-#ifdef UDP_NO_SELF_PROFILER
-#define UDP_PROF(call)                                                       \
-    do {                                                                     \
-    } while (0)
-#else
-#define UDP_PROF(call)                                                       \
-    do {                                                                     \
-        if (profiler_) {                                                     \
-            profiler_->call;                                                 \
-        }                                                                    \
-    } while (0)
-#endif
-
 namespace udp {
 
 Cpu::Cpu(const Program& prog, const SimConfig& c) : cfg(c), program(prog)
@@ -71,11 +52,9 @@ Cpu::Cpu(const Program& prog, const SimConfig& c) : cfg(c), program(prog)
         }
     }
 
-#ifndef UDP_NO_SELF_PROFILER
     if (cfg.profile.enabled) {
         profiler_ = std::make_unique<obs::CycleProfiler>();
     }
-#endif
 }
 
 Telemetry::IntervalCounters
@@ -121,15 +100,24 @@ Cpu::applyResteer(const ResteerRequest& req)
     lastResteerPc_ = req.newPc;
 }
 
+template <bool kProfiled>
 void
-Cpu::cycle()
+Cpu::step()
 {
     ++now_;
 
     // Profiler phase switches bracket each section below; everything not
     // claimed by a component phase (telemetry, faults, watchdog) stays in
-    // Other, so attribution covers the whole loop by construction.
-    UDP_PROF(beginCycle(now_));
+    // Other, so attribution covers the whole loop by construction. They
+    // exist only in step<true>: step<false> is the loop without them.
+    const auto phase = [&](obs::ProfPhase p) {
+        if constexpr (kProfiled) {
+            profiler_->phase(p);
+        }
+    };
+    if constexpr (kProfiled) {
+        profiler_->beginCycle(now_);
+    }
 
     if (telemetry_) {
         telemetry_->beginCycle(now_, ftq_->size());
@@ -145,10 +133,10 @@ Cpu::cycle()
         }
     }
 
-    UDP_PROF(phase(obs::ProfPhase::Icache));
+    phase(obs::ProfPhase::Icache);
     mem_->tick(now_);
 
-    UDP_PROF(phase(obs::ProfPhase::Backend));
+    phase(obs::ProfPhase::Backend);
     ResteerRequest req = backend_->tick(now_);
     if (udp_) {
         // Learning sees this cycle's retirements before the flush below.
@@ -170,15 +158,15 @@ Cpu::cycle()
         --budget;
     }
 
-    UDP_PROF(phase(obs::ProfPhase::Fetch));
+    phase(obs::ProfPhase::Fetch);
     fetch_->tick(now_);
-    UDP_PROF(phase(obs::ProfPhase::Prefetch));
+    phase(obs::ProfPhase::Prefetch);
     fdip_->tick(now_);
-    UDP_PROF(phase(obs::ProfPhase::Bpred));
+    phase(obs::ProfPhase::Bpred);
     fe_->tick(now_);
     ftq_->sampleOccupancy();
 
-    UDP_PROF(phase(obs::ProfPhase::Prefetch));
+    phase(obs::ProfPhase::Prefetch);
     if (uftq_) {
         uftq_->tick(mem_->stats(), mem_->l1iStats());
     }
@@ -193,10 +181,12 @@ Cpu::cycle()
         }
     }
 
-    UDP_PROF(phase(obs::ProfPhase::Other));
+    phase(obs::ProfPhase::Other);
     if (telemetry_ && telemetry_->intervalDue()) {
         telemetry_->closeInterval(telemetryCounters());
-        UDP_PROF(closeInterval());
+        if constexpr (kProfiled) {
+            profiler_->closeInterval();
+        }
     }
 
     // --- hardening: forward-progress watchdog + invariant sweeps --------
@@ -237,7 +227,19 @@ Cpu::cycle()
     }
 #endif
 
-    UDP_PROF(endCycle());
+    if constexpr (kProfiled) {
+        profiler_->endCycle();
+    }
+}
+
+void
+Cpu::cycle()
+{
+    if (profiler_) {
+        step<true>();
+    } else {
+        step<false>();
+    }
 }
 
 void

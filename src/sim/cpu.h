@@ -110,6 +110,14 @@ class Cpu
     /** Fault injection perturbs component state through Cpu's internals. */
     friend bool applyFault(Cpu& cpu, const FaultPlan& plan, Cycle now);
 
+    /**
+     * One cycle of cycle(). step<true> brackets each section with the
+     * profiler's phase switches; step<false> holds no profiler call, so
+     * an unprofiled run pays one test per cycle, in cycle().
+     */
+    template <bool kProfiled>
+    void step();
+
     void applyResteer(const ResteerRequest& req);
 
     /** Current cumulative counters for interval-delta accounting. */

@@ -1,9 +1,9 @@
 /**
  * @file
  * Distribution: the histogram stat kind of the telemetry layer
- * (docs/TELEMETRY.md). A Distribution supports linear *and* log2
- * bucketing, tracks min/max/sum, answers percentile queries, and flattens
- * into schema-stable scalar summary entries for the JSON/CSV sinks.
+ * (docs/TELEMETRY.md). A Distribution buckets samples by log2, tracks
+ * min/max/sum, answers percentile queries, and flattens into
+ * schema-stable scalar summary entries for the JSON/CSV sinks.
  */
 
 #ifndef UDP_STATS_HISTOGRAM_H
@@ -17,29 +17,17 @@
 
 namespace udp {
 
-/** Bucketing rule of a Distribution. */
-enum class BucketScale : std::uint8_t {
-    /** Bucket i covers [i*width, (i+1)*width); the last bucket overflows. */
-    Linear,
-    /** Bucket 0 holds value 0; bucket i>=1 covers [2^(i-1), 2^i); the
-     *  last bucket overflows. Right-sized for cycle latencies. */
-    Log2,
-};
-
 /**
- * Histogram over unsigned sample values with either linear or logarithmic
- * buckets. Cheap to sample (one array increment plus running sum/min/max)
- * and summarizable into scalar stats.
+ * Histogram over unsigned sample values with log2 buckets: bucket 0 holds
+ * value 0, bucket i>=1 covers [2^(i-1), 2^i), and the last bucket
+ * overflows. Right-sized for cycle latencies. Cheap to sample (one array
+ * increment plus running sum/min/max) and summarizable into scalar stats.
  */
 class Distribution
 {
   public:
-    explicit Distribution(BucketScale scale = BucketScale::Log2,
-                          std::size_t num_buckets = 32,
-                          std::uint64_t bucket_width = 1)
-        : scale_(scale),
-          width_(bucket_width == 0 ? 1 : bucket_width),
-          buckets_(num_buckets == 0 ? 1 : num_buckets, 0)
+    explicit Distribution(std::size_t num_buckets = 32)
+        : buckets_(num_buckets == 0 ? 1 : num_buckets, 0)
     {
     }
 
@@ -68,22 +56,16 @@ class Distribution
                        : static_cast<double>(sum_) / static_cast<double>(n_);
     }
 
-    BucketScale scale() const { return scale_; }
     std::uint64_t bucketCount(std::size_t i) const { return buckets_.at(i); }
 
     /** Index of the bucket @p v falls into. */
     std::size_t
     bucketOf(std::uint64_t v) const
     {
-        std::size_t idx;
-        if (scale_ == BucketScale::Linear) {
-            idx = static_cast<std::size_t>(v / width_);
-        } else {
-            idx = 0;
-            while (v != 0) {
-                ++idx;
-                v >>= 1;
-            }
+        std::size_t idx = 0;
+        while (v != 0) {
+            ++idx;
+            v >>= 1;
         }
         return idx >= buckets_.size() ? buckets_.size() - 1 : idx;
     }
@@ -92,9 +74,6 @@ class Distribution
     std::uint64_t
     bucketLow(std::size_t i) const
     {
-        if (scale_ == BucketScale::Linear) {
-            return static_cast<std::uint64_t>(i) * width_;
-        }
         return i == 0 ? 0 : std::uint64_t{1} << (i - 1);
     }
 
@@ -102,7 +81,7 @@ class Distribution
      * Smallest bucket lower bound b such that at least fraction @p q of
      * samples fall into buckets at or below b's bucket: the bucket of the
      * nearest-rank sample, the ceil(q * n)-th smallest. Bucket-resolution
-     * (exact for linear width 1); 0 when empty.
+     * (exact when every sample is a bucket's lower bound); 0 when empty.
      */
     std::uint64_t
     percentile(double q) const
@@ -140,8 +119,6 @@ class Distribution
     summarize(const std::string& prefix) const;
 
   private:
-    BucketScale scale_;
-    std::uint64_t width_;
     std::vector<std::uint64_t> buckets_;
     std::uint64_t sum_ = 0;
     std::uint64_t n_ = 0;

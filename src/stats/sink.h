@@ -140,7 +140,7 @@ std::string telemetrySummaryToJsonLine(const std::string& workload,
  * One JSON object (single line) for a run's cycle-loop self-profile
  * ("row_type":"profile_summary" + cycles/total_sec and per-phase
  * phase_<name>_sec / phase_<name>_pct keys, docs/OBSERVABILITY.md).
- * Consumed by tools/trace_summary.py and BENCH_simspeed rows.
+ * Written to figures.profile.jsonl; consumed by tools/trace_summary.py.
  */
 std::string profileSummaryToJsonLine(const std::string& workload,
                                      const std::string& config,

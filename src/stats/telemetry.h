@@ -159,13 +159,13 @@ struct TelemetrySnapshot {
     std::uint64_t outcomes[kNumPfSources][kNumPfOutcomes] = {};
 
     /** Cycles a demand fetch waited on a late prefetch fill (log2). */
-    Distribution lateBy{BucketScale::Log2, 24};
+    Distribution lateBy{24};
     /** Issue -> fill latency of completed prefetches (log2). */
-    Distribution fillLatency{BucketScale::Log2, 24};
+    Distribution fillLatency{24};
     /** Fill -> first demand use distance of timely prefetches (log2). */
-    Distribution useDistance{BucketScale::Log2, 28};
+    Distribution useDistance{28};
     /** Fill -> eviction lifetime of never-used prefetches (log2). */
-    Distribution unusedLifetime{BucketScale::Log2, 28};
+    Distribution unusedLifetime{28};
 
     std::vector<IntervalRow> intervals;
     std::vector<TraceEvent> events;

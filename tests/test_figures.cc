@@ -253,6 +253,40 @@ TEST(FiguresCli, OutDirWritesEveryFigureAndOneOutcomeLineEach)
     std::filesystem::remove_all(dir);
 }
 
+TEST(FiguresCli, UnwritableTelemetryOrProfileFileExitsOne)
+{
+    setenv("UDP_BENCH_WARMUP", "300", 1);
+    setenv("UDP_BENCH_INSTR", "600", 1);
+    const std::string dir = ::testing::TempDir() + "udp_figures_unwritable";
+    std::filesystem::remove_all(dir);
+    // A directory where the profile rows go: fopen fails even for root,
+    // which ignores permission bits.
+    std::filesystem::create_directories(dir + "/figures.profile.jsonl");
+    const std::string missing = dir + "/no/such/dir";
+    auto [rc, out, err] = runDriver(
+        {"fig01_perfect_icache", "--out-dir", dir, "--profile",
+         "--interval-stats", missing + "/i.csv", "--trace-out",
+         missing + "/t.json"});
+    unsetenv("UDP_BENCH_WARMUP");
+    unsetenv("UDP_BENCH_INSTR");
+
+    EXPECT_EQ(rc, 1) << err;
+    // Every figure file was written; only the telemetry and profile
+    // files were not, and each says so.
+    EXPECT_NE(out.find("ok       fig01_perfect_icache"), std::string::npos)
+        << out;
+    EXPECT_NE(err.find("cannot open telemetry CSV"), std::string::npos)
+        << err;
+    EXPECT_NE(err.find("failed to write trace " + missing + "/t.json"),
+              std::string::npos)
+        << err;
+    EXPECT_NE(err.find("cannot open profile rows " + dir +
+                       "/figures.profile.jsonl"),
+              std::string::npos)
+        << err;
+    std::filesystem::remove_all(dir);
+}
+
 void
 expectRejected(const std::vector<std::string>& args, const std::string& why)
 {
@@ -291,6 +325,8 @@ TEST(FiguresCli, RejectsNonNumericNumber)
                    "malformed number 'abc' for --wall-sec");
     expectRejected({"fig13_udp", "--cpu-sec", "-5"},
                    "malformed number '-5' for --cpu-sec");
+    expectRejected({"fig13_udp", "--telemetry-interval", "0"},
+                   "--telemetry-interval must be at least 1 cycle");
 }
 
 TEST(FiguresCli, RejectsTrailingJunkInNumber)

@@ -76,30 +76,53 @@ TEST(ObsProfiler, AttributionCoversTheLoopByConstruction)
 
 TEST(ObsProfiler, RunSimAttachesProfileAndKeepsReportsByteIdentical)
 {
+    // A profiled run takes Cpu::step<true>, a plain one step<false>: the
+    // two must agree on every feature path (FDIP, UDP, UFTQ, EIP and
+    // telemetry).
     std::vector<SweepJob> jobs = tinyJobs();
-    const SweepJob& job = jobs[0];
+    const SweepJob base = jobs[0];
+    jobs.push_back({base.profile, presets::uftq(UftqMode::AtrAur),
+                    base.opts, "uftq"});
+    jobs.push_back({base.profile, presets::eip8k(), base.opts, "eip8k"});
+    SweepJob telemetry = jobs[1];
+    telemetry.config.telemetry.enabled = true;
+    telemetry.config.telemetry.trace = true;
+    telemetry.config.telemetry.intervalCycles = 2'000;
+    jobs.push_back(telemetry);
 
-    Report plain = runSim(job.profile, job.config, job.opts, job.label);
-    EXPECT_EQ(plain.profile, nullptr);
+    for (const SweepJob& job : jobs) {
+        SCOPED_TRACE(job.profile.name + "/" + job.label +
+                     (job.config.telemetry.enabled ? "+telemetry" : ""));
+        Report plain = runSim(job.profile, job.config, job.opts, job.label);
+        EXPECT_EQ(plain.profile, nullptr);
 
-    SimConfig cfg = job.config;
-    cfg.profile.enabled = true;
-    Report profiled = runSim(job.profile, cfg, job.opts, job.label);
-    ASSERT_NE(profiled.profile, nullptr);
-    EXPECT_GT(profiled.profile->totalSec, 0.0);
-    EXPECT_EQ(profiled.profile->cycles, profiled.cycles)
-        << "profiler must cover every measured cycle";
-    EXPECT_FALSE(profiled.profile->intervals.empty());
-    // Attribution identity: phases account for >= 95% of the measured
-    // loop wall time (here exactly 100% by construction).
-    double phaseSum = 0.0;
-    for (std::size_t p = 0; p < obs::kNumProfPhases; ++p) {
-        phaseSum += profiled.profile->phaseSec[p];
+        SimConfig cfg = job.config;
+        cfg.profile.enabled = true;
+        Report profiled = runSim(job.profile, cfg, job.opts, job.label);
+        ASSERT_NE(profiled.profile, nullptr);
+        EXPECT_GT(profiled.profile->totalSec, 0.0);
+        EXPECT_EQ(profiled.profile->cycles, profiled.cycles)
+            << "profiler must cover every measured cycle";
+        EXPECT_FALSE(profiled.profile->intervals.empty());
+        // Attribution identity: phases account for >= 95% of the measured
+        // loop wall time (here exactly 100% by construction).
+        double phaseSum = 0.0;
+        for (std::size_t p = 0; p < obs::kNumProfPhases; ++p) {
+            phaseSum += profiled.profile->phaseSec[p];
+        }
+        EXPECT_GE(phaseSum, 0.95 * profiled.profile->totalSec);
+
+        EXPECT_EQ(reportToJsonLine(plain), reportToJsonLine(profiled))
+            << "profiling must not perturb the report artifact";
+        if (job.config.telemetry.enabled) {
+            ASSERT_NE(plain.telemetry, nullptr);
+            ASSERT_NE(profiled.telemetry, nullptr);
+            EXPECT_EQ(telemetrySummaryToJsonLine(job.profile.name, job.label,
+                                                 *plain.telemetry),
+                      telemetrySummaryToJsonLine(job.profile.name, job.label,
+                                                 *profiled.telemetry));
+        }
     }
-    EXPECT_GE(phaseSum, 0.95 * profiled.profile->totalSec);
-
-    EXPECT_EQ(reportToJsonLine(plain), reportToJsonLine(profiled))
-        << "profiling must not perturb the report artifact";
 }
 
 TEST(ObsProfiler, IntervalsCloseWithTelemetryRows)

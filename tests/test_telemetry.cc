@@ -24,7 +24,7 @@ namespace {
 
 TEST(Distribution, Log2Bucketing)
 {
-    Distribution d(BucketScale::Log2, 8);
+    Distribution d(8);
     // Bucket 0 holds value 0; bucket i>=1 covers [2^(i-1), 2^i).
     EXPECT_EQ(d.bucketOf(0), 0u);
     EXPECT_EQ(d.bucketOf(1), 1u);
@@ -38,17 +38,6 @@ TEST(Distribution, Log2Bucketing)
     EXPECT_EQ(d.bucketLow(0), 0u);
     EXPECT_EQ(d.bucketLow(1), 1u);
     EXPECT_EQ(d.bucketLow(4), 8u);
-}
-
-TEST(Distribution, LinearBucketing)
-{
-    Distribution d(BucketScale::Linear, 4, 10);
-    EXPECT_EQ(d.bucketOf(0), 0u);
-    EXPECT_EQ(d.bucketOf(9), 0u);
-    EXPECT_EQ(d.bucketOf(10), 1u);
-    EXPECT_EQ(d.bucketOf(39), 3u);
-    EXPECT_EQ(d.bucketOf(1000), 3u); // overflow clamps
-    EXPECT_EQ(d.bucketLow(2), 20u);
 }
 
 TEST(Distribution, Moments)
@@ -66,25 +55,25 @@ TEST(Distribution, Moments)
     EXPECT_DOUBLE_EQ(d.mean(), 6.0);
 }
 
-TEST(Distribution, PercentileExactForUnitLinear)
+TEST(Distribution, PercentileExactForOneSamplePerLog2Bucket)
 {
-    // Samples 1..n in unit buckets: the q-th percentile is the nearest
-    // rank, the ceil(q * n)-th smallest sample.
-    auto upTo = [](std::uint64_t n) {
-        Distribution d(BucketScale::Linear, 128, 1);
-        for (std::uint64_t v = 1; v <= n; ++v) {
-            d.sample(v);
+    // Samples 2^0 .. 2^(n-1) land one per bucket, each on its bucket's
+    // lower bound, so the q-th percentile is exactly the nearest rank,
+    // the ceil(q * n)-th smallest sample, 2^(rank-1).
+    auto powersOfTwo = [](unsigned n) {
+        Distribution d(64);
+        for (unsigned k = 0; k < n; ++k) {
+            d.sample(std::uint64_t{1} << k);
         }
         return d;
     };
-    const Distribution d = upTo(100);
-    EXPECT_EQ(d.percentile(0.50), 50u);
-    EXPECT_EQ(d.percentile(0.90), 90u);
-    EXPECT_EQ(d.percentile(0.99), 99u);
-    EXPECT_EQ(d.percentile(1.00), 100u);
+    const Distribution d = powersOfTwo(50);
+    EXPECT_EQ(d.percentile(0.50), std::uint64_t{1} << 24);
+    EXPECT_EQ(d.percentile(0.90), std::uint64_t{1} << 44);
+    EXPECT_EQ(d.percentile(1.00), std::uint64_t{1} << 49);
     // A truncated rank (1 of 3, 49 of 50) would fall short here.
-    EXPECT_EQ(upTo(3).percentile(0.50), 2u);
-    EXPECT_EQ(upTo(50).percentile(0.99), 50u);
+    EXPECT_EQ(powersOfTwo(3).percentile(0.50), 2u);
+    EXPECT_EQ(d.percentile(0.99), std::uint64_t{1} << 49);
 }
 
 TEST(Distribution, SummarizeKeys)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print the paper's utility-taxonomy breakdown from telemetry artifacts.
 
-Reads the ".jsonl" file written next to a bench's --interval-stats CSV
+Reads the ".jsonl" file written next to figures' --interval-stats CSV
 (rows tagged "row_type":"telemetry_summary"; see docs/TELEMETRY.md) and
 prints one row per (workload, config): issued prefetches per source, the
 Timely / Late / Unused / Polluting / Pending lifecycle split, and the
@@ -9,19 +9,14 @@ derived accuracy / timeliness ratios with late-by percentiles — the same
 quantities as the paper's Table III / Fig. 4 discussion.
 
 Also summarizes the cycle-loop self-profiler when present
-(docs/OBSERVABILITY.md): "row_type":"profile_summary" rows from a bench's
-"*.profile.jsonl" sidecar, and "host_us_per_phase" counter tracks inside
-a --trace Chrome-trace file, both printed as per-phase host-time shares.
-
-Rows of bench/perf_simspeed ("bench": "perf_simspeed", e.g. the committed
-BENCH_simspeed.json) print as a speed trajectory: per row, the geomean
-instructions per host second over its points and, for --profile rows, each
-phase's share of host time, with deltas against the previous row.
+(docs/OBSERVABILITY.md): "row_type":"profile_summary" rows from figures'
+"figures.profile.jsonl" sidecar, and "host_us_per_phase" counter tracks
+inside a --trace-out Chrome-trace file, both printed as per-phase
+host-time shares.
 
 Usage:
-    tools/trace_summary.py out/fig13.jsonl [fig13.profile.jsonl ...]
+    tools/trace_summary.py out/intervals.jsonl [out/figures.profile.jsonl]
     tools/trace_summary.py out/trace.json
-    tools/trace_summary.py BENCH_simspeed.json
 
 Only the standard library is used.
 """
@@ -29,7 +24,6 @@ Only the standard library is used.
 import argparse
 import itertools
 import json
-import math
 import sys
 
 OUTCOMES = ("timely", "late", "unused", "polluting", "pending")
@@ -75,14 +69,13 @@ def profiles_from_trace(events):
 
 
 def load_inputs(paths):
-    """Split inputs into telemetry_summary rows, profile entries and
-    perf_simspeed rows.
+    """Split inputs into telemetry_summary rows and profile entries.
 
-    Accepts telemetry/profile JSONL artifacts, --trace Chrome-trace files
-    and perf_simspeed JSONL in any order, each read a line at a time;
-    tolerates a truncated final line.
+    Accepts telemetry/profile JSONL artifacts and --trace Chrome-trace
+    files in any order, each read a line at a time; tolerates a truncated
+    final line.
     """
-    telemetry, profiles, speed = [], [], []
+    telemetry, profiles = [], []
     for path in paths:
         with open(path, "r", encoding="utf-8") as fh:
             first = fh.readline()
@@ -99,9 +92,7 @@ def load_inputs(paths):
                 except json.JSONDecodeError:
                     continue  # crash-safe artifacts may end mid-line
                 kind = row.get("row_type")
-                if row.get("bench") == "perf_simspeed":
-                    speed.append(row)
-                elif kind == "telemetry_summary":
+                if kind == "telemetry_summary":
                     telemetry.append(row)
                 elif kind == "profile_summary":
                     name = (f"{row.get('workload', '?')}/"
@@ -110,7 +101,7 @@ def load_inputs(paths):
                            for p in PHASES}
                     profiles.append({"name": name, "phase_sec": sec,
                                      "cycles": row.get("cycles")})
-    return telemetry, profiles, speed
+    return telemetry, profiles
 
 
 def pct(num, den):
@@ -146,44 +137,6 @@ def print_profiles(profiles):
     print_table(table)
 
 
-def print_speed(rows):
-    """perf_simspeed trajectory: geomean speed and host-time-weighted phase
-    shares per row, each with its delta against the previous row."""
-    print("perf_simspeed trajectory (Minstr/s: geomean over the row's "
-          "points; phase%: share of host time, delta in points):")
-    header = ["row", "ts", "window", "points", "Minstr/s", "delta"] + [
-        f"{p}%" for p in PHASES]
-    table = [header]
-    prev_speed, prev_share = None, None
-    for i, r in enumerate(rows):
-        pts = r.get("points", [])
-        speed = math.exp(sum(math.log(p["instr_per_sec"]) for p in pts) /
-                         len(pts)) / 1e6 if pts else 0.0
-        delta = (f"{pct(speed - prev_speed, prev_speed):+.1f}%"
-                 if prev_speed else "")
-        share = None
-        if pts and all(f"phase_{p}_pct" in pt for pt in pts
-                       for p in PHASES):
-            host = sum(pt["host_sec"] for pt in pts)
-            share = {p: sum(pt["host_sec"] * pt[f"phase_{p}_pct"]
-                            for pt in pts) / host for p in PHASES}
-        cells = []
-        for p in PHASES:
-            if share is None:
-                cells.append("-")
-            elif prev_share is None:
-                cells.append(f"{share[p]:.1f}")
-            else:
-                cells.append(f"{share[p]:.1f} ({share[p] - prev_share[p]:+.1f})")
-        table.append([i, r.get("ts", "?"),
-                      f"{r.get('warmup_instrs', '?')}/"
-                      f"{r.get('measure_instrs', '?')}",
-                      len(pts), f"{speed:.3f}", delta, *cells])
-        prev_speed = speed
-        prev_share = share if share is not None else prev_share
-    print_table(table)
-
-
 def main(argv):
     parser = argparse.ArgumentParser(
         prog="trace_summary.py", description=__doc__,
@@ -192,22 +145,18 @@ def main(argv):
     args = parser.parse_args(argv[1:])
 
     try:
-        rows, profiles, speed = load_inputs(args.inputs)
+        rows, profiles = load_inputs(args.inputs)
     except OSError as e:
         print(f"trace_summary.py: cannot read {e.filename}: {e.strerror}",
               file=sys.stderr)
         return 2
-    if not rows and not profiles and not speed:
-        print("no telemetry_summary / profile_summary / perf_simspeed rows "
-              "or profiler trace tracks found (run a bench with "
+    if not rows and not profiles:
+        print("no telemetry_summary / profile_summary rows or profiler "
+              "trace tracks found (run figures with "
               "--interval-stats or --profile; see docs/TELEMETRY.md and "
               "docs/OBSERVABILITY.md)",
               file=sys.stderr)
         return 1
-    if speed:
-        print_speed(speed)
-        if rows or profiles:
-            print()
     if not rows:
         if profiles:
             print_profiles(profiles)
