@@ -61,6 +61,9 @@ sweepDepths()
  *                               chrome://tracing or ui.perfetto.dev)
  *   --telemetry-interval N      interval-row period in cycles (at
  *                               least 1; default TelemetryConfig's)
+ * --interval-stats, --trace-out and --profile are rejected with
+ * --isolate: their snapshots do not cross the fork boundary, only the
+ * serialized Report does.
  */
 struct SinkArgs
 {
@@ -98,10 +101,10 @@ struct SinkArgs
 /**
  * Parses argv into @p s; arguments that are not flags go to
  * @p positional. Returns false with @p error set on an unknown flag, a
- * flag missing its value (at the end, or followed by another "--" flag)
- * or a malformed number (non-numeric, trailing junk, negative, a
- * --mem-mb too large to express in bytes, or a --telemetry-interval of
- * 0).
+ * flag missing its value (at the end, or followed by another "--" flag),
+ * a malformed number (non-numeric, trailing junk, negative, a --mem-mb
+ * too large to express in bytes, or a --telemetry-interval of 0) or
+ * --isolate with a telemetry or profile flag.
  */
 inline bool
 parseSinkArgs(int argc, char** argv, SinkArgs* s,
@@ -168,6 +171,12 @@ parseSinkArgs(int argc, char** argv, SinkArgs* s,
         *error = "--telemetry-interval must be at least 1 cycle";
         return false;
     }
+    if (s->isolate && (s->telemetryEnabled() || s->profile)) {
+        *error = "--interval-stats, --trace-out and --profile are rejected "
+                 "with --isolate: their snapshots do not cross the process "
+                 "boundary";
+        return false;
+    }
     return true;
 }
 
@@ -230,21 +239,13 @@ applyEnvFault(std::vector<SweepJob>* jobs)
 
 /**
  * Enables telemetry (stats/telemetry.h) on every job when @p args
- * requested a telemetry artifact. Process-isolated sweeps only ship the
- * serialized Report over the result pipe, so snapshots cannot cross the
- * fork boundary: --isolate wins and telemetry is skipped with a warning.
+ * requested a telemetry artifact (never with --isolate: parseSinkArgs
+ * rejects that).
  */
 inline void
 applyTelemetry(std::vector<SweepJob>* jobs, const SinkArgs& args)
 {
     if (!args.telemetryEnabled()) {
-        return;
-    }
-    if (args.isolate) {
-        std::fprintf(stderr,
-                     "[bench] --interval-stats/--trace-out ignored with "
-                     "--isolate: telemetry snapshots do not cross the "
-                     "process boundary\n");
         return;
     }
     for (SweepJob& job : *jobs) {
@@ -256,19 +257,12 @@ applyTelemetry(std::vector<SweepJob>* jobs, const SinkArgs& args)
 
 /**
  * Enables the cycle-loop self-profiler (obs/profiler.h) on every job when
- * --profile was passed. Same fork-boundary caveat as telemetry: snapshots
- * cannot cross the --isolate result pipe, so isolation wins.
+ * --profile was passed (never with --isolate, like telemetry).
  */
 inline void
 applyProfile(std::vector<SweepJob>* jobs, const SinkArgs& args)
 {
     if (!args.profile) {
-        return;
-    }
-    if (args.isolate) {
-        std::fprintf(stderr,
-                     "[bench] --profile ignored with --isolate: profiler "
-                     "snapshots do not cross the process boundary\n");
         return;
     }
     for (SweepJob& job : *jobs) {
@@ -362,7 +356,8 @@ telemetryJsonlPath(const std::string& csvPath)
  * carried by successful results: interval CSV at --interval-stats (plus a
  * sibling ".jsonl" with interval AND per-run summary rows), and one
  * Chrome-trace JSON at --trace-out covering every traced job. Writes no
- * trace when no snapshot exists (e.g. the sweep ran with --isolate).
+ * trace when no snapshot exists (every point failed or was replayed by
+ * --resume).
  * Returns false, after one line per file, when a requested file could
  * not be written.
  */

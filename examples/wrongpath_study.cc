@@ -63,7 +63,7 @@ main()
                             static_cast<double>(fdip.emitted ? fdip.emitted
                                                              : 1));
     std::printf("  dropped by UDP       : %llu\n",
-                static_cast<unsigned long long>(fdip.droppedByUdp));
+                static_cast<unsigned long long>(window.udp.droppedFiltered));
     if (udp_engine) {
         std::printf("  useful-set learned   : %llu lines "
                     "(seniority matches %llu)\n",

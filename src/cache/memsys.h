@@ -19,6 +19,7 @@
 #include "cache/mshr.h"
 #include "cache/stream_prefetcher.h"
 #include "common/types.h"
+#include "stats/stats.h"
 #include "stats/telemetry.h"
 
 namespace udp {
@@ -111,6 +112,33 @@ struct MemSysStats
     std::uint64_t dloads = 0;
     std::uint64_t dloadL1Hits = 0;
 };
+
+/**
+ * The paper's utility (UFTQ's AUR) of the prefetches a window's counts
+ * @p m and @p l1i cover, as the hardware sees it: demand-consumed
+ * prefetches (resident hits plus fill-buffer merges) over those plus the
+ * prefetched lines evicted unused. 0 when the window resolved none.
+ */
+inline double
+prefetchUtility(const MemSysStats& m, const CacheStats& l1i)
+{
+    const double useful =
+        static_cast<double>(l1i.prefetchHits + m.pfMshrMergesHw);
+    return ratio(useful, useful + static_cast<double>(l1i.prefetchUnused));
+}
+
+/**
+ * The paper's timeliness (UFTQ's ATR) over a window's counts @p m:
+ * demand accesses that found a prefetched line resident over those plus
+ * the ones that merged with its in-flight fill.
+ */
+inline double
+prefetchTimeliness(const MemSysStats& m)
+{
+    return ratio(static_cast<double>(m.ifetchTimelyPrefetchHits),
+                 static_cast<double>(m.ifetchTimelyPrefetchHits +
+                                     m.pfMshrMergesHw));
+}
 
 /** The full memory hierarchy. */
 class MemSystem

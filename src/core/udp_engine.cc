@@ -51,7 +51,6 @@ void
 UdpEngine::onRetire(Addr pc)
 {
     if (sftq.matchAndRemove(lineAddr(pc))) {
-        ++stats_.retireMatches;
         set.learn(lineAddr(pc));
     }
 }

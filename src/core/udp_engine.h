@@ -44,7 +44,6 @@ struct UdpStats
 {
     std::uint64_t emittedFiltered = 0; ///< off-path-assumed, set hit
     std::uint64_t droppedFiltered = 0; ///< off-path-assumed, set miss
-    std::uint64_t retireMatches = 0;
 };
 
 /** The UDP engine. */
@@ -69,12 +68,6 @@ class UdpEngine
      */
     UdpDecision evaluate(const FtqEntry& entry, Addr line);
 
-    /** A prefetch for a candidate was actually emitted. */
-    void noteEmitted() { set.noteEmitted(); }
-
-    /** @p n prefetched lines were evicted unused (clear-policy feedback). */
-    void noteUnuseful(std::uint64_t n) { set.noteUnuseful(n); }
-
     // --- backend-side ----------------------------------------------------
     /** The backend retired the (on-path) instruction at @p pc. */
     void onRetire(Addr pc);
@@ -82,8 +75,12 @@ class UdpEngine
     /** Pipeline flush at @p squash_after_dyn_id. */
     void onFlush(std::uint64_t squash_after_dyn_id);
 
-    /** Periodic upkeep (clear policy evaluation). */
-    void maintain() { set.maybeClear(); }
+    /** Periodic upkeep: evaluates the clear policy on the cumulative
+     *  emitted-prefetch and unused-eviction counts (UsefulSet::maybeClear). */
+    void maintain(std::uint64_t emitted, std::uint64_t unused)
+    {
+        set.maybeClear(emitted, unused);
+    }
 
     /** Total storage budget in bits (paper: 8KB). */
     std::uint64_t storageBits() const;

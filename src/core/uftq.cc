@@ -55,42 +55,21 @@ UftqController::ruleStep(double measured, double target, bool timeliness_rule)
 }
 
 void
-UftqController::restartEpoch(const MemSysStats& mem, const CacheStats& l1i)
-{
-    lastEmitted = mem.iprefIssued;
-    // Demand-consumed prefetches.
-    lastUsefulHw = l1i.prefetchHits + mem.pfMshrMergesHw;
-    lastUnusedHw = l1i.prefetchUnused;
-    // Timeliness is measured over prefetched lines only: resident (timely)
-    // vs fill-buffer merge (untimely).
-    lastL1Hits = mem.ifetchTimelyPrefetchHits;
-    lastMshrHits = mem.pfMshrMergesHw;
-}
-
-void
 UftqController::tick(const MemSysStats& mem, const CacheStats& l1i)
 {
     if (cfg.mode == UftqMode::Off) {
         return;
     }
-    if (mem.iprefIssued - lastEmitted < cfg.epochPrefetches) {
+    if (mem.iprefIssued - epochMem.iprefIssued < cfg.epochPrefetches) {
         return;
     }
 
     // Epoch boundary: compute the two ratios over this epoch, then start
     // the next one here.
-    const std::uint64_t useful_hw = l1i.prefetchHits + mem.pfMshrMergesHw;
-    const std::uint64_t unused_hw = l1i.prefetchUnused;
-    const std::uint64_t l1_hits = mem.ifetchTimelyPrefetchHits;
-    const std::uint64_t mshr_hits = mem.pfMshrMergesHw;
-
-    double d_useful = static_cast<double>(useful_hw - lastUsefulHw);
-    double d_unused = static_cast<double>(unused_hw - lastUnusedHw);
-    double d_l1 = static_cast<double>(l1_hits - lastL1Hits);
-    double d_mshr = static_cast<double>(mshr_hits - lastMshrHits);
-
-    double utility = ratio(d_useful, d_useful + d_unused);
-    double timeliness = ratio(d_l1, d_l1 + d_mshr);
+    const MemSysStats epoch = counterDelta(mem, epochMem);
+    const double utility =
+        prefetchUtility(epoch, counterDelta(l1i, epochL1i));
+    const double timeliness = prefetchTimeliness(epoch);
 
     restartEpoch(mem, l1i);
 

@@ -91,14 +91,18 @@ class UftqController
     void setTelemetry(Telemetry* t) { telem_ = t; }
 
     /**
-     * Starts a new epoch at the current counters: rebases the five epoch
-     * snapshots to @p mem and @p l1i, discarding the open epoch's
-     * progress. tick() calls it at every epoch boundary. Cpu::clearStats
-     * also calls it at the measurement-window start, so measuring
-     * perturbs UFTQ's epochs; ROADMAP.md, "The model must not read its
-     * own statistics", deletes that call.
+     * Starts a new epoch at the current counters @p mem and @p l1i,
+     * discarding the open epoch's progress. tick() calls it at every
+     * epoch boundary. Cpu::clearStats also calls it at the
+     * measurement-window start, so measuring perturbs UFTQ's epochs;
+     * ROADMAP.md, "The model must not read its own statistics", deletes
+     * that call.
      */
-    void restartEpoch(const MemSysStats& mem, const CacheStats& l1i);
+    void restartEpoch(const MemSysStats& mem, const CacheStats& l1i)
+    {
+        epochMem = mem;
+        epochL1i = l1i;
+    }
 
   private:
     enum class Phase : std::uint8_t { SearchAur, SearchAtr, Hold };
@@ -113,12 +117,10 @@ class UftqController
     unsigned depth;
     Telemetry* telem_ = nullptr;
 
-    // Counter snapshots at the last epoch boundary.
-    std::uint64_t lastEmitted = 0;
-    std::uint64_t lastUsefulHw = 0;
-    std::uint64_t lastUnusedHw = 0;
-    std::uint64_t lastL1Hits = 0;
-    std::uint64_t lastMshrHits = 0;
+    // The counters at the open epoch's start: an epoch's counts are
+    // their counterDelta() from the current ones.
+    MemSysStats epochMem;
+    CacheStats epochL1i;
 
     // ATR-AUR state machine.
     Phase phase = Phase::SearchAur;

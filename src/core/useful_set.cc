@@ -81,39 +81,30 @@ UsefulSet::lookup(Addr line)
     line = lineAddr(line);
 
     if (cfg.infiniteStorage) {
-        bool hit = infinite.count(line) != 0;
-        ++(hit ? stats_.hits : stats_.misses);
-        return hit ? 1 : 0;
+        return infinite.count(line) != 0 ? 1 : 0;
     }
-
     if (f4.contains(spanBase(line, 4))) {
-        ++stats_.hits;
         return 4;
     }
     if (f2.contains(spanBase(line, 2))) {
-        ++stats_.hits;
         return 2;
     }
-    if (f1.contains(line)) {
-        ++stats_.hits;
-        return 1;
-    }
-    ++stats_.misses;
-    return 0;
+    return f1.contains(line) ? 1 : 0;
 }
 
 void
-UsefulSet::maybeClear()
+UsefulSet::maybeClear(std::uint64_t emitted, std::uint64_t unused)
 {
     if (cfg.infiniteStorage) {
         return;
     }
-    if (epochEmitted < cfg.minEmittedForClear) {
+    const std::uint64_t epoch_emitted = emitted - epochStartEmitted;
+    if (epoch_emitted < cfg.minEmittedForClear) {
         return;
     }
     bool any_full = f1.full() || f2.full() || f4.full();
-    double unuseful_ratio =
-        static_cast<double>(epochUnuseful) / static_cast<double>(epochEmitted);
+    double unuseful_ratio = static_cast<double>(unused - epochStartUnused) /
+                            static_cast<double>(epoch_emitted);
     if (any_full && unuseful_ratio >= cfg.clearUnusefulRatio) {
         f1.clear();
         f2.clear();
@@ -124,8 +115,8 @@ UsefulSet::maybeClear()
             telem_->onUsefulSetClear();
         }
     }
-    epochEmitted = 0;
-    epochUnuseful = 0;
+    epochStartEmitted = emitted;
+    epochStartUnused = unused;
 }
 
 std::uint64_t

@@ -45,8 +45,6 @@ struct UsefulSetStats
     std::uint64_t learns = 0;
     std::uint64_t inserts2 = 0;
     std::uint64_t inserts4 = 0;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
     std::uint64_t clears = 0;
 };
 
@@ -73,12 +71,14 @@ class UsefulSet
         return line & ~((Addr{span} * kLineBytes) - 1);
     }
 
-    /** Feedback for the clearing policy. */
-    void noteEmitted() { ++epochEmitted; }
-    void noteUnuseful(std::uint64_t n) { epochUnuseful += n; }
-
-    /** Evaluates the clear policy; call periodically. */
-    void maybeClear();
+    /**
+     * Evaluates the clear policy; call periodically with the cumulative
+     * counts of emitted prefetches and of prefetched lines evicted
+     * unused. An epoch runs until it holds minEmittedForClear emitted
+     * prefetches; its counts are the differences from their values at
+     * its start.
+     */
+    void maybeClear(std::uint64_t emitted, std::uint64_t unused);
 
     /** Total storage budget in bits (paper: ~8KB total with metadata). */
     std::uint64_t storageBits() const;
@@ -100,8 +100,8 @@ class UsefulSet
      *  it never grows. */
     Ring<Addr> recent;
     std::unordered_set<Addr> infinite;
-    std::uint64_t epochEmitted = 0;
-    std::uint64_t epochUnuseful = 0;
+    std::uint64_t epochStartEmitted = 0;
+    std::uint64_t epochStartUnused = 0;
     UsefulSetStats stats_;
     Telemetry* telem_ = nullptr;
 };

@@ -40,7 +40,6 @@ FdipEngine::probe(const FtqEntry& e, Cycle now)
     if (udp_) {
         UdpDecision d = udp_->evaluate(e, line);
         if (!d.emit) {
-            ++stats_.droppedByUdp;
             if (telem_) {
                 telem_->onUdpDrop(line);
             }
@@ -61,9 +60,6 @@ FdipEngine::probe(const FtqEntry& e, Cycle now)
                 ++stats_.emittedOnPath;
             } else {
                 ++stats_.emittedOffPath;
-            }
-            if (udp_) {
-                udp_->noteEmitted();
             }
         }
     }

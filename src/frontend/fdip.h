@@ -38,7 +38,6 @@ struct FdipStats
     std::uint64_t emitted = 0;          ///< prefetches issued
     std::uint64_t emittedOnPath = 0;    ///< ground truth
     std::uint64_t emittedOffPath = 0;
-    std::uint64_t droppedByUdp = 0;
 };
 
 /** The FDIP scan engine. */

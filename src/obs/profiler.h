@@ -11,9 +11,12 @@
  * Design: a phase-SWITCHING timer, not nested scoped timers. Cpu::cycle()
  * calls phase(p) at each section boundary; the elapsed time since the
  * previous switch is charged to the phase being *left*. One steady_clock
- * read per switch (~7 reads/cycle when enabled), and every nanosecond
+ * read per switch (9 reads per profiled cycle), and every nanosecond
  * between beginCycle() and endCycle() lands in exactly one phase — so
  * per-phase attribution sums to the measured loop time by construction.
+ * Those reads are not free: the benchmark's traced pass measures
+ * prof.overhead_frac ≈ 1.2 (a profiled loop runs about 2.2× as long as
+ * the plain one), so phase shares only give direction.
  *
  * Cpu::cycle() tests for a profiler once per cycle and runs one of two
  * instantiations of Cpu::step(): with a profiler, the one that calls it;

@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "sim/invariants.h"
+#include "sim/runner.h"
 #include "sim/simerror.h"
 
 namespace udp {
@@ -57,19 +58,6 @@ Cpu::Cpu(const Program& prog, const SimConfig& c) : cfg(c), program(prog)
     }
 }
 
-Telemetry::IntervalCounters
-Cpu::telemetryCounters() const
-{
-    Telemetry::IntervalCounters c;
-    c.retired = backend_->retired();
-    c.ifetchMisses = mem_->stats().ifetchMisses;
-    c.pfIssued = mem_->stats().iprefIssued;
-    c.pfUseful =
-        mem_->l1iStats().prefetchHits + mem_->stats().pfMshrMergesHw;
-    c.pfUnused = mem_->l1iStats().prefetchUnused;
-    return c;
-}
-
 void
 Cpu::applyResteer(const ResteerRequest& req)
 {
@@ -120,7 +108,7 @@ Cpu::step()
     }
 
     if (telemetry_) {
-        telemetry_->beginCycle(now_, ftq_->size());
+        telemetry_->beginCycle(now_);
     }
 
     // Fault injection lands before any component ticks so the perturbed
@@ -170,20 +158,17 @@ Cpu::step()
     if (uftq_) {
         uftq_->tick(mem_->stats(), mem_->l1iStats());
     }
-    if (udp_) {
-        std::uint64_t unused = mem_->l1iStats().prefetchUnused;
-        if (unused > lastPfUnused) {
-            udp_->noteUnuseful(unused - lastPfUnused);
-            lastPfUnused = unused;
-        }
-        if ((now_ & 0x3ff) == 0) {
-            udp_->maintain();
-        }
+    if (udp_ && (now_ & 0x3ff) == 0) {
+        udp_->maintain(fdip_->stats().emitted,
+                       mem_->l1iStats().prefetchUnused);
     }
 
     phase(obs::ProfPhase::Other);
-    if (telemetry_ && telemetry_->intervalDue()) {
-        telemetry_->closeInterval(telemetryCounters());
+    if (telemetry_ &&
+        now_ - intervalStart_.cycle >= cfg.telemetry.intervalCycles) {
+        const CpuCounters end = counters();
+        telemetry_->closeInterval(intervalRow(intervalStart_, end));
+        intervalStart_ = end;
         if constexpr (kProfiled) {
             profiler_->closeInterval();
         }
@@ -321,12 +306,12 @@ void
 Cpu::clearStats()
 {
     windowStart_ = counters();
+    intervalStart_ = windowStart_;
     if (uftq_) {
         uftq_->restartEpoch(mem_->stats(), mem_->l1iStats());
     }
     if (telemetry_) {
         telemetry_->clearStats();
-        telemetry_->setBaseline(telemetryCounters());
     }
     if (profiler_) {
         profiler_->clearStats();

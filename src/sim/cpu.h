@@ -64,10 +64,10 @@ class Cpu
     std::string dumpState() const;
 
     /**
-     * Starts the measurement window: records counters() as its start.
-     * No model counter is reset. Telemetry and the profiler restart
-     * their own windows, and UFTQ restarts its epoch
-     * (UftqController::restartEpoch).
+     * Starts the measurement window: records counters() as its start,
+     * which also opens the first telemetry interval. No model counter is
+     * reset. Telemetry and the profiler restart their own windows, and
+     * UFTQ restarts its epoch (UftqController::restartEpoch).
      */
     void clearStats();
 
@@ -120,9 +120,6 @@ class Cpu
 
     void applyResteer(const ResteerRequest& req);
 
-    /** Current cumulative counters for interval-delta accounting. */
-    Telemetry::IntervalCounters telemetryCounters() const;
-
     SimConfig cfg;
     const Program& program;
 
@@ -143,7 +140,8 @@ class Cpu
 
     Cycle now_ = 0;
     CpuCounters windowStart_;
-    std::uint64_t lastPfUnused = 0; ///< for UDP clear-policy feedback
+    /** counters() at the open telemetry interval's start. */
+    CpuCounters intervalStart_;
 
     // Watchdog / diagnostic tracking.
     Cycle lastRetireCycle_ = 0;          ///< cycle retired() last advanced

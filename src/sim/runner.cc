@@ -79,13 +79,7 @@ reportFromCounters(const CpuCounters& w, std::string workload,
     double kilo = static_cast<double>(r.instructions) / 1000.0;
     r.icacheMpki = ratio(static_cast<double>(m.ifetchMisses), kilo);
     r.mshrHitsPki = ratio(static_cast<double>(m.ifetchMshrHits), kilo);
-    // Timeliness over prefetched lines: a demand access either found the
-    // prefetched line resident (timely) or merged with its in-flight fill
-    // (untimely). Matches the paper's Table III / Fig. 4 value range.
-    r.timeliness =
-        ratio(static_cast<double>(m.ifetchTimelyPrefetchHits),
-              static_cast<double>(m.ifetchTimelyPrefetchHits +
-                                  m.pfMshrMergesHw));
+    r.timeliness = prefetchTimeliness(m);
     r.l1HitRatio =
         ratio(static_cast<double>(m.ifetchL1Hits),
               static_cast<double>(m.ifetchL1Hits + m.ifetchMshrHits));
@@ -102,10 +96,7 @@ reportFromCounters(const CpuCounters& w, std::string workload,
     double useless_true = static_cast<double>(l1i.prefetchUnusedTrue);
     r.usefulness = ratio(useful_true, useful_true + useless_true);
 
-    double useful_hw =
-        static_cast<double>(l1i.prefetchHits + m.pfMshrMergesHw);
-    double useless_hw = static_cast<double>(l1i.prefetchUnused);
-    r.usefulnessHw = ratio(useful_hw, useful_hw + useless_hw);
+    r.usefulnessHw = prefetchUtility(m, l1i);
 
     r.avgFtqOccupancy = w.ftq.meanOccupancy();
     r.branchMpki = ratio(static_cast<double>(bp.condMispredicts), kilo);
@@ -119,6 +110,23 @@ reportFromCounters(const CpuCounters& w, std::string workload,
     r.udpFilteredEmits = w.udp.emittedFiltered;
     r.udpLearned = w.usefulSet.learns;
     return r;
+}
+
+IntervalRow
+intervalRow(const CpuCounters& start, const CpuCounters& end)
+{
+    const CpuCounters window = counterDelta(end, start);
+    const Report r = reportFromCounters(window, "", "");
+    IntervalRow row;
+    row.cycleStart = start.cycle;
+    row.cycleEnd = end.cycle;
+    row.instructions = r.instructions;
+    row.ipc = r.ipc;
+    row.icacheMpki = r.icacheMpki;
+    row.ftqOccupancy = r.avgFtqOccupancy;
+    row.prefetchesIssued = window.mem.iprefIssued;
+    row.pfAccuracy = r.usefulnessHw;
+    return row;
 }
 
 Report

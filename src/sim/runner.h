@@ -190,6 +190,15 @@ Report reportFromCounters(const CpuCounters& window, std::string workload,
                           std::string config_name);
 
 /**
+ * The telemetry interval row of the cycles between two Cpu::counters()
+ * reads @p start and @p end: its ipc, icache_mpki, ftq_occupancy and
+ * pf_accuracy are the ipc, icache_mpki, avg_ftq_occupancy and
+ * usefulness_hw of that window's reportFromCounters(). Telemetry fills
+ * in the index and lifecycle outcomes (Telemetry::closeInterval).
+ */
+IntervalRow intervalRow(const CpuCounters& start, const CpuCounters& end);
+
+/**
  * Collects the Report of @p cpu's measurement window: reportFromCounters()
  * of the counters since the last Cpu::clearStats(), plus the window's
  * telemetry and profile when those are enabled.

@@ -147,43 +147,9 @@ TelemetrySnapshot::toStatSet() const
 }
 
 void
-Telemetry::beginCycle(Cycle now, std::size_t ftq_occupancy)
+Telemetry::closeInterval(IntervalRow row)
 {
-    now_ = now;
-    ftqOccSum_ += ftq_occupancy;
-    ++ftqOccSamples_;
-}
-
-bool
-Telemetry::intervalDue() const
-{
-    return now_ - intervalStart_ >= cfg_.intervalCycles;
-}
-
-void
-Telemetry::closeInterval(const IntervalCounters& c)
-{
-    Cycle cycles = now_ - intervalStart_;
-    if (cycles == 0) {
-        return;
-    }
-    IntervalRow row;
-    row.index = intervalIndex_;
-    row.cycleStart = intervalStart_;
-    row.cycleEnd = now_;
-    row.instructions = c.retired - prev_.retired;
-    row.ipc = static_cast<double>(row.instructions) /
-              static_cast<double>(cycles);
-    row.icacheMpki =
-        ratio(static_cast<double>(c.ifetchMisses - prev_.ifetchMisses) *
-                  1000.0,
-              static_cast<double>(row.instructions));
-    row.ftqOccupancy = ratio(static_cast<double>(ftqOccSum_),
-                             static_cast<double>(ftqOccSamples_));
-    row.prefetchesIssued = c.pfIssued - prev_.pfIssued;
-    row.pfAccuracy =
-        ratio(static_cast<double>(c.pfUseful - prev_.pfUseful),
-              static_cast<double>(row.prefetchesIssued));
+    row.index = acc_.intervals.size();
     std::uint64_t timely = acc_.outcomeTotal(PfOutcome::Timely);
     std::uint64_t late = acc_.outcomeTotal(PfOutcome::Late);
     std::uint64_t unused = acc_.outcomeTotal(PfOutcome::Unused) +
@@ -206,14 +172,9 @@ Telemetry::closeInterval(const IntervalCounters& c)
                               TraceName::PfAccuracy, now_, 0, row.pfAccuracy));
     }
 
-    prev_ = c;
     prevTimely_ = timely;
     prevLate_ = late;
     prevUnused_ = unused;
-    intervalStart_ = now_;
-    ++intervalIndex_;
-    ftqOccSum_ = 0;
-    ftqOccSamples_ = 0;
 }
 
 void
@@ -368,11 +329,6 @@ Telemetry::clearStats()
 {
     acc_ = TelemetrySnapshot{};
     live_.clear();
-    intervalStart_ = now_;
-    intervalIndex_ = 0;
-    ftqOccSum_ = 0;
-    ftqOccSamples_ = 0;
-    prev_ = IntervalCounters{};
     prevTimely_ = 0;
     prevLate_ = 0;
     prevUnused_ = 0;

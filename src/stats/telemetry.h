@@ -189,25 +189,15 @@ class Telemetry
     explicit Telemetry(const TelemetryConfig& cfg) : cfg_(cfg) {}
 
     // ----- per-cycle driving (called by Cpu) ------------------------------
-    /** Start-of-cycle: advances the clock, samples FTQ occupancy. */
-    void beginCycle(Cycle now, std::size_t ftq_occupancy);
-    /** True when the current cycle closes an interval. */
-    bool intervalDue() const;
-    /** Cumulative counters the Cpu passes when an interval closes. */
-    struct IntervalCounters {
-        std::uint64_t retired = 0;
-        std::uint64_t ifetchMisses = 0;
-        std::uint64_t pfIssued = 0;
-        std::uint64_t pfUseful = 0;
-        std::uint64_t pfUnused = 0;
-    };
-    void closeInterval(const IntervalCounters& c);
-    /** Seeds the interval-delta baseline with the current cumulative
-     *  counters. Cpu::clearStats calls it right after clearStats() below
-     *  has dropped the baseline with the rest of the window state: the
-     *  model's counters keep counting across the window start, so the
-     *  first interval's deltas are taken from their values there. */
-    void setBaseline(const IntervalCounters& c) { prev_ = c; }
+    /** Start-of-cycle: advances the clock the hooks below stamp. */
+    void beginCycle(Cycle now) { now_ = now; }
+    /**
+     * Appends the interval row @p row, whose counter fields the Cpu
+     * derived from its own counters over the interval (intervalRow(),
+     * sim/runner.h). Fills in the row's index and the lifecycle outcomes
+     * resolved since the previous row.
+     */
+    void closeInterval(IntervalRow row);
 
     // ----- prefetch lifecycle hooks ---------------------------------------
     void onPrefetchIssued(Addr line, PfSource src);
@@ -263,15 +253,8 @@ class Telemetry
     std::unordered_map<Addr, PfRec> live_;
 
     Cycle now_ = 0;
-    Cycle intervalStart_ = 0;
-    std::uint64_t intervalIndex_ = 0;
 
-    // FTQ occupancy accumulation for the open interval.
-    std::uint64_t ftqOccSum_ = 0;
-    std::uint64_t ftqOccSamples_ = 0;
-
-    // Cumulative baselines at the previous interval close.
-    IntervalCounters prev_{};
+    // Outcome totals at the previous interval close.
     std::uint64_t prevTimely_ = 0;
     std::uint64_t prevLate_ = 0;
     std::uint64_t prevUnused_ = 0;

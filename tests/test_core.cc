@@ -156,11 +156,7 @@ TEST(UsefulSet, ClearPolicyFiresWhenFullAndUnuseful)
     for (int i = 0; i < 200; ++i) {
         set.learn(0x400000 + static_cast<Addr>(i) * 0x1000);
     }
-    for (int i = 0; i < 100; ++i) {
-        set.noteEmitted();
-    }
-    set.noteUnuseful(90); // 90% unuseful
-    set.maybeClear();
+    set.maybeClear(100, 90); // 100 emitted, 90% unuseful
     EXPECT_EQ(set.stats().clears, 1u);
     EXPECT_EQ(set.lookup(0x400000), 0u);
 }
@@ -174,11 +170,7 @@ TEST(UsefulSet, NoClearWhenUseful)
     for (int i = 0; i < 200; ++i) {
         set.learn(0x400000 + static_cast<Addr>(i) * 0x1000);
     }
-    for (int i = 0; i < 100; ++i) {
-        set.noteEmitted();
-    }
-    set.noteUnuseful(10); // only 10% unuseful
-    set.maybeClear();
+    set.maybeClear(100, 10); // 100 emitted, only 10% unuseful
     EXPECT_EQ(set.stats().clears, 0u);
 }
 
@@ -193,7 +185,7 @@ TEST(UsefulSet, InfiniteModeExactAndUnbounded)
     EXPECT_EQ(set.lookup(0x400000), 1u);
     EXPECT_EQ(set.lookup(0x400000 + 4999 * 64), 1u);
     EXPECT_EQ(set.lookup(0x900000), 0u);
-    set.maybeClear();
+    set.maybeClear(1000, 1000); // an all-unused epoch
     EXPECT_EQ(set.lookup(0x400000), 1u); // never cleared
 }
 
@@ -424,7 +416,7 @@ TEST(UdpEngine, LearnsThroughRetirementLoop)
     udp.evaluate(makeEntry(0x400000, true), 0x400000);
     // An instruction in the same line retires (merge point!).
     udp.onRetire(0x400020);
-    EXPECT_EQ(udp.stats().retireMatches, 1u);
+    EXPECT_EQ(udp.usefulSetStats().learns, 1u);
     // Push the learned line out of the coalescing buffer.
     for (int i = 1; i <= 10; ++i) {
         udp.evaluate(makeEntry(0x900000 + static_cast<Addr>(i) * 0x1000, true),
@@ -440,7 +432,7 @@ TEST(UdpEngine, RetireWithoutCandidateDoesNotLearn)
 {
     UdpEngine udp{UdpConfig{}};
     udp.onRetire(0x400000);
-    EXPECT_EQ(udp.stats().retireMatches, 0u);
+    EXPECT_EQ(udp.usefulSetStats().learns, 0u);
 }
 
 TEST(UdpEngine, StorageBudgetIs8KB)

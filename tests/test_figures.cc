@@ -337,34 +337,86 @@ TEST(FiguresCli, RejectsTrailingJunkInNumber)
                    "malformed number '500x' for --telemetry-interval");
 }
 
-TEST(FiguresCli, ParsesEveryFlag)
+TEST(FiguresCli, RejectsIsolateWithTelemetryOrProfile)
 {
-    std::vector<std::string> args = {
-        "figures", "fig03_ftq_sweep", "--out-dir", "out", "--isolate",
-        "--resume", "--mem-mb", "2048", "--cpu-sec", "60", "--wall-sec",
-        "1.5", "--interval-stats", "i.csv", "--trace-out", "t.json",
-        "--telemetry-interval", "500", "--profile", "fig13_udp"};
+    setenv("UDP_BENCH_WARMUP", "300", 1);
+    setenv("UDP_BENCH_INSTR", "600", 1);
+    const std::string dir = ::testing::TempDir() + "udp_figures_isolate";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    // An earlier run's files at every path the flags name.
+    const std::vector<std::string> files = {"i.csv", "i.jsonl", "t.json",
+                                            "figures.profile.jsonl"};
+    for (const std::string& f : files) {
+        std::ofstream(dir + "/" + f) << "earlier " << f << "\n";
+    }
+    const std::string why = "--interval-stats, --trace-out and --profile "
+                            "are rejected with --isolate";
+    for (const std::vector<std::string>& flags :
+         std::vector<std::vector<std::string>>{
+             {"--interval-stats", dir + "/i.csv"},
+             {"--trace-out", dir + "/t.json"},
+             {"--profile"}}) {
+        std::vector<std::string> args = {"fig01_perfect_icache", "--isolate",
+                                         "--out-dir", dir};
+        args.insert(args.end(), flags.begin(), flags.end());
+        expectRejected(args, why);
+    }
+    unsetenv("UDP_BENCH_WARMUP");
+    unsetenv("UDP_BENCH_INSTR");
+    for (const std::string& f : files) {
+        std::ifstream in(dir + "/" + f);
+        std::stringstream bytes;
+        bytes << in.rdbuf();
+        EXPECT_EQ(bytes.str(), "earlier " + f + "\n") << f;
+    }
+    EXPECT_FALSE(std::filesystem::exists(dir + "/figures.manifest.jsonl"));
+    std::filesystem::remove_all(dir);
+}
+
+/** Parses @p args (after the program name) into @p s and @p names. */
+void
+parseArgs(std::vector<std::string> args, bench::SinkArgs* s,
+          std::vector<std::string>* names)
+{
+    args.insert(args.begin(), "figures");
     std::vector<char*> argv;
     for (std::string& a : args) {
         argv.push_back(a.data());
     }
-    bench::SinkArgs s;
-    std::vector<std::string> names;
     std::string error;
     ASSERT_TRUE(bench::parseSinkArgs(static_cast<int>(argv.size()),
-                                     argv.data(), &s, &names, &error))
+                                     argv.data(), s, names, &error))
         << error;
+}
+
+TEST(FiguresCli, ParsesEveryFlag)
+{
+    // The isolation flags, and then the telemetry and profile flags that
+    // --isolate rejects.
+    bench::SinkArgs s;
+    std::vector<std::string> names;
+    parseArgs({"fig03_ftq_sweep", "--out-dir", "out", "--isolate",
+               "--resume", "--mem-mb", "2048", "--cpu-sec", "60",
+               "--wall-sec", "1.5", "fig13_udp"},
+              &s, &names);
     EXPECT_EQ(names, (std::vector<std::string>{"fig03_ftq_sweep",
                                                "fig13_udp"}));
     EXPECT_EQ(s.outDir, "out");
     EXPECT_EQ(s.manifestPath(), "out/figures.manifest.jsonl");
-    EXPECT_TRUE(s.isolate && s.resume && s.profile);
+    EXPECT_TRUE(s.isolate && s.resume);
     EXPECT_EQ(s.memLimitMb, 2048u);
     EXPECT_EQ(s.cpuLimitSec, 60u);
     EXPECT_DOUBLE_EQ(s.wallLimitSec, 1.5);
-    EXPECT_EQ(s.intervalPath, "i.csv");
-    EXPECT_EQ(s.tracePath, "t.json");
-    EXPECT_EQ(s.telemetryInterval, 500u);
+
+    bench::SinkArgs t;
+    parseArgs({"--interval-stats", "i.csv", "--trace-out", "t.json",
+               "--telemetry-interval", "500", "--profile"},
+              &t, &names);
+    EXPECT_TRUE(t.profile);
+    EXPECT_EQ(t.intervalPath, "i.csv");
+    EXPECT_EQ(t.tracePath, "t.json");
+    EXPECT_EQ(t.telemetryInterval, 500u);
 }
 
 /**

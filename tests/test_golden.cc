@@ -22,11 +22,13 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/simconfig.h"
 #include "sim/sweep.h"
 #include "stats/sink.h"
+#include "workload/builder.h"
 #include "workload/profile.h"
 
 namespace udp {
@@ -142,6 +144,69 @@ TEST(GoldenReports, MatchCommittedFile)
                       << "  cp " UDP_GOLDEN_ACTUAL " " UDP_GOLDEN_FILE;
     }
     expectUftqAndUdpAct(jobs, results);
+}
+
+/**
+ * UDP's clear path, which no golden point reaches: with udp8k's filters
+ * the highest epoch unused ratio over the ten apps at 400K instructions
+ * is 0.645 (xgboost), under the 0.75 that clears the useful set. Filters
+ * of 512/128/128 bits and a ratio of 0.3 make mysql and xgboost clear at
+ * 20K/40K; their Reports are pinned here.
+ */
+TEST(GoldenReports, UdpClearPathMatchesPinnedLines)
+{
+    const std::pair<const char*, const char*> pinned[] = {
+        {"mysql",
+         R"({"workload":"mysql","config":"udp8k-clears",)"
+         R"("instructions":40001,"cycles":47551,)"
+         R"("ipc":0.8412231078210763,"icache_mpki":5.649858753531162,)"
+         R"("mshr_hits_pki":5.874853128671783,)"
+         R"("timeliness":0.8244824482448245,)"
+         R"("l1_hit_ratio":0.9763652821080157,)"
+         R"("lost_instr_per_kilo":1541.3114672133197,)"
+         R"("prefetches_emitted":1856,)"
+         R"("onpath_ratio":0.20043103448275862,)"
+         R"("usefulness":0.611075747931254,)"
+         R"("usefulness_hw":0.6708937198067633,)"
+         R"("avg_ftq_occupancy":27.493070597884376,)"
+         R"("branch_mpki":7.349816254593636,)"
+         R"("cond_mispredict_rate":0.05955033421105935,"resteers":934,)"
+         R"("decode_corrections":531,"udp_dropped":959,)"
+         R"("udp_filtered_emits":4,"udp_learned":206})"},
+        {"xgboost",
+         R"({"workload":"xgboost","config":"udp8k-clears",)"
+         R"("instructions":40001,"cycles":140741,)"
+         R"("ipc":0.2842171080211168,"icache_mpki":39.04902377440564,)"
+         R"("mshr_hits_pki":45.42386440338992,)"
+         R"("timeliness":0.7138964577656676,)"
+         R"("l1_hit_ratio":0.9372799447704522,)"
+         R"("lost_instr_per_kilo":14320.166995825106,)"
+         R"("prefetches_emitted":11595,)"
+         R"("onpath_ratio":0.026218197498921948,)"
+         R"("usefulness":0.3566482973011163,)"
+         R"("usefulness_hw":0.49301450832885546,)"
+         R"("avg_ftq_occupancy":21.964608749404935,)"
+         R"("branch_mpki":49.7737556561086,)"
+         R"("cond_mispredict_rate":0.06419474447847816,"resteers":7924,)"
+         R"("decode_corrections":5380,"udp_dropped":16108,)"
+         R"("udp_filtered_emits":190,"udp_learned":1250})"},
+    };
+    SimConfig cfg = presets::udp8k();
+    cfg.udp.usefulSet.bits1 = 512;
+    cfg.udp.usefulSet.bits2 = 128;
+    cfg.udp.usefulSet.bits4 = 128;
+    cfg.udp.usefulSet.clearUnusefulRatio = 0.3;
+    for (const auto& [app, line] : pinned) {
+        const Profile p = profileByName(app);
+        const Program prog = ProgramBuilder::build(p);
+        Cpu cpu(prog, cfg);
+        cpu.runUntilRetired(20'000);
+        cpu.clearStats();
+        cpu.runUntilRetired(40'000);
+        EXPECT_GE(cpu.udp()->usefulSetStats().clears, 1u) << app;
+        EXPECT_EQ(reportToJsonLine(collectReport(cpu, p.name, "udp8k-clears")),
+                  line);
+    }
 }
 
 } // namespace

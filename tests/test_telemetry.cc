@@ -16,6 +16,7 @@
 #include "stats/sink.h"
 #include "stats/telemetry.h"
 #include "stats/tracefile.h"
+#include "workload/builder.h"
 
 namespace udp {
 namespace {
@@ -144,11 +145,11 @@ onConfig()
 TEST(TelemetryLifecycle, TimelyPath)
 {
     Telemetry t(onConfig());
-    t.beginCycle(1, 0);
+    t.beginCycle(1);
     t.onPrefetchIssued(0x1000, PfSource::Fdip);
-    t.beginCycle(21, 0);
+    t.beginCycle(21);
     t.onPrefetchFill(0x1000, false);
-    t.beginCycle(29, 0);
+    t.beginCycle(29);
     t.onPrefetchFirstUse(0x1000);
     auto s = t.finish();
     EXPECT_EQ(s->issuedTotal(), 1u);
@@ -163,9 +164,9 @@ TEST(TelemetryLifecycle, TimelyPath)
 TEST(TelemetryLifecycle, LatePath)
 {
     Telemetry t(onConfig());
-    t.beginCycle(1, 0);
+    t.beginCycle(1);
     t.onPrefetchIssued(0x2000, PfSource::Eip);
-    t.beginCycle(5, 0);
+    t.beginCycle(5);
     t.onPrefetchLateMerge(0x2000, 37);
     auto s = t.finish();
     EXPECT_EQ(s->outcomes[2][1], 1u); // Eip x Late
@@ -178,13 +179,13 @@ TEST(TelemetryLifecycle, LatePath)
 TEST(TelemetryLifecycle, UnusedAndPollutingPaths)
 {
     Telemetry t(onConfig());
-    t.beginCycle(1, 0);
+    t.beginCycle(1);
     t.onPrefetchIssued(0x3000, PfSource::Fdip);
     t.onPrefetchIssued(0x4000, PfSource::UdpExtra);
-    t.beginCycle(10, 0);
+    t.beginCycle(10);
     t.onPrefetchFill(0x3000, false); // clean fill
     t.onPrefetchFill(0x4000, true);  // displaced a valid resident line
-    t.beginCycle(50, 0);
+    t.beginCycle(50);
     t.onPrefetchEvicted(0x3000);
     t.onPrefetchEvicted(0x4000);
     auto s = t.finish();
@@ -197,12 +198,12 @@ TEST(TelemetryLifecycle, UnusedAndPollutingPaths)
 TEST(TelemetryLifecycle, PendingAndIdentity)
 {
     Telemetry t(onConfig());
-    t.beginCycle(1, 0);
+    t.beginCycle(1);
     t.onPrefetchIssued(0x1000, PfSource::Fdip); // -> timely
     t.onPrefetchIssued(0x2000, PfSource::Fdip); // -> late
     t.onPrefetchIssued(0x3000, PfSource::Fdip); // -> unused
     t.onPrefetchIssued(0x4000, PfSource::Fdip); // -> pending
-    t.beginCycle(10, 0);
+    t.beginCycle(10);
     t.onPrefetchFill(0x1000, false);
     t.onPrefetchFill(0x3000, false);
     t.onPrefetchFirstUse(0x1000);
@@ -221,10 +222,10 @@ TEST(TelemetryLifecycle, PendingAndIdentity)
 TEST(TelemetryLifecycle, ClearStatsDropsLiveRecords)
 {
     Telemetry t(onConfig());
-    t.beginCycle(1, 0);
+    t.beginCycle(1);
     t.onPrefetchIssued(0x5000, PfSource::Fdip);
     t.clearStats(); // measurement window starts: warmup issue is dropped
-    t.beginCycle(2, 0);
+    t.beginCycle(2);
     t.onPrefetchFill(0x5000, false); // stale fill: must be a no-op
     auto s = t.finish();
     EXPECT_EQ(s->issuedTotal(), 0u);
@@ -241,19 +242,24 @@ TEST(TelemetryIntervals, RowsCarryDeltas)
     cfg.intervalCycles = 10;
     Telemetry t(cfg);
     t.clearStats();
-    t.setBaseline({1000, 0, 0, 0, 0}); // cumulative retired before window
-    Telemetry::IntervalCounters c;
+    // Cumulative counters as the Cpu reads them at each interval close;
+    // 1000 instructions retired before the window.
+    CpuCounters start;
+    start.retired = 1000;
     for (Cycle cyc = 1; cyc <= 20; ++cyc) {
-        t.beginCycle(cyc, 4);
-        if (t.intervalDue()) {
-            c.retired += 15;
-            c.ifetchMisses += 10;
-            c.pfIssued += 8;
-            c.pfUseful += 6;
-            c.pfUnused += 2;
-            Telemetry::IntervalCounters cum = c;
-            cum.retired += 1000;
-            t.closeInterval(cum);
+        t.beginCycle(cyc);
+        if (cyc - start.cycle >= cfg.intervalCycles) {
+            CpuCounters end = start;
+            end.cycle = cyc;
+            end.retired += 15;
+            end.mem.ifetchMisses += 10;
+            end.mem.iprefIssued += 8;
+            end.l1i.prefetchHits += 6;
+            end.l1i.prefetchUnused += 2;
+            end.ftq.occupancySum += 4 * cfg.intervalCycles;
+            end.ftq.occupancySamples += cfg.intervalCycles;
+            t.closeInterval(intervalRow(start, end));
+            start = end;
         }
     }
     auto s = t.finish();
@@ -279,7 +285,7 @@ TEST(TelemetryTrace, BoundedEventLog)
     cfg.trace = true;
     cfg.maxTraceEvents = 3;
     Telemetry t(cfg);
-    t.beginCycle(1, 0);
+    t.beginCycle(1);
     for (int i = 0; i < 10; ++i) {
         t.onResteer(0x100 + static_cast<Addr>(i), false);
     }
@@ -293,7 +299,7 @@ TEST(TelemetryTrace, FinishMovesTheEventLogOut)
     TelemetryConfig cfg = onConfig();
     cfg.trace = true;
     Telemetry t(cfg);
-    t.beginCycle(1, 0);
+    t.beginCycle(1);
     t.onPrefetchIssued(0x1000, PfSource::Fdip);
     t.onResteer(0x100, true);
     // The still-live prefetch ends as a Pending span: three events.
@@ -311,7 +317,7 @@ TEST(TelemetryTrace, FinishMovesTheEventLogOut)
 TEST(TelemetryTrace, DisabledTraceRecordsNothing)
 {
     Telemetry t(onConfig()); // trace defaults to false
-    t.beginCycle(1, 0);
+    t.beginCycle(1);
     t.onResteer(0x100, true);
     t.onUdpDrop(0x200);
     auto s = t.finish();
@@ -326,10 +332,10 @@ TEST(TraceFile, RendersLifecycleAndMetadata)
     TelemetryConfig cfg = onConfig();
     cfg.trace = true;
     Telemetry t(cfg);
-    t.beginCycle(1, 0);
+    t.beginCycle(1);
     t.onPrefetchIssued(0xabc0, PfSource::Fdip);
     t.onResteer(0x400, true);
-    t.beginCycle(20, 0);
+    t.beginCycle(20);
     t.onPrefetchFill(0xabc0, false);
     t.onPrefetchFirstUse(0xabc0);
 
@@ -404,7 +410,7 @@ TEST(TelemetrySinkRows, IntervalJsonAndCsvAgree)
 TEST(TelemetrySinkRows, SummaryRowCarriesTaxonomy)
 {
     Telemetry t(onConfig());
-    t.beginCycle(1, 0);
+    t.beginCycle(1);
     t.onPrefetchIssued(0x1000, PfSource::Fdip);
     std::string json = telemetrySummaryToJsonLine("mysql", "udp8k",
                                                   *t.finish());
@@ -434,6 +440,31 @@ tinyProfile()
     p.seed = 11;
     p.codeFootprintKB = 96;
     return p;
+}
+
+TEST(TelemetryIntervals, RowIsTheReportOfItsCycles)
+{
+    SimConfig c = presets::udp8k();
+    c.telemetry.enabled = true;
+    c.telemetry.intervalCycles = 5'000;
+    const Program prog = ProgramBuilder::build(tinyProfile());
+    Cpu cpu(prog, c);
+    cpu.runUntilRetired(tinyOptions().warmupInstrs);
+    cpu.clearStats();
+    while (cpu.cyclesSinceClear() < c.telemetry.intervalCycles) {
+        cpu.cycle();
+    }
+    const Report r = collectReport(cpu, "telemetrytest", "udp8k");
+    ASSERT_EQ(r.telemetry->intervals.size(), 1u);
+    const IntervalRow& row = r.telemetry->intervals[0];
+    ASSERT_GT(row.prefetchesIssued, 0u);
+    EXPECT_EQ(row.cycleEnd - row.cycleStart, r.cycles);
+    EXPECT_EQ(row.instructions, r.instructions);
+    // Exact: the row is that window's Report, not a second formula.
+    EXPECT_EQ(row.ipc, r.ipc);
+    EXPECT_EQ(row.icacheMpki, r.icacheMpki);
+    EXPECT_EQ(row.ftqOccupancy, r.avgFtqOccupancy);
+    EXPECT_EQ(row.pfAccuracy, r.usefulnessHw);
 }
 
 TEST(TelemetryIntegration, TaxonomyIdentityOnRealRun)
